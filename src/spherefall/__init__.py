@@ -33,7 +33,7 @@ from .analysis import (
     proof_integral,
     run_default_suite,
 )
-from .ide import Trajectory, abel_weights, basset_integral, solve_ide
+from .ide import Trajectory, abel_history, abel_weights, basset_integral, solve_ide
 from .ode import (
     OscillatorProblem,
     StabilityClass,

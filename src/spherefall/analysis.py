@@ -212,16 +212,6 @@ def imag_sqrt_alpha_villat(t: float, kappa: float) -> float:
 # Cross-formulation residuals
 # ----------------------------------------------------------------------
 
-def _abel_transform_all(samples: np.ndarray, h: float) -> np.ndarray:
-    """Abel quadrature of the sampled function at every grid point."""
-    n = len(samples) - 1
-    left, right = ide._cell_weights(n, h)
-    out = np.zeros(n + 1)
-    for k in range(1, n + 1):
-        out[k] = right[0:k] @ samples[k:0:-1] + left[0:k] @ samples[k - 1 :: -1]
-    return out
-
-
 def abel_identity_residual(traj: Trajectory) -> VerificationReport:
     """Check the inversion identity: the Abel transform of F(t) = I[u'](t) is pi (u - u(0)).
 
@@ -232,8 +222,8 @@ def abel_identity_residual(traj: Trajectory) -> VerificationReport:
     accuracy loss of nesting two quadratures.
     """
     h = traj.step()
-    inner = _abel_transform_all(traj.derivatives, h)
-    outer = _abel_transform_all(inner, h)
+    inner = ide.abel_history(traj.derivatives, h)
+    outer = ide.abel_history(inner, h)
     rhs = math.pi * (traj.values - traj.values[0])
     dev = np.abs(outer - rhs) / np.maximum(np.abs(rhs), 1e-30)
     mask = traj.times >= STARTUP_STEPS * h - 1e-12 * h

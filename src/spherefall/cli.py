@@ -299,13 +299,14 @@ def _cmd_drag(cfg: RunConfig) -> int:
     traj = ide.solve_ide(group.kappa, cfg.eps, cfg.h * group.B, cfg.T * group.B)
     dim = physical.dimensional_trajectory(group, traj)
     coef_basset = 6.0 * math.pi * p.rho * p.R**2 * math.sqrt(p.nu / math.pi)
+    history = ide.abel_history(dim.derivatives, dim.step())
     f_buoy = physical.buoyancy_force(p)
     rows = []
     for i, t in enumerate(dim.times):
         u, du = dim.values[i], dim.derivatives[i]
         f_stokes = 6.0 * math.pi * p.mu * p.R * u
         f_added = 0.5 * p.rho * p.volume * du
-        f_basset = coef_basset * ide.basset_integral(dim, i)
+        f_basset = coef_basset * history[i]
         residual = p.rho_s * p.volume * du + (f_stokes + f_added + f_basset) - f_buoy
         rows.append([t, u, du, f_stokes, f_added, f_basset, f_buoy, residual])
     header = ["t", "U", "dU", "F_stokes", "F_added_mass", "F_basset", "F_buoyancy",

@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+import math
 
 import numpy as np
 
 from spherefall.cli import main
+from spherefall.ide import Trajectory, basset_integral
+from spherefall.physical import PhysicalParams, unsteady_drag
 
 
 def _read_csv(path):
@@ -121,6 +124,31 @@ def test_drag_force_decomposition(tmp_path):
                       "F_buoyancy", "residual"]
     f_buoy = rows[0, 6]
     assert np.max(np.abs(rows[:, 7])) <= 1e-9 * f_buoy
+
+
+def test_drag_columns_match_per_row_history(tmp_path):
+    # The table reads the Basset history back with one FFT convolution;
+    # per-row direct sums over the printed trajectory must agree with it.
+    out = tmp_path / "drag.csv"
+    p = PhysicalParams(rho_s=2500.0, rho=1000.0, mu=0.1, R=1e-3, g=9.8)
+    code = main([
+        "drag", "--rho-s", "2500", "--rho", "1000", "--mu", "0.1",
+        "--radius", "0.001", "--g", "9.8", "--T", "0.004", "--h", "0.00002",
+        "--out", str(out),
+    ])
+    assert code == 0
+    _, rows = _read_csv(out)
+    t, U, dU, f_st, f_am, f_ba, f_b, resid = rows.T
+    assert len(t) == 201
+    traj = Trajectory(times=t, values=U, derivatives=dU)
+    coef = 6.0 * math.pi * p.rho * p.R**2 * math.sqrt(p.nu / math.pi)
+    direct = np.array([coef * basset_integral(traj, i) for i in range(len(t))])
+    assert f_ba[0] == 0.0
+    assert np.all(np.abs(f_ba - direct) <= 1e-12 * np.abs(direct))
+    assert np.max(np.abs(resid)) <= 1e-9 * abs(f_b[0])
+    for i in (0, 1, 77, len(t) - 1):
+        total = f_st[i] + f_am[i] + f_ba[i]
+        assert abs(unsteady_drag(p, traj, t[i]) - total) <= 1e-12 * abs(total)
 
 
 def test_usage_errors_exit_one():

@@ -6,8 +6,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from direct_oracle import abel_history_direct, solve_ide_direct
 from spherefall import analytic
-from spherefall.ide import Trajectory, abel_weights, basset_integral, solve_ide
+from spherefall.ide import (
+    _LEAF,
+    Trajectory,
+    abel_history,
+    abel_weights,
+    basset_integral,
+    solve_ide,
+)
+
+# Grid lengths around the leaf size of the blocked solve, plus ones that
+# are not powers of two and span several FFT levels.
+_EDGE_STEPS = [1, _LEAF - 1, _LEAF, _LEAF + 1, 5 * _LEAF + 17, 3001]
+_steps = st.one_of(st.sampled_from(_EDGE_STEPS), st.integers(min_value=1, max_value=8 * _LEAF))
+_kappas = st.floats(min_value=0.0, max_value=9.0, exclude_min=True, exclude_max=True)
+_hs = st.floats(min_value=1e-3, max_value=5e-2)
 
 
 # ----------------------------------------------------------------------
@@ -128,6 +143,16 @@ def test_discrete_residual_closes_at_every_grid_point():
         assert abs(resid) <= 10.0 * h
 
 
+@given(_kappas, st.floats(min_value=0.0, max_value=1.0), _hs, _steps)
+@settings(max_examples=40, deadline=None)
+def test_solver_matches_direct_step_loop(kappa, u0, h, n):
+    traj = solve_ide(kappa, u0, h, n * h)
+    u, d = solve_ide_direct(kappa, u0, h, n * h)
+    assert len(traj) == n + 1
+    assert np.max(np.abs(traj.values - u)) <= 1e-12
+    assert np.max(np.abs(traj.derivatives - d)) <= 1e-12
+
+
 def test_solver_argument_validation():
     with pytest.raises(ValueError):
         solve_ide(0.0, 0.0, 1e-2, 1.0)
@@ -137,6 +162,30 @@ def test_solver_argument_validation():
         solve_ide(2.0, 0.0, -1e-2, 1.0)
     with pytest.raises(ValueError):
         solve_ide(2.0, 0.0, 1e-2, 1e-3)
+
+
+# ----------------------------------------------------------------------
+# Abel history at every grid point
+# ----------------------------------------------------------------------
+
+@given(_kappas, _hs, _steps)
+@settings(max_examples=40, deadline=None)
+def test_abel_history_matches_direct_sums(kappa, h, n):
+    d = solve_ide(kappa, 0.0, h, n * h).derivatives
+    fast = abel_history(d, h)
+    ref = abel_history_direct(d, h)
+    assert fast[0] == 0.0
+    assert np.all(np.abs(fast - ref) <= 1e-12 * np.abs(ref))
+
+
+def test_abel_history_single_sample_and_validation():
+    assert np.array_equal(abel_history(np.array([3.0]), 0.1), [0.0])
+    with pytest.raises(ValueError):
+        abel_history(np.array([]), 0.1)
+    with pytest.raises(ValueError):
+        abel_history(np.ones((2, 2)), 0.1)
+    with pytest.raises(ValueError):
+        abel_history(np.ones(4), 0.0)
 
 
 # ----------------------------------------------------------------------
