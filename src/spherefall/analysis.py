@@ -273,11 +273,10 @@ def ode_residual(traj: Trajectory, kappa: float, u0: float) -> VerificationRepor
 _KAPPA_SET = (0.5, 1.0, 2.0, 2.5, 2.9, 3.5, 3.9)
 
 
-def _sample_u_rest(kappa: float, taus: np.ndarray) -> Trajectory:
-    times = np.concatenate(([0.0], taus))
-    values = np.array([analytic.u_rest(t, kappa) for t in times])
-    derivs = np.array([analytic.u_rest_derivative(t, kappa) for t in times])
-    return Trajectory(times=times, values=values, derivatives=derivs,
+def _sample_u_rest(kappa: float, times: np.ndarray) -> Trajectory:
+    prob = ode.OscillatorProblem.sphere(kappa, 0.0)
+    v, dv = analytic.monotone_kernel_samples(times, prob.b, prob.A, prob.t0)
+    return Trajectory(times=times, values=1.0 + v, derivatives=dv,
                       meta={"solver": "closed-form", "kappa": kappa})
 
 
@@ -289,13 +288,13 @@ def run_default_suite(h: float = 1e-3, points: int = 400) -> list[VerificationRe
     ``points`` the sampling density of the closed-form grids.
     """
     reports: list[VerificationReport] = []
-    taus = np.logspace(-3, 3, points)
+    times = np.concatenate(([0.0], np.logspace(-3, 3, points)))
 
     # Monotone approach of the closed form, and positivity of u'.
     worst_drop, drop_loc = 0.0, "--"
     worst_neg, neg_loc = 0.0, "--"
     for kappa in _KAPPA_SET:
-        traj = _sample_u_rest(kappa, taus)
+        traj = _sample_u_rest(kappa, times)
         rep = check_monotone(traj, tol=1e-12)
         if rep.worst_violation > worst_drop:
             worst_drop, drop_loc = rep.worst_violation, f"kappa={kappa}, {rep.location}"
@@ -369,8 +368,8 @@ def run_default_suite(h: float = 1e-3, points: int = 400) -> list[VerificationRe
     # observed order ~1.5 of the product-integration scheme.
     ide_tol = max(1e-4, 1e-4 * (h / 1e-3) ** 1.5)
     traj2 = ide.solve_ide(2.0, 0.0, h, 10.0)
-    closed = np.array([analytic.u_rest(t, 2.0) for t in traj2.times])
-    sup = float(np.max(np.abs(traj2.values - closed)))
+    closed = _sample_u_rest(2.0, traj2.times)
+    sup = float(np.max(np.abs(traj2.values - closed.values)))
     reports.append(VerificationReport.from_violation(
         "ide_vs_closed_form", sup, ide_tol, "kappa=2, [0,10]"))
     reports.append(replace(check_monotone(traj2, tol=10.0 * h), check_id="ide_monotone"))
@@ -383,7 +382,7 @@ def run_default_suite(h: float = 1e-3, points: int = 400) -> list[VerificationRe
     ic = analytic.monotone_initial_conditions(-1.0, 1.0, 1.0)
     prob = ode.OscillatorProblem(b=-1.0, A=1.0, t0=1.0, v0=ic.v0, v0_prime=ic.v0_prime)
     osc = ode.solve_oscillator(prob, h, 20.0)
-    target = np.array([analytic.monotone_kernel_M(t + 1.0, -1.0) for t in osc.times])
+    target, _ = analytic.monotone_kernel_samples(osc.times, -1.0, 1.0, 1.0)
     sup = float(np.max(np.abs(osc.values - target)))
     reports.append(VerificationReport.from_violation(
         "oscillator_monotone_ic", sup, 1e-6, "b=-1, A=1, t0=1"))

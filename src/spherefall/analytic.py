@@ -1,11 +1,12 @@
 """Closed-form transient solutions built on the Villat function.
 
-Covers the characteristic roots of m^2 + (2-kappa)m + 1, the exact
-solution u(tau) for a sphere released from rest and its derivative, the
-rescaling to general initial velocity, the monotone kernel M(t) of the
-damped oscillator with 1/sqrt(pi(t+t0)) forcing, variation of
+Covers the characteristic roots of m^2 + (2-kappa)m + 1, the monotone
+kernel M(t) of the damped oscillator with 1/sqrt(pi(t+t0)) forcing,
+the sphere released with u(0) = eps, which is that oscillator:
+u(tau) = 1 + (1 - eps) sqrt(kappa) M(tau; b = 2 - kappa), variation of
 parameters, and the unique initial conditions whose trajectory stays
-monotone despite an unstable homogeneous problem.
+monotone despite an unstable homogeneous problem.  Every closed-form
+value comes from one evaluator of (M, M'), two Villat evaluations.
 
 Complex-valued formulas here are conjugate-symmetric, so their values
 are real; each such function checks that the imaginary residue is at
@@ -19,6 +20,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .special import villat
 
 __all__ = [
@@ -30,6 +33,7 @@ __all__ = [
     "u_general",
     "monotone_kernel_M",
     "monotone_kernel_M_derivative",
+    "monotone_kernel_samples",
     "particular_solution_vp",
     "general_solution",
     "general_state",
@@ -103,40 +107,48 @@ def char_roots(kappa: float) -> CharRoots:
     return CharRoots(alpha=alpha, beta=beta, b=b, kappa_equiv=2.0 - b)
 
 
-def _require_complex_regime(kappa: float) -> CharRoots:
+def _sphere_damping(kappa: float) -> float:
+    """Damping b = 2 - kappa of the sphere's oscillator form, for kappa in (0, 4)."""
     if not 0.0 < kappa < 4.0:
         raise ValueError(f"kappa must lie in (0, 4) for the transient solution, got {kappa}")
-    return char_roots(kappa)
+    return 2.0 - kappa
+
+
+def _kernel(t: float, alpha: complex, beta: complex) -> tuple[float, float]:
+    """(M(t), M'(t)) from one evaluation each of Vi(alpha t) and Vi(beta t).
+
+    Vi(beta t) is not taken as conj(Vi(alpha t)): that would make the
+    conjugate-symmetry check vacuous.
+    """
+    if t < 0.0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    va, vb = villat(alpha * t), villat(beta * t)
+    sa, sb = cmath.sqrt(alpha), cmath.sqrt(beta)
+    m = (sb * va - sa * vb) / (alpha - beta)
+    dm = (alpha * sb * va - beta * sa * vb) / (alpha - beta)
+    return _real_part_checked(m), _real_part_checked(dm)
 
 
 def u_rest(tau: float, kappa: float) -> float:
     """Velocity of a sphere released from rest, in units of terminal velocity.
 
-    u(tau) = 1 + (sqrt(kappa)/(alpha-beta)) [Vi(alpha tau)/sqrt(alpha)
-                                             - Vi(beta tau)/sqrt(beta)]
-
-    with u(0) = 0 and u -> 1; evaluated through the Villat function only.
+    u(tau) = 1 + sqrt(kappa) M(tau; 2 - kappa), the eps = 0 case of
+    u = 1 + (1 - eps) sqrt(kappa) M(tau; 2 - kappa), with u(0) = 0 and
+    u -> 1; evaluated through the Villat function only.
     """
-    if tau < 0.0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    roots = _require_complex_regime(kappa)
-    a, b = roots.alpha, roots.beta
-    bracket = villat(a * tau) / cmath.sqrt(a) - villat(b * tau) / cmath.sqrt(b)
-    return _real_part_checked(1.0 + math.sqrt(kappa) / (a - b) * bracket)
+    b = _sphere_damping(kappa)
+    return 1.0 + math.sqrt(kappa) * _kernel(tau, *_roots_from_damping(b))[0]
 
 
 def u_rest_derivative(tau: float, kappa: float) -> float:
-    """du/dtau for the rest-start solution, via the guaranteed-real form.
+    """du/dtau for the rest-start solution: u'(tau) = sqrt(kappa) M'(tau; 2 - kappa).
 
-    u'(tau) = sqrt(kappa) * Im{sqrt(alpha) Vi(alpha tau)} / Im{alpha},
-    so the sign is carried entirely by Im{sqrt(alpha) Vi(alpha tau)}.
-    Continuous at tau = 0 with u'(0) = 1.
+    With eps != 0 the derivative scales by (1 - eps).  Mathematically
+    u' = sqrt(kappa) Im{sqrt(alpha) Vi(alpha tau)} / Im{alpha} > 0;
+    continuous at tau = 0 with u'(0) = 1.
     """
-    if tau < 0.0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    roots = _require_complex_regime(kappa)
-    a = roots.alpha
-    return math.sqrt(kappa) * (cmath.sqrt(a) * villat(a * tau)).imag / a.imag
+    b = _sphere_damping(kappa)
+    return math.sqrt(kappa) * _kernel(tau, *_roots_from_damping(b))[1]
 
 
 def u_general(tau: float, kappa: float, eps: float) -> float:
@@ -149,13 +161,7 @@ def monotone_kernel_M(t: float, b: float) -> float:
 
     For b in (-2, 2) this is negative and increases monotonically to 0.
     """
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    alpha, beta = _roots_from_damping(b)
-    val = (
-        cmath.sqrt(beta) * villat(alpha * t) - cmath.sqrt(alpha) * villat(beta * t)
-    ) / (alpha - beta)
-    return _real_part_checked(val)
+    return _kernel(t, *_roots_from_damping(b))[0]
 
 
 def monotone_kernel_M_derivative(t: float, b: float) -> float:
@@ -169,14 +175,26 @@ def monotone_kernel_M_derivative(t: float, b: float) -> float:
 
     which is finite down to t = 0 with M'(0) = 1/(sqrt(alpha)+sqrt(beta)).
     """
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    return _kernel(t, *_roots_from_damping(b))[1]
+
+
+def monotone_kernel_samples(
+    times: np.ndarray, b: float, A: float, t0: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """A M(t + t0) and A M'(t + t0) at every t of the grid: the monotone trajectory.
+
+    Two Villat evaluations per grid point; each entry equals A times
+    :func:`monotone_kernel_M` (resp. :func:`monotone_kernel_M_derivative`)
+    at t + t0, bit for bit.
+    """
     alpha, beta = _roots_from_damping(b)
-    val = (
-        alpha * cmath.sqrt(beta) * villat(alpha * t)
-        - beta * cmath.sqrt(alpha) * villat(beta * t)
-    ) / (alpha - beta)
-    return _real_part_checked(val)
+    grid = np.asarray(times, dtype=float)
+    values, derivs = np.empty(grid.shape), np.empty(grid.shape)
+    for i, t in enumerate(grid.tolist()):
+        values[i], derivs[i] = _kernel(t + t0, alpha, beta)
+    values *= A
+    derivs *= A
+    return values, derivs
 
 
 def particular_solution_vp(t: float, b: float, A: float, t0: float) -> float:
@@ -232,13 +250,13 @@ def general_state(
     if t0 < 0.0:
         raise ValueError(f"t0 must be >= 0, got {t0}")
     alpha, beta = _roots_from_damping(b)
-    m0 = A * monotone_kernel_M(t0, b)
-    m0p = A * monotone_kernel_M_derivative(t0, b)
-    c1, c2 = coefficients_from_ic(b, v0 - m0, v0_prime - m0p)
+    m0, m0p = _kernel(t0, alpha, beta)
+    c1, c2 = coefficients_from_ic(b, v0 - A * m0, v0_prime - A * m0p)
     ea = cmath.exp(alpha * t)
     eb = cmath.exp(beta * t)
-    value = c1 * ea + c2 * eb + A * monotone_kernel_M(t + t0, b)
-    deriv = c1 * alpha * ea + c2 * beta * eb + A * monotone_kernel_M_derivative(t + t0, b)
+    m, dm = _kernel(t + t0, alpha, beta)
+    value = c1 * ea + c2 * eb + A * m
+    deriv = c1 * alpha * ea + c2 * beta * eb + A * dm
     return _real_part_checked(value), _real_part_checked(deriv)
 
 
@@ -262,8 +280,7 @@ def monotone_initial_conditions(b: float, A: float, t0: float) -> MonotoneIC:
     if t0 < 0.0:
         raise ValueError(f"t0 must be >= 0, got {t0}")
     alpha, beta = _roots_from_damping(b)
-    v0 = A * monotone_kernel_M(t0, b)
-    v0_prime = A * monotone_kernel_M_derivative(t0, b)
+    m0, m0p = _kernel(t0, alpha, beta)
     c1 = -A * cmath.sqrt(beta) * villat(alpha * t0) / (beta - alpha)
     c2 = A * cmath.sqrt(alpha) * villat(beta * t0) / (beta - alpha)
-    return MonotoneIC(v0=v0, v0_prime=v0_prime, c1=c1, c2=c2)
+    return MonotoneIC(v0=A * m0, v0_prime=A * m0p, c1=c1, c2=c2)

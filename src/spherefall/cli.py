@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,62 +123,29 @@ def _write_trajectory(cfg: RunConfig, traj: Trajectory, path: str) -> None:
 # Solvers behind the `trajectory`/`compare` commands
 # ----------------------------------------------------------------------
 
-def _closed_form_sphere(kappa: float, eps: float, h: float, T: float) -> Trajectory:
+def _solve_oscillator(solver: str, prob: ode.OscillatorProblem, h: float, T: float) -> Trajectory:
+    """The monotone trajectory of prob in closed form, or prob integrated by RK4."""
+    if solver == "ode":
+        return ode.solve_oscillator(prob, h, T)
+    if solver != "closed-form":
+        raise _UsageError(f"unknown solver {solver!r}")
     n = max(1, int(round(T / h)))
     times = np.arange(n + 1) * h
-    values = np.array([analytic.u_general(t, kappa, eps) for t in times])
-    derivs = (1.0 - eps) * np.array(
-        [analytic.u_rest_derivative(t, kappa) for t in times]
-    )
-    meta = {"solver": "closed-form", "kappa": kappa, "eps": eps, "h": h, "T": n * h}
+    values, derivs = analytic.monotone_kernel_samples(times, prob.b, prob.A, prob.t0)
+    meta = {"solver": "closed-form", "b": prob.b, "A": prob.A, "t0": prob.t0,
+            "h": h, "T": n * h, "variable": "v"}
     return Trajectory(times=times, values=values, derivatives=derivs, meta=meta)
 
 
-def _ode_sphere(kappa: float, eps: float, h: float, T: float) -> Trajectory:
-    prob = ode.OscillatorProblem(
-        b=2.0 - kappa, A=math.sqrt(kappa), t0=0.0, v0=eps - 1.0, v0_prime=1.0 - eps
-    )
-    vtraj = ode.solve_oscillator(prob, h, T)
-    meta = dict(vtraj.meta)
-    meta.update({"kappa": kappa, "eps": eps, "variable": "u"})
-    return Trajectory(
-        times=vtraj.times,
-        values=vtraj.values + 1.0,
-        derivatives=vtraj.derivatives,
-        meta=meta,
-    )
-
-
 def _sphere_trajectory(solver: str, kappa: float, eps: float, h: float, T: float) -> Trajectory:
-    if solver == "closed-form":
-        return _closed_form_sphere(kappa, eps, h, T)
     if solver == "ide":
         return ide.solve_ide(kappa, eps, h, T)
-    if solver == "ode":
-        return _ode_sphere(kappa, eps, h, T)
-    raise _UsageError(f"unknown solver {solver!r}")
-
-
-def _oscillator_trajectory(cfg: RunConfig) -> Trajectory:
-    if cfg.solver == "ide":
-        raise _UsageError("the ide solver applies to the sphere problem only")
-    ic = analytic.monotone_initial_conditions(cfg.b, cfg.A, cfg.t0)
-    if cfg.solver == "closed-form":
-        n = max(1, int(round(cfg.T / cfg.h)))
-        times = np.arange(n + 1) * cfg.h
-        values = np.array(
-            [analytic.monotone_kernel_M(t + cfg.t0, cfg.b) * cfg.A for t in times]
-        )
-        derivs = np.array(
-            [analytic.monotone_kernel_M_derivative(t + cfg.t0, cfg.b) * cfg.A for t in times]
-        )
-        meta = {"solver": "closed-form", "b": cfg.b, "A": cfg.A, "t0": cfg.t0,
-                "h": cfg.h, "T": n * cfg.h, "variable": "v"}
-        return Trajectory(times=times, values=values, derivatives=derivs, meta=meta)
-    prob = ode.OscillatorProblem(
-        b=cfg.b, A=cfg.A, t0=cfg.t0, v0=ic.v0, v0_prime=ic.v0_prime
-    )
-    return ode.solve_oscillator(prob, cfg.h, cfg.T)
+    v = _solve_oscillator(solver, ode.OscillatorProblem.sphere(kappa, eps), h, T)
+    if solver == "closed-form":
+        meta = {"solver": solver, "kappa": kappa, "eps": eps, "h": h, "T": v.meta["T"]}
+    else:
+        meta = {**v.meta, "kappa": kappa, "eps": eps, "variable": "u"}
+    return dataclasses.replace(v, values=v.values + 1.0, meta=meta)
 
 
 # ----------------------------------------------------------------------
@@ -187,10 +153,14 @@ def _oscillator_trajectory(cfg: RunConfig) -> Trajectory:
 # ----------------------------------------------------------------------
 
 def _cmd_trajectory(cfg: RunConfig) -> int:
-    if cfg.b is not None:
-        traj = _oscillator_trajectory(cfg)
-    else:
+    if cfg.b is None:
         traj = _sphere_trajectory(cfg.solver, cfg.kappa, cfg.eps, cfg.h, cfg.T)
+    elif cfg.solver == "ide":
+        raise _UsageError("the ide solver applies to the sphere problem only")
+    else:
+        ic = analytic.monotone_initial_conditions(cfg.b, cfg.A, cfg.t0)
+        prob = ode.OscillatorProblem(b=cfg.b, A=cfg.A, t0=cfg.t0, v0=ic.v0, v0_prime=ic.v0_prime)
+        traj = _solve_oscillator(cfg.solver, prob, cfg.h, cfg.T)
     _write_trajectory(cfg, traj, cfg.out)
     if traj.meta.get("diverged"):
         return EXIT_NUMERICAL
@@ -213,10 +183,7 @@ def _sweep_one(cfg: RunConfig, kappa: float) -> dict:
 
 def _cmd_sweep(cfg: RunConfig) -> int:
     os.makedirs(cfg.out, exist_ok=True)
-    # Per-kappa solves are independent; run them concurrently.
-    with ThreadPoolExecutor(max_workers=min(8, len(cfg.kappas))) as pool:
-        results = list(pool.map(lambda k: _sweep_one(cfg, k), cfg.kappas))
-    results.sort(key=lambda r: r["kappa"])
+    results = sorted((_sweep_one(cfg, k) for k in cfg.kappas), key=lambda r: r["kappa"])
     summary_path = os.path.join(cfg.out, f"sweep_summary.{cfg.output}")
     if cfg.output == "json":
         _atomic_write(

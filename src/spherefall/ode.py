@@ -8,7 +8,8 @@ integrated as the first-order system x' = y, y' = -x - b y - G(t) with
 classical fourth-order Runge-Kutta at a fixed step.  For t0 = 0 the
 forcing is singular at the start, so the first few grid states are
 taken from the closed-form solution (the library owns it) before the
-integrator takes over; see ``solve_oscillator``.
+integrator takes over; see ``solve_oscillator``.  The sphere is one
+member of the family; see ``OscillatorProblem.sphere``.
 """
 
 from __future__ import annotations
@@ -48,6 +49,17 @@ class OscillatorProblem:
     def __post_init__(self) -> None:
         if self.t0 < 0.0:
             raise ValueError(f"t0 must be >= 0, got {self.t0}")
+
+    @classmethod
+    def sphere(cls, kappa: float, eps: float) -> "OscillatorProblem":
+        """The sphere released with u(0) = eps, as the oscillator for v = u - 1.
+
+        b = 2 - kappa, A = (1 - eps) sqrt(kappa), t0 = 0, v0 = eps - 1 and
+        v0' = 1 - eps, for kappa in (0, 4).  The initial state is the
+        monotone one, v = A M(t).
+        """
+        return cls(b=analytic._sphere_damping(kappa), A=(1.0 - eps) * math.sqrt(kappa),
+                   t0=0.0, v0=eps - 1.0, v0_prime=1.0 - eps)
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,16 @@ from spherefall.analytic import (
     monotone_initial_conditions,
     monotone_kernel_M,
     monotone_kernel_M_derivative,
+    monotone_kernel_samples,
     particular_solution_vp,
     u_general,
     u_rest,
     u_rest_derivative,
 )
 
+from closed_form_oracle import u_rest_derivative_reference, u_rest_reference
 from mp_oracle import kernel_M_mp, u_rest_mp, vp_mp
+from spherefall.ode import OscillatorProblem
 
 # 50-digit oracle values (mp_oracle.py)
 U_REST_1_1 = 0.40676120086217601189
@@ -138,8 +141,10 @@ def test_u_rest_limit_envelope():
 def test_u_rest_domain_errors():
     with pytest.raises(ValueError):
         u_rest(-1.0, 2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="kappa"):
         u_rest(1.0, 4.5)
+    with pytest.raises(ValueError, match="kappa"):
+        u_rest_derivative(1.0, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -214,6 +219,42 @@ def test_bridge_between_formulations():
             lhs = u_rest(tau, kappa) - 1.0
             rhs = math.sqrt(kappa) * monotone_kernel_M(tau, 2.0 - kappa)
             assert abs(lhs - rhs) <= 1e-12
+
+
+@given(
+    st.floats(min_value=0.0, max_value=4.0, exclude_min=True, exclude_max=True),
+    st.one_of(st.just(0.0), st.floats(min_value=1e-4, max_value=1e3)),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_sphere_kernel_form_matches_reference_forms(kappa, tau, eps):
+    # u = 1 + (1 - eps) sqrt(kappa) M(tau; 2 - kappa) against the sphere's own forms.
+    if 2.0 - kappa == 2.0:
+        # b = 2 - kappa rounds to the double root; both forms reject it.
+        with pytest.raises(ValueError):
+            u_rest_reference(tau, kappa)
+        with pytest.raises(ValueError):
+            u_rest(tau, kappa)
+        return
+    u_ref = u_rest_reference(tau, kappa)
+    du_ref = u_rest_derivative_reference(tau, kappa)
+    assert abs(u_rest(tau, kappa) - u_ref) <= 1e-14
+    du = u_rest_derivative(tau, kappa)
+    assert abs(du - du_ref) <= 1e-14
+    assert du > 0.0
+    prob = OscillatorProblem.sphere(kappa, eps)
+    v, dv = monotone_kernel_samples(np.array([tau]), prob.b, prob.A, prob.t0)
+    assert abs(1.0 + v[0] - ((1.0 - eps) * u_ref + eps)) <= 1e-14
+    assert abs(dv[0] - (1.0 - eps) * du_ref) <= 1e-14
+
+
+def test_kernel_samples_equal_scalar_kernel_bit_for_bit():
+    times = np.linspace(0.0, 30.0, 61)
+    for b, A, t0 in ((-1.0, 1.3, 1.0), (0.5, -2.0, 0.0), (1.9, 0.7, 3.5)):
+        v, dv = monotone_kernel_samples(times, b, A, t0)
+        for t, vi, dvi in zip(times.tolist(), v, dv):
+            assert vi == A * monotone_kernel_M(t + t0, b)
+            assert dvi == A * monotone_kernel_M_derivative(t + t0, b)
 
 
 def test_kernel_derivative_bridges_to_u_rest_derivative():

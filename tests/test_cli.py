@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from spherefall.cli import main
 from spherefall.ide import Trajectory, basset_integral
@@ -69,7 +70,7 @@ def test_trajectory_oscillator_mode(tmp_path):
 def test_sweep_writes_files_and_summary(tmp_path):
     out = tmp_path / "sweep"
     code = main([
-        "sweep", "--kappas", "0.5,2.0", "--solver", "closed-form",
+        "sweep", "--kappas", "2.0,0.5", "--solver", "closed-form",
         "--T", "5", "--h", "0.01", "--out", str(out),
     ])
     assert code == 0
@@ -78,6 +79,7 @@ def test_sweep_writes_files_and_summary(tmp_path):
     summary = (out / "sweep_summary.csv").read_text().splitlines()
     assert summary[0] == "kappa,terminal_error,monotone,file"
     assert len(summary) == 3
+    assert [line.split(",")[0] for line in summary[1:]] == ["0.5", "2.0"]
     for line in summary[1:]:
         fields = line.split(",")
         assert fields[2] == "true"
@@ -95,6 +97,19 @@ def test_compare_acceptance_grade_deviation(tmp_path):
     assert np.max(rows[:, 4]) <= 1e-4
     summary = json.loads((tmp_path / "cmp.csv.summary.json").read_text())
     assert summary["sup_norm"]["ide"] <= 1e-4
+    assert summary["sup_norm"]["ode"] <= 1e-5
+
+
+@pytest.mark.parametrize("kappa, eps", [(1.0, 0.5), (3.0, 0.5), (3.9, -0.5)])
+def test_compare_rk4_sphere_honours_initial_velocity(tmp_path, kappa, eps):
+    # The RK4 sphere forcing amplitude is (1 - eps) sqrt(kappa), not sqrt(kappa).
+    out = tmp_path / "cmp.csv"
+    code = main([
+        "compare", "--kappa", str(kappa), "--eps", str(eps), "--T", "10",
+        "--h", "0.001", "--out", str(out),
+    ])
+    assert code == 0
+    summary = json.loads((tmp_path / "cmp.csv.summary.json").read_text())
     assert summary["sup_norm"]["ode"] <= 1e-5
 
 
@@ -156,6 +171,12 @@ def test_usage_errors_exit_one():
     assert main(["trajectory", "--kappa", "12", "--T", "1", "--h", "0.01"]) == 1
     assert main(["sweep", "--kappas", "abc"]) == 1
     assert main(["nosuchcommand"]) == 1
+
+
+def test_sphere_ode_rejects_kappa_outside_oscillator_range(capsys):
+    code = main(["trajectory", "--kappa", "4.5", "--solver", "ode", "--T", "1", "--h", "0.01"])
+    assert code == 1
+    assert "kappa" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_three(tmp_path):
