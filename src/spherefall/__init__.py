@@ -1,10 +1,12 @@
 """Transient motion of a sphere sedimenting in a Newtonian fluid at zero Reynolds number.
 
 The package provides the dimensional drag/force-balance model
-(:mod:`spherefall.physical`), cancellation-safe evaluation of the Villat
-and Faddeeva functions (:mod:`spherefall.special`), the closed-form
-transient solution and oscillator machinery (:mod:`spherefall.analytic`),
-a product-integration solver for the memory equation
+(:mod:`spherefall.physical`), the sampled :class:`Trajectory` that every
+solver returns (:mod:`spherefall.trajectory`), cancellation-safe
+evaluation of the Villat and Faddeeva functions
+(:mod:`spherefall.special`), the closed-form transient solution and
+oscillator machinery (:mod:`spherefall.analytic`), a product-integration
+solver for the memory equation and its Abel history read-back
 (:mod:`spherefall.ide`), a fixed-step integrator for the forced
 oscillator (:mod:`spherefall.ode`), a verification engine
 (:mod:`spherefall.analysis`), and a CLI (:mod:`spherefall.cli`).
@@ -33,7 +35,7 @@ from .analysis import (
     proof_integral,
     run_default_suite,
 )
-from .ide import Trajectory, abel_history, abel_weights, basset_integral, solve_ide
+from .ide import abel_history, solve_ide
 from .ode import (
     OscillatorProblem,
     StabilityClass,
@@ -43,8 +45,10 @@ from .ode import (
 )
 from .physical import (
     DimensionlessGroup,
+    DragForces,
     PhysicalParams,
     dimensional_trajectory,
+    drag_forces,
     nondimensionalize,
     oscillatory_drag,
     stokes_terminal_velocity,
@@ -57,5 +61,6 @@ from .special import (
     villat,
     villat_asymptotic,
 )
+from .trajectory import Trajectory
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import analytic, ide, ode
-from .ide import Trajectory
+from .trajectory import Trajectory
 from .special import (
     AccuracyError,
     faddeeva,

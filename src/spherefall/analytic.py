@@ -49,7 +49,6 @@ class CharRoots:
     alpha: complex
     beta: complex
     b: float  # damping coefficient, b = 2 - kappa
-    kappa_equiv: float  # 2 - b
 
     def __post_init__(self) -> None:
         if abs(self.alpha * self.beta - 1.0) > 1e-12:
@@ -78,12 +77,24 @@ def _real_part_checked(value: complex) -> float:
     return value.real
 
 
+def _roots(b: float) -> tuple[complex, complex]:
+    """Roots (alpha, beta) of m^2 + b m + 1 for any real b.
+
+    A conjugate pair with Im alpha > 0 for |b| < 2, otherwise real with
+    alpha >= beta (the double root -b/2 at |b| = 2).
+    """
+    if abs(b) < 2.0:
+        alpha = complex(-b / 2.0, math.sqrt(4.0 - b * b) / 2.0)
+        return alpha, alpha.conjugate()
+    disc = math.sqrt(b * b - 4.0)
+    return complex((-b + disc) / 2.0), complex((-b - disc) / 2.0)
+
+
 def _roots_from_damping(b: float) -> tuple[complex, complex]:
-    """Conjugate roots of m^2 + b m + 1 for b in (-2, 2), alpha in the upper half plane."""
+    """The conjugate roots of m^2 + b m + 1, for b in (-2, 2)."""
     if not -2.0 < b < 2.0:
         raise ValueError(f"damping coefficient must lie in (-2, 2), got {b}")
-    alpha = complex(-b / 2.0, math.sqrt(4.0 - b * b) / 2.0)
-    return alpha, alpha.conjugate()
+    return _roots(b)
 
 
 def char_roots(kappa: float) -> CharRoots:
@@ -91,27 +102,29 @@ def char_roots(kappa: float) -> CharRoots:
 
     Complex conjugate pair for kappa < 4 (alpha with Im > 0, |alpha| = 1),
     real distinct roots for kappa > 4 (alpha the larger).  The double
-    root at kappa = 4 is rejected.
+    roots at kappa = 4 and where b rounds to 2 are rejected.
     """
     if not 0.0 < kappa < 9.0:
         raise ValueError(f"kappa must lie in (0, 9), got {kappa}")
     if kappa == 4.0:
         raise ValueError("kappa = 4 is the degenerate double-root case")
     b = 2.0 - kappa
-    if kappa < 4.0:
-        alpha, beta = _roots_from_damping(b)
-    else:
-        disc = math.sqrt((kappa - 2.0) ** 2 - 4.0)
-        alpha = complex((kappa - 2.0 + disc) / 2.0)
-        beta = complex((kappa - 2.0 - disc) / 2.0)
-    return CharRoots(alpha=alpha, beta=beta, b=b, kappa_equiv=2.0 - b)
+    if b == 2.0:
+        raise ValueError(f"kappa={kappa} is too small: b = 2 - kappa rounds to 2")
+    alpha, beta = _roots(b)
+    return CharRoots(alpha=alpha, beta=beta, b=b)
 
 
-def _sphere_damping(kappa: float) -> float:
-    """Damping b = 2 - kappa of the sphere's oscillator form, for kappa in (0, 4)."""
+def _sphere(kappa: float) -> tuple[CharRoots, float]:
+    """Roots and amplitude sqrt(kappa) of the sphere's oscillator form, kappa in (0, 4).
+
+    The amplitude is sqrt(2 - b) of the rounded b = 2 - kappa, so that it
+    matches the roots even for tiny kappa (u(0) = 0, u'(0) = 1 hold).
+    """
     if not 0.0 < kappa < 4.0:
         raise ValueError(f"kappa must lie in (0, 4) for the transient solution, got {kappa}")
-    return 2.0 - kappa
+    roots = char_roots(kappa)
+    return roots, math.sqrt(2.0 - roots.b)
 
 
 def _kernel(t: float, alpha: complex, beta: complex) -> tuple[float, float]:
@@ -136,8 +149,8 @@ def u_rest(tau: float, kappa: float) -> float:
     u = 1 + (1 - eps) sqrt(kappa) M(tau; 2 - kappa), with u(0) = 0 and
     u -> 1; evaluated through the Villat function only.
     """
-    b = _sphere_damping(kappa)
-    return 1.0 + math.sqrt(kappa) * _kernel(tau, *_roots_from_damping(b))[0]
+    roots, amplitude = _sphere(kappa)
+    return 1.0 + amplitude * _kernel(tau, roots.alpha, roots.beta)[0]
 
 
 def u_rest_derivative(tau: float, kappa: float) -> float:
@@ -147,8 +160,8 @@ def u_rest_derivative(tau: float, kappa: float) -> float:
     u' = sqrt(kappa) Im{sqrt(alpha) Vi(alpha tau)} / Im{alpha} > 0;
     continuous at tau = 0 with u'(0) = 1.
     """
-    b = _sphere_damping(kappa)
-    return math.sqrt(kappa) * _kernel(tau, *_roots_from_damping(b))[1]
+    roots, amplitude = _sphere(kappa)
+    return amplitude * _kernel(tau, roots.alpha, roots.beta)[1]
 
 
 def u_general(tau: float, kappa: float, eps: float) -> float:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import tempfile
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis, analytic, ide, ode, physical
-from .ide import Trajectory
+from .trajectory import Trajectory
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -84,10 +83,10 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _csv_text(header: list[str], rows: list[list[float]]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
+    """CSV of equal-length float columns, each value in shortest round-trip form."""
+    cells = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
     return "\n".join(lines) + "\n"
 
 
@@ -98,25 +97,19 @@ def _emit(path: str, text: str) -> None:
         _atomic_write(path, text)
 
 
-def _trajectory_payload(traj: Trajectory) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "meta": {k: v for k, v in traj.meta.items()},
-        "t": [float(x) for x in traj.times],
-        "u": [float(x) for x in traj.values],
-        "du": [float(x) for x in traj.derivatives],
-    }
+def _emit_columns(output: str, path: str, columns: dict[str, np.ndarray], **fields) -> None:
+    """Named columns as CSV, or as JSON lists after the schema and the given fields."""
+    if output == "json":
+        payload = {"schema": SCHEMA_VERSION, **fields,
+                   **{name: col.tolist() for name, col in columns.items()}}
+        _emit(path, json.dumps(payload, indent=1) + "\n")
+    else:
+        _emit(path, _csv_text(list(columns), list(columns.values())))
 
 
 def _write_trajectory(cfg: RunConfig, traj: Trajectory, path: str) -> None:
-    if cfg.output == "json":
-        _emit(path, json.dumps(_trajectory_payload(traj), indent=1) + "\n")
-    else:
-        rows = [
-            [t, u, du]
-            for t, u, du in zip(traj.times, traj.values, traj.derivatives)
-        ]
-        _emit(path, _csv_text(["t", "u", "du"], rows))
+    columns = {"t": traj.times, "u": traj.values, "du": traj.derivatives}
+    _emit_columns(cfg.output, path, columns, meta=dict(traj.meta))
 
 
 # ----------------------------------------------------------------------
@@ -206,37 +199,16 @@ def _cmd_compare(cfg: RunConfig) -> int:
     ide_traj = _sphere_trajectory("ide", cfg.kappa, cfg.eps, cfg.h, cfg.T)
     ode_traj = _sphere_trajectory("ode", cfg.kappa, cfg.eps, cfg.h, cfg.T)
     n = min(len(closed), len(ide_traj), len(ode_traj))
-    dev_ide = np.abs(ide_traj.values[:n] - closed.values[:n])
-    dev_ode = np.abs(ode_traj.values[:n] - closed.values[:n])
-    sup = {"ide": float(np.max(dev_ide)), "ode": float(np.max(dev_ode))}
-    if cfg.output == "json":
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "kappa": cfg.kappa,
-            "h": cfg.h,
-            "T": cfg.T,
-            "sup_norm": sup,
-            "t": [float(x) for x in closed.times[:n]],
-            "u_closed": [float(x) for x in closed.values[:n]],
-            "u_ide": [float(x) for x in ide_traj.values[:n]],
-            "u_ode": [float(x) for x in ode_traj.values[:n]],
-            "dev_ide": [float(x) for x in dev_ide],
-            "dev_ode": [float(x) for x in dev_ode],
-        }
-        _emit(cfg.out, json.dumps(payload, indent=1) + "\n")
-    else:
-        rows = [
-            [closed.times[i], closed.values[i], ide_traj.values[i],
-             ode_traj.values[i], dev_ide[i], dev_ode[i]]
-            for i in range(n)
-        ]
-        _emit(cfg.out, _csv_text(
-            ["t", "u_closed", "u_ide", "u_ode", "dev_ide", "dev_ode"], rows))
-        if cfg.out != "-":
-            _atomic_write(
-                cfg.out + ".summary.json",
-                json.dumps({"schema": SCHEMA_VERSION, "sup_norm": sup}, indent=1) + "\n",
-            )
+    u_closed, u_ide, u_ode = closed.values[:n], ide_traj.values[:n], ode_traj.values[:n]
+    columns = {"t": closed.times[:n], "u_closed": u_closed, "u_ide": u_ide, "u_ode": u_ode,
+               "dev_ide": np.abs(u_ide - u_closed), "dev_ode": np.abs(u_ode - u_closed)}
+    sup = {"ide": float(np.max(columns["dev_ide"])), "ode": float(np.max(columns["dev_ode"]))}
+    _emit_columns(cfg.output, cfg.out, columns, kappa=cfg.kappa, h=cfg.h, T=cfg.T, sup_norm=sup)
+    if cfg.output == "csv" and cfg.out != "-":
+        _atomic_write(
+            cfg.out + ".summary.json",
+            json.dumps({"schema": SCHEMA_VERSION, "sup_norm": sup}, indent=1) + "\n",
+        )
     print(f"sup-norm ide={sup['ide']:.6g} ode={sup['ode']:.6g}", file=sys.stderr)
     return EXIT_OK
 
@@ -265,28 +237,18 @@ def _cmd_drag(cfg: RunConfig) -> int:
     # h and T arrive in seconds; the solver works in viscous-time units.
     traj = ide.solve_ide(group.kappa, cfg.eps, cfg.h * group.B, cfg.T * group.B)
     dim = physical.dimensional_trajectory(group, traj)
-    coef_basset = 6.0 * math.pi * p.rho * p.R**2 * math.sqrt(p.nu / math.pi)
-    history = ide.abel_history(dim.derivatives, dim.step())
-    f_buoy = physical.buoyancy_force(p)
-    rows = []
-    for i, t in enumerate(dim.times):
-        u, du = dim.values[i], dim.derivatives[i]
-        f_stokes = 6.0 * math.pi * p.mu * p.R * u
-        f_added = 0.5 * p.rho * p.volume * du
-        f_basset = coef_basset * history[i]
-        residual = p.rho_s * p.volume * du + (f_stokes + f_added + f_basset) - f_buoy
-        rows.append([t, u, du, f_stokes, f_added, f_basset, f_buoy, residual])
+    columns = [dim.times, dim.values, dim.derivatives, *physical.drag_forces(p, dim)]
     header = ["t", "U", "dU", "F_stokes", "F_added_mass", "F_basset", "F_buoyancy",
               "residual"]
     if cfg.output == "json":
         payload = {
             "schema": SCHEMA_VERSION,
             "columns": header,
-            "rows": [[float(x) for x in row] for row in rows],
+            "rows": np.column_stack(columns).tolist(),
         }
         _emit(cfg.out, json.dumps(payload, indent=1) + "\n")
     else:
-        _emit(cfg.out, _csv_text(header, rows))
+        _emit(cfg.out, _csv_text(header, columns))
     return EXIT_OK
 
 

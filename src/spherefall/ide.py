@@ -1,4 +1,4 @@
-"""Direct time-stepping solver for the integrodifferential equation of motion.
+"""Memory-equation solver and the Abel history read-back.
 
 The rescaled equation for the sphere velocity u(tau) is
 
@@ -16,56 +16,22 @@ unknown u'(t_n), so each step solves one scalar linear equation
 
 The weights depend only on the lag n - j, so the history sum is a
 Toeplitz convolution built from one lag kernel.  Reading the history
-back at every grid point is one FFT convolution, O(n log n); the causal
-solve is the blocked FFT scheme of Hairer, Lubich & Schlichte (SIAM J.
-Sci. Stat. Comput. 6, 1985, 532), O(n log^2 n) time and O(n) memory.
+back at every grid point is one FFT convolution, O(n log n)
+(:func:`abel_history`); the causal solve is the blocked FFT scheme of
+Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985, 532),
+O(n log^2 n) time and O(n) memory.
 Both match the direct sums to rounding.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Trajectory", "abel_weights", "abel_history", "solve_ide", "basset_integral"]
+from .trajectory import Trajectory
 
-
-@dataclass
-class Trajectory:
-    """Sampled solution: grid times, values and derivatives, plus solver metadata."""
-
-    times: np.ndarray
-    values: np.ndarray
-    derivatives: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        self.derivatives = np.asarray(self.derivatives, dtype=float)
-        if self.times.ndim != 1 or len(self.times) == 0:
-            raise ValueError("Trajectory: times must be a nonempty 1-d grid")
-        if self.times[0] != 0.0:
-            raise ValueError("Trajectory: grid must start at 0")
-        if len(self.times) > 1 and not np.all(np.diff(self.times) > 0.0):
-            raise ValueError("Trajectory: times must be strictly increasing")
-        if len(self.values) != len(self.times) or len(self.derivatives) != len(self.times):
-            raise ValueError("Trajectory: values/derivatives must match the grid length")
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def step(self) -> float:
-        """Uniform grid spacing; raises if the grid is not uniform."""
-        if len(self.times) < 2:
-            raise ValueError("Trajectory: need at least two points for a step size")
-        steps = np.diff(self.times)
-        h = steps[0]
-        if not np.allclose(steps, h, rtol=1e-9, atol=0.0):
-            raise ValueError("Trajectory: grid is not uniform")
-        return float(h)
+__all__ = ["abel_history", "solve_ide"]
 
 
 def _cell_weights(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -107,26 +73,14 @@ def _abel_kernel(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return a, first
 
 
-def abel_weights(n: int, h: float) -> np.ndarray:
-    """Product-integration weights w_j with sum_j w_j f(t_j) = integral_0^{t_n} f(s)/sqrt(t_n-s) ds.
-
-    Exact for piecewise-linear f on the uniform grid t_j = j h, j = 0..n.
-    """
-    if n < 1:
-        raise ValueError(f"abel_weights: n must be >= 1, got {n}")
-    if h <= 0.0:
-        raise ValueError(f"abel_weights: h must be > 0, got {h}")
-    a, first = _abel_kernel(n, h)
-    w = a[::-1].copy()
-    w[0] = first[n]
-    return w
-
-
 def abel_history(samples: np.ndarray, h: float) -> np.ndarray:
     """Abel quadrature integral_0^{t_k} f(s)/sqrt(t_k - s) ds at every grid point t_k = k h.
 
-    Uses the weights of :func:`abel_weights` for every k at once, as one
-    causal FFT convolution: O(n log n) for n + 1 samples.  Entry 0 is 0.
+    The product-integration rule, exact for piecewise-linear f on the
+    uniform grid, applied at every k at once as one causal FFT
+    convolution: O(n log n) for n + 1 samples.  Entry 0 is 0.  This is
+    the library's only read-back of the memory integral: the Basset
+    force and the Abel inversion check both go through it.
     """
     f = np.asarray(samples, dtype=float)
     if f.ndim != 1 or len(f) == 0:
@@ -226,15 +180,3 @@ def solve_ide(kappa: float, u0: float, h: float, T: float) -> Trajectory:
     meta = {"solver": "ide", "kappa": kappa, "u0": u0, "h": h, "T": n * h}
     return Trajectory(times=times, values=u, derivatives=d, meta=meta)
 
-
-def basset_integral(traj: Trajectory, t_index: int) -> float:
-    """Memory integral integral_0^{t_i} u'(s)/sqrt(t_i - s) ds from stored derivatives."""
-    if not 0 <= t_index < len(traj):
-        raise IndexError(
-            f"t_index {t_index} outside trajectory of length {len(traj)}"
-        )
-    if t_index == 0:
-        return 0.0
-    h = traj.step()
-    w = abel_weights(t_index, h)
-    return float(w @ traj.derivatives[: t_index + 1])

@@ -14,7 +14,6 @@ member of the family; see ``OscillatorProblem.sphere``.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -22,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analytic
-from .ide import Trajectory
+from .trajectory import Trajectory
 
 __all__ = [
     "OscillatorProblem",
@@ -58,8 +57,9 @@ class OscillatorProblem:
         v0' = 1 - eps, for kappa in (0, 4).  The initial state is the
         monotone one, v = A M(t).
         """
-        return cls(b=analytic._sphere_damping(kappa), A=(1.0 - eps) * math.sqrt(kappa),
-                   t0=0.0, v0=eps - 1.0, v0_prime=1.0 - eps)
+        roots, amplitude = analytic._sphere(kappa)
+        return cls(b=roots.b, A=(1.0 - eps) * amplitude, t0=0.0, v0=eps - 1.0,
+                   v0_prime=1.0 - eps)
 
 
 @dataclass(frozen=True)
@@ -169,9 +169,4 @@ def phase_portrait_fixed_point(kappa: float) -> FixedPoint:
     their real part turns positive for 2 < kappa < 4, where the
     equilibrium is unstable even though the transient stays monotone.
     """
-    disc = cmath.sqrt(complex((kappa - 2.0) ** 2 - 4.0))
-    alpha = ((kappa - 2.0) + disc) / 2.0
-    beta = ((kappa - 2.0) - disc) / 2.0
-    if alpha.imag < 0.0:
-        alpha, beta = beta, alpha
-    return FixedPoint(x=1.0, y=0.0, eigenvalues=(alpha, beta))
+    return FixedPoint(x=1.0, y=0.0, eigenvalues=analytic._roots(2.0 - kappa))

@@ -6,16 +6,21 @@ zero Reynolds number.  The drag on the sphere splits into the steady
 Stokes term, the added-mass term, and the Basset history integral; the
 balance against buoyancy reduces to the memory equation solved by
 :mod:`spherefall.ide` once velocities are scaled by the Stokes terminal
-velocity U0 and times by the viscous time 1/B.
+velocity U0 and times by the viscous time 1/B.  This module is the only
+owner of the force formulas: :func:`drag_forces` evaluates the whole
+balance along a trajectory, the drag table of the CLI.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from . import ide
-from .ide import Trajectory
+from .trajectory import Trajectory
 
 __all__ = [
     "PhysicalParams",
@@ -24,6 +29,8 @@ __all__ = [
     "nondimensionalize",
     "viscous_penetration_depth",
     "oscillatory_drag",
+    "DragForces",
+    "drag_forces",
     "unsteady_drag",
     "buoyancy_force",
     "dimensional_trajectory",
@@ -135,27 +142,46 @@ def _grid_index(traj: Trajectory, t: float) -> int:
     return i
 
 
+class DragForces(NamedTuple):
+    """Force columns (N) of the balance at every grid point of a trajectory."""
+
+    stokes: np.ndarray
+    added_mass: np.ndarray
+    basset: np.ndarray
+    buoyancy: np.ndarray
+    residual: np.ndarray
+
+
+def drag_forces(p: PhysicalParams, traj: Trajectory) -> DragForces:
+    """The force balance on a sphere along a laboratory-unit trajectory (from rest).
+
+    F_stokes = 6 pi mu R U, F_added_mass = (1/2) rho V U',
+    F_basset = 6 pi rho R^2 sqrt(nu/pi) * integral_0^t U'(s)/sqrt(t-s) ds,
+    F_buoyancy = (rho_s - rho) V g, and the residual
+    rho_s V U' + (F_stokes + F_added_mass + F_basset) - F_buoyancy of
+    Newton's law, which a solve of the memory equation closes to
+    rounding.  The history integral is read back at every grid point at
+    once by :func:`spherefall.ide.abel_history`; the grid must be
+    uniform.
+    """
+    U, dU = traj.values, traj.derivatives
+    history = ide.abel_history(dU, traj.step())
+    stokes = 6.0 * math.pi * p.mu * p.R * U
+    added_mass = 0.5 * p.rho * p.volume * dU
+    basset = 6.0 * math.pi * p.rho * p.R**2 * math.sqrt(p.nu / math.pi) * history
+    buoyancy = buoyancy_force(p)
+    residual = p.rho_s * p.volume * dU + (stokes + added_mass + basset) - buoyancy
+    return DragForces(stokes, added_mass, basset, np.full(len(traj), buoyancy), residual)
+
+
 def unsteady_drag(p: PhysicalParams, traj: Trajectory, t: float) -> float:
-    """Total drag at time t on a sphere with the given velocity history (from rest).
+    """Total drag F_stokes + F_added_mass + F_basset at time t (see :func:`drag_forces`).
 
-    F = 6 pi mu R U(t) + (1/2) rho V U'(t)
-        + 6 pi rho R^2 sqrt(nu/pi) * integral_0^t U'(s)/sqrt(t-s) ds,
-
-    the history integral evaluated with the product-integration Abel
-    quadrature on the trajectory grid.  t must be a grid point.
+    t must be a grid point of the uniform trajectory grid.
     """
     i = _grid_index(traj, t)
-    stokes = 6.0 * math.pi * p.mu * p.R * traj.values[i]
-    added_mass = 0.5 * p.rho * p.volume * traj.derivatives[i]
-    basset = (
-        6.0
-        * math.pi
-        * p.rho
-        * p.R**2
-        * math.sqrt(p.nu / math.pi)
-        * ide.basset_integral(traj, i)
-    )
-    return stokes + added_mass + basset
+    f = drag_forces(p, traj)
+    return f.stokes[i] + f.added_mass[i] + f.basset[i]
 
 
 def buoyancy_force(p: PhysicalParams) -> float:

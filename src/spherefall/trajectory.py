@@ -1,0 +1,45 @@
+"""The sampled trajectory that every solver returns and every check reads."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+__all__ = ["Trajectory"]
+
+
+@dataclass
+class Trajectory:
+    """Sampled solution: grid times, values and derivatives, plus solver metadata."""
+
+    times: np.ndarray
+    values: np.ndarray
+    derivatives: np.ndarray
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.times = np.asarray(self.times, dtype=float)
+        self.values = np.asarray(self.values, dtype=float)
+        self.derivatives = np.asarray(self.derivatives, dtype=float)
+        if self.times.ndim != 1 or len(self.times) == 0:
+            raise ValueError("Trajectory: times must be a nonempty 1-d grid")
+        if self.times[0] != 0.0:
+            raise ValueError("Trajectory: grid must start at 0")
+        if len(self.times) > 1 and not np.all(np.diff(self.times) > 0.0):
+            raise ValueError("Trajectory: times must be strictly increasing")
+        if len(self.values) != len(self.times) or len(self.derivatives) != len(self.times):
+            raise ValueError("Trajectory: values/derivatives must match the grid length")
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def step(self) -> float:
+        """Uniform grid spacing; raises if the grid is not uniform."""
+        if len(self.times) < 2:
+            raise ValueError("Trajectory: need at least two points for a step size")
+        steps = np.diff(self.times)
+        h = steps[0]
+        if not np.allclose(steps, h, rtol=1e-9, atol=0.0):
+            raise ValueError("Trajectory: grid is not uniform")
+        return float(h)

@@ -9,7 +9,8 @@ roots alpha, beta of m^2 + (2-kappa)m + 1:
 
 The library evaluates the same functions as u = 1 + sqrt(kappa) M(tau)
 through the oscillator kernel, which rounds differently, so the tests
-compare the two to a tolerance.
+compare the two to a tolerance.  Both take sqrt(kappa) as sqrt(2 - b)
+from the rounded b = 2 - kappa that the roots are built from.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ def u_rest_reference(tau: float, kappa: float) -> float:
     roots = char_roots(kappa)
     a, b = roots.alpha, roots.beta
     bracket = villat(a * tau) / cmath.sqrt(a) - villat(b * tau) / cmath.sqrt(b)
-    return _real_part_checked(1.0 + math.sqrt(kappa) / (a - b) * bracket)
+    return _real_part_checked(1.0 + math.sqrt(2.0 - roots.b) / (a - b) * bracket)
 
 
 def u_rest_derivative_reference(tau: float, kappa: float) -> float:
     """u'(tau) from the guaranteed-real Im form; one Villat evaluation."""
-    a = char_roots(kappa).alpha
-    return math.sqrt(kappa) * (cmath.sqrt(a) * villat(a * tau)).imag / a.imag
+    roots = char_roots(kappa)
+    a = roots.alpha
+    return math.sqrt(2.0 - roots.b) * (cmath.sqrt(a) * villat(a * tau)).imag / a.imag

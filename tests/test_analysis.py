@@ -17,7 +17,7 @@ from spherefall.analysis import (
     proof_integrand_F,
     run_default_suite,
 )
-from spherefall.ide import Trajectory
+from spherefall.trajectory import Trajectory
 
 # 50-digit oracle value (mp_oracle.py / mpmath.quad)
 PROOF_INTEGRAL_1_HALFPI = -0.58203755646459861509

@@ -147,6 +147,25 @@ def test_u_rest_domain_errors():
         u_rest_derivative(1.0, 0.0)
 
 
+@pytest.mark.parametrize("kappa", [1e-15, 1e-12, 1e-10, 1e-8, 1e-5])
+def test_small_kappa_sphere_keeps_its_initial_state(kappa):
+    # The amplitude sqrt(2 - b) matches the roots built from the rounded b.
+    assert abs(u_rest(0.0, kappa)) <= 1e-8
+    assert abs(u_rest_derivative(0.0, kappa) - 1.0) <= 1e-8
+    prob = OscillatorProblem.sphere(kappa, 0.3)
+    v, dv = monotone_kernel_samples(np.array([0.0]), prob.b, prob.A, prob.t0)
+    assert abs(v[0] - prob.v0) <= 1e-8
+    assert abs(dv[0] - prob.v0_prime) <= 1e-8
+
+
+def test_kappa_below_the_resolution_of_b_is_rejected_by_name():
+    # 2 - 1e-17 rounds to 2, the double root.
+    for fn in (lambda: u_rest(0.0, 1e-17), lambda: char_roots(1e-17),
+               lambda: OscillatorProblem.sphere(1e-17, 0.0)):
+        with pytest.raises(ValueError, match="kappa=1e-17"):
+            fn()
+
+
 # ----------------------------------------------------------------------
 # General initial velocity
 # ----------------------------------------------------------------------

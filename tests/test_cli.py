@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from direct_oracle import abel_history_direct
 from spherefall.cli import main
-from spherefall.ide import Trajectory, basset_integral
 from spherefall.physical import PhysicalParams, unsteady_drag
+from spherefall.trajectory import Trajectory
 
 
 def _read_csv(path):
@@ -157,13 +158,40 @@ def test_drag_columns_match_per_row_history(tmp_path):
     assert len(t) == 201
     traj = Trajectory(times=t, values=U, derivatives=dU)
     coef = 6.0 * math.pi * p.rho * p.R**2 * math.sqrt(p.nu / math.pi)
-    direct = np.array([coef * basset_integral(traj, i) for i in range(len(t))])
+    direct = coef * abel_history_direct(dU, traj.step())
     assert f_ba[0] == 0.0
     assert np.all(np.abs(f_ba - direct) <= 1e-12 * np.abs(direct))
     assert np.max(np.abs(resid)) <= 1e-9 * abs(f_b[0])
     for i in (0, 1, 77, len(t) - 1):
         total = f_st[i] + f_am[i] + f_ba[i]
         assert abs(unsteady_drag(p, traj, t[i]) - total) <= 1e-12 * abs(total)
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["drag", "--rho-s", "1190", "--rho", "1000", "--mu", "0.1", "--radius", "0.001",
+      "--g", "9.8", "--T", "0.005", "--h", "0.0001", "--eps", "0.25"],
+     ["schema", "columns", "rows"]),
+    (["compare", "--kappa", "3", "--eps", "0.5", "--T", "1", "--h", "0.01"],
+     ["schema", "kappa", "h", "T", "sup_norm", "t", "u_closed", "u_ide", "u_ode",
+      "dev_ide", "dev_ode"]),
+], ids=["drag", "compare"])
+def test_json_and_csv_outputs_carry_the_same_numbers(tmp_path, argv, keys):
+    csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
+    assert main(argv + ["--out", str(csv_path)]) == 0
+    assert main(argv + ["--output", "json", "--out", str(json_path)]) == 0
+    header, rows = _read_csv(csv_path)
+    payload = json.loads(json_path.read_text())
+    assert list(payload) == keys
+    assert payload["schema"] == 1
+    if "rows" in payload:
+        assert payload["columns"] == header
+        got = np.array(payload["rows"])
+    else:
+        got = np.column_stack([payload[name] for name in header])
+        summary = json.loads((tmp_path / "out.csv.summary.json").read_text())
+        assert payload["sup_norm"] == summary["sup_norm"]
+    assert got.shape == rows.shape
+    assert np.array_equal(got, rows)
 
 
 def test_usage_errors_exit_one():

@@ -8,14 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from direct_oracle import abel_history_direct, solve_ide_direct
 from spherefall import analytic
-from spherefall.ide import (
-    _LEAF,
-    Trajectory,
-    abel_history,
-    abel_weights,
-    basset_integral,
-    solve_ide,
-)
+from spherefall.ide import _LEAF, abel_history, solve_ide
+from spherefall.trajectory import Trajectory
 
 # Grid lengths around the leaf size of the blocked solve, plus ones that
 # are not powers of two and span several FFT levels.
@@ -45,49 +39,40 @@ def test_trajectory_step_detects_nonuniform_grid():
 
 
 # ----------------------------------------------------------------------
-# Abel weights
+# Abel quadrature weights, applied through the history read-back
 # ----------------------------------------------------------------------
 
 def test_weights_constant_integrand_single_cell():
-    w = abel_weights(1, 0.25)
-    assert abs(w.sum() - 2.0 * math.sqrt(0.25)) < 1e-15
+    hist = abel_history(np.ones(2), 0.25)
+    assert abs(hist[1] - 2.0 * math.sqrt(0.25)) < 1e-15
 
 
 @given(st.integers(min_value=1, max_value=300), st.floats(min_value=1e-6, max_value=10.0))
 @settings(max_examples=60, deadline=None)
 def test_weights_exact_for_constants(n, h):
-    # integral of 1/sqrt(t_n - s) over [0, t_n] is 2 sqrt(t_n).
-    w = abel_weights(n, h)
-    t_n = n * h
-    assert abs(w.sum() - 2.0 * math.sqrt(t_n)) <= 1e-12 * 2.0 * math.sqrt(t_n)
+    # integral of 1/sqrt(t_k - s) over [0, t_k] is 2 sqrt(t_k), at every k.
+    hist = abel_history(np.ones(n + 1), h)
+    exact = 2.0 * np.sqrt(np.arange(n + 1) * h)
+    assert np.all(np.abs(hist - exact) <= 1e-12 * exact)
 
 
 def test_weights_exact_for_linear_integrand():
     n, h = 57, 0.01
-    w = abel_weights(n, h)
     f = np.arange(n + 1) * h
-    exact = (4.0 / 3.0) * (n * h) ** 1.5
-    assert abs(w @ f - exact) <= 1e-13 * exact
+    exact = (4.0 / 3.0) * f**1.5
+    assert np.all(np.abs(abel_history(f, h) - exact) <= 1e-13 * exact)
 
 
 def test_weights_second_order_for_quadratic():
     # f = s^2: halving h cuts the error by ~4.
     def err(h):
         n = int(round(1.0 / h))
-        w = abel_weights(n, h)
         s = np.arange(n + 1) * h
         exact = (16.0 / 15.0)  # integral_0^1 s^2/sqrt(1-s) ds
-        return abs(w @ s**2 - exact)
+        return abs(abel_history(s**2, h)[n] - exact)
 
     e1, e2 = err(1e-2), err(5e-3)
     assert 3.0 <= e1 / e2 <= 5.0
-
-
-def test_weights_argument_validation():
-    with pytest.raises(ValueError):
-        abel_weights(0, 0.1)
-    with pytest.raises(ValueError):
-        abel_weights(5, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -133,14 +118,9 @@ def test_discrete_residual_closes_at_every_grid_point():
     kappa, h = 1.5, 1e-2
     traj = solve_ide(kappa, 0.0, h, 5.0)
     c = math.sqrt(kappa / math.pi)
-    for i in range(1, len(traj)):
-        resid = (
-            traj.derivatives[i]
-            + traj.values[i]
-            + c * basset_integral(traj, i)
-            - 1.0
-        )
-        assert abs(resid) <= 10.0 * h
+    history = abel_history(traj.derivatives, h)
+    resid = traj.derivatives + traj.values + c * history - 1.0
+    assert np.max(np.abs(resid[1:])) <= 10.0 * h
 
 
 @given(_kappas, st.floats(min_value=0.0, max_value=1.0), _hs, _steps)
@@ -189,29 +169,19 @@ def test_abel_history_single_sample_and_validation():
 
 
 # ----------------------------------------------------------------------
-# Basset integral
+# Basset history integral of a velocity record
 # ----------------------------------------------------------------------
 
 def test_basset_zero_history():
-    n = 50
-    traj = Trajectory(
-        times=np.arange(n + 1) * 0.1,
-        values=np.ones(n + 1),
-        derivatives=np.zeros(n + 1),
-    )
-    assert basset_integral(traj, n) == 0.0
+    assert np.array_equal(abel_history(np.zeros(51), 0.1), np.zeros(51))
 
 
 def test_basset_constant_derivative():
     n, h = 64, 0.05
-    traj = Trajectory(
-        times=np.arange(n + 1) * h,
-        values=np.arange(n + 1) * h,
-        derivatives=np.ones(n + 1),
-    )
+    hist = abel_history(np.ones(n + 1), h)
     for i in (1, 13, n):
         exact = 2.0 * math.sqrt(i * h)
-        assert abs(basset_integral(traj, i) - exact) <= 1e-13 * exact
+        assert abs(hist[i] - exact) <= 1e-13 * exact
 
 
 def test_basset_matches_closed_form_identity():
@@ -220,21 +190,9 @@ def test_basset_matches_closed_form_identity():
     kappa, h = 2.0, 1e-3
     n = 1000
     times = np.arange(n + 1) * h
-    traj = Trajectory(
-        times=times,
-        values=np.array([analytic.u_rest(t, kappa) for t in times]),
-        derivatives=np.array([analytic.u_rest_derivative(t, kappa) for t in times]),
-    )
+    derivatives = np.array([analytic.u_rest_derivative(t, kappa) for t in times])
     t = 1.0
     expected = math.sqrt(math.pi / kappa) * (
         1.0 - analytic.u_rest(t, kappa) - analytic.u_rest_derivative(t, kappa)
     )
-    assert abs(basset_integral(traj, n) - expected) <= 1e-3
-
-
-def test_basset_index_out_of_range():
-    traj = Trajectory(times=[0.0, 0.1], values=[0.0, 0.1], derivatives=[1.0, 1.0])
-    with pytest.raises(IndexError):
-        basset_integral(traj, 2)
-    with pytest.raises(IndexError):
-        basset_integral(traj, -1)
+    assert abs(abel_history(derivatives, h)[n] - expected) <= 1e-3

@@ -147,3 +147,12 @@ def test_fixed_point_location_and_eigenvalues():
     fp_double = phase_portrait_fixed_point(4.0)
     assert abs(fp_double.eigenvalues[0] - 1.0) < 1e-15
     assert abs(fp_double.eigenvalues[1] - 1.0) < 1e-15
+
+
+def test_fixed_point_eigenvalues_are_the_characteristic_roots():
+    for kappa in np.linspace(0.0, 9.0, 451)[1:-1]:
+        if kappa == 4.0:
+            continue
+        roots = analytic.char_roots(float(kappa))
+        assert phase_portrait_fixed_point(float(kappa)).eigenvalues == (roots.alpha, roots.beta)
+    assert phase_portrait_fixed_point(4.0).eigenvalues == (1.0, 1.0)

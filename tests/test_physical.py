@@ -12,12 +12,14 @@ from spherefall.physical import (
     PhysicalParams,
     buoyancy_force,
     dimensional_trajectory,
+    drag_forces,
     nondimensionalize,
     oscillatory_drag,
     stokes_terminal_velocity,
     unsteady_drag,
     viscous_penetration_depth,
 )
+from spherefall.trajectory import Trajectory
 
 # Teflon-like sphere in a viscous liquid; hand-evaluated references
 # (30-digit arithmetic): U0 = 2*190*9.8*1e-6/0.9.
@@ -128,9 +130,9 @@ def test_oscillatory_drag_linearity(u1, du1, u2, du2, a, b):
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs) + abs(rhs))
 
 
-def _constant_history(value: float, n: int = 200, h: float = 1e-3) -> ide.Trajectory:
+def _constant_history(value: float, n: int = 200, h: float = 1e-3) -> Trajectory:
     times = np.arange(n + 1) * h
-    return ide.Trajectory(
+    return Trajectory(
         times=times,
         values=np.full(n + 1, value),
         derivatives=np.zeros(n + 1),
@@ -150,7 +152,7 @@ def test_unsteady_drag_constant_history_is_stokes_drag():
 def test_unsteady_drag_linear_ramp_history():
     n, h = 400, 1e-3
     times = np.arange(n + 1) * h
-    traj = ide.Trajectory(times=times, values=times.copy(), derivatives=np.ones(n + 1))
+    traj = Trajectory(times=times, values=times.copy(), derivatives=np.ones(n + 1))
     t = times[-1]
     F = unsteady_drag(P_REF, traj, t)
     stokes = 6.0 * math.pi * P_REF.mu * P_REF.R * t
@@ -179,6 +181,19 @@ def test_force_balance_closes_on_solver_output():
         t = dim.times[i]
         resid = inertia * dim.derivatives[i] - (f_buoy - unsteady_drag(P_REF, dim, t))
         assert abs(resid) <= 1e-10 * f_buoy
+
+
+def test_drag_forces_columns_close_the_balance_on_solver_output():
+    group = nondimensionalize(P_REF)
+    dim = dimensional_trajectory(group, ide.solve_ide(group.kappa, 0.0, 1e-3, 5.0))
+    f = drag_forces(P_REF, dim)
+    assert all(len(col) == len(dim) for col in f)
+    assert f.basset[0] == 0.0
+    assert np.all(f.buoyancy == buoyancy_force(P_REF))
+    assert np.max(np.abs(f.residual)) <= 1e-10 * buoyancy_force(P_REF)
+    for i in (0, 1, 1000, len(dim) - 1):
+        total = f.stokes[i] + f.added_mass[i] + f.basset[i]
+        assert unsteady_drag(P_REF, dim, dim.times[i]) == total
 
 
 def test_dimensional_trajectory_identity_group():
