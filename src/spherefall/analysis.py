@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.integrate import quad
@@ -72,17 +72,25 @@ class VerificationReport:
         )
 
 
+def _worst_point(
+    dev: np.ndarray, t: np.ndarray, t_min: float = -math.inf
+) -> tuple[float, str] | None:
+    """The first largest entry of dev (floored at 0) over the points t >= t_min, and its time.
+
+    None when no point qualifies.
+    """
+    idx = np.flatnonzero(t >= t_min)
+    if len(idx) == 0:
+        return None
+    i = int(idx[np.argmax(dev[idx])])
+    return max(float(dev[i]), 0.0), f"t={t[i]:.6g}"
+
+
 def check_monotone(traj: Trajectory, tol: float = 1e-12) -> VerificationReport:
     """Pass iff no consecutive value of the trajectory decreases by more than tol."""
     values = traj.values
-    if len(values) < 2:
-        return VerificationReport.from_violation("monotone", 0.0, tol, "t=--")
-    drops = values[:-1] - values[1:]
-    i = int(np.argmax(drops))
-    worst = float(max(drops[i], 0.0))
-    return VerificationReport.from_violation(
-        "monotone", worst, tol, f"t={traj.times[i + 1]:.6g}"
-    )
+    worst, loc = _worst_point(values[:-1] - values[1:], traj.times[1:]) or (0.0, "t=--")
+    return VerificationReport.from_violation("monotone", worst, tol, loc)
 
 
 # ----------------------------------------------------------------------
@@ -226,17 +234,10 @@ def abel_identity_residual(traj: Trajectory) -> VerificationReport:
     outer = ide.abel_history(inner, h)
     rhs = math.pi * (traj.values - traj.values[0])
     dev = np.abs(outer - rhs) / np.maximum(np.abs(rhs), 1e-30)
-    mask = traj.times >= STARTUP_STEPS * h - 1e-12 * h
-    if not np.any(mask):
+    found = _worst_point(dev, traj.times, STARTUP_STEPS * h - 1e-12 * h)
+    if found is None:
         raise ValueError("abel_identity_residual: trajectory shorter than the startup window")
-    idx = np.flatnonzero(mask)
-    worst_local = int(idx[np.argmax(dev[idx])])
-    return VerificationReport.from_violation(
-        "abel_identity",
-        float(dev[worst_local]),
-        1e-2,
-        f"t={traj.times[worst_local]:.6g}",
-    )
+    return VerificationReport.from_violation("abel_identity", found[0], 1e-2, found[1])
 
 
 def ode_residual(traj: Trajectory, kappa: float, u0: float) -> VerificationReport:
@@ -253,17 +254,10 @@ def ode_residual(traj: Trajectory, kappa: float, u0: float) -> VerificationRepor
     d2u = (traj.derivatives[2:] - traj.derivatives[:-2]) / (2.0 * h)
     forcing = 1.0 + np.sqrt(kappa / (math.pi * t)) * (u0 - 1.0)
     resid = np.abs(d2u + (2.0 - kappa) * du + u - forcing)
-    mask = t >= STARTUP_STEPS * h - 1e-12 * h
-    if not np.any(mask):
+    found = _worst_point(resid, t, STARTUP_STEPS * h - 1e-12 * h)
+    if found is None:
         raise ValueError("ode_residual: trajectory shorter than the startup window")
-    idx = np.flatnonzero(mask)
-    worst_local = int(idx[np.argmax(resid[idx])])
-    return VerificationReport.from_violation(
-        "ode_residual",
-        float(resid[worst_local]),
-        100.0 * h,
-        f"t={t[worst_local]:.6g}",
-    )
+    return VerificationReport.from_violation("ode_residual", found[0], 100.0 * h, found[1])
 
 
 # ----------------------------------------------------------------------
@@ -280,96 +274,113 @@ def _sample_u_rest(kappa: float, times: np.ndarray) -> Trajectory:
                       meta={"solver": "closed-form", "kappa": kappa})
 
 
+def _reduce(
+    check_id: str, tolerance: float, pairs: Iterable[tuple[float, str]], floor: float = 0.0
+) -> VerificationReport:
+    """Report the first strict maximum of (violation, location) pairs above floor.
+
+    When no violation beats the floor, the report carries the floor and
+    the location "--".
+    """
+    worst, loc = floor, "--"
+    for value, where in pairs:
+        if value > worst:
+            worst, loc = value, where
+    return VerificationReport.from_violation(check_id, worst, tolerance, loc)
+
+
+def _terminal_error(kappa: float) -> float:
+    lead = math.sqrt(kappa / (100.0 * math.pi))
+    return abs(analytic.u_rest(100.0, kappa) - 1.0 + lead) / lead
+
+
+def _root_identity_error(kappa: float) -> float:
+    r = analytic.char_roots(kappa)
+    sa, sb = cmath.sqrt(r.alpha), cmath.sqrt(r.beta)
+    return max(
+        abs(r.alpha * r.beta - 1.0),
+        abs(r.alpha + r.beta - (kappa - 2.0)),
+        abs((sa + sb) ** 2 - kappa),
+        abs(abs(r.alpha) - 1.0),
+    )
+
+
+def _faddeeva_quadrature_error(x: float, y: float) -> float:
+    w = faddeeva(complex(x, y))
+    return max(
+        abs(w.real - faddeeva_re_quadrature(x, y)),
+        abs(w.imag - faddeeva_im_quadrature(x, y)),
+    )
+
+
+def _villat_derivative_error(z: complex) -> float:
+    """Relative error of central differences against d/dz Vi = Vi - 1/sqrt(pi z).
+
+    The step sits at the cube root of machine epsilon, the central-difference optimum.
+    """
+    step = 2.2e-16 ** (1.0 / 3.0) * max(1.0, abs(z))
+    fd = (villat(z + step) - villat(z - step)) / (2.0 * step)
+    exact = villat(z) - 1.0 / cmath.sqrt(math.pi * z)
+    return abs(fd - exact) / abs(exact)
+
+
+def _asymptotic_error(z: complex) -> float:
+    return abs(villat_asymptotic(z, 5).value - villat(z)) / abs(villat(z))
+
+
 def run_default_suite(h: float = 1e-3, points: int = 400) -> list[VerificationReport]:
     """Run every identity/monotonicity/residual check at desk scale.
 
     Returns one report per check; the CLI turns a failing report into
     exit status 2.  ``h`` controls the discrete-solver checks and
-    ``points`` the sampling density of the closed-form grids.
+    ``points`` (at least 2) the sampling density of the closed-form grids.
     """
-    reports: list[VerificationReport] = []
+    if points < 2:
+        raise ValueError(f"points must be >= 2, got {points}")
     times = np.concatenate(([0.0], np.logspace(-3, 3, points)))
+    closed = {kappa: _sample_u_rest(kappa, times) for kappa in _KAPPA_SET}
+    drops = {kappa: check_monotone(traj, tol=1e-12) for kappa, traj in closed.items()}
+    falls = {kappa: _worst_point(-traj.derivatives, traj.times)
+             for kappa, traj in closed.items()}
+    kappa_grid = [float(k) for k in np.linspace(0.05, 3.95, 20)]
+    t_grid = [float(t) for t in np.logspace(-2, 3, 6)]
 
-    # Monotone approach of the closed form, and positivity of u'.
-    worst_drop, drop_loc = 0.0, "--"
-    worst_neg, neg_loc = 0.0, "--"
-    for kappa in _KAPPA_SET:
-        traj = _sample_u_rest(kappa, times)
-        rep = check_monotone(traj, tol=1e-12)
-        if rep.worst_violation > worst_drop:
-            worst_drop, drop_loc = rep.worst_violation, f"kappa={kappa}, {rep.location}"
-        dmin_i = int(np.argmin(traj.derivatives))
-        neg = max(0.0, -float(traj.derivatives[dmin_i]))
-        if neg > worst_neg:
-            worst_neg, neg_loc = neg, f"kappa={kappa}, t={traj.times[dmin_i]:.6g}"
-    reports.append(VerificationReport.from_violation(
-        "closed_form_monotone", worst_drop, 1e-12, drop_loc))
-    reports.append(VerificationReport.from_violation(
-        "closed_form_derivative_positive", worst_neg, 0.0, neg_loc))
-
-    # Leading-order terminal approach: u(100) - 1 ~ -sqrt(kappa/(100 pi)).
-    worst, loc = 0.0, "--"
-    for kappa in _KAPPA_SET:
-        lead = math.sqrt(kappa / (100.0 * math.pi))
-        rel = abs(analytic.u_rest(100.0, kappa) - 1.0 + lead) / lead
-        if rel > worst:
-            worst, loc = rel, f"kappa={kappa}"
-    reports.append(VerificationReport.from_violation(
-        "terminal_approach", worst, 0.05, loc))
-
-    # Characteristic-root identities.
-    worst, loc = 0.0, "--"
-    for kappa in np.linspace(0.05, 3.95, 20):
-        r = analytic.char_roots(float(kappa))
-        sa, sb = cmath.sqrt(r.alpha), cmath.sqrt(r.beta)
-        err = max(
-            abs(r.alpha * r.beta - 1.0),
-            abs(r.alpha + r.beta - (kappa - 2.0)),
-            abs((sa + sb) ** 2 - kappa),
-            abs(abs(r.alpha) - 1.0),
-        )
-        if err > worst:
-            worst, loc = err, f"kappa={kappa:.4g}"
-    reports.append(VerificationReport.from_violation(
-        "root_identities", worst, 1e-13, loc))
-
-    # Decoupling: sqrt(kappa) M(0) = -1 for every kappa.
-    worst, loc = 0.0, "--"
-    for kappa in np.linspace(0.05, 3.95, 20):
-        val = abs(math.sqrt(kappa) * analytic.monotone_kernel_M(0.0, 2.0 - float(kappa)) + 1.0)
-        if val > worst:
-            worst, loc = val, f"kappa={kappa:.4g}"
-    reports.append(VerificationReport.from_violation(
-        "decoupling_v0", worst, 1e-12, loc))
-
-    # Sign integral of the monotonicity argument: strictly negative everywhere.
-    worst, loc = -math.inf, "--"
-    for t in np.logspace(-2, 3, 6):
-        for theta in np.linspace(math.pi / 12.0, math.pi * 11.0 / 12.0, 6):
-            val = proof_integral(float(t), float(theta))
-            if val > worst:
-                worst, loc = val, f"t={t:.4g}, theta={theta:.4g}"
-    reports.append(VerificationReport.from_violation(
-        "proof_integral_negative", worst, 0.0, loc))
-
-    # Positivity of Im{sqrt(alpha) Vi(alpha t)} (two agreeing paths).
-    worst, loc = 0.0, "--"
-    for t in np.logspace(-2, 3, 6):
-        for kappa in np.linspace(0.3, 3.7, 6):
-            val = imag_sqrt_alpha_villat(float(t), float(kappa))
-            neg = max(0.0, -val)
-            if neg > worst:
-                worst, loc = neg, f"t={t:.4g}, kappa={kappa:.4g}"
-    reports.append(VerificationReport.from_violation(
-        "imag_sqrt_alpha_positive", worst, 0.0, loc))
+    reports = [
+        # Monotone approach of the closed form, and positivity of u'.
+        _reduce("closed_form_monotone", 1e-12,
+                ((rep.worst_violation, f"kappa={k}, {rep.location}")
+                 for k, rep in drops.items())),
+        _reduce("closed_form_derivative_positive", 0.0,
+                ((neg, f"kappa={k}, {loc}") for k, (neg, loc) in falls.items())),
+        # Leading-order terminal approach: u(100) - 1 ~ -sqrt(kappa/(100 pi)).
+        _reduce("terminal_approach", 0.05,
+                ((_terminal_error(k), f"kappa={k}") for k in _KAPPA_SET)),
+        # Characteristic-root identities.
+        _reduce("root_identities", 1e-13,
+                ((_root_identity_error(k), f"kappa={k:.4g}") for k in kappa_grid)),
+        # Decoupling: sqrt(kappa) M(0) = -1 for every kappa.
+        _reduce("decoupling_v0", 1e-12,
+                ((abs(math.sqrt(k) * analytic.monotone_kernel_M(0.0, 2.0 - k) + 1.0),
+                  f"kappa={k:.4g}") for k in kappa_grid)),
+        # Sign integral of the monotonicity argument: strictly negative everywhere.
+        _reduce("proof_integral_negative", 0.0,
+                ((proof_integral(t, float(theta)), f"t={t:.4g}, theta={theta:.4g}")
+                 for t in t_grid
+                 for theta in np.linspace(math.pi / 12.0, math.pi * 11.0 / 12.0, 6)),
+                floor=-math.inf),
+        # Positivity of Im{sqrt(alpha) Vi(alpha t)} (two agreeing paths).
+        _reduce("imag_sqrt_alpha_positive", 0.0,
+                ((max(0.0, -imag_sqrt_alpha_villat(t, float(k))), f"t={t:.4g}, kappa={k:.4g}")
+                 for t in t_grid for k in np.linspace(0.3, 3.7, 6))),
+    ]
 
     # Discrete solver vs closed form, and the residual checks on it.  The
     # 1e-4 budget is stated for h = 1e-3; larger steps scale it by the
     # observed order ~1.5 of the product-integration scheme.
     ide_tol = max(1e-4, 1e-4 * (h / 1e-3) ** 1.5)
     traj2 = ide.solve_ide(2.0, 0.0, h, 10.0)
-    closed = _sample_u_rest(2.0, traj2.times)
-    sup = float(np.max(np.abs(traj2.values - closed.values)))
+    closed2 = _sample_u_rest(2.0, traj2.times)
+    sup = float(np.max(np.abs(traj2.values - closed2.values)))
     reports.append(VerificationReport.from_violation(
         "ide_vs_closed_form", sup, ide_tol, "kappa=2, [0,10]"))
     reports.append(replace(check_monotone(traj2, tol=10.0 * h), check_id="ide_monotone"))
@@ -389,44 +400,19 @@ def run_default_suite(h: float = 1e-3, points: int = 400) -> list[VerificationRe
     reports.append(replace(check_monotone(osc, tol=10.0 * h), check_id="oscillator_monotone"))
 
     # Fast special-function path against the integral-representation oracles.
-    worst, loc = 0.0, "--"
-    for x in np.linspace(-2.0, 2.0, 5):
-        for y in np.linspace(0.4, 2.0, 5):
-            w = faddeeva(complex(x, y))
-            err = max(
-                abs(w.real - faddeeva_re_quadrature(float(x), float(y))),
-                abs(w.imag - faddeeva_im_quadrature(float(x), float(y))),
-            )
-            if err > worst:
-                worst, loc = err, f"x={x:.3g}, y={y:.3g}"
-    reports.append(VerificationReport.from_violation(
-        "faddeeva_vs_quadrature", worst, 1e-10, loc))
+    reports.append(_reduce("faddeeva_vs_quadrature", 1e-10, (
+        (_faddeeva_quadrature_error(float(x), float(y)), f"x={x:.3g}, y={y:.3g}")
+        for x in np.linspace(-2.0, 2.0, 5) for y in np.linspace(0.4, 2.0, 5))))
 
-    # Derivative identity d/dz Vi = Vi - 1/sqrt(pi z), central differences
-    # (step at the cube root of machine epsilon, the central-difference optimum).
-    worst, loc = 0.0, "--"
-    for z in (0.7, 4.0 + 1.5j, 25.0 + 40.0j, 2.0 - 3.0j, 100.0):
-        z = complex(z)
-        step = 2.2e-16 ** (1.0 / 3.0) * max(1.0, abs(z))
-        fd = (villat(z + step) - villat(z - step)) / (2.0 * step)
-        exact = villat(z) - 1.0 / cmath.sqrt(math.pi * z)
-        rel = abs(fd - exact) / abs(exact)
-        if rel > worst:
-            worst, loc = rel, f"z={z}"
-    reports.append(VerificationReport.from_violation(
-        "villat_derivative_identity", worst, 1e-6, loc))
+    # Derivative identity of the Villat function, by central differences.
+    reports.append(_reduce("villat_derivative_identity", 1e-6, (
+        (_villat_derivative_error(z), f"z={z}")
+        for z in map(complex, (0.7, 4.0 + 1.5j, 25.0 + 40.0j, 2.0 - 3.0j, 100.0)))))
 
     # Divergent-series tail against the stable evaluation at large |z|.
-    worst, loc = 0.0, "--"
-    for r in (1e3, 1e4, 1e5):
-        for phase in (0.0, 0.5, 1.5, 2.0):
-            z = r * cmath.exp(1j * phase)
-            approx = villat_asymptotic(z, 5).value
-            rel = abs(approx - villat(z)) / abs(villat(z))
-            if rel > worst:
-                worst, loc = rel, f"|z|={r:.2g}, arg={phase}"
-    reports.append(VerificationReport.from_violation(
-        "villat_asymptotic_match", worst, 1e-6, loc))
+    reports.append(_reduce("villat_asymptotic_match", 1e-6, (
+        (_asymptotic_error(r * cmath.exp(1j * phase)), f"|z|={r:.2g}, arg={phase}")
+        for r in (1e3, 1e4, 1e5) for phase in (0.0, 0.5, 1.5, 2.0))))
 
     # The unstable textbook evaluation must visibly fail where the stable one holds.
     z_blow = 400.0 * cmath.exp(1j * math.pi / 3.0)

@@ -16,14 +16,13 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import analysis, analytic, ide, ode, physical
-from .trajectory import Trajectory
+from .trajectory import Trajectory, uniform_grid
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["main"]
 
 SCHEMA_VERSION = 1
 
@@ -31,26 +30,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 EXIT_NUMERICAL = 3
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: one command plus the knobs it needs."""
-
-    command: str
-    kappa: float | None = None
-    kappas: list[float] = field(default_factory=list)
-    solver: str = "closed-form"
-    h: float = 1e-3
-    T: float = 10.0
-    t0: float = 0.0
-    A: float = 1.0
-    b: float | None = None
-    eps: float = 0.0
-    output: str = "csv"
-    out: str = "-"
-    params: physical.PhysicalParams | None = None
-    suite_points: int = 400
 
 
 class _UsageError(Exception):
@@ -107,9 +86,9 @@ def _emit_columns(output: str, path: str, columns: dict[str, np.ndarray], **fiel
         _emit(path, _csv_text(list(columns), list(columns.values())))
 
 
-def _write_trajectory(cfg: RunConfig, traj: Trajectory, path: str) -> None:
+def _write_trajectory(output: str, traj: Trajectory, path: str) -> None:
     columns = {"t": traj.times, "u": traj.values, "du": traj.derivatives}
-    _emit_columns(cfg.output, path, columns, meta=dict(traj.meta))
+    _emit_columns(output, path, columns, meta=dict(traj.meta))
 
 
 # ----------------------------------------------------------------------
@@ -120,13 +99,10 @@ def _solve_oscillator(solver: str, prob: ode.OscillatorProblem, h: float, T: flo
     """The monotone trajectory of prob in closed form, or prob integrated by RK4."""
     if solver == "ode":
         return ode.solve_oscillator(prob, h, T)
-    if solver != "closed-form":
-        raise _UsageError(f"unknown solver {solver!r}")
-    n = max(1, int(round(T / h)))
-    times = np.arange(n + 1) * h
+    times = uniform_grid(h, T)
     values, derivs = analytic.monotone_kernel_samples(times, prob.b, prob.A, prob.t0)
     meta = {"solver": "closed-form", "b": prob.b, "A": prob.A, "t0": prob.t0,
-            "h": h, "T": n * h, "variable": "v"}
+            "h": h, "T": (len(times) - 1) * h, "variable": "v"}
     return Trajectory(times=times, values=values, derivatives=derivs, meta=meta)
 
 
@@ -142,30 +118,35 @@ def _sphere_trajectory(solver: str, kappa: float, eps: float, h: float, T: float
 
 
 # ----------------------------------------------------------------------
-# Commands
+# Commands: each reads its parsed arguments and returns the exit status
 # ----------------------------------------------------------------------
 
-def _cmd_trajectory(cfg: RunConfig) -> int:
-    if cfg.b is None:
-        traj = _sphere_trajectory(cfg.solver, cfg.kappa, cfg.eps, cfg.h, cfg.T)
-    elif cfg.solver == "ide":
+def _cmd_trajectory(args: argparse.Namespace) -> int:
+    if args.b is None and args.kappa is None:
+        raise _UsageError("trajectory: provide --kappa (sphere) or --b (oscillator)")
+    if args.b is not None and args.kappa is not None:
+        raise _UsageError("trajectory: --kappa and --b are mutually exclusive")
+    if args.b is None:
+        traj = _sphere_trajectory(args.solver, args.kappa, args.eps, args.h, args.T)
+    elif args.solver == "ide":
         raise _UsageError("the ide solver applies to the sphere problem only")
     else:
-        ic = analytic.monotone_initial_conditions(cfg.b, cfg.A, cfg.t0)
-        prob = ode.OscillatorProblem(b=cfg.b, A=cfg.A, t0=cfg.t0, v0=ic.v0, v0_prime=ic.v0_prime)
-        traj = _solve_oscillator(cfg.solver, prob, cfg.h, cfg.T)
-    _write_trajectory(cfg, traj, cfg.out)
+        ic = analytic.monotone_initial_conditions(args.b, args.A, args.t0)
+        prob = ode.OscillatorProblem(b=args.b, A=args.A, t0=args.t0, v0=ic.v0,
+                                     v0_prime=ic.v0_prime)
+        traj = _solve_oscillator(args.solver, prob, args.h, args.T)
+    _write_trajectory(args.output, traj, args.out)
     if traj.meta.get("diverged"):
         return EXIT_NUMERICAL
     return EXIT_OK
 
 
-def _sweep_one(cfg: RunConfig, kappa: float) -> dict:
-    traj = _sphere_trajectory(cfg.solver, kappa, cfg.eps, cfg.h, cfg.T)
-    tol = 1e-12 if cfg.solver == "closed-form" else 10.0 * cfg.h
+def _sweep_one(args: argparse.Namespace, kappa: float) -> dict:
+    traj = _sphere_trajectory(args.solver, kappa, args.eps, args.h, args.T)
+    tol = 1e-12 if args.solver == "closed-form" else 10.0 * args.h
     mono = analysis.check_monotone(traj, tol=tol)
-    path = os.path.join(cfg.out, f"trajectory_kappa_{kappa:g}.{cfg.output}")
-    _write_trajectory(cfg, traj, path)
+    path = os.path.join(args.out, f"trajectory_kappa_{kappa:g}.{args.output}")
+    _write_trajectory(args.output, traj, path)
     return {
         "kappa": kappa,
         "terminal_error": abs(float(traj.values[-1]) - 1.0),
@@ -174,11 +155,17 @@ def _sweep_one(cfg: RunConfig, kappa: float) -> dict:
     }
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
-    results = sorted((_sweep_one(cfg, k) for k in cfg.kappas), key=lambda r: r["kappa"])
-    summary_path = os.path.join(cfg.out, f"sweep_summary.{cfg.output}")
-    if cfg.output == "json":
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    try:
+        kappas = [float(s) for s in args.kappas.split(",") if s.strip()]
+    except ValueError as exc:
+        raise _UsageError(f"sweep: bad --kappas list: {exc}") from exc
+    if not kappas:
+        raise _UsageError("sweep: --kappas list is empty")
+    os.makedirs(args.out, exist_ok=True)
+    results = sorted((_sweep_one(args, k) for k in kappas), key=lambda r: r["kappa"])
+    summary_path = os.path.join(args.out, f"sweep_summary.{args.output}")
+    if args.output == "json":
         _atomic_write(
             summary_path,
             json.dumps({"schema": SCHEMA_VERSION, "sweep": results}, indent=1) + "\n",
@@ -194,27 +181,27 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(cfg: RunConfig) -> int:
-    closed = _sphere_trajectory("closed-form", cfg.kappa, cfg.eps, cfg.h, cfg.T)
-    ide_traj = _sphere_trajectory("ide", cfg.kappa, cfg.eps, cfg.h, cfg.T)
-    ode_traj = _sphere_trajectory("ode", cfg.kappa, cfg.eps, cfg.h, cfg.T)
+def _cmd_compare(args: argparse.Namespace) -> int:
+    closed, ide_traj, ode_traj = (_sphere_trajectory(s, args.kappa, args.eps, args.h, args.T)
+                                  for s in ("closed-form", "ide", "ode"))
     n = min(len(closed), len(ide_traj), len(ode_traj))
     u_closed, u_ide, u_ode = closed.values[:n], ide_traj.values[:n], ode_traj.values[:n]
     columns = {"t": closed.times[:n], "u_closed": u_closed, "u_ide": u_ide, "u_ode": u_ode,
                "dev_ide": np.abs(u_ide - u_closed), "dev_ode": np.abs(u_ode - u_closed)}
     sup = {"ide": float(np.max(columns["dev_ide"])), "ode": float(np.max(columns["dev_ode"]))}
-    _emit_columns(cfg.output, cfg.out, columns, kappa=cfg.kappa, h=cfg.h, T=cfg.T, sup_norm=sup)
-    if cfg.output == "csv" and cfg.out != "-":
+    _emit_columns(args.output, args.out, columns, kappa=args.kappa, h=args.h, T=args.T,
+                  sup_norm=sup)
+    if args.output == "csv" and args.out != "-":
         _atomic_write(
-            cfg.out + ".summary.json",
+            args.out + ".summary.json",
             json.dumps({"schema": SCHEMA_VERSION, "sup_norm": sup}, indent=1) + "\n",
         )
     print(f"sup-norm ide={sup['ide']:.6g} ode={sup['ode']:.6g}", file=sys.stderr)
     return EXIT_OK
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    reports = analysis.run_default_suite(h=cfg.h, points=cfg.suite_points)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    reports = analysis.run_default_suite(h=args.h, points=args.points)
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
         print(
@@ -226,42 +213,31 @@ def _cmd_verify(cfg: RunConfig) -> int:
         "passed": all(r.passed for r in reports),
         "reports": [dataclasses.asdict(r) for r in reports],
     }
-    if cfg.out != "-":
-        _atomic_write(cfg.out, json.dumps(payload, indent=1) + "\n")
+    if args.out != "-":
+        _atomic_write(args.out, json.dumps(payload, indent=1) + "\n")
     return EXIT_OK if payload["passed"] else EXIT_VERIFICATION
 
 
-def _cmd_drag(cfg: RunConfig) -> int:
-    p = cfg.params
+def _cmd_drag(args: argparse.Namespace) -> int:
+    p = physical.PhysicalParams(rho_s=args.rho_s, rho=args.rho, mu=args.mu, R=args.radius,
+                                g=args.g)
     group = physical.nondimensionalize(p)
     # h and T arrive in seconds; the solver works in viscous-time units.
-    traj = ide.solve_ide(group.kappa, cfg.eps, cfg.h * group.B, cfg.T * group.B)
+    traj = ide.solve_ide(group.kappa, args.eps, args.h * group.B, args.T * group.B)
     dim = physical.dimensional_trajectory(group, traj)
     columns = [dim.times, dim.values, dim.derivatives, *physical.drag_forces(p, dim)]
     header = ["t", "U", "dU", "F_stokes", "F_added_mass", "F_basset", "F_buoyancy",
               "residual"]
-    if cfg.output == "json":
+    if args.output == "json":
         payload = {
             "schema": SCHEMA_VERSION,
             "columns": header,
             "rows": np.column_stack(columns).tolist(),
         }
-        _emit(cfg.out, json.dumps(payload, indent=1) + "\n")
+        _emit(args.out, json.dumps(payload, indent=1) + "\n")
     else:
-        _emit(cfg.out, _csv_text(header, columns))
+        _emit(args.out, _csv_text(header, columns))
     return EXIT_OK
-
-
-def run(config: RunConfig) -> int:
-    """Execute one parsed command; returns the process exit status."""
-    handlers = {
-        "trajectory": _cmd_trajectory,
-        "sweep": _cmd_sweep,
-        "compare": _cmd_compare,
-        "verify": _cmd_verify,
-        "drag": _cmd_drag,
-    }
-    return handlers[config.command](config)
 
 
 # ----------------------------------------------------------------------
@@ -292,23 +268,26 @@ def _build_parser() -> _Parser:
     sp.add_argument("--A", type=float, default=1.0, help="oscillator forcing amplitude")
     sp.add_argument("--t0", type=float, default=0.0, help="oscillator forcing offset")
     add_common(sp)
+    sp.set_defaults(handler=_cmd_trajectory)
 
     sp = sub.add_parser("sweep", help="sphere trajectories over a list of kappa values")
     sp.add_argument("--kappas", required=True,
                     help="comma-separated kappa list, e.g. 0.5,1,2.5")
     sp.add_argument("--eps", type=float, default=0.0)
     add_common(sp)
-    sp.set_defaults(out="sweep_out")
+    sp.set_defaults(handler=_cmd_sweep, out="sweep_out")
 
     sp = sub.add_parser("compare", help="closed-form vs IDE vs ODE on one grid")
     sp.add_argument("--kappa", type=float, required=True)
     sp.add_argument("--eps", type=float, default=0.0)
     add_common(sp, with_solver=False)
+    sp.set_defaults(handler=_cmd_compare)
 
     sp = sub.add_parser("verify", help="run the verification suite")
     sp.add_argument("--h", type=float, default=1e-3)
     sp.add_argument("--points", type=int, default=400, help="closed-form grid density")
     sp.add_argument("--out", default="-", help="JSON report path")
+    sp.set_defaults(handler=_cmd_verify)
 
     sp = sub.add_parser("drag", help="dimensional force decomposition along a solve")
     sp.add_argument("--rho-s", type=float, required=True, dest="rho_s")
@@ -321,45 +300,14 @@ def _build_parser() -> _Parser:
     sp.add_argument("--T", type=float, default=0.1, help="horizon in seconds")
     sp.add_argument("--output", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default="-")
+    sp.set_defaults(handler=_cmd_drag)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("kappa", "solver", "h", "T", "t0", "A", "b", "eps", "output", "out"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    if args.command == "trajectory":
-        if cfg.b is None and cfg.kappa is None:
-            raise _UsageError("trajectory: provide --kappa (sphere) or --b (oscillator)")
-        if cfg.b is not None and cfg.kappa is not None:
-            raise _UsageError("trajectory: --kappa and --b are mutually exclusive")
-    if args.command == "sweep":
-        try:
-            cfg.kappas = [float(s) for s in args.kappas.split(",") if s.strip()]
-        except ValueError as exc:
-            raise _UsageError(f"sweep: bad --kappas list: {exc}") from exc
-        if not cfg.kappas:
-            raise _UsageError("sweep: --kappas list is empty")
-    if args.command == "verify":
-        cfg.suite_points = args.points
-    if args.command == "drag":
-        cfg.params = physical.PhysicalParams(
-            rho_s=args.rho_s, rho=args.rho, mu=args.mu, R=args.radius, g=args.g
-        )
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return run(cfg)
+        args = _build_parser().parse_args(argv)
+        return args.handler(args)
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

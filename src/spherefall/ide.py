@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .trajectory import Trajectory
+from .trajectory import Trajectory, uniform_grid
 
 __all__ = ["abel_history", "solve_ide"]
 
@@ -148,7 +148,8 @@ def _toeplitz_solve(t: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def solve_ide(kappa: float, u0: float, h: float, T: float) -> Trajectory:
     """March the memory equation from u(0) = u0 to the horizon T with step h.
 
-    Each step n is the scalar linear equation for u'(t_n) that the
+    kappa lies in (0, 9], the domain of the physical layer; kappa = 9 is
+    the massless sphere (rho_s = 0).  Each step n is the scalar linear equation for u'(t_n) that the
     product-integration discretization produces (trapezoidal update for
     u, implicit diagonal Abel weight for the memory term).  All n steps
     together form one lower-triangular Toeplitz system, solved by the
@@ -156,13 +157,10 @@ def solve_ide(kappa: float, u0: float, h: float, T: float) -> Trajectory:
     and O(n) memory.  Empirical convergence against the closed form is
     order ~1.5 in sup norm.
     """
-    if not 0.0 < kappa < 9.0:
-        raise ValueError(f"kappa must lie in (0, 9), got {kappa}")
-    if h <= 0.0:
-        raise ValueError(f"h must be > 0, got {h}")
-    if T < h:
-        raise ValueError(f"horizon T={T} must be at least one step h={h}")
-    n = max(1, int(round(T / h)))
+    if not 0.0 < kappa <= 9.0:
+        raise ValueError(f"kappa must lie in (0, 9], got {kappa}")
+    times = uniform_grid(h, T)
+    n = len(times) - 1
     c = math.sqrt(kappa / math.pi)
     a, first = _abel_kernel(n, h)
     d0 = 1.0 - u0  # prescribed by the equation at tau = 0
@@ -176,7 +174,6 @@ def solve_ide(kappa: float, u0: float, h: float, T: float) -> Trajectory:
     d = np.concatenate(([d0], _toeplitz_solve(t, rhs)))
     u = np.cumsum(np.concatenate(([u0], 0.5 * h * (d[:-1] + d[1:]))))
 
-    times = np.arange(n + 1) * h
     meta = {"solver": "ide", "kappa": kappa, "u0": u0, "h": h, "T": n * h}
     return Trajectory(times=times, values=u, derivatives=d, meta=meta)
 

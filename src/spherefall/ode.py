@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analytic
-from .trajectory import Trajectory
+from .trajectory import Trajectory, uniform_grid
 
 __all__ = [
     "OscillatorProblem",
@@ -110,11 +110,8 @@ def solve_oscillator(
     diverging trajectory is truncated and flagged in ``meta['diverged']``
     rather than raised: the divergence is the object under study.
     """
-    if h <= 0.0:
-        raise ValueError(f"h must be > 0, got {h}")
-    if T < h:
-        raise ValueError(f"horizon T={T} must be at least one step h={h}")
-    n = max(1, int(round(T / h)))
+    times = uniform_grid(h, T)
+    n = len(times) - 1
     b, A, t0 = prob.b, prob.A, prob.t0
 
     v = np.empty(n + 1)
@@ -158,8 +155,7 @@ def solve_oscillator(
         "bootstrap_steps": start,
         "diverged": diverged,
     }
-    times = np.arange(last + 1) * h
-    return Trajectory(times=times, values=v[: last + 1], derivatives=dv[: last + 1], meta=meta)
+    return Trajectory(times=times[: last + 1], values=v[: last + 1], derivatives=dv[: last + 1], meta=meta)
 
 
 def phase_portrait_fixed_point(kappa: float) -> FixedPoint:

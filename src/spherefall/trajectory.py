@@ -1,4 +1,4 @@
-"""The sampled trajectory that every solver returns and every check reads."""
+"""The sampled trajectory that every solver returns and every check reads, and its grid."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Trajectory"]
+__all__ = ["Trajectory", "uniform_grid"]
 
 
 @dataclass
@@ -43,3 +43,12 @@ class Trajectory:
         if not np.allclose(steps, h, rtol=1e-9, atol=0.0):
             raise ValueError("Trajectory: grid is not uniform")
         return float(h)
+
+
+def uniform_grid(h: float, T: float) -> np.ndarray:
+    """The grid t_k = k h, k = 0..n, with n = max(1, round(T / h)) steps to the horizon T."""
+    if h <= 0.0:
+        raise ValueError(f"h must be > 0, got {h}")
+    if T < h:
+        raise ValueError(f"horizon T={T} must be at least one step h={h}")
+    return np.arange(max(1, int(round(T / h))) + 1) * h

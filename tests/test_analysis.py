@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from spherefall import analytic, ide
 from spherefall.analysis import (
     VerificationReport,
+    _reduce,
     abel_identity_residual,
     check_monotone,
     imag_sqrt_alpha_villat,
@@ -58,6 +59,26 @@ def test_check_monotone_flags_decreasing_step():
     rep = check_monotone(_uniform_traj(vals), tol=1e-12)
     assert not rep.passed
     assert rep.worst_violation > 0.01
+
+
+def test_check_monotone_reports_the_first_largest_drop():
+    rep = check_monotone(_uniform_traj([0.0, 1.0, 0.5, 1.0, 0.5]), tol=0.1)
+    assert (rep.worst_violation, rep.location) == (0.5, "t=0.02")
+    rep = check_monotone(_uniform_traj([1.0], derivatives=[0.0]))
+    assert (rep.passed, rep.worst_violation, rep.location) == (True, 0.0, "t=--")
+
+
+def test_suite_reducer_rules():
+    # The first strict maximum wins, and its location comes with it.
+    rep = _reduce("c", 1.0, [(0.5, "a"), (2.0, "b"), (2.0, "c"), (1.0, "d")])
+    assert (rep.worst_violation, rep.location, rep.passed) == (2.0, "b", False)
+    # Nothing above the floor of 0: the floor itself, at no location.
+    rep = _reduce("c", 0.0, [(0.0, "a"), (-1.0, "b"), (math.nan, "c")])
+    assert (rep.worst_violation, rep.location, rep.passed) == (0.0, "--", True)
+    assert _reduce("c", 0.0, []).location == "--"
+    # A floor of -inf keeps the largest value even when every value is negative.
+    rep = _reduce("c", 0.0, [(-3.0, "a"), (-1.0, "b"), (-2.0, "c")], floor=-math.inf)
+    assert (rep.worst_violation, rep.location, rep.passed) == (-1.0, "b", True)
 
 
 def test_report_invariant_passed_iff_within_tolerance():
@@ -185,6 +206,31 @@ def test_ode_residual_on_solver_output():
     traj = ide.solve_ide(2.5, 0.0, 1e-3, 5.0)
     rep = ode_residual(traj, 2.5, 0.0)
     assert rep.passed
+
+
+def test_residuals_skip_the_startup_window():
+    # A spike inside the startup window is not the solution's fault.
+    h = 1e-2
+    times = np.arange(0, 101) * h
+    spiked = np.zeros(101)
+    spiked[3] = 1e3
+    traj = Trajectory(times=times, values=np.ones(101), derivatives=spiked)
+    rep = ode_residual(traj, 2.0, 1.0)
+    assert rep.worst_violation <= 1e-14 and rep.location == "t=0.1"
+    traj = Trajectory(times=times, values=times + spiked, derivatives=np.ones(101))
+    rep = abel_identity_residual(traj)
+    assert rep.passed and rep.location != "t=0.03"
+
+
+@pytest.mark.parametrize("check, name", [
+    (lambda tr: ode_residual(tr, 2.0, 1.0), "ode_residual"),
+    (abel_identity_residual, "abel_identity_residual"),
+])
+def test_residuals_reject_trajectories_inside_the_startup_window(check, name):
+    times = np.arange(0, 6) * 1e-2
+    traj = Trajectory(times=times, values=np.ones(6), derivatives=np.zeros(6))
+    with pytest.raises(ValueError, match=f"^{name}: trajectory shorter than the startup window"):
+        check(traj)
 
 
 # ----------------------------------------------------------------------

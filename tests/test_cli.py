@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -194,11 +195,83 @@ def test_json_and_csv_outputs_carry_the_same_numbers(tmp_path, argv, keys):
     assert np.array_equal(got, rows)
 
 
-def test_usage_errors_exit_one():
+def test_usage_errors_exit_one(tmp_path):
     assert main(["trajectory"]) == 1  # neither --kappa nor --b
     assert main(["trajectory", "--kappa", "12", "--T", "1", "--h", "0.01"]) == 1
     assert main(["sweep", "--kappas", "abc"]) == 1
     assert main(["nosuchcommand"]) == 1
+    # The closed form checks its grid like the ide and ode solvers do.
+    out = tmp_path / "traj.csv"
+    for solver in ("closed-form", "ide", "ode"):
+        base = ["trajectory", "--kappa", "2", "--solver", solver, "--out", str(out)]
+        assert main(base + ["--h", "0"]) == 1
+        assert main(base + ["--T", "-1", "--h", "0.1"]) == 1
+    assert not out.exists()
+
+
+_DRAG_ARGS = ["--rho", "1000", "--mu", "0.1", "--radius", "0.001", "--g", "9.8",
+              "--T", "0.005", "--h", "0.0001"]
+
+
+def test_drag_bad_physical_parameter_is_a_usage_error(capsys):
+    code = main(["drag", "--rho-s", "1000", "--rho", "-1", "--mu", "0.1", "--radius", "0.001"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: PhysicalParams: ")
+
+
+def test_drag_massless_sphere_closes_the_force_balance(tmp_path):
+    # rho_s = 0 is kappa = 9, the edge of the physical domain.
+    out = tmp_path / "drag.csv"
+    assert main(["drag", "--rho-s", "0", *_DRAG_ARGS, "--out", str(out)]) == 0
+    _, rows = _read_csv(out)
+    assert len(rows) == 51
+    f_buoy = rows[0, 6]
+    assert np.max(np.abs(rows[:, 7])) <= 1e-9 * abs(f_buoy)
+
+
+@pytest.mark.parametrize("points", ["0", "1"])
+def test_verify_needs_two_points(tmp_path, capsys, points):
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--points", points, "--out", str(out)]) == 1
+    assert "points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_NUM = r"-?\d+(\.\d+)?(e[-+]\d+)?"
+_T = rf"t={_NUM}"
+_VERIFY_LOCATIONS = {
+    # A passing sign check has nothing above the floor, so no location.
+    "closed_form_monotone": "--",
+    "closed_form_derivative_positive": "--",
+    "terminal_approach": rf"kappa={_NUM}",
+    "root_identities": rf"kappa={_NUM}",
+    "decoupling_v0": rf"kappa={_NUM}",
+    "proof_integral_negative": rf"t={_NUM}, theta={_NUM}",
+    "imag_sqrt_alpha_positive": "--",
+    "ide_vs_closed_form": re.escape("kappa=2, [0,10]"),
+    "ide_monotone": _T,
+    "ode_residual": _T,
+    "abel_identity": _T,
+    "oscillator_monotone_ic": re.escape("b=-1, A=1, t0=1"),
+    "oscillator_monotone": _T,
+    "faddeeva_vs_quadrature": rf"x={_NUM}, y={_NUM}",
+    "villat_derivative_identity": rf"z=\({_NUM}[-+]{_NUM}j\)",
+    "villat_asymptotic_match": rf"\|z\|={_NUM}, arg={_NUM}",
+    "naive_villat_blowup": rf"rel_disagreement={_NUM}|rel_disagreement=inf",
+}
+
+
+def test_verify_report_pins_check_order_and_location_formats(tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--h", "0.01", "--points", "20", "--out", str(out)]) == 0
+    reports = json.loads(out.read_text())["reports"]
+    assert [r["check_id"] for r in reports] == list(_VERIFY_LOCATIONS)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(reports)
+    for rep, line in zip(reports, lines):
+        assert re.fullmatch(_VERIFY_LOCATIONS[rep["check_id"]], rep["location"]), rep
+        assert line == (f"PASS {rep['check_id']}: worst={rep['worst_violation']:.3e} "
+                        f"tol={rep['tolerance']:.3e} at {rep['location']}")
 
 
 def test_sphere_ode_rejects_kappa_outside_oscillator_range(capsys):

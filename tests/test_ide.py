@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from direct_oracle import abel_history_direct, solve_ide_direct
 from spherefall import analytic
 from spherefall.ide import _LEAF, abel_history, solve_ide
-from spherefall.trajectory import Trajectory
+from spherefall.trajectory import Trajectory, uniform_grid
 
 # Grid lengths around the leaf size of the blocked solve, plus ones that
 # are not powers of two and span several FFT levels.
@@ -36,6 +36,17 @@ def test_trajectory_step_detects_nonuniform_grid():
     tr = Trajectory(times=[0.0, 1.0, 3.0], values=[0.0] * 3, derivatives=[0.0] * 3)
     with pytest.raises(ValueError):
         tr.step()
+
+
+def test_uniform_grid_rounds_the_horizon_to_whole_steps():
+    assert np.array_equal(uniform_grid(0.5, 2.0), [0.0, 0.5, 1.0, 1.5, 2.0])
+    assert len(uniform_grid(0.1, 1.04)) == 11  # round(10.4) = 10 steps
+    assert len(uniform_grid(0.1, 1.06)) == 12  # round(10.6) = 11 steps
+    assert len(uniform_grid(0.1, 0.1)) == 2
+    with pytest.raises(ValueError, match="h must be > 0"):
+        uniform_grid(0.0, 1.0)
+    with pytest.raises(ValueError, match="at least one step"):
+        uniform_grid(0.1, -1.0)
 
 
 # ----------------------------------------------------------------------
@@ -124,6 +135,7 @@ def test_discrete_residual_closes_at_every_grid_point():
 
 
 @given(_kappas, st.floats(min_value=0.0, max_value=1.0), _hs, _steps)
+@example(kappa=9.0, u0=0.0, h=1e-3, n=3001)  # the massless sphere, the edge of the domain
 @settings(max_examples=40, deadline=None)
 def test_solver_matches_direct_step_loop(kappa, u0, h, n):
     traj = solve_ide(kappa, u0, h, n * h)
@@ -137,7 +149,7 @@ def test_solver_argument_validation():
     with pytest.raises(ValueError):
         solve_ide(0.0, 0.0, 1e-2, 1.0)
     with pytest.raises(ValueError):
-        solve_ide(9.0, 0.0, 1e-2, 1.0)
+        solve_ide(math.nextafter(9.0, 10.0), 0.0, 1e-2, 1.0)
     with pytest.raises(ValueError):
         solve_ide(2.0, 0.0, -1e-2, 1.0)
     with pytest.raises(ValueError):
