@@ -16,13 +16,10 @@ from .analytic import (
     CharRoots,
     MonotoneIC,
     char_roots,
-    coefficients_from_ic,
     general_solution,
     monotone_initial_conditions,
     monotone_kernel_M,
     monotone_kernel_M_derivative,
-    particular_solution_vp,
-    u_general,
     u_rest,
     u_rest_derivative,
 )
@@ -40,7 +37,6 @@ from .ode import (
     OscillatorProblem,
     StabilityClass,
     classify_homogeneous,
-    phase_portrait_fixed_point,
     solve_oscillator,
 )
 from .physical import (
@@ -50,9 +46,7 @@ from .physical import (
     dimensional_trajectory,
     drag_forces,
     nondimensionalize,
-    oscillatory_drag,
     stokes_terminal_velocity,
-    unsteady_drag,
 )
 from .special import (
     AccuracyError,

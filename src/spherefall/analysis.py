@@ -17,11 +17,12 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import analytic, ide, ode
 from .trajectory import Trajectory
 from .special import (
+    _QUAD_CUTOFF,
+    _truncated_quad,
     AccuracyError,
     faddeeva,
     faddeeva_im_quadrature,
@@ -45,9 +46,6 @@ __all__ = [
 # Finite differences cannot resolve the inverse-square-root forcing near
 # the start; residual checks skip this many steps.
 STARTUP_STEPS = 10
-
-_QUAD_CUTOFF = 9.0  # exp(-81) tail bound, far below every tolerance in use
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -154,16 +152,7 @@ def proof_integral(t: float, theta: float) -> float:
     def f_array(s: np.ndarray) -> np.ndarray:
         return s * np.exp(-s * s) / _proof_P(s, t, theta)
 
-    points = [s_peak] if -_QUAD_CUTOFF < s_peak < _QUAD_CUTOFF else None
-    primary, est = quad(
-        f_scalar,
-        -_QUAD_CUTOFF,
-        _QUAD_CUTOFF,
-        points=points,
-        epsabs=1e-13,
-        epsrel=1e-12,
-        limit=400,
-    )
+    primary, est = _truncated_quad(f_scalar, s_peak, epsabs=1e-13, epsrel=1e-12, limit=400)
     if est > max(1e-9, 1e-7 * abs(primary)):
         raise AccuracyError(f"proof_integral: adaptive rule did not converge (est={est:.2e})")
 

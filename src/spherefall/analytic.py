@@ -3,10 +3,11 @@
 Covers the characteristic roots of m^2 + (2-kappa)m + 1, the monotone
 kernel M(t) of the damped oscillator with 1/sqrt(pi(t+t0)) forcing,
 the sphere released with u(0) = eps, which is that oscillator:
-u(tau) = 1 + (1 - eps) sqrt(kappa) M(tau; b = 2 - kappa), variation of
-parameters, and the unique initial conditions whose trajectory stays
-monotone despite an unstable homogeneous problem.  Every closed-form
-value comes from one evaluator of (M, M'), two Villat evaluations.
+u(tau) = 1 + (1 - eps) sqrt(kappa) M(tau; b = 2 - kappa), the general
+solution from any initial state, and the unique initial conditions
+whose trajectory stays monotone despite an unstable homogeneous
+problem.  Every closed-form value comes from one evaluator of (M, M'),
+two Villat evaluations.
 
 Complex-valued formulas here are conjugate-symmetric, so their values
 are real; each such function checks that the imaginary residue is at
@@ -30,15 +31,12 @@ __all__ = [
     "char_roots",
     "u_rest",
     "u_rest_derivative",
-    "u_general",
     "monotone_kernel_M",
     "monotone_kernel_M_derivative",
     "monotone_kernel_samples",
-    "particular_solution_vp",
     "general_solution",
     "general_state",
     "monotone_initial_conditions",
-    "coefficients_from_ic",
 ]
 
 
@@ -59,12 +57,10 @@ class CharRoots:
 
 @dataclass(frozen=True)
 class MonotoneIC:
-    """Initial state (v0, v0') and homogeneous coefficients of the monotone trajectory."""
+    """Initial state (v0, v0') of the monotone trajectory."""
 
     v0: float
     v0_prime: float
-    c1: complex
-    c2: complex
 
 
 def _real_part_checked(value: complex) -> float:
@@ -164,11 +160,6 @@ def u_rest_derivative(tau: float, kappa: float) -> float:
     return amplitude * _kernel(tau, roots.alpha, roots.beta)[1]
 
 
-def u_general(tau: float, kappa: float, eps: float) -> float:
-    """Solution with initial velocity u(0) = eps: the rescaling (1-eps) u0 + eps."""
-    return (1.0 - eps) * u_rest(tau, kappa) + eps
-
-
 def monotone_kernel_M(t: float, b: float) -> float:
     """Monotone kernel M(t) = (1/(alpha-beta)) [sqrt(beta) Vi(alpha t) - sqrt(alpha) Vi(beta t)].
 
@@ -210,53 +201,16 @@ def monotone_kernel_samples(
     return values, derivs
 
 
-def particular_solution_vp(t: float, b: float, A: float, t0: float) -> float:
-    """Variation-of-parameters particular solution of v'' + b v' + v = -A/sqrt(pi(t+t0)).
-
-    v_p(t) = (A/(beta-alpha)) { sqrt(beta) Vi(alpha t0) e^{alpha t}
-                                - sqrt(alpha) Vi(beta t0) e^{beta t} }
-             + A M(t+t0),
-
-    with v_p(0) = v_p'(0) = 0.  The exponential factors grow like
-    e^{-b t / 2}; that growth is genuine and overflow propagates as
-    OverflowError rather than being clamped.
-    """
-    if t < 0.0 or t0 < 0.0:
-        raise ValueError("particular_solution_vp: t and t0 must be >= 0")
-    if t + t0 <= 0.0:
-        raise ValueError("particular_solution_vp: t + t0 must be > 0")
-    alpha, beta = _roots_from_damping(b)
-    homog = (
-        cmath.sqrt(beta) * villat(alpha * t0) * cmath.exp(alpha * t)
-        - cmath.sqrt(alpha) * villat(beta * t0) * cmath.exp(beta * t)
-    )
-    val = A / (beta - alpha) * homog + A * monotone_kernel_M(t + t0, b)
-    return _real_part_checked(val)
-
-
-def coefficients_from_ic(b: float, w0: float, w0_prime: float) -> tuple[complex, complex]:
-    """Homogeneous-mode coefficients (C1, C2) matching w(0) = w0, w'(0) = w0'.
-
-    C1 = (beta w0 - w0') / (beta - alpha),
-    C2 = (w0' - alpha w0) / (beta - alpha);
-    C2 = conj(C1) for real data.
-    """
-    alpha, beta = _roots_from_damping(b)
-    c1 = (beta * w0 - w0_prime) / (beta - alpha)
-    c2 = (w0_prime - alpha * w0) / (beta - alpha)
-    return c1, c2
-
-
 def general_state(
     t: float, b: float, A: float, t0: float, v0: float, v0_prime: float
 ) -> tuple[float, float]:
     """Value and derivative at time t of the solution with v(0)=v0, v'(0)=v0'.
 
     Decomposed against the bounded particular solution A*M(t+t0): the
-    homogeneous coefficients come from the initial-condition mismatch
-    (v0 - A M(t0), v0' - A M'(t0)), so the monotone initial conditions
-    yield exactly v(t) = A M(t+t0) with no cancellation of exponentially
-    large terms.
+    coefficients of exp(alpha t) and exp(beta t) match the initial-condition
+    mismatch (v0 - A M(t0), v0' - A M'(t0)), so the monotone initial
+    conditions yield exactly v(t) = A M(t+t0) with no cancellation of
+    exponentially large terms.
     """
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
@@ -264,7 +218,9 @@ def general_state(
         raise ValueError(f"t0 must be >= 0, got {t0}")
     alpha, beta = _roots_from_damping(b)
     m0, m0p = _kernel(t0, alpha, beta)
-    c1, c2 = coefficients_from_ic(b, v0 - A * m0, v0_prime - A * m0p)
+    w0, w0_prime = v0 - A * m0, v0_prime - A * m0p
+    c1 = (beta * w0 - w0_prime) / (beta - alpha)
+    c2 = (w0_prime - alpha * w0) / (beta - alpha)
     ea = cmath.exp(alpha * t)
     eb = cmath.exp(beta * t)
     m, dm = _kernel(t + t0, alpha, beta)
@@ -283,17 +239,12 @@ def general_solution(
 def monotone_initial_conditions(b: float, A: float, t0: float) -> MonotoneIC:
     """The unique initial state whose trajectory is the monotone one, v(t) = A M(t+t0).
 
-    Returns (A M(t0), A M'(t0)) together with the homogeneous coefficients
-    C1 = -A sqrt(beta) Vi(alpha t0) / (beta - alpha),
-    C2 =  A sqrt(alpha) Vi(beta t0) / (beta - alpha)
-    that zero out the growing modes.  In the sphere configuration
-    (b = 2-kappa, A = sqrt(kappa), t0 = 0) the value v0 is -1 for every
-    kappa, and v0' = 1.
+    Returns (A M(t0), A M'(t0)), the start that leaves no growing
+    homogeneous mode.  In the sphere configuration (b = 2-kappa,
+    A = sqrt(kappa), t0 = 0) the value v0 is -1 for every kappa, and
+    v0' = 1.
     """
     if t0 < 0.0:
         raise ValueError(f"t0 must be >= 0, got {t0}")
-    alpha, beta = _roots_from_damping(b)
-    m0, m0p = _kernel(t0, alpha, beta)
-    c1 = -A * cmath.sqrt(beta) * villat(alpha * t0) / (beta - alpha)
-    c2 = A * cmath.sqrt(alpha) * villat(beta * t0) / (beta - alpha)
-    return MonotoneIC(v0=A * m0, v0_prime=A * m0p, c1=c1, c2=c2)
+    m0, m0p = _kernel(t0, *_roots_from_damping(b))
+    return MonotoneIC(v0=A * m0, v0_prime=A * m0p)

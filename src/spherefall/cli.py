@@ -4,8 +4,8 @@ Outputs are machine-readable (CSV with an `t,u,du` header or versioned
 JSON), floats are written in shortest round-trip form, and files are
 replaced atomically, so identical configurations produce byte-identical
 results.  Exit codes: 0 success (and, for `verify`, all checks passed),
-1 usage error, 2 verification failure (reports still written),
-3 numerical failure (overflow/divergence).
+1 usage error (a non-finite flag, an unwritable output), 2 verification
+failure (reports still written), 3 numerical failure (overflow/divergence).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -41,6 +42,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite_float(text: str) -> float:
+    """The argument type of every real-valued flag: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 # ----------------------------------------------------------------------
 # Output helpers
 # ----------------------------------------------------------------------
@@ -50,16 +62,17 @@ def _fmt(x: float) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:  # name the requested path, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
@@ -252,8 +265,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp, with_solver=True):
-        sp.add_argument("--h", type=float, default=1e-3, help="step size")
-        sp.add_argument("--T", type=float, default=10.0, help="horizon")
+        sp.add_argument("--h", type=_finite_float, default=1e-3, help="step size")
+        sp.add_argument("--T", type=_finite_float, default=10.0, help="horizon")
         sp.add_argument("--output", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", default="-", help="output path ('-' = stdout)")
         if with_solver:
@@ -262,42 +275,42 @@ def _build_parser() -> _Parser:
             )
 
     sp = sub.add_parser("trajectory", help="one trajectory (sphere or forced oscillator)")
-    sp.add_argument("--kappa", type=float, help="density parameter of the sphere problem")
-    sp.add_argument("--eps", type=float, default=0.0, help="initial velocity u(0)")
-    sp.add_argument("--b", type=float, help="oscillator damping (enables oscillator mode)")
-    sp.add_argument("--A", type=float, default=1.0, help="oscillator forcing amplitude")
-    sp.add_argument("--t0", type=float, default=0.0, help="oscillator forcing offset")
+    sp.add_argument("--kappa", type=_finite_float, help="density parameter of the sphere problem")
+    sp.add_argument("--eps", type=_finite_float, default=0.0, help="initial velocity u(0)")
+    sp.add_argument("--b", type=_finite_float, help="oscillator damping (enables oscillator mode)")
+    sp.add_argument("--A", type=_finite_float, default=1.0, help="oscillator forcing amplitude")
+    sp.add_argument("--t0", type=_finite_float, default=0.0, help="oscillator forcing offset")
     add_common(sp)
     sp.set_defaults(handler=_cmd_trajectory)
 
     sp = sub.add_parser("sweep", help="sphere trajectories over a list of kappa values")
     sp.add_argument("--kappas", required=True,
                     help="comma-separated kappa list, e.g. 0.5,1,2.5")
-    sp.add_argument("--eps", type=float, default=0.0)
+    sp.add_argument("--eps", type=_finite_float, default=0.0)
     add_common(sp)
     sp.set_defaults(handler=_cmd_sweep, out="sweep_out")
 
     sp = sub.add_parser("compare", help="closed-form vs IDE vs ODE on one grid")
-    sp.add_argument("--kappa", type=float, required=True)
-    sp.add_argument("--eps", type=float, default=0.0)
+    sp.add_argument("--kappa", type=_finite_float, required=True)
+    sp.add_argument("--eps", type=_finite_float, default=0.0)
     add_common(sp, with_solver=False)
     sp.set_defaults(handler=_cmd_compare)
 
     sp = sub.add_parser("verify", help="run the verification suite")
-    sp.add_argument("--h", type=float, default=1e-3)
+    sp.add_argument("--h", type=_finite_float, default=1e-3)
     sp.add_argument("--points", type=int, default=400, help="closed-form grid density")
     sp.add_argument("--out", default="-", help="JSON report path")
     sp.set_defaults(handler=_cmd_verify)
 
     sp = sub.add_parser("drag", help="dimensional force decomposition along a solve")
-    sp.add_argument("--rho-s", type=float, required=True, dest="rho_s")
-    sp.add_argument("--rho", type=float, required=True)
-    sp.add_argument("--mu", type=float, required=True)
-    sp.add_argument("--radius", type=float, required=True)
-    sp.add_argument("--g", type=float, default=9.81)
-    sp.add_argument("--eps", type=float, default=0.0, help="initial velocity / U0")
-    sp.add_argument("--h", type=float, default=1e-4, help="step size in seconds")
-    sp.add_argument("--T", type=float, default=0.1, help="horizon in seconds")
+    sp.add_argument("--rho-s", type=_finite_float, required=True, dest="rho_s")
+    sp.add_argument("--rho", type=_finite_float, required=True)
+    sp.add_argument("--mu", type=_finite_float, required=True)
+    sp.add_argument("--radius", type=_finite_float, required=True)
+    sp.add_argument("--g", type=_finite_float, default=9.81)
+    sp.add_argument("--eps", type=_finite_float, default=0.0, help="initial velocity / U0")
+    sp.add_argument("--h", type=_finite_float, default=1e-4, help="step size in seconds")
+    sp.add_argument("--T", type=_finite_float, default=0.1, help="horizon in seconds")
     sp.add_argument("--output", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default="-")
     sp.set_defaults(handler=_cmd_drag)
@@ -308,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.handler(args)
-    except (_UsageError, ValueError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:  # OSError: an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:  # includes OverflowError and AccuracyError

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,13 +25,12 @@ from .trajectory import Trajectory, uniform_grid
 __all__ = [
     "OscillatorProblem",
     "StabilityClass",
-    "FixedPoint",
     "classify_homogeneous",
     "solve_oscillator",
-    "phase_portrait_fixed_point",
 ]
 
 _OVERFLOW_GUARD = 1e280
+_BOOTSTRAP_STEPS = 32  # closed-form grid states that start a singular (t0 = 0) run
 
 
 @dataclass(frozen=True)
@@ -70,12 +68,6 @@ class StabilityClass:
     re_sign: str  # "negative" | "zero" | "positive"
 
 
-class FixedPoint(NamedTuple):
-    x: float
-    y: float
-    eigenvalues: tuple[complex, complex]
-
-
 def classify_homogeneous(b: float) -> StabilityClass:
     """Classify the homogeneous roots: complex pair iff |b| < 2, sign of Re = sign(-b/2)."""
     if abs(b) < 2.0:
@@ -97,18 +89,15 @@ def _rhs(t: float, x: float, y: float, b: float, A: float, t0: float) -> tuple[f
     return y, -x - b * y - A / math.sqrt(math.pi * (t + t0))
 
 
-def solve_oscillator(
-    prob: OscillatorProblem, h: float, T: float, bootstrap_steps: int = 32
-) -> Trajectory:
+def solve_oscillator(prob: OscillatorProblem, h: float, T: float) -> Trajectory:
     """Integrate the forced oscillator to the horizon T with fixed step h.
 
     With t0 = 0 the forcing derivatives are unbounded at the start and a
     one-step method cannot hold its order there, so the first
-    ``bootstrap_steps`` grid states come from the closed form
-    (:func:`spherefall.analytic.general_state`); requesting a singular
-    start with bootstrap_steps < 1 is a configuration error.  A
-    diverging trajectory is truncated and flagged in ``meta['diverged']``
-    rather than raised: the divergence is the object under study.
+    ``_BOOTSTRAP_STEPS`` grid states come from the closed form
+    (:func:`spherefall.analytic.general_state`).  A diverging trajectory
+    is truncated and flagged in ``meta['diverged']`` rather than raised:
+    the divergence is the object under study.
     """
     times = uniform_grid(h, T)
     n = len(times) - 1
@@ -119,12 +108,7 @@ def solve_oscillator(
     v[0], dv[0] = prob.v0, prob.v0_prime
     start = 0
     if t0 == 0.0:
-        if bootstrap_steps < 1:
-            raise ValueError(
-                "solve_oscillator: t0 = 0 is a singular start and requires the "
-                "closed-form bootstrap (bootstrap_steps >= 1)"
-            )
-        start = min(bootstrap_steps, n)
+        start = min(_BOOTSTRAP_STEPS, n)
         for i in range(1, start + 1):
             v[i], dv[i] = analytic.general_state(i * h, b, A, 0.0, prob.v0, prob.v0_prime)
 
@@ -156,13 +140,3 @@ def solve_oscillator(
         "diverged": diverged,
     }
     return Trajectory(times=times[: last + 1], values=v[: last + 1], derivatives=dv[: last + 1], meta=meta)
-
-
-def phase_portrait_fixed_point(kappa: float) -> FixedPoint:
-    """Equilibrium (x, y) = (1, 0) of the first-order system, with its eigenvalues.
-
-    The eigenvalues are the characteristic roots for the given kappa;
-    their real part turns positive for 2 < kappa < 4, where the
-    equilibrium is unstable even though the transient stays monotone.
-    """
-    return FixedPoint(x=1.0, y=0.0, eigenvalues=analytic._roots(2.0 - kappa))

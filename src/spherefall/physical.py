@@ -27,11 +27,8 @@ __all__ = [
     "DimensionlessGroup",
     "stokes_terminal_velocity",
     "nondimensionalize",
-    "viscous_penetration_depth",
-    "oscillatory_drag",
     "DragForces",
     "drag_forces",
-    "unsteady_drag",
     "buoyancy_force",
     "dimensional_trajectory",
 ]
@@ -108,40 +105,6 @@ def nondimensionalize(p: PhysicalParams) -> DimensionlessGroup:
     return DimensionlessGroup(B=B, Q=Q, M=M, kappa=kappa, U0=M / B)
 
 
-def viscous_penetration_depth(p: PhysicalParams, omega: float) -> float:
-    """Oscillatory boundary-layer thickness delta = sqrt(2 nu / omega)."""
-    if omega <= 0.0:
-        raise ValueError(f"omega must be > 0, got {omega}")
-    return math.sqrt(2.0 * p.nu / omega)
-
-
-def oscillatory_drag(p: PhysicalParams, U: float, dUdt: float, omega: float) -> float:
-    """Drag on a sphere oscillating at frequency omega with instantaneous state (U, dU/dt).
-
-    F = 6 pi mu R (1 + R/delta) U + 3 pi R^2 rho delta (1 + 2R/(9 delta)) dU/dt,
-    delta = sqrt(2 nu / omega).  Linear in (U, dU/dt).
-    """
-    delta = viscous_penetration_depth(p, omega)
-    in_phase = 6.0 * math.pi * p.mu * p.R * (1.0 + p.R / delta) * U
-    out_of_phase = (
-        3.0 * math.pi * p.R**2 * p.rho * delta * (1.0 + 2.0 * p.R / (9.0 * delta)) * dUdt
-    )
-    return in_phase + out_of_phase
-
-
-def _grid_index(traj: Trajectory, t: float) -> int:
-    h = traj.step()
-    if t < -1e-12 or t > traj.times[-1] + 1e-9 * h:
-        raise ValueError(
-            f"t={t} outside the trajectory domain [0, {traj.times[-1]}]"
-        )
-    i = int(round(t / h))
-    i = min(max(i, 0), len(traj) - 1)
-    if abs(traj.times[i] - t) > 1e-9 * max(h, 1.0):
-        raise ValueError(f"t={t} does not lie on the trajectory grid (step {h})")
-    return i
-
-
 class DragForces(NamedTuple):
     """Force columns (N) of the balance at every grid point of a trajectory."""
 
@@ -172,16 +135,6 @@ def drag_forces(p: PhysicalParams, traj: Trajectory) -> DragForces:
     buoyancy = buoyancy_force(p)
     residual = p.rho_s * p.volume * dU + (stokes + added_mass + basset) - buoyancy
     return DragForces(stokes, added_mass, basset, np.full(len(traj), buoyancy), residual)
-
-
-def unsteady_drag(p: PhysicalParams, traj: Trajectory, t: float) -> float:
-    """Total drag F_stokes + F_added_mass + F_basset at time t (see :func:`drag_forces`).
-
-    t must be a grid point of the uniform trajectory grid.
-    """
-    i = _grid_index(traj, t)
-    f = drag_forces(p, traj)
-    return f.stokes[i] + f.added_mass[i] + f.basset[i]
 
 
 def buoyancy_force(p: PhysicalParams) -> float:

@@ -208,6 +208,16 @@ def villat_asymptotic(z: complex, m_max: int) -> AsymptoticValue:
 _QUAD_CUTOFF = 9.0  # tail beyond |s|=9 is below exp(-81) ~ 6e-36
 
 
+def _truncated_quad(f, peak: float, *, epsabs: float, epsrel: float, limit: int):
+    """quad's (value, error estimate) of an exp(-s^2)-weighted f over |s| <= 9.
+
+    f peaks at s = peak, a hint to the adaptive rule when it lies inside the window.
+    """
+    points = [peak] if -_QUAD_CUTOFF < peak < _QUAD_CUTOFF else None
+    return quad(f, -_QUAD_CUTOFF, _QUAD_CUTOFF, points=points, epsabs=epsabs,
+                epsrel=epsrel, limit=limit)
+
+
 def _poisson_quadrature(x: float, y: float, numerator, name: str) -> float:
     if y <= 0.0:
         raise ValueError(f"{name}: requires y > 0")
@@ -218,18 +228,8 @@ def _poisson_quadrature(x: float, y: float, numerator, name: str) -> float:
         dx = x - s
         return numerator(dx) * math.exp(-s * s) / (dx * dx + y * y)
 
-    # The Lorentzian factor peaks at s = x; give the adaptive rule a hint
-    # when the peak lies inside the truncated window.
-    points = [x] if -_QUAD_CUTOFF < x < _QUAD_CUTOFF else None
-    val, est = quad(
-        integrand,
-        -_QUAD_CUTOFF,
-        _QUAD_CUTOFF,
-        points=points,
-        epsabs=1e-13,
-        epsrel=1e-13,
-        limit=300,
-    )
+    # The Lorentzian factor peaks at s = x.
+    val, est = _truncated_quad(integrand, x, epsabs=1e-13, epsrel=1e-13, limit=300)
     if est > 1e-10:
         raise AccuracyError(f"{name}: quadrature did not converge (est={est:.2e})")
     return val / math.pi

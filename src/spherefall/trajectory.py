@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,8 @@ class Trajectory:
 
 def uniform_grid(h: float, T: float) -> np.ndarray:
     """The grid t_k = k h, k = 0..n, with n = max(1, round(T / h)) steps to the horizon T."""
+    if not (math.isfinite(h) and math.isfinite(T)):
+        raise ValueError(f"h and T must be finite, got h={h}, T={T}")
     if h <= 0.0:
         raise ValueError(f"h must be > 0, got {h}")
     if T < h:

@@ -10,15 +10,12 @@ from hypothesis import given, settings, strategies as st
 from spherefall import analytic, ide
 from spherefall.analytic import (
     char_roots,
-    coefficients_from_ic,
     general_solution,
     general_state,
     monotone_initial_conditions,
     monotone_kernel_M,
     monotone_kernel_M_derivative,
     monotone_kernel_samples,
-    particular_solution_vp,
-    u_general,
     u_rest,
     u_rest_derivative,
 )
@@ -170,18 +167,27 @@ def test_kappa_below_the_resolution_of_b_is_rejected_by_name():
 # General initial velocity
 # ----------------------------------------------------------------------
 
+def _sphere_u(times, kappa, eps):
+    # The sphere released with u(0) = eps, sampled through its oscillator map.
+    prob = OscillatorProblem.sphere(kappa, eps)
+    v, dv = monotone_kernel_samples(np.asarray(times, dtype=float), prob.b, prob.A, prob.t0)
+    return 1.0 + v, dv
+
+
 def test_u_general_eps_one_is_constant():
-    assert all(u_general(t, 2.0, 1.0) == 1.0 for t in (0.0, 0.5, 3.0, 20.0))
+    u, du = _sphere_u([0.0, 0.5, 3.0, 20.0], 2.0, 1.0)
+    assert np.all(u == 1.0) and np.all(du == 0.0)
 
 
 def test_u_general_eps_zero_is_u_rest():
-    for t in (0.0, 0.7, 5.0):
-        assert u_general(t, 1.5, 0.0) == u_rest(t, 1.5)
+    times = [0.0, 0.7, 5.0]
+    u, _ = _sphere_u(times, 1.5, 0.0)
+    assert u.tolist() == [u_rest(t, 1.5) for t in times]
 
 
 def test_u_general_matches_ide_solver():
     traj = ide.solve_ide(2.0, 0.5, 1e-3, 10.0)
-    ref = np.array([u_general(t, 2.0, 0.5) for t in traj.times])
+    ref, _ = _sphere_u(traj.times, 2.0, 0.5)
     assert np.max(np.abs(traj.values - ref)) <= 1e-4
 
 
@@ -292,19 +298,24 @@ def test_kernel_domain_errors():
 # Variation of parameters and the general solution
 # ----------------------------------------------------------------------
 
+def _vp(t, b, A, t0):
+    # The oscillator started at rest is the variation-of-parameters solution.
+    return general_state(t, b, A, t0, 0.0, 0.0)[0]
+
+
 def test_vp_starts_at_zero():
-    assert abs(particular_solution_vp(0.0, -1.0, 1.0, 1.0)) < 1e-14
+    assert abs(_vp(0.0, -1.0, 1.0, 1.0)) < 1e-14
 
 
 def test_vp_against_erfc_difference_oracle():
-    assert abs(particular_solution_vp(2.0, -1.0, 1.0, 1.0) - VP_2) < 1e-12
-    assert abs(particular_solution_vp(0.5, -1.0, 1.0, 1.0) - VP_HALF) < 1e-13
+    assert abs(_vp(2.0, -1.0, 1.0, 1.0) - VP_2) < 1e-12
+    assert abs(_vp(0.5, -1.0, 1.0, 1.0) - VP_HALF) < 1e-13
     for t, b, a, t0 in ((1.0, 0.5, 2.0, 0.5), (3.0, -0.3, 0.7, 2.0)):
-        assert abs(particular_solution_vp(t, b, a, t0) - vp_mp(t, b, a, t0)) < 1e-11
+        assert abs(_vp(t, b, a, t0) - vp_mp(t, b, a, t0)) < 1e-11
 
 
 def test_vp_linear_in_amplitude_and_zero_at_zero_amplitude():
-    assert particular_solution_vp(1.3, -1.0, 0.0, 1.0) == 0.0
+    assert _vp(1.3, -1.0, 0.0, 1.0) == 0.0
 
 
 def test_vp_satisfies_the_oscillator_equation():
@@ -312,9 +323,9 @@ def test_vp_satisfies_the_oscillator_equation():
     h = 1e-4
     for t in (0.5, 1.0, 4.0):
         vm, v0, vp_ = (
-            particular_solution_vp(t - h, b, A, t0),
-            particular_solution_vp(t, b, A, t0),
-            particular_solution_vp(t + h, b, A, t0),
+            _vp(t - h, b, A, t0),
+            _vp(t, b, A, t0),
+            _vp(t + h, b, A, t0),
         )
         second = (vp_ - 2.0 * v0 + vm) / (h * h)
         first = (vp_ - vm) / (2.0 * h)
@@ -324,9 +335,9 @@ def test_vp_satisfies_the_oscillator_equation():
 
 def test_vp_domain_errors():
     with pytest.raises(ValueError):
-        particular_solution_vp(0.0, -1.0, 1.0, 0.0)  # t + t0 == 0
+        _vp(0.0, -1.0, 1.0, -1.0)
     with pytest.raises(ValueError):
-        particular_solution_vp(-1.0, -1.0, 1.0, 1.0)
+        _vp(-1.0, -1.0, 1.0, 1.0)
 
 
 def test_general_solution_with_monotone_ics_is_the_kernel_translate():
@@ -361,13 +372,14 @@ def test_general_state_reproduces_initial_conditions():
 # ----------------------------------------------------------------------
 
 def test_coefficients_from_ic_zero_maps_to_zero():
-    assert coefficients_from_ic(0.3, 0.0, 0.0) == (0j, 0j)
+    assert general_state(2.0, 0.3, 0.0, 1.0, 0.0, 0.0) == (0.0, 0.0)
 
 
 def test_coefficients_from_ic_hand_value():
-    c1, c2 = coefficients_from_ic(0.0, 1.0, 0.0)
-    assert abs(c1 - 0.5) < 1e-15
-    assert abs(c2 - 0.5) < 1e-15
+    # b = 0, A = 0: C1 = C2 = 1/2 for v(0) = 1, v'(0) = 0, so v = cos t.
+    v, dv = general_state(1.0, 0.0, 0.0, 1.0, 1.0, 0.0)
+    assert abs(v - math.cos(1.0)) < 1e-15
+    assert abs(dv + math.sin(1.0)) < 1e-15
 
 
 @given(
@@ -377,12 +389,10 @@ def test_coefficients_from_ic_hand_value():
 )
 @settings(max_examples=100, deadline=None)
 def test_coefficients_reconstruction_identity(b, w0, w0p):
-    c1, c2 = coefficients_from_ic(b, w0, w0p)
-    alpha = complex(-b / 2.0, math.sqrt(4.0 - b * b) / 2.0)
-    beta = alpha.conjugate()
-    assert abs((c1 + c2) - w0) <= 1e-12 * (1.0 + abs(w0))
-    assert abs((alpha * c1 + beta * c2) - w0p) <= 1e-12 * (1.0 + abs(w0p))
-    assert abs(c2 - c1.conjugate()) <= 1e-12 * (1.0 + abs(c1))
+    # The homogeneous coefficients reproduce the initial state at t = 0.
+    v, dv = general_state(0.0, b, 0.5, 1.0, w0, w0p)
+    assert abs(v - w0) <= 1e-12 * (1.0 + abs(w0))
+    assert abs(dv - w0p) <= 1e-12 * (1.0 + abs(w0p))
 
 
 @pytest.mark.parametrize("kappa", np.linspace(0.1, 3.9, 20).tolist())
@@ -400,25 +410,15 @@ def test_monotone_ic_scales_linearly_to_zero():
     assert ic0.v0 == 0.0 and ic0.v0_prime == 0.0
 
 
-def test_monotone_ic_coefficients_match_ic_map():
-    # The stored (c1, c2) are exactly what the IC map produces from
-    # (v0, v0'), since the variation-of-parameters solution starts at rest.
-    for b, A, t0 in ((-1.0, 1.0, 1.0), (0.7, 2.0, 0.3)):
-        ic = monotone_initial_conditions(b, A, t0)
-        c1, c2 = coefficients_from_ic(b, ic.v0, ic.v0_prime)
-        assert abs(c1 - ic.c1) <= 1e-12
-        assert abs(c2 - ic.c2) <= 1e-12
-
-
 def test_monotone_ic_zeroes_homogeneous_modes_against_kernel():
-    b, A, t0 = -1.0, 1.0, 1.0
+    # A homogeneous mode C e^{alpha t} left over grows like e^{t/2} at b = -1;
+    # at t = 40 any |C| > 1e-10 would show.
+    b, A, t0, t = -1.0, 1.0, 1.0, 40.0
     ic = monotone_initial_conditions(b, A, t0)
-    c1, c2 = coefficients_from_ic(
-        b,
-        ic.v0 - A * monotone_kernel_M(t0, b),
-        ic.v0_prime - A * monotone_kernel_M_derivative(t0, b),
-    )
-    assert abs(c1) <= 1e-10 and abs(c2) <= 1e-10
+    v, dv = general_state(t, b, A, t0, ic.v0, ic.v0_prime)
+    growth = math.exp(0.5 * t)
+    assert abs(v - A * monotone_kernel_M(t + t0, b)) <= 1e-10 * growth
+    assert abs(dv - A * monotone_kernel_M_derivative(t + t0, b)) <= 1e-10 * growth
 
 
 def test_general_solution_monotone_sweep():

@@ -47,6 +47,9 @@ def test_uniform_grid_rounds_the_horizon_to_whole_steps():
         uniform_grid(0.0, 1.0)
     with pytest.raises(ValueError, match="at least one step"):
         uniform_grid(0.1, -1.0)
+    for h, T in ((0.1, math.inf), (0.1, math.nan), (math.nan, 1.0), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            uniform_grid(h, T)
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,6 @@ from spherefall import analytic
 from spherefall.ode import (
     OscillatorProblem,
     classify_homogeneous,
-    phase_portrait_fixed_point,
     solve_oscillator,
 )
 
@@ -64,9 +63,17 @@ def test_sphere_case_bootstrap_matches_closed_form():
 
 
 def test_singular_start_requires_bootstrap():
+    # With t0 = 0 the first 32 states (or the whole grid, if shorter) are
+    # the closed form; RK4 takes over from there.
     prob = OscillatorProblem(b=0.5, A=1.0, t0=0.0, v0=-1.0, v0_prime=1.0)
-    with pytest.raises(ValueError):
-        solve_oscillator(prob, 1e-3, 1.0, bootstrap_steps=0)
+    for T, start in ((1.0, 32), (0.01, 10)):
+        traj = solve_oscillator(prob, 1e-3, T)
+        assert traj.meta["bootstrap_steps"] == start
+        for i in range(1, start + 1):
+            state = analytic.general_state(i * 1e-3, 0.5, 1.0, 0.0, -1.0, 1.0)
+            assert (traj.values[i], traj.derivatives[i]) == state
+    smooth = OscillatorProblem(b=0.5, A=1.0, t0=1.0, v0=-1.0, v0_prime=1.0)
+    assert solve_oscillator(smooth, 1e-3, 1.0).meta["bootstrap_steps"] == 0
 
 
 def test_fourth_order_convergence_on_smooth_problem():
@@ -134,25 +141,3 @@ def test_solver_argument_validation():
     with pytest.raises(ValueError):
         OscillatorProblem(b=0.0, A=1.0, t0=-1.0, v0=0.0, v0_prime=0.0)
 
-
-def test_fixed_point_location_and_eigenvalues():
-    fp = phase_portrait_fixed_point(2.0)
-    assert (fp.x, fp.y) == (1.0, 0.0)
-    assert abs(fp.eigenvalues[0] - 1j) < 1e-15
-    assert abs(fp.eigenvalues[1] + 1j) < 1e-15
-
-    fp_unstable = phase_portrait_fixed_point(2.5)
-    assert fp_unstable.eigenvalues[0].real > 0.0
-
-    fp_double = phase_portrait_fixed_point(4.0)
-    assert abs(fp_double.eigenvalues[0] - 1.0) < 1e-15
-    assert abs(fp_double.eigenvalues[1] - 1.0) < 1e-15
-
-
-def test_fixed_point_eigenvalues_are_the_characteristic_roots():
-    for kappa in np.linspace(0.0, 9.0, 451)[1:-1]:
-        if kappa == 4.0:
-            continue
-        roots = analytic.char_roots(float(kappa))
-        assert phase_portrait_fixed_point(float(kappa)).eigenvalues == (roots.alpha, roots.beta)
-    assert phase_portrait_fixed_point(4.0).eigenvalues == (1.0, 1.0)

@@ -14,10 +14,7 @@ from spherefall.physical import (
     dimensional_trajectory,
     drag_forces,
     nondimensionalize,
-    oscillatory_drag,
     stokes_terminal_velocity,
-    unsteady_drag,
-    viscous_penetration_depth,
 )
 from spherefall.trajectory import Trajectory
 
@@ -25,7 +22,6 @@ from spherefall.trajectory import Trajectory
 # (30-digit arithmetic): U0 = 2*190*9.8*1e-6/0.9.
 P_REF = PhysicalParams(rho_s=1190.0, rho=1000.0, mu=0.1, R=0.001, g=9.8)
 U0_REF = 4.1377777777777778e-3
-F_OSC_REF = 8.3510372300356519e-6  # oscillatory drag at U=U0, dU/dt=0, omega=1
 F_BUOY_REF = 7.7995273613122600e-6
 
 densities = st.floats(min_value=1.0, max_value=5e4, allow_nan=False)
@@ -92,44 +88,6 @@ def test_group_validation_rejects_inconsistent_fields():
         DimensionlessGroup(B=1.0, Q=1.0, M=1.0, kappa=1.0, U0=1.0)  # kappa != pi Q^2/B
 
 
-def test_penetration_depth_scaling():
-    d1 = viscous_penetration_depth(P_REF, 1.0)
-    d4 = viscous_penetration_depth(P_REF, 4.0)
-    assert abs(d1 - 2.0 * d4) <= 1e-15
-    assert abs(d1 - math.sqrt(2.0 * P_REF.nu)) <= 1e-15
-
-
-def test_oscillatory_drag_zero_state():
-    assert oscillatory_drag(P_REF, 0.0, 0.0, 5.0) == 0.0
-
-
-def test_oscillatory_drag_hand_value():
-    F = oscillatory_drag(P_REF, U0_REF, 0.0, 1.0)
-    assert abs(F - F_OSC_REF) <= 1e-12 * F_OSC_REF
-
-
-def test_oscillatory_drag_rejects_bad_frequency():
-    with pytest.raises(ValueError):
-        oscillatory_drag(P_REF, 1.0, 0.0, 0.0)
-
-
-@given(
-    st.floats(min_value=-10, max_value=10),
-    st.floats(min_value=-10, max_value=10),
-    st.floats(min_value=-10, max_value=10),
-    st.floats(min_value=-10, max_value=10),
-    st.floats(min_value=-3, max_value=3),
-    st.floats(min_value=-3, max_value=3),
-)
-@settings(max_examples=60, deadline=None)
-def test_oscillatory_drag_linearity(u1, du1, u2, du2, a, b):
-    lhs = oscillatory_drag(P_REF, a * u1 + b * u2, a * du1 + b * du2, 2.0)
-    rhs = a * oscillatory_drag(P_REF, u1, du1, 2.0) + b * oscillatory_drag(
-        P_REF, u2, du2, 2.0
-    )
-    assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs) + abs(rhs))
-
-
 def _constant_history(value: float, n: int = 200, h: float = 1e-3) -> Trajectory:
     times = np.arange(n + 1) * h
     return Trajectory(
@@ -139,9 +97,13 @@ def _constant_history(value: float, n: int = 200, h: float = 1e-3) -> Trajectory
     )
 
 
+def _total_drag(f) -> np.ndarray:
+    return f.stokes + f.added_mass + f.basset
+
+
 def test_unsteady_drag_constant_history_is_stokes_drag():
     traj = _constant_history(U0_REF)
-    F = unsteady_drag(P_REF, traj, traj.times[-1])
+    F = _total_drag(drag_forces(P_REF, traj))[-1]
     stokes = 6.0 * math.pi * P_REF.mu * P_REF.R * U0_REF
     assert abs(F - stokes) <= 1e-14 * stokes
     # ... which balances buoyancy at terminal velocity.
@@ -154,7 +116,7 @@ def test_unsteady_drag_linear_ramp_history():
     times = np.arange(n + 1) * h
     traj = Trajectory(times=times, values=times.copy(), derivatives=np.ones(n + 1))
     t = times[-1]
-    F = unsteady_drag(P_REF, traj, t)
+    F = _total_drag(drag_forces(P_REF, traj))[-1]
     stokes = 6.0 * math.pi * P_REF.mu * P_REF.R * t
     added = 0.5 * P_REF.rho * P_REF.volume
     basset = (
@@ -164,11 +126,13 @@ def test_unsteady_drag_linear_ramp_history():
 
 
 def test_unsteady_drag_range_errors():
-    traj = _constant_history(1.0)
+    # The history read-back needs a uniform grid of at least two points.
     with pytest.raises(ValueError):
-        unsteady_drag(P_REF, traj, traj.times[-1] + 1.0)
-    with pytest.raises(ValueError):
-        unsteady_drag(P_REF, traj, 0.5 * traj.step())
+        drag_forces(P_REF, _constant_history(1.0, n=0))
+    times = np.array([0.0, 1e-3, 3e-3])
+    traj = Trajectory(times=times, values=np.ones(3), derivatives=np.zeros(3))
+    with pytest.raises(ValueError, match="not uniform"):
+        drag_forces(P_REF, traj)
 
 
 def test_force_balance_closes_on_solver_output():
@@ -177,9 +141,9 @@ def test_force_balance_closes_on_solver_output():
     dim = dimensional_trajectory(group, traj)
     f_buoy = buoyancy_force(P_REF)
     inertia = P_REF.rho_s * P_REF.volume
+    drag = _total_drag(drag_forces(P_REF, dim))
     for i in (1, 100, 1000, len(dim) - 1):
-        t = dim.times[i]
-        resid = inertia * dim.derivatives[i] - (f_buoy - unsteady_drag(P_REF, dim, t))
+        resid = inertia * dim.derivatives[i] - (f_buoy - drag[i])
         assert abs(resid) <= 1e-10 * f_buoy
 
 
@@ -191,9 +155,6 @@ def test_drag_forces_columns_close_the_balance_on_solver_output():
     assert f.basset[0] == 0.0
     assert np.all(f.buoyancy == buoyancy_force(P_REF))
     assert np.max(np.abs(f.residual)) <= 1e-10 * buoyancy_force(P_REF)
-    for i in (0, 1, 1000, len(dim) - 1):
-        total = f.stokes[i] + f.added_mass[i] + f.basset[i]
-        assert unsteady_drag(P_REF, dim, dim.times[i]) == total
 
 
 def test_dimensional_trajectory_identity_group():
