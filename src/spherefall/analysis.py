@@ -14,15 +14,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from . import analytic, ide, ode
 from .trajectory import Trajectory
 from .special import (
-    _QUAD_CUTOFF,
-    _truncated_quad,
+    _window_quadrature,
     AccuracyError,
     faddeeva,
     faddeeva_im_quadrature,
@@ -95,85 +94,42 @@ def check_monotone(traj: Trajectory, tol: float = 1e-12) -> VerificationReport:
 # The sign integral behind the monotonicity result
 # ----------------------------------------------------------------------
 
-def _proof_P(s, t: float, theta: float):
-    return (s + math.sqrt(t) * math.sin(theta / 2.0)) ** 2 + t * math.cos(
-        theta / 2.0
-    ) ** 2
+def _proof_peak(t: float, theta: float) -> tuple[float, float]:
+    """(-sqrt(t) sin(theta/2), sqrt(t) cos(theta/2)), after checking the domain.
 
-
-def proof_integrand_F(s: float, t: float, theta: float) -> float:
-    """F(s) = s exp(-s^2) / P(s) with P(s) = (s + sqrt(t) sin(theta/2))^2 + t cos^2(theta/2).
-
-    P(s) > 0 for all real s, so F is smooth; it is merely sharply peaked
-    as theta -> pi, where P(-s) approaches (s - sqrt(t))^2.
+    These are the peak and half-width of the Lorentzian factor 1/P of F,
+    and the real and imaginary parts of the Faddeeva argument behind it.
     """
     if t <= 0.0:
         raise ValueError(f"t must be > 0, got {t}")
     if not 0.0 < theta < math.pi:
         raise ValueError(f"theta must lie in (0, pi), got {theta}")
-    return s * math.exp(-s * s) / _proof_P(s, t, theta)
+    root = math.sqrt(t)
+    return -root * math.sin(theta / 2.0), root * math.cos(theta / 2.0)
 
 
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+def proof_integrand_F(s, t: float, theta: float):
+    """F(s) = s exp(-s^2) / P(s) with P(s) = (s + sqrt(t) sin(theta/2))^2 + t cos^2(theta/2).
 
-
-def _gauss_composite(
-    f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray, order: int
-) -> float:
-    if order not in _GAUSS_CACHE:
-        _GAUSS_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    nodes, weights = _GAUSS_CACHE[order]
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        total += half * float(weights @ f(mid + half * nodes))
-    return total
+    P(s) > 0 for all real s, so F is smooth; it is merely sharply peaked
+    as theta -> pi, where P(-s) approaches (s - sqrt(t))^2.  s may be an array.
+    """
+    peak, width = _proof_peak(t, theta)
+    return s * np.exp(-s * s) / ((s - peak) ** 2 + width * width)
 
 
 def proof_integral(t: float, theta: float) -> float:
     """Integral of F over the real line (truncated at |s| <= 9); strictly negative.
 
-    Adaptive quadrature refereed by a composite Gauss rule with doubled
-    panels; disagreement raises AccuracyError instead of returning an
+    Graded Gauss-Legendre panels around the peak of F; an error estimate
+    above max(1e-9, 1e-7 |I|) raises AccuracyError instead of returning an
     unverified number.
     """
-    if t <= 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
-    if not 0.0 < theta < math.pi:
-        raise ValueError(f"theta must lie in (0, pi), got {theta}")
-
-    s_peak = -math.sqrt(t) * math.sin(theta / 2.0)
-    width = max(math.sqrt(t) * math.cos(theta / 2.0), 1e-3)
-
-    def f_scalar(s: float) -> float:
-        return s * math.exp(-s * s) / _proof_P(s, t, theta)
-
-    def f_array(s: np.ndarray) -> np.ndarray:
-        return s * np.exp(-s * s) / _proof_P(s, t, theta)
-
-    primary, est = _truncated_quad(f_scalar, s_peak, epsabs=1e-13, epsrel=1e-12, limit=400)
-    if est > max(1e-9, 1e-7 * abs(primary)):
-        raise AccuracyError(f"proof_integral: adaptive rule did not converge (est={est:.2e})")
-
-    # Doubled-node referee: panels concentrated around the Lorentzian peak.
-    edges = {-_QUAD_CUTOFF, _QUAD_CUTOFF, 0.0}
-    for k in (0.0, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0):
-        for sgn in (-1.0, 1.0):
-            e = s_peak + sgn * k * width
-            if -_QUAD_CUTOFF < e < _QUAD_CUTOFF:
-                edges.add(e)
-    edges = np.array(sorted(edges))
-    doubled = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-    ref_a = _gauss_composite(f_array, edges, 32)
-    ref_b = _gauss_composite(f_array, doubled, 32)
-    tol = max(1e-9, 1e-7 * abs(primary))
-    if abs(ref_a - ref_b) > tol or abs(primary - ref_b) > tol:
-        raise AccuracyError(
-            "proof_integral: quadrature rules disagree "
-            f"(adaptive={primary!r}, gauss={ref_a!r}, gauss2={ref_b!r})"
-        )
-    return primary
+    peak, width = _proof_peak(t, theta)
+    value, est = _window_quadrature(lambda s: proof_integrand_F(s, t, theta), peak, width)
+    if not est <= max(1e-9, 1e-7 * abs(value)):  # a NaN estimate is a failure too
+        raise AccuracyError(f"proof_integral: quadrature did not converge (est={est:.2e})")
+    return value
 
 
 def imag_sqrt_alpha_villat(t: float, kappa: float) -> float:
@@ -193,9 +149,7 @@ def imag_sqrt_alpha_villat(t: float, kappa: float) -> float:
     direct = (cmath.sqrt(alpha) * villat(alpha * t)).imag
 
     theta = cmath.phase(alpha)
-    x = -math.sqrt(t) * math.sin(theta / 2.0)
-    y = math.sqrt(t) * math.cos(theta / 2.0)
-    w = faddeeva(complex(x, y))
+    w = faddeeva(complex(*_proof_peak(t, theta)))
     decomposed = math.cos(theta / 2.0) * w.imag + math.sin(theta / 2.0) * w.real
     if abs(direct - decomposed) > 1e-10:
         raise ArithmeticError(

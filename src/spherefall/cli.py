@@ -154,8 +154,7 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_one(args: argparse.Namespace, kappa: float) -> dict:
-    traj = _sphere_trajectory(args.solver, kappa, args.eps, args.h, args.T)
+def _sweep_one(args: argparse.Namespace, kappa: float, traj: Trajectory) -> dict:
     tol = 1e-12 if args.solver == "closed-form" else 10.0 * args.h
     mono = analysis.check_monotone(traj, tol=tol)
     path = os.path.join(args.out, f"trajectory_kappa_{kappa:g}.{args.output}")
@@ -175,8 +174,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise _UsageError(f"sweep: bad --kappas list: {exc}") from exc
     if not kappas:
         raise _UsageError("sweep: --kappas list is empty")
+    # Every kappa is solved before the directory is made, so a bad one leaves no output.
+    solved = [(k, _sphere_trajectory(args.solver, k, args.eps, args.h, args.T)) for k in kappas]
     os.makedirs(args.out, exist_ok=True)
-    results = sorted((_sweep_one(args, k) for k in kappas), key=lambda r: r["kappa"])
+    results = sorted((_sweep_one(args, k, traj) for k, traj in solved), key=lambda r: r["kappa"])
     summary_path = os.path.join(args.out, f"sweep_summary.{args.output}")
     if args.output == "json":
         _atomic_write(

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spherefall
 from direct_oracle import abel_history_direct
 from spherefall.cli import main
 from spherefall.physical import PhysicalParams
@@ -192,10 +196,31 @@ def test_json_and_csv_outputs_carry_the_same_numbers(tmp_path, argv, keys):
     assert np.array_equal(got, rows)
 
 
+def test_cli_runs_without_scipy(tmp_path):
+    # Neither the import nor a verify run (which calls both quadrature oracles) loads scipy.
+    report = tmp_path / "verify.json"
+    code = ("import sys\n"
+            "from spherefall.cli import main\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "at_import = loaded()\n"
+            f"main(['verify', '--h', '0.01', '--points', '20', '--out', {str(report)!r}])\n"
+            "print(at_import, loaded())\n")
+    src = os.path.dirname(os.path.dirname(spherefall.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.splitlines()[-1] == "[] []", done.stderr
+    assert json.loads(report.read_text())["schema"] == 1
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["trajectory"]) == 1  # neither --kappa nor --b
     assert main(["trajectory", "--kappa", "12", "--T", "1", "--h", "0.01"]) == 1
     assert main(["sweep", "--kappas", "abc"]) == 1
+    # A kappa out of the solver's domain stops the sweep before any file is written.
+    sweep_dir = tmp_path / "d"
+    assert main(["sweep", "--kappas", "1,5", "--T", "1", "--h", "0.01",
+                 "--out", str(sweep_dir)]) == 1
+    assert not sweep_dir.exists()
     assert main(["nosuchcommand"]) == 1
     # The closed form checks its grid like the ide and ode solvers do.
     out = tmp_path / "traj.csv"

@@ -45,6 +45,23 @@ def test_faddeeva_vs_quadrature_oracles_on_grid():
             assert abs(w.imag - faddeeva_im_quadrature(float(x), float(y))) < 1e-10
 
 
+@pytest.mark.parametrize("x, y", [(0.0, 1e-6), (2.0, 1e-5), (-3.0, 1e-7)])
+def test_quadrature_oracles_resolve_a_narrow_peak(x, y):
+    w = faddeeva(complex(x, y))
+    assert abs(w.real - faddeeva_re_quadrature(x, y)) <= 1e-10
+    assert abs(w.imag - faddeeva_im_quadrature(x, y)) <= 1e-10
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("quadrature", [faddeeva_re_quadrature, faddeeva_im_quadrature])
+@pytest.mark.parametrize("y", [1e-10, 1e-200])
+def test_quadrature_oracles_raise_where_the_peak_is_unresolved(quadrature, y):
+    # At y = 1e-200, y * y underflows and a node lands on the peak: the
+    # integrand is y/0 or 0/0 there, and an infinite or NaN estimate raises too.
+    with pytest.raises(AccuracyError):
+        quadrature(2.0, y)
+
+
 def test_faddeeva_on_imaginary_axis_real_positive_decreasing():
     ys = np.linspace(0.1, 6.0, 25)
     vals = []
