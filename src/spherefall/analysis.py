@@ -115,20 +115,27 @@ def proof_integrand_F(s, t: float, theta: float):
     as theta -> pi, where P(-s) approaches (s - sqrt(t))^2.  s may be an array.
     """
     peak, width = _proof_peak(t, theta)
-    return s * np.exp(-s * s) / ((s - peak) ** 2 + width * width)
+    return _proof_integrand(s - peak, peak, width)
+
+
+def _proof_integrand(d, peak: float, width: float):
+    # F at s = peak + d, with the Lorentzian formed from the offset d itself.
+    s = peak + d
+    return s * np.exp(-s * s) / (d * d + width * width)
 
 
 def proof_integral(t: float, theta: float) -> float:
     """Integral of F over the real line (truncated at |s| <= 9); strictly negative.
 
-    Graded Gauss-Legendre panels around the peak of F; an error estimate
-    above max(1e-9, 1e-7 |I|) raises AccuracyError instead of returning an
-    unverified number.
+    Graded Gauss-Legendre panels around the peak of F.  An error estimate
+    not below 1e-7 |I| leaves the sign unresolved (as does I = 0, which has
+    none) and raises AccuracyError instead of returning an unverified number.
     """
     peak, width = _proof_peak(t, theta)
-    value, est = _window_quadrature(lambda s: proof_integrand_F(s, t, theta), peak, width)
-    if not est <= max(1e-9, 1e-7 * abs(value)):  # a NaN estimate is a failure too
-        raise AccuracyError(f"proof_integral: quadrature did not converge (est={est:.2e})")
+    value, est = _window_quadrature(lambda d: _proof_integrand(d, peak, width), peak, width)
+    if not est < 1e-7 * abs(value):  # a NaN estimate is a failure too
+        raise AccuracyError(
+            f"proof_integral: sign unresolved (value={value:.2e}, est={est:.2e})")
     return value
 
 

@@ -63,8 +63,17 @@ class MonotoneIC:
     v0_prime: float
 
 
-def _real_part_checked(value: complex) -> float:
-    """Return Re(value), insisting the imaginary residue is ulp-sized."""
+def _real_part_checked(value):
+    """Return Re(value), insisting the imaginary residue is ulp-sized.
+
+    For a complex array the check is element-wise, and an error names the
+    element with the largest residue relative to its modulus.
+    """
+    if isinstance(value, np.ndarray):
+        if value.size:
+            ratio = np.abs(value.imag) / (1.0 + np.abs(value))
+            _real_part_checked(complex(value.flat[np.argmax(ratio)]))
+        return value.real
     if abs(value.imag) > 1e-13 * (1.0 + abs(value)):
         raise ArithmeticError(
             f"conjugate-symmetry violated: imaginary residue {value.imag:.3e} "
@@ -80,7 +89,7 @@ def _roots(b: float) -> tuple[complex, complex]:
     alpha >= beta (the double root -b/2 at |b| = 2).
     """
     if abs(b) < 2.0:
-        alpha = complex(-b / 2.0, math.sqrt(4.0 - b * b) / 2.0)
+        alpha = complex(-b / 2.0, math.sqrt((2.0 - b) * (2.0 + b)) / 2.0)
         return alpha, alpha.conjugate()
     disc = math.sqrt(b * b - 4.0)
     return complex((-b + disc) / 2.0), complex((-b - disc) / 2.0)
@@ -123,14 +132,15 @@ def _sphere(kappa: float) -> tuple[CharRoots, float]:
     return roots, math.sqrt(2.0 - roots.b)
 
 
-def _kernel(t: float, alpha: complex, beta: complex) -> tuple[float, float]:
+def _kernel(t, alpha: complex, beta: complex):
     """(M(t), M'(t)) from one evaluation each of Vi(alpha t) and Vi(beta t).
 
-    Vi(beta t) is not taken as conj(Vi(alpha t)): that would make the
-    conjugate-symmetry check vacuous.
+    t is a float, or a float array for which the pair is two arrays (one
+    Villat call per root over the whole grid).  Vi(beta t) is not taken as
+    conj(Vi(alpha t)): that would make the conjugate-symmetry check vacuous.
     """
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if (t < 0.0).any() if isinstance(t, np.ndarray) else t < 0.0:
+        raise ValueError(f"t must be >= 0, got {np.min(t)}")
     va, vb = villat(alpha * t), villat(beta * t)
     sa, sb = cmath.sqrt(alpha), cmath.sqrt(beta)
     m = (sb * va - sa * vb) / (alpha - beta)
@@ -187,18 +197,12 @@ def monotone_kernel_samples(
 ) -> tuple[np.ndarray, np.ndarray]:
     """A M(t + t0) and A M'(t + t0) at every t of the grid: the monotone trajectory.
 
-    Two Villat evaluations per grid point; each entry equals A times
-    :func:`monotone_kernel_M` (resp. :func:`monotone_kernel_M_derivative`)
-    at t + t0, bit for bit.
+    Two array Villat evaluations over the whole grid; each entry equals A
+    times :func:`monotone_kernel_M` (resp. :func:`monotone_kernel_M_derivative`)
+    at t + t0 up to the last bits of the array arithmetic.
     """
-    alpha, beta = _roots_from_damping(b)
-    grid = np.asarray(times, dtype=float)
-    values, derivs = np.empty(grid.shape), np.empty(grid.shape)
-    for i, t in enumerate(grid.tolist()):
-        values[i], derivs[i] = _kernel(t + t0, alpha, beta)
-    values *= A
-    derivs *= A
-    return values, derivs
+    m, dm = _kernel(np.asarray(times, dtype=float) + t0, *_roots_from_damping(b))
+    return A * m, A * dm
 
 
 def general_state(

@@ -17,7 +17,7 @@ from spherefall.analysis import (
     proof_integrand_F,
     run_default_suite,
 )
-from spherefall.special import _window_quadrature
+from spherefall.special import AccuracyError, _window_quadrature
 from spherefall.trajectory import Trajectory
 
 # 50-digit oracle value (mp_oracle.py / mpmath.quad)
@@ -125,6 +125,14 @@ def test_proof_integral_odd_integrand_vanishes():
     # odd and the integral is zero; sanity check of the quadrature setup
     val, _ = _window_quadrature(lambda s: s * np.exp(-s * s) / (s * s + 1.0), 0.0, 1.0)
     assert abs(val) <= 1e-15
+
+
+@pytest.mark.parametrize("t", [1e30, 1e300])
+def test_proof_integral_raises_where_its_sign_is_unresolved(t):
+    # The peak lies far outside |s| <= 9: what is left is rounding noise
+    # (1e30) or exactly 0 (1e300), neither of which has a sign to report.
+    with pytest.raises(AccuracyError, match="sign unresolved"):
+        proof_integral(t, 1.0)
 
 
 @pytest.mark.parametrize("t", [0.1, 1.0, 10.0, 100.0])
