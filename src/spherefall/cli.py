@@ -154,10 +154,14 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _sweep_file(kappa: float, output: str) -> str:
+    return f"trajectory_kappa_{kappa:g}.{output}"
+
+
 def _sweep_one(args: argparse.Namespace, kappa: float, traj: Trajectory) -> dict:
     tol = 1e-12 if args.solver == "closed-form" else 10.0 * args.h
     mono = analysis.check_monotone(traj, tol=tol)
-    path = os.path.join(args.out, f"trajectory_kappa_{kappa:g}.{args.output}")
+    path = os.path.join(args.out, _sweep_file(kappa, args.output))
     _write_trajectory(args.output, traj, path)
     return {
         "kappa": kappa,
@@ -174,6 +178,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise _UsageError(f"sweep: bad --kappas list: {exc}") from exc
     if not kappas:
         raise _UsageError("sweep: --kappas list is empty")
+    files = [_sweep_file(k, args.output) for k in kappas]
+    clash = next((f for f in files if files.count(f) > 1), None)
+    if clash is not None:
+        raise _UsageError(f"sweep: two kappas share the output file {clash}")
     # Every kappa is solved before the directory is made, so a bad one leaves no output.
     solved = [(k, _sphere_trajectory(args.solver, k, args.eps, args.h, args.T)) for k in kappas]
     os.makedirs(args.out, exist_ok=True)
@@ -211,6 +219,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             json.dumps({"schema": SCHEMA_VERSION, "sup_norm": sup}, indent=1) + "\n",
         )
     print(f"sup-norm ide={sup['ide']:.6g} ode={sup['ode']:.6g}", file=sys.stderr)
+    if ode_traj.meta["diverged"]:
+        print(f"numerical failure: RK4 diverged after t={ode_traj.meta['T']:g}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -35,8 +35,9 @@ FD_STEP = 2.2e-16 ** (1.0 / 3.0)
 
 # The grid sampler evaluates Villat on arrays, which round differently from
 # the scalar calls in the last bits; A M and A M' agree with the scalar
-# kernel to this absolute tolerance (worst seen 1.9e-13, at kappa = 3.95).
-ARRAY_ATOL = 1e-12
+# kernel and the sphere's reference forms to this absolute tolerance (worst
+# seen 2.1e-15, against the reference forms).
+ARRAY_ATOL = 2e-14
 
 kappas = st.floats(min_value=0.01, max_value=3.99, allow_nan=False)
 
@@ -108,7 +109,7 @@ def test_u_rest_against_multiprecision_oracle():
 def test_u_rest_asymptotic_tail_at_kappa_three():
     lead = 1.0 - math.sqrt(3.0 / (100.0 * math.pi))
     assert abs(u_rest(100.0, 3.0) - lead) <= 0.01
-    assert abs(u_rest(100.0, 3.0) - U_REST_100_3) < 1e-12
+    assert abs(u_rest(100.0, 3.0) - U_REST_100_3) < 1e-14
 
 
 def test_u_rest_live_oracle_spot_checks():

@@ -221,6 +221,10 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["sweep", "--kappas", "1,5", "--T", "1", "--h", "0.01",
                  "--out", str(sweep_dir)]) == 1
     assert not sweep_dir.exists()
+    # Two kappas whose file names round alike would overwrite one another.
+    assert main(["sweep", "--kappas", "0.1234567,0.1234568", "--T", "1", "--h", "0.01",
+                 "--out", str(sweep_dir)]) == 1
+    assert not sweep_dir.exists()
     assert main(["nosuchcommand"]) == 1
     # The closed form checks its grid like the ide and ode solvers do.
     out = tmp_path / "traj.csv"
@@ -337,3 +341,14 @@ def test_numerical_failure_exit_three(tmp_path):
         "--solver", "ode", "--T", "800", "--h", "0.05", "--out", str(out),
     ])
     assert code == 3
+
+
+def test_compare_reports_an_rk4_divergence_with_exit_three(tmp_path, capsys):
+    # The columns stop where RK4 did, and are written all the same.
+    out = tmp_path / "cmp.csv"
+    code = main(["compare", "--kappa", "3.9", "--T", "800", "--h", "0.05", "--out", str(out)])
+    assert code == 3
+    _, rows = _read_csv(out)
+    assert 1 < len(rows) < 16001
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"numerical failure: RK4 diverged after t={rows[-1, 0]:g}"
