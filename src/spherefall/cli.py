@@ -200,7 +200,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f"{str(r['monotone']).lower()},{r['file']}"
             )
         _atomic_write(summary_path, "\n".join(lines) + "\n")
-    return EXIT_OK
+    diverged = [(k, traj) for k, traj in solved if traj.meta.get("diverged")]
+    for k, traj in diverged:
+        print(f"numerical failure: RK4 diverged at kappa={k:g} after t={traj.meta['T']:g}",
+              file=sys.stderr)
+    return EXIT_NUMERICAL if diverged else EXIT_OK
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:

@@ -17,10 +17,11 @@ unknown u'(t_n), so each step solves one scalar linear equation
 The weights depend only on the lag n - j, so the history sum is a
 Toeplitz convolution built from one lag kernel.  Reading the history
 back at every grid point is one FFT convolution, O(n log n)
-(:func:`abel_history`); the causal solve is the blocked FFT scheme of
-Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985, 532),
-O(n log^2 n) time and O(n) memory.
-Both match the direct sums to rounding.
+(:func:`abel_history`).  The causal solve is a power-series quotient:
+the lower-triangular Toeplitz system t(z) d(z) = rhs(z) gives
+d = rhs * (1/t), and 1/t comes from Newton's iteration (Kung, Numer.
+Math. 22, 1974, 341) on the same causal FFT product, O(n log n) time
+and O(n) memory.  Both match the direct sums to rounding.
 """
 
 from __future__ import annotations
@@ -73,6 +74,18 @@ def _abel_kernel(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return a, first
 
 
+def _causal_product(a: np.ndarray, f: np.ndarray, m: int) -> np.ndarray:
+    """First m coefficients of the power-series product a(z) f(z).
+
+    One power-of-two FFT product, longer than the top degree
+    len(a) + len(f) - 2, so no coefficient wraps around.
+    """
+    size = 1 << (len(a) + len(f) - 2).bit_length()
+    spectrum = np.fft.rfft(a, size)
+    spectrum *= np.fft.rfft(f, size)
+    return np.fft.irfft(spectrum, size)[:m]
+
+
 def abel_history(samples: np.ndarray, h: float) -> np.ndarray:
     """Abel quadrature integral_0^{t_k} f(s)/sqrt(t_k - s) ds at every grid point t_k = k h.
 
@@ -85,80 +98,52 @@ def abel_history(samples: np.ndarray, h: float) -> np.ndarray:
     f = np.asarray(samples, dtype=float)
     if f.ndim != 1 or len(f) == 0:
         raise ValueError("abel_history: samples must be a nonempty 1-d array")
-    if h <= 0.0:
-        raise ValueError(f"abel_history: h must be > 0, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"abel_history: h must be finite and > 0, got {h}")
     n = len(f) - 1
     a, first = _abel_kernel(n, h)
-    size = 1 << (2 * n).bit_length()  # power of two > 2n: no wrap onto entries 0..n
     g = f.copy()
     g[0] = 0.0  # the first node enters through first[k] alone
-    spectrum = np.fft.rfft(a, size)
-    spectrum *= np.fft.rfft(g, size)
-    out = np.fft.irfft(spectrum, size)[: n + 1]
+    out = _causal_product(a, g, n + 1)
     out += first * f[0]
     out[0] = 0.0
     return out
 
 
-# Unknowns per leaf of the blocked causal solve.  Every leaf is solved by
-# one short convolution with the inverse of the same leaf block; history
-# from further back arrives through FFT products.
-_LEAF = 64
+def _reciprocal(t: np.ndarray, n: int) -> np.ndarray:
+    """First n coefficients of the power series 1/t(z), t[0] != 0.
 
-
-def _toeplitz_solve(t: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the lower-triangular Toeplitz system sum_{j<=i} t[i-j] x_j = rhs_i.
-
-    Blocked divide and conquer after Hairer, Lubich & Schlichte (SIAM J.
-    Sci. Stat. Comput. 6, 1985, 532): when the first q leaves are solved,
-    the last finished dyadic segment of s = _LEAF * lowbit(q) unknowns
-    passes its history to the next s unknowns in one FFT product of
-    length 2s.  Every earlier unknown reaches every later leaf through
-    exactly one such product, so the result is the forward substitution
-    up to rounding, in O(N log^2 N).  ``t`` holds at least N lags.
+    Newton's iteration g <- g + g (1 - t g) (Kung, Numer. Math. 22, 1974,
+    341).  When g holds the first k coefficients, t g = 1 + z^k r(z), so
+    one pass needs only the coefficients k..m-1 of t g and appends those
+    of -g r, doubling the length up to m = min(2k, n): O(n log n).
     """
-    N = len(rhs)
-    r = np.array(rhs, dtype=float)
-    x = np.empty(N)
-    B = min(_LEAF, N)
-    # The inverse of the leaf block is lower-triangular Toeplitz as well;
-    # its first column g comes from forward substitution on e_0.
-    g = np.empty(B)
-    g[0] = 1.0 / t[0]
-    for i in range(1, B):
-        g[i] = -(t[i:0:-1] @ g[:i]) / t[0]
-    spectra = {}  # kernel spectrum per segment size, built once per level
-    for lo in range(0, N, B):
-        hi = min(lo + B, N)
-        x[lo:hi] = np.convolve(g, r[lo:hi])[: hi - lo]
-        if hi == N:
-            break
-        q = hi // B
-        s = B * (q & -q)
-        if s not in spectra:
-            spectra[s] = np.fft.rfft(t[: 2 * s], 2 * s)
-        product = np.fft.rfft(x[hi - s : hi], 2 * s)
-        product *= spectra[s]
-        tail = np.fft.irfft(product, 2 * s)
-        end = min(hi + s, N)
-        r[hi:end] -= tail[s : s + end - hi]
-    return x
+    g = np.array([1.0 / t[0]])
+    k = 1
+    while k < n:
+        m = min(2 * k, n)
+        r = _causal_product(t[:m], g, m)[k:]
+        g = np.concatenate((g, -_causal_product(g, r, m - k)))
+        k = m
+    return g
 
 
 def solve_ide(kappa: float, u0: float, h: float, T: float) -> Trajectory:
     """March the memory equation from u(0) = u0 to the horizon T with step h.
 
     kappa lies in (0, 9], the domain of the physical layer; kappa = 9 is
-    the massless sphere (rho_s = 0).  Each step n is the scalar linear equation for u'(t_n) that the
-    product-integration discretization produces (trapezoidal update for
-    u, implicit diagonal Abel weight for the memory term).  All n steps
-    together form one lower-triangular Toeplitz system, solved by the
-    blocked FFT scheme of :func:`_toeplitz_solve` in O(n log^2 n) time
-    and O(n) memory.  Empirical convergence against the closed form is
-    order ~1.5 in sup norm.
+    the massless sphere (rho_s = 0).  Each step n is the scalar linear
+    equation for u'(t_n) that the product-integration discretization
+    produces (trapezoidal update for u, implicit diagonal Abel weight for
+    the memory term).  All n steps together form one lower-triangular
+    Toeplitz system, solved as the power-series quotient rhs * (1/t)
+    through :func:`_reciprocal` in O(n log n) time and O(n) memory.  The
+    empirical convergence against the closed form is order ~1.5 in sup norm.
     """
     if not 0.0 < kappa <= 9.0:
         raise ValueError(f"kappa must lie in (0, 9], got {kappa}")
+    if not math.isfinite(u0):
+        raise ValueError(f"u0 must be finite, got {u0}")
     times = uniform_grid(h, T)
     n = len(times) - 1
     c = math.sqrt(kappa / math.pi)
@@ -171,7 +156,7 @@ def solve_ide(kappa: float, u0: float, h: float, T: float) -> Trajectory:
     t = c * a + h
     t[0] = 1.0 + 0.5 * h + c * a[0]
     rhs = d0 * (1.0 - 0.5 * h - c * first[1:])
-    d = np.concatenate(([d0], _toeplitz_solve(t, rhs)))
+    d = np.concatenate(([d0], _causal_product(_reciprocal(t, n), rhs, n)))
     u = np.cumsum(np.concatenate(([u0], 0.5 * h * (d[:-1] + d[1:]))))
 
     meta = {"solver": "ide", "kappa": kappa, "u0": u0, "h": h, "T": n * h}

@@ -352,3 +352,18 @@ def test_compare_reports_an_rk4_divergence_with_exit_three(tmp_path, capsys):
     assert 1 < len(rows) < 16001
     err = capsys.readouterr().err.splitlines()
     assert err[-1] == f"numerical failure: RK4 diverged after t={rows[-1, 0]:g}"
+
+
+def test_sweep_reports_an_rk4_divergence_with_exit_three(tmp_path, capsys):
+    # Every file is written; only the diverged kappa is named, once.
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--solver", "ode", "--kappas", "3.9,1", "--T", "800", "--h", "0.05",
+                 "--out", str(out)])
+    assert code == 3
+    _, rows = _read_csv(out / "trajectory_kappa_3.9.csv")
+    assert 1 < len(rows) < 16001
+    _, full = _read_csv(out / "trajectory_kappa_1.csv")
+    assert len(full) == 16001
+    assert len((out / "sweep_summary.csv").read_text().splitlines()) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"numerical failure: RK4 diverged at kappa=3.9 after t={rows[-1, 0]:g}"]

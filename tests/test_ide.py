@@ -8,13 +8,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from direct_oracle import abel_history_direct, solve_ide_direct
 from spherefall import analytic
-from spherefall.ide import _LEAF, abel_history, solve_ide
+from spherefall.ide import _abel_kernel, _causal_product, _reciprocal, abel_history, solve_ide
 from spherefall.trajectory import Trajectory, uniform_grid
 
-# Grid lengths around the leaf size of the blocked solve, plus ones that
-# are not powers of two and span several FFT levels.
-_EDGE_STEPS = [1, _LEAF - 1, _LEAF, _LEAF + 1, 5 * _LEAF + 17, 3001]
-_steps = st.one_of(st.sampled_from(_EDGE_STEPS), st.integers(min_value=1, max_value=8 * _LEAF))
+# Grid lengths at and next to powers of two, where the last Newton pass of
+# the reciprocal is full or partial, plus ones that are not powers of two
+# and span several doublings.
+_EDGE_STEPS = [1, 2, 3, 4, 5, 63, 64, 65, 337, 1024, 1025, 2049, 3001]
+_steps = st.one_of(st.sampled_from(_EDGE_STEPS), st.integers(min_value=1, max_value=512))
 _kappas = st.floats(min_value=0.0, max_value=9.0, exclude_min=True, exclude_max=True)
 _hs = st.floats(min_value=1e-3, max_value=5e-2)
 
@@ -148,6 +149,20 @@ def test_solver_matches_direct_step_loop(kappa, u0, h, n):
     assert np.max(np.abs(traj.derivatives - d)) <= 1e-12
 
 
+@pytest.mark.parametrize("kappa", [0.5, 2.9, 9.0])
+@pytest.mark.parametrize("n", [1, 1024, 1025])
+def test_reciprocal_inverts_the_solver_column(kappa, n):
+    # The Toeplitz column t of solve_ide; t * (1/t) must be e_0.
+    h = 1e-3
+    a, _ = _abel_kernel(n, h)
+    c = math.sqrt(kappa / math.pi)
+    t = c * a + h
+    t[0] = 1.0 + 0.5 * h + c * a[0]
+    e0 = np.zeros(n)
+    e0[0] = 1.0
+    assert np.max(np.abs(_causal_product(t[:n], _reciprocal(t, n), n) - e0)) <= 1e-14
+
+
 def test_solver_argument_validation():
     with pytest.raises(ValueError):
         solve_ide(0.0, 0.0, 1e-2, 1.0)
@@ -157,6 +172,9 @@ def test_solver_argument_validation():
         solve_ide(2.0, 0.0, -1e-2, 1.0)
     with pytest.raises(ValueError):
         solve_ide(2.0, 0.0, 1e-2, 1e-3)
+    for u0 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="u0 must be finite"):
+            solve_ide(2.0, u0, 1e-2, 0.1)
 
 
 # ----------------------------------------------------------------------
@@ -181,6 +199,9 @@ def test_abel_history_single_sample_and_validation():
         abel_history(np.ones((2, 2)), 0.1)
     with pytest.raises(ValueError):
         abel_history(np.ones(4), 0.0)
+    for h in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="h must be finite"):
+            abel_history(np.ones(5), h)
 
 
 # ----------------------------------------------------------------------
