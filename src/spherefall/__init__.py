@@ -16,10 +16,9 @@ from .analytic import (
     CharRoots,
     MonotoneIC,
     char_roots,
-    general_solution,
+    general_state,
     monotone_initial_conditions,
     monotone_kernel_M,
-    monotone_kernel_M_derivative,
     u_rest,
     u_rest_derivative,
 )
@@ -46,7 +45,6 @@ from .physical import (
     dimensional_trajectory,
     drag_forces,
     nondimensionalize,
-    stokes_terminal_velocity,
 )
 from .special import (
     AccuracyError,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .special import (
 __all__ = [
     "VerificationReport",
     "check_monotone",
-    "proof_integrand_F",
     "proof_integral",
     "imag_sqrt_alpha_villat",
     "abel_identity_residual",
@@ -108,18 +106,13 @@ def _proof_peak(t: float, theta: float) -> tuple[float, float]:
     return -root * math.sin(theta / 2.0), root * math.cos(theta / 2.0)
 
 
-def proof_integrand_F(s, t: float, theta: float):
-    """F(s) = s exp(-s^2) / P(s) with P(s) = (s + sqrt(t) sin(theta/2))^2 + t cos^2(theta/2).
-
-    P(s) > 0 for all real s, so F is smooth; it is merely sharply peaked
-    as theta -> pi, where P(-s) approaches (s - sqrt(t))^2.  s may be an array.
-    """
-    peak, width = _proof_peak(t, theta)
-    return _proof_integrand(s - peak, peak, width)
-
-
 def _proof_integrand(d, peak: float, width: float):
-    # F at s = peak + d, with the Lorentzian formed from the offset d itself.
+    """F(s) = s exp(-s^2) / P(s) at s = peak + d, with P(s) = (s - peak)^2 + width^2 > 0.
+
+    With :func:`_proof_peak`, P(s) = (s + sqrt(t) sin(theta/2))^2 + t cos^2(theta/2):
+    F is smooth, merely sharply peaked as theta -> pi.  The Lorentzian is
+    formed from the offset d itself.
+    """
     s = peak + d
     return s * np.exp(-s * s) / (d * d + width * width)
 
@@ -217,42 +210,32 @@ def ode_residual(traj: Trajectory, kappa: float, u0: float) -> VerificationRepor
 _KAPPA_SET = (0.5, 1.0, 2.0, 2.5, 2.9, 3.5, 3.9)
 
 
-def _sample_u_rest(kappa: float, times: np.ndarray) -> Trajectory:
-    prob = ode.OscillatorProblem.sphere(kappa, 0.0)
-    v, dv = analytic.monotone_kernel_samples(times, prob.b, prob.A, prob.t0)
-    return Trajectory(times=times, values=1.0 + v, derivatives=dv,
-                      meta={"solver": "closed-form", "kappa": kappa})
+def _sphere_u(kappa, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u and u' of the sphere released from rest, a column of kappas against a row of times.
+
+    The amplitude is sqrt(2 - b) of the rounded b = 2 - kappa, as in :func:`analytic.u_rest`.
+    """
+    b = 2.0 - kappa
+    v, dv = analytic.monotone_kernel_samples(times, b, np.sqrt(2.0 - b), 0.0)
+    return 1.0 + v, dv
 
 
 def _reduce(
-    check_id: str, tolerance: float, pairs: Iterable[tuple[float, str]], floor: float = 0.0
+    check_id: str, tolerance: float, violations, where, floor: float = 0.0
 ) -> VerificationReport:
-    """Report the first strict maximum of (violation, location) pairs above floor.
+    """Report the first largest entry (row-major) of the violation array, located by where(*index).
 
-    When no violation beats the floor, the report carries the floor and
-    the location "--".
+    When no entry beats the floor, the report carries the floor and the
+    location "--".  A NaN entry is never below the floor: it is reported,
+    and fails the check.
     """
-    worst, loc = floor, "--"
-    for value, where in pairs:
-        if value > worst:
-            worst, loc = value, where
-    return VerificationReport.from_violation(check_id, worst, tolerance, loc)
-
-
-def _terminal_error(kappa: float) -> float:
-    lead = math.sqrt(kappa / (100.0 * math.pi))
-    return abs(analytic.u_rest(100.0, kappa) - 1.0 + lead) / lead
-
-
-def _root_identity_error(kappa: float) -> float:
-    r = analytic.char_roots(kappa)
-    sa, sb = cmath.sqrt(r.alpha), cmath.sqrt(r.beta)
-    return max(
-        abs(r.alpha * r.beta - 1.0),
-        abs(r.alpha + r.beta - (kappa - 2.0)),
-        abs((sa + sb) ** 2 - kappa),
-        abs(abs(r.alpha) - 1.0),
-    )
+    violations = np.asarray(violations, dtype=float)
+    if violations.size:
+        index = np.unravel_index(np.argmax(violations), violations.shape)
+        if not violations[index] <= floor:
+            return VerificationReport.from_violation(
+                check_id, violations[index], tolerance, where(*index))
+    return VerificationReport.from_violation(check_id, floor, tolerance, "--")
 
 
 def _faddeeva_quadrature_error(x: float, y: float) -> float:
@@ -274,7 +257,8 @@ def _villat_derivative_error(z: complex) -> float:
     return abs(fd - exact) / abs(exact)
 
 
-def _asymptotic_error(z: complex) -> float:
+def _asymptotic_error(r: float, phase: float) -> float:
+    z = r * cmath.exp(1j * phase)
     return abs(villat_asymptotic(z, 5).value - villat(z)) / abs(villat(z))
 
 
@@ -288,40 +272,42 @@ def run_default_suite(h: float = 1e-3, points: int = 400) -> list[VerificationRe
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
     times = np.concatenate(([0.0], np.logspace(-3, 3, points)))
-    closed = {kappa: _sample_u_rest(kappa, times) for kappa in _KAPPA_SET}
-    drops = {kappa: check_monotone(traj, tol=1e-12) for kappa, traj in closed.items()}
-    falls = {kappa: _worst_point(-traj.derivatives, traj.times)
-             for kappa, traj in closed.items()}
-    kappa_grid = [float(k) for k in np.linspace(0.05, 3.95, 20)]
-    t_grid = [float(t) for t in np.logspace(-2, 3, 6)]
+    kappas = np.array(_KAPPA_SET)[:, None]
+    u, du = _sphere_u(kappas, times)
+    lead = np.sqrt(kappas / (100.0 * math.pi))
+    grid = np.linspace(0.05, 3.95, 20)
+    alpha, beta = analytic._roots_from_damping(2.0 - grid)
+    root_sum = np.sqrt(alpha) + np.sqrt(beta)
+    t_grid = np.logspace(-2, 3, 6).tolist()
+    thetas = np.linspace(math.pi / 12.0, math.pi * 11.0 / 12.0, 6).tolist()
+    imag_kappas = np.linspace(0.3, 3.7, 6).tolist()
 
     reports = [
         # Monotone approach of the closed form, and positivity of u'.
-        _reduce("closed_form_monotone", 1e-12,
-                ((rep.worst_violation, f"kappa={k}, {rep.location}")
-                 for k, rep in drops.items())),
-        _reduce("closed_form_derivative_positive", 0.0,
-                ((neg, f"kappa={k}, {loc}") for k, (neg, loc) in falls.items())),
+        _reduce("closed_form_monotone", 1e-12, u[:, :-1] - u[:, 1:],
+                lambda i, j: f"kappa={_KAPPA_SET[i]}, t={times[j + 1]:.6g}"),
+        _reduce("closed_form_derivative_positive", 0.0, -du,
+                lambda i, j: f"kappa={_KAPPA_SET[i]}, t={times[j]:.6g}"),
         # Leading-order terminal approach: u(100) - 1 ~ -sqrt(kappa/(100 pi)).
         _reduce("terminal_approach", 0.05,
-                ((_terminal_error(k), f"kappa={k}") for k in _KAPPA_SET)),
+                np.abs(_sphere_u(kappas, np.array([100.0]))[0] - 1.0 + lead) / lead,
+                lambda i, j: f"kappa={_KAPPA_SET[i]}"),
         # Characteristic-root identities.
         _reduce("root_identities", 1e-13,
-                ((_root_identity_error(k), f"kappa={k:.4g}") for k in kappa_grid)),
-        # Decoupling: sqrt(kappa) M(0) = -1 for every kappa.
-        _reduce("decoupling_v0", 1e-12,
-                ((abs(math.sqrt(k) * analytic.monotone_kernel_M(0.0, 2.0 - k) + 1.0),
-                  f"kappa={k:.4g}") for k in kappa_grid)),
+                np.abs([alpha * beta - 1.0, alpha + beta - (grid - 2.0),
+                        root_sum * root_sum - grid, np.abs(alpha) - 1.0]).max(axis=0),
+                lambda i: f"kappa={grid[i]:.4g}"),
+        # Decoupling: u(0) = 1 + sqrt(kappa) M(0) = 0 for every kappa.
+        _reduce("decoupling_v0", 1e-12, np.abs(_sphere_u(grid[:, None], np.zeros(1))[0]),
+                lambda i, j: f"kappa={grid[i]:.4g}"),
         # Sign integral of the monotonicity argument: strictly negative everywhere.
         _reduce("proof_integral_negative", 0.0,
-                ((proof_integral(t, float(theta)), f"t={t:.4g}, theta={theta:.4g}")
-                 for t in t_grid
-                 for theta in np.linspace(math.pi / 12.0, math.pi * 11.0 / 12.0, 6)),
-                floor=-math.inf),
+                [[proof_integral(t, theta) for theta in thetas] for t in t_grid],
+                lambda i, j: f"t={t_grid[i]:.4g}, theta={thetas[j]:.4g}", floor=-math.inf),
         # Positivity of Im{sqrt(alpha) Vi(alpha t)} (two agreeing paths).
         _reduce("imag_sqrt_alpha_positive", 0.0,
-                ((max(0.0, -imag_sqrt_alpha_villat(t, float(k))), f"t={t:.4g}, kappa={k:.4g}")
-                 for t in t_grid for k in np.linspace(0.3, 3.7, 6))),
+                [[-imag_sqrt_alpha_villat(t, k) for k in imag_kappas] for t in t_grid],
+                lambda i, j: f"t={t_grid[i]:.4g}, kappa={imag_kappas[j]:.4g}"),
     ]
 
     # Discrete solver vs closed form, and the residual checks on it.  The
@@ -329,8 +315,7 @@ def run_default_suite(h: float = 1e-3, points: int = 400) -> list[VerificationRe
     # observed order ~1.5 of the product-integration scheme.
     ide_tol = max(1e-4, 1e-4 * (h / 1e-3) ** 1.5)
     traj2 = ide.solve_ide(2.0, 0.0, h, 10.0)
-    closed2 = _sample_u_rest(2.0, traj2.times)
-    sup = float(np.max(np.abs(traj2.values - closed2.values)))
+    sup = float(np.max(np.abs(traj2.values - _sphere_u(2.0, traj2.times)[0])))
     reports.append(VerificationReport.from_violation(
         "ide_vs_closed_form", sup, ide_tol, "kappa=2, [0,10]"))
     reports.append(replace(check_monotone(traj2, tol=10.0 * h), check_id="ide_monotone"))
@@ -350,19 +335,21 @@ def run_default_suite(h: float = 1e-3, points: int = 400) -> list[VerificationRe
     reports.append(replace(check_monotone(osc, tol=10.0 * h), check_id="oscillator_monotone"))
 
     # Fast special-function path against the integral-representation oracles.
-    reports.append(_reduce("faddeeva_vs_quadrature", 1e-10, (
-        (_faddeeva_quadrature_error(float(x), float(y)), f"x={x:.3g}, y={y:.3g}")
-        for x in np.linspace(-2.0, 2.0, 5) for y in np.linspace(0.4, 2.0, 5))))
+    xs, ys = np.linspace(-2.0, 2.0, 5).tolist(), np.linspace(0.4, 2.0, 5).tolist()
+    reports.append(_reduce("faddeeva_vs_quadrature", 1e-10,
+                           [[_faddeeva_quadrature_error(x, y) for y in ys] for x in xs],
+                           lambda i, j: f"x={xs[i]:.3g}, y={ys[j]:.3g}"))
 
     # Derivative identity of the Villat function, by central differences.
-    reports.append(_reduce("villat_derivative_identity", 1e-6, (
-        (_villat_derivative_error(z), f"z={z}")
-        for z in map(complex, (0.7, 4.0 + 1.5j, 25.0 + 40.0j, 2.0 - 3.0j, 100.0)))))
+    zs = (0.7 + 0j, 4.0 + 1.5j, 25.0 + 40.0j, 2.0 - 3.0j, 100.0 + 0j)
+    reports.append(_reduce("villat_derivative_identity", 1e-6,
+                           [_villat_derivative_error(z) for z in zs], lambda i: f"z={zs[i]}"))
 
     # Divergent-series tail against the stable evaluation at large |z|.
-    reports.append(_reduce("villat_asymptotic_match", 1e-6, (
-        (_asymptotic_error(r * cmath.exp(1j * phase)), f"|z|={r:.2g}, arg={phase}")
-        for r in (1e3, 1e4, 1e5) for phase in (0.0, 0.5, 1.5, 2.0))))
+    radii, phases = (1e3, 1e4, 1e5), (0.0, 0.5, 1.5, 2.0)
+    reports.append(_reduce("villat_asymptotic_match", 1e-6,
+                           [[_asymptotic_error(r, phase) for phase in phases] for r in radii],
+                           lambda i, j: f"|z|={radii[i]:.2g}, arg={phases[j]}"))
 
     # The unstable textbook evaluation must visibly fail where the stable one holds.
     z_blow = 400.0 * cmath.exp(1j * math.pi / 3.0)

@@ -32,9 +32,7 @@ __all__ = [
     "u_rest",
     "u_rest_derivative",
     "monotone_kernel_M",
-    "monotone_kernel_M_derivative",
     "monotone_kernel_samples",
-    "general_solution",
     "general_state",
     "monotone_initial_conditions",
 ]
@@ -82,24 +80,23 @@ def _real_part_checked(value):
     return value.real
 
 
-def _roots(b: float) -> tuple[complex, complex]:
-    """Roots (alpha, beta) of m^2 + b m + 1 for any real b.
+def _roots_from_damping(b):
+    """alpha = -b/2 + i sqrt((2 - b)(2 + b))/2 and its conjugate beta, the roots of m^2 + b m + 1.
 
-    A conjugate pair with Im alpha > 0 for |b| < 2, otherwise real with
-    alpha >= beta (the double root -b/2 at |b| = 2).
+    b lies in (-2, 2).  An array b gives complex arrays of its shape, each
+    element the bits of the scalar roots (Python complex); an error names
+    the first element outside the interval, NaN included.
     """
-    if abs(b) < 2.0:
-        alpha = complex(-b / 2.0, math.sqrt((2.0 - b) * (2.0 + b)) / 2.0)
-        return alpha, alpha.conjugate()
-    disc = math.sqrt(b * b - 4.0)
-    return complex((-b + disc) / 2.0), complex((-b - disc) / 2.0)
-
-
-def _roots_from_damping(b: float) -> tuple[complex, complex]:
-    """The conjugate roots of m^2 + b m + 1, for b in (-2, 2)."""
-    if not -2.0 < b < 2.0:
-        raise ValueError(f"damping coefficient must lie in (-2, 2), got {b}")
-    return _roots(b)
+    inside = (-2.0 < b) & (b < 2.0)
+    if not (inside.all() if isinstance(b, np.ndarray) else inside):
+        bad = np.extract(np.logical_not(inside), b)[0]
+        raise ValueError(f"damping coefficient must lie in (-2, 2), got {bad}")
+    re, im = -b / 2.0, np.sqrt((2.0 - b) * (2.0 + b)) / 2.0
+    if not isinstance(b, np.ndarray):
+        return complex(re, im), complex(re, -im)
+    alpha = re.astype(complex)
+    alpha.imag = im
+    return alpha, alpha.conj()
 
 
 def char_roots(kappa: float) -> CharRoots:
@@ -116,8 +113,10 @@ def char_roots(kappa: float) -> CharRoots:
     b = 2.0 - kappa
     if b == 2.0:
         raise ValueError(f"kappa={kappa} is too small: b = 2 - kappa rounds to 2")
-    alpha, beta = _roots(b)
-    return CharRoots(alpha=alpha, beta=beta, b=b)
+    if kappa < 4.0:
+        return CharRoots(*_roots_from_damping(b), b=b)
+    disc = math.sqrt(b * b - 4.0)
+    return CharRoots(alpha=complex((-b + disc) / 2.0), beta=complex((-b - disc) / 2.0), b=b)
 
 
 def _sphere(kappa: float) -> tuple[CharRoots, float]:
@@ -132,17 +131,24 @@ def _sphere(kappa: float) -> tuple[CharRoots, float]:
     return roots, math.sqrt(2.0 - roots.b)
 
 
-def _kernel(t, alpha: complex, beta: complex):
+def _kernel(t, alpha, beta):
     """(M(t), M'(t)) from one evaluation each of Vi(alpha t) and Vi(beta t).
 
-    t is a float, or a float array for which the pair is two arrays (one
-    Villat call per root over the whole grid).  Vi(beta t) is not taken as
-    conj(Vi(alpha t)): that would make the conjugate-symmetry check vacuous.
+    M(t) = [sqrt(beta) Vi(alpha t) - sqrt(alpha) Vi(beta t)] / (alpha - beta).
+    By d/dz Vi(z) = Vi(z) - 1/sqrt(pi z) the 1/sqrt(pi t) parts cancel, as
+    alpha sqrt(beta) = sqrt(alpha) for alpha beta = 1, leaving M'(t) =
+    [alpha sqrt(beta) Vi(alpha t) - beta sqrt(alpha) Vi(beta t)] / (alpha - beta),
+    finite at t = 0 with M'(0) = 1/(sqrt(alpha) + sqrt(beta)).
+
+    t and the roots may be arrays: a (k, 1) column of roots against (n,)
+    times gives (k, n), one Villat call per root.  Vi(beta t) is not taken
+    as conj(Vi(alpha t)): that would make the conjugate-symmetry check vacuous.
     """
     if (t < 0.0).any() if isinstance(t, np.ndarray) else t < 0.0:
         raise ValueError(f"t must be >= 0, got {np.min(t)}")
     va, vb = villat(alpha * t), villat(beta * t)
-    sa, sb = cmath.sqrt(alpha), cmath.sqrt(beta)
+    sqrt = np.sqrt if isinstance(alpha, np.ndarray) else cmath.sqrt
+    sa, sb = sqrt(alpha), sqrt(beta)
     m = (sb * va - sa * vb) / (alpha - beta)
     dm = (alpha * sb * va - beta * sa * vb) / (alpha - beta)
     return _real_part_checked(m), _real_part_checked(dm)
@@ -178,28 +184,12 @@ def monotone_kernel_M(t: float, b: float) -> float:
     return _kernel(t, *_roots_from_damping(b))[0]
 
 
-def monotone_kernel_M_derivative(t: float, b: float) -> float:
-    """dM/dt via d/dz Vi(z) = Vi(z) - 1/sqrt(pi z).
-
-    The 1/sqrt(pi t) forcing pieces of the two terms cancel exactly
-    (alpha*sqrt(beta) = sqrt(alpha) because alpha*beta = 1), leaving
-
-        M'(t) = (1/(alpha-beta)) [alpha sqrt(beta) Vi(alpha t)
-                                  - beta sqrt(alpha) Vi(beta t)],
-
-    which is finite down to t = 0 with M'(0) = 1/(sqrt(alpha)+sqrt(beta)).
-    """
-    return _kernel(t, *_roots_from_damping(b))[1]
-
-
-def monotone_kernel_samples(
-    times: np.ndarray, b: float, A: float, t0: float
-) -> tuple[np.ndarray, np.ndarray]:
+def monotone_kernel_samples(times: np.ndarray, b, A, t0: float) -> tuple[np.ndarray, np.ndarray]:
     """A M(t + t0) and A M'(t + t0) at every t of the grid: the monotone trajectory.
 
-    Two array Villat evaluations over the whole grid; each entry equals A
-    times :func:`monotone_kernel_M` (resp. :func:`monotone_kernel_M_derivative`)
-    at t + t0 up to the last bits of the array arithmetic.
+    Two array Villat evaluations over the whole grid; b and A may be (k, 1)
+    columns, one row of the result per damping value.  Each entry equals A
+    times the scalar kernel at t + t0 up to the last bits of array arithmetic.
     """
     m, dm = _kernel(np.asarray(times, dtype=float) + t0, *_roots_from_damping(b))
     return A * m, A * dm
@@ -231,13 +221,6 @@ def general_state(
     value = c1 * ea + c2 * eb + A * m
     deriv = c1 * alpha * ea + c2 * beta * eb + A * dm
     return _real_part_checked(value), _real_part_checked(deriv)
-
-
-def general_solution(
-    t: float, b: float, A: float, t0: float, v0: float, v0_prime: float
-) -> float:
-    """Solution of v'' + b v' + v = -A/sqrt(pi(t+t0)) with the given initial state."""
-    return general_state(t, b, A, t0, v0, v0_prime)[0]
 
 
 def monotone_initial_conditions(b: float, A: float, t0: float) -> MonotoneIC:

@@ -74,13 +74,15 @@ def _abel_kernel(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return a, first
 
 
-def _causal_product(a: np.ndarray, f: np.ndarray, m: int) -> np.ndarray:
+def _causal_product(a: np.ndarray, f: np.ndarray, m: int, size: int | None = None) -> np.ndarray:
     """First m coefficients of the power-series product a(z) f(z).
 
-    One power-of-two FFT product, longer than the top degree
-    len(a) + len(f) - 2, so no coefficient wraps around.
+    One rfft/irfft product of the given size.  The default is the power of
+    two above the top degree len(a) + len(f) - 2, so no coefficient wraps
+    around; a smaller size adds each coefficient j >= size onto j - size.
     """
-    size = 1 << (len(a) + len(f) - 2).bit_length()
+    if size is None:
+        size = 1 << (len(a) + len(f) - 2).bit_length()
     spectrum = np.fft.rfft(a, size)
     spectrum *= np.fft.rfft(f, size)
     return np.fft.irfft(spectrum, size)[:m]
@@ -116,13 +118,14 @@ def _reciprocal(t: np.ndarray, n: int) -> np.ndarray:
     Newton's iteration g <- g + g (1 - t g) (Kung, Numer. Math. 22, 1974,
     341).  When g holds the first k coefficients, t g = 1 + z^k r(z), so
     one pass needs only the coefficients k..m-1 of t g and appends those
-    of -g r, doubling the length up to m = min(2k, n): O(n log n).
+    of -g r, doubling the length up to m = min(2k, n): O(n log n).  A cyclic
+    product of size >= m gives them exactly, as every wrapped term lands below k.
     """
     g = np.array([1.0 / t[0]])
     k = 1
     while k < n:
         m = min(2 * k, n)
-        r = _causal_product(t[:m], g, m)[k:]
+        r = _causal_product(t[:m], g, m, 1 << (m - 1).bit_length())[k:]
         g = np.concatenate((g, -_causal_product(g, r, m - k)))
         k = m
     return g

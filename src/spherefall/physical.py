@@ -25,11 +25,9 @@ from .trajectory import Trajectory
 __all__ = [
     "PhysicalParams",
     "DimensionlessGroup",
-    "stokes_terminal_velocity",
     "nondimensionalize",
     "DragForces",
     "drag_forces",
-    "buoyancy_force",
     "dimensional_trajectory",
 ]
 
@@ -88,11 +86,6 @@ class DimensionlessGroup:
             raise ValueError("DimensionlessGroup: U0 must equal M / B")
 
 
-def stokes_terminal_velocity(p: PhysicalParams) -> float:
-    """Terminal velocity 2 (rho_s - rho) g R^2 / (9 mu); negative for a rising sphere."""
-    return 2.0 * (p.rho_s - p.rho) * p.g * p.R**2 / (9.0 * p.mu)
-
-
 def nondimensionalize(p: PhysicalParams) -> DimensionlessGroup:
     """Constants of the rescaled equation of motion for the given sphere/fluid pair."""
     denom = 2.0 * p.rho_s + p.rho
@@ -132,14 +125,9 @@ def drag_forces(p: PhysicalParams, traj: Trajectory) -> DragForces:
     stokes = 6.0 * math.pi * p.mu * p.R * U
     added_mass = 0.5 * p.rho * p.volume * dU
     basset = 6.0 * math.pi * p.rho * p.R**2 * math.sqrt(p.nu / math.pi) * history
-    buoyancy = buoyancy_force(p)
+    buoyancy = (p.rho_s - p.rho) * p.volume * p.g
     residual = p.rho_s * p.volume * dU + (stokes + added_mass + basset) - buoyancy
     return DragForces(stokes, added_mass, basset, np.full(len(traj), buoyancy), residual)
-
-
-def buoyancy_force(p: PhysicalParams) -> float:
-    """Net driving force (rho_s - rho) V g; the drag balances this at terminal velocity."""
-    return (p.rho_s - p.rho) * p.volume * p.g
 
 
 def dimensional_trajectory(g: DimensionlessGroup, traj: Trajectory) -> Trajectory:

@@ -8,13 +8,14 @@ import pytest
 from spherefall import analytic, ide
 from spherefall.analysis import (
     VerificationReport,
+    _proof_integrand,
+    _proof_peak,
     _reduce,
     abel_identity_residual,
     check_monotone,
     imag_sqrt_alpha_villat,
     ode_residual,
     proof_integral,
-    proof_integrand_F,
     run_default_suite,
 )
 from spherefall.special import AccuracyError, _window_quadrature
@@ -22,6 +23,12 @@ from spherefall.trajectory import Trajectory
 
 # 50-digit oracle value (mp_oracle.py / mpmath.quad)
 PROOF_INTEGRAL_1_HALFPI = -0.58203755646459861509
+
+
+def _F(s, t, theta):
+    # F(s) = s exp(-s^2) / P(s), the proof integrand in its offset form s = peak + d.
+    peak, width = _proof_peak(t, theta)
+    return _proof_integrand(s - peak, peak, width)
 
 
 def _uniform_traj(values, h=1e-2, derivatives=None):
@@ -69,15 +76,25 @@ def test_check_monotone_reports_the_first_largest_drop():
 
 
 def test_suite_reducer_rules():
-    # The first strict maximum wins, and its location comes with it.
-    rep = _reduce("c", 1.0, [(0.5, "a"), (2.0, "b"), (2.0, "c"), (1.0, "d")])
+    def where(*index):
+        return "abcd"[index[-1]]
+
+    # The first largest entry wins, and its location comes with it.
+    rep = _reduce("c", 1.0, np.array([0.5, 2.0, 2.0, 1.0]), where)
     assert (rep.worst_violation, rep.location, rep.passed) == (2.0, "b", False)
+    # Row-major order over a 2-d array, and where receives the whole index.
+    rep = _reduce("c", 5.0, np.array([[0.0, 3.0], [3.0, 1.0]]), lambda i, j: f"{i},{j}")
+    assert (rep.worst_violation, rep.location, rep.passed) == (3.0, "0,1", True)
     # Nothing above the floor of 0: the floor itself, at no location.
-    rep = _reduce("c", 0.0, [(0.0, "a"), (-1.0, "b"), (math.nan, "c")])
+    rep = _reduce("c", 0.0, np.array([0.0, -1.0]), where)
     assert (rep.worst_violation, rep.location, rep.passed) == (0.0, "--", True)
-    assert _reduce("c", 0.0, []).location == "--"
+    assert _reduce("c", 0.0, np.array([]), where).location == "--"
+    # A NaN is never below the floor: it is reported, and fails the check.
+    rep = _reduce("c", 0.0, np.array([0.0, -1.0, math.nan]), where)
+    assert math.isnan(rep.worst_violation)
+    assert (rep.location, rep.passed) == ("c", False)
     # A floor of -inf keeps the largest value even when every value is negative.
-    rep = _reduce("c", 0.0, [(-3.0, "a"), (-1.0, "b"), (-2.0, "c")], floor=-math.inf)
+    rep = _reduce("c", 0.0, np.array([-3.0, -1.0, -2.0]), where, floor=-math.inf)
     assert (rep.worst_violation, rep.location, rep.passed) == (-1.0, "b", True)
 
 
@@ -93,25 +110,25 @@ def test_report_invariant_passed_iff_within_tolerance():
 # ----------------------------------------------------------------------
 
 def test_integrand_zero_at_origin():
-    assert proof_integrand_F(0.0, 1.0, math.pi / 2.0) == 0.0
+    assert _F(0.0, 1.0, math.pi / 2.0) == 0.0
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
 def test_integrand_negative_side_dominates(s):
     t, theta = 1.0, math.pi / 2.0
-    assert abs(proof_integrand_F(-s, t, theta)) > proof_integrand_F(s, t, theta)
+    assert abs(_F(-s, t, theta)) > _F(s, t, theta)
 
 
 def test_integrand_near_theta_pi_is_finite():
-    val = proof_integrand_F(1.0, 1.0, 0.999 * math.pi)
+    val = _F(1.0, 1.0, 0.999 * math.pi)
     assert math.isfinite(val)
 
 
 def test_integrand_domain_errors():
     with pytest.raises(ValueError):
-        proof_integrand_F(0.0, -1.0, 1.0)
+        proof_integral(-1.0, 1.0)
     with pytest.raises(ValueError):
-        proof_integrand_F(0.0, 1.0, 3.5)
+        proof_integral(1.0, 3.5)
 
 
 def test_proof_integral_reference_point():

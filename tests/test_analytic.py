@@ -10,11 +10,9 @@ from hypothesis import given, settings, strategies as st
 from spherefall import analytic, ide
 from spherefall.analytic import (
     char_roots,
-    general_solution,
     general_state,
     monotone_initial_conditions,
     monotone_kernel_M,
-    monotone_kernel_M_derivative,
     monotone_kernel_samples,
     u_rest,
     u_rest_derivative,
@@ -40,6 +38,11 @@ FD_STEP = 2.2e-16 ** (1.0 / 3.0)
 ARRAY_ATOL = 2e-14
 
 kappas = st.floats(min_value=0.01, max_value=3.99, allow_nan=False)
+
+
+def _kernel_derivative(t, b):
+    # M'(t) on the scalar path: the second half of the (M, M') evaluator.
+    return analytic._kernel(t, *analytic._roots_from_damping(b))[1]
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +238,7 @@ def test_kernel_M_increases_to_zero():
 
 def test_kernel_M_derivative_positive_and_matches_fd():
     for t in (0.25, 1.0, 8.0):
-        d = monotone_kernel_M_derivative(t, -1.0)
+        d = _kernel_derivative(t, -1.0)
         assert d > 0.0
         h = FD_STEP * max(1.0, t)
         fd = (monotone_kernel_M(t + h, -1.0) - monotone_kernel_M(t - h, -1.0)) / (2.0 * h)
@@ -246,7 +249,7 @@ def test_kernel_M_derivative_finite_at_zero():
     # M'(0) = 1/(sqrt(alpha)+sqrt(beta)); in the sphere configuration
     # A*M'(0) = 1, matching u'(0) = 1.
     for kappa in (0.5, 2.0, 3.5):
-        v = math.sqrt(kappa) * monotone_kernel_M_derivative(0.0, 2.0 - kappa)
+        v = math.sqrt(kappa) * _kernel_derivative(0.0, 2.0 - kappa)
         assert abs(v - 1.0) < 1e-13
 
 
@@ -293,7 +296,16 @@ def test_kernel_samples_match_scalar_kernel():
         v, dv = monotone_kernel_samples(times, b, A, t0)
         for t, vi, dvi in zip(times.tolist(), v, dv):
             assert abs(vi - A * monotone_kernel_M(t + t0, b)) <= ARRAY_ATOL
-            assert abs(dvi - A * monotone_kernel_M_derivative(t + t0, b)) <= ARRAY_ATOL
+            assert abs(dvi - A * _kernel_derivative(t + t0, b)) <= ARRAY_ATOL
+    # A column of damping values broadcasts against the row of times.
+    bs = np.array([[-1.0], [0.5], [1.9], [2.0 - 3.95]])
+    amps = np.array([[1.3], [-2.0], [0.7], [math.sqrt(3.95)]])
+    v, dv = monotone_kernel_samples(times, bs, amps, 0.5)
+    assert v.shape == dv.shape == (4, len(times))
+    for row, (b, A) in enumerate(zip(bs[:, 0].tolist(), amps[:, 0].tolist())):
+        for col, t in enumerate(times.tolist()):
+            assert abs(v[row, col] - A * monotone_kernel_M(t + 0.5, b)) <= ARRAY_ATOL
+            assert abs(dv[row, col] - A * _kernel_derivative(t + 0.5, b)) <= ARRAY_ATOL
 
 
 @pytest.mark.parametrize("shape", [(0,), (3, 5)])
@@ -317,15 +329,30 @@ def test_real_part_check_names_the_worst_array_element():
 
 
 def test_kernel_derivative_bridges_to_u_rest_derivative():
-    got = math.sqrt(2.0) * monotone_kernel_M_derivative(1.0, 0.0)
+    got = math.sqrt(2.0) * _kernel_derivative(1.0, 0.0)
     assert abs(got - u_rest_derivative(1.0, 2.0)) <= 1e-10
+
+
+def test_array_roots_are_the_scalar_roots_bit_for_bit():
+    # The broadcast kernel must see the same alpha (Im > 0) and beta as a scalar call.
+    b = np.concatenate((np.linspace(-1.999, 1.999, 401), [0.0, 2.0 - 1e-15, 2.0 - 3.95]))
+    alpha, beta = analytic._roots_from_damping(b[:, None])
+    assert alpha.shape == beta.shape == (len(b), 1)
+    scalar = [analytic._roots_from_damping(x) for x in b.tolist()]
+    assert all(isinstance(a, complex) and not isinstance(a, np.generic) for a, _ in scalar)
+    assert alpha[:, 0].tobytes() == np.array([a for a, _ in scalar]).tobytes()
+    assert beta[:, 0].tobytes() == np.array([c for _, c in scalar]).tobytes()
+    assert np.all(alpha.imag > 0.0)
 
 
 def test_kernel_domain_errors():
     with pytest.raises(ValueError):
         monotone_kernel_M(1.0, 2.5)
     with pytest.raises(ValueError):
-        monotone_kernel_M_derivative(-0.1, 0.0)
+        _kernel_derivative(-0.1, 0.0)
+    # An array of damping values is checked element by element.
+    with pytest.raises(ValueError, match=r"damping coefficient must lie in \(-2, 2\), got 2\.0"):
+        monotone_kernel_samples(np.ones(3), np.array([[0.5], [2.0], [-1.0]]), 1.0, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -378,18 +405,18 @@ def test_general_solution_with_monotone_ics_is_the_kernel_translate():
     b, A, t0 = -1.0, 1.0, 1.0
     ic = monotone_initial_conditions(b, A, t0)
     for t in np.linspace(0.0, 20.0, 20):
-        v = general_solution(float(t), b, A, t0, ic.v0, ic.v0_prime)
+        v = general_state(float(t), b, A, t0, ic.v0, ic.v0_prime)[0]
         assert abs(v - A * monotone_kernel_M(float(t) + t0, b)) <= 1e-9
 
 
 def test_general_solution_zero_problem_is_zero():
-    assert general_solution(7.0, -1.0, 0.0, 1.0, 0.0, 0.0) == 0.0
+    assert general_state(7.0, -1.0, 0.0, 1.0, 0.0, 0.0)[0] == 0.0
 
 
 def test_general_solution_perturbed_ic_diverges():
     b, A, t0 = -1.0, 1.0, 1.0
     ic = monotone_initial_conditions(b, A, t0)
-    v40 = general_solution(40.0, b, A, t0, ic.v0 + 1e-3, ic.v0_prime)
+    v40 = general_state(40.0, b, A, t0, ic.v0 + 1e-3, ic.v0_prime)[0]
     assert abs(v40) > 10.0 * abs(ic.v0)
     # growth-factor scale: e^{0.5 t} amplification of the 1e-3 perturbation
     assert abs(v40) > 1e4
@@ -452,7 +479,7 @@ def test_monotone_ic_zeroes_homogeneous_modes_against_kernel():
     v, dv = general_state(t, b, A, t0, ic.v0, ic.v0_prime)
     growth = math.exp(0.5 * t)
     assert abs(v - A * monotone_kernel_M(t + t0, b)) <= 1e-10 * growth
-    assert abs(dv - A * monotone_kernel_M_derivative(t + t0, b)) <= 1e-10 * growth
+    assert abs(dv - A * _kernel_derivative(t + t0, b)) <= 1e-10 * growth
 
 
 def test_general_solution_monotone_sweep():
@@ -462,6 +489,6 @@ def test_general_solution_monotone_sweep():
                 ic = monotone_initial_conditions(b, A, t0)
                 ts = np.linspace(0.0, 50.0, 101)
                 vals = np.array(
-                    [general_solution(float(t), b, A, t0, ic.v0, ic.v0_prime) for t in ts]
+                    [general_state(float(t), b, A, t0, ic.v0, ic.v0_prime)[0] for t in ts]
                 )
                 assert np.max(vals[:-1] - vals[1:]) <= 1e-12, (b, A, t0)

@@ -85,7 +85,7 @@ def test_fourth_order_convergence_on_smooth_problem():
         prob = OscillatorProblem(b=b, A=A, t0=t0, v0=v0, v0_prime=v0p)
         traj = solve_oscillator(prob, h, 5.0)
         ref = np.array(
-            [analytic.general_solution(t, b, A, t0, v0, v0p) for t in traj.times]
+            [analytic.general_state(t, b, A, t0, v0, v0p)[0] for t in traj.times]
         )
         return np.max(np.abs(traj.values - ref))
 

@@ -10,11 +10,9 @@ from spherefall import ide
 from spherefall.physical import (
     DimensionlessGroup,
     PhysicalParams,
-    buoyancy_force,
     dimensional_trajectory,
     drag_forces,
     nondimensionalize,
-    stokes_terminal_velocity,
 )
 from spherefall.trajectory import Trajectory
 
@@ -23,6 +21,17 @@ from spherefall.trajectory import Trajectory
 P_REF = PhysicalParams(rho_s=1190.0, rho=1000.0, mu=0.1, R=0.001, g=9.8)
 U0_REF = 4.1377777777777778e-3
 F_BUOY_REF = 7.7995273613122600e-6
+
+
+def stokes_terminal_velocity(p: PhysicalParams) -> float:
+    # Oracle: 2 (rho_s - rho) g R^2 / (9 mu), negative for a rising sphere.
+    return 2.0 * (p.rho_s - p.rho) * p.g * p.R**2 / (9.0 * p.mu)
+
+
+def buoyancy_force(p: PhysicalParams) -> float:
+    # Oracle: the net driving force (rho_s - rho) V g.
+    return (p.rho_s - p.rho) * p.volume * p.g
+
 
 densities = st.floats(min_value=1.0, max_value=5e4, allow_nan=False)
 positives = st.floats(min_value=1e-6, max_value=1e4, allow_nan=False)
@@ -40,15 +49,19 @@ def test_params_validation():
 def test_stokes_velocity_zero_for_neutral_buoyancy():
     p = PhysicalParams(rho_s=1000.0, rho=1000.0, mu=0.1, R=0.001, g=9.8)
     assert stokes_terminal_velocity(p) == 0.0
+    assert nondimensionalize(p).U0 == 0.0
 
 
 def test_stokes_velocity_hand_value():
     assert abs(stokes_terminal_velocity(P_REF) - U0_REF) <= 1e-15
+    # The rescaling's velocity unit U0 = M / B is the Stokes terminal velocity.
+    assert abs(nondimensionalize(P_REF).U0 - U0_REF) <= 1e-15
 
 
 def test_stokes_velocity_quadratic_in_radius():
     p2 = PhysicalParams(rho_s=1190.0, rho=1000.0, mu=0.1, R=0.002, g=9.8)
     assert abs(stokes_terminal_velocity(p2) - 4.0 * stokes_terminal_velocity(P_REF)) <= 1e-15
+    assert abs(nondimensionalize(p2).U0 - 4.0 * nondimensionalize(P_REF).U0) <= 1e-15
 
 
 def test_nondimensionalize_neutral_sphere():
