@@ -67,25 +67,41 @@ class VerificationReport:
         )
 
 
-def _worst_point(
-    dev: np.ndarray, t: np.ndarray, t_min: float = -math.inf
-) -> tuple[float, str] | None:
-    """The first largest entry of dev (floored at 0) over the points t >= t_min, and its time.
+def _reduce(
+    check_id: str, tolerance: float, violations, where, floor: float = 0.0
+) -> VerificationReport:
+    """Report the first largest entry (row-major) of the violation array, located by where(*index).
 
-    None when no point qualifies.
+    When no entry beats the floor, the report carries the floor and the
+    location "--".  A NaN entry is never below the floor: it is reported,
+    and fails the check.
     """
-    idx = np.flatnonzero(t >= t_min)
-    if len(idx) == 0:
-        return None
-    i = int(idx[np.argmax(dev[idx])])
-    return max(float(dev[i]), 0.0), f"t={t[i]:.6g}"
+    violations = np.asarray(violations, dtype=float)
+    if violations.size:
+        index = np.unravel_index(np.argmax(violations), violations.shape)
+        if not violations[index] <= floor:
+            return VerificationReport.from_violation(
+                check_id, violations[index], tolerance, where(*index))
+    return VerificationReport.from_violation(check_id, floor, tolerance, "--")
+
+
+def _reduce_after_startup(
+    caller: str, check_id: str, tolerance: float, violations: np.ndarray, t: np.ndarray, h: float
+) -> VerificationReport:
+    """:func:`_reduce` over the grid points t past the startup window, located by time.
+
+    t is increasing (as every :class:`Trajectory` grid is).
+    """
+    skip = int(np.searchsorted(t, STARTUP_STEPS * h - 1e-12 * h))
+    if skip == len(t):
+        raise ValueError(f"{caller}: trajectory shorter than the startup window")
+    return _reduce(check_id, tolerance, violations[skip:], lambda i: f"t={t[skip + i]:.6g}")
 
 
 def check_monotone(traj: Trajectory, tol: float = 1e-12) -> VerificationReport:
     """Pass iff no consecutive value of the trajectory decreases by more than tol."""
-    values = traj.values
-    worst, loc = _worst_point(values[:-1] - values[1:], traj.times[1:]) or (0.0, "t=--")
-    return VerificationReport.from_violation("monotone", worst, tol, loc)
+    values, times = traj.values, traj.times
+    return _reduce("monotone", tol, values[:-1] - values[1:], lambda i: f"t={times[i + 1]:.6g}")
 
 
 # ----------------------------------------------------------------------
@@ -142,10 +158,9 @@ def imag_sqrt_alpha_villat(t: float, kappa: float) -> float:
     """
     if t <= 0.0:
         raise ValueError(f"t must be > 0, got {t}")
-    roots = analytic.char_roots(kappa)
-    if not 0.0 < kappa < 4.0:
+    if not 0.0 < kappa < 4.0:  # a NaN kappa fails here too
         raise ValueError(f"kappa must lie in (0, 4), got {kappa}")
-    alpha = roots.alpha
+    alpha = analytic.char_roots(kappa).alpha
     direct = (cmath.sqrt(alpha) * villat(alpha * t)).imag
 
     theta = cmath.phase(alpha)
@@ -177,10 +192,7 @@ def abel_identity_residual(traj: Trajectory) -> VerificationReport:
     outer = ide.abel_history(inner, h)
     rhs = math.pi * (traj.values - traj.values[0])
     dev = np.abs(outer - rhs) / np.maximum(np.abs(rhs), 1e-30)
-    found = _worst_point(dev, traj.times, STARTUP_STEPS * h - 1e-12 * h)
-    if found is None:
-        raise ValueError("abel_identity_residual: trajectory shorter than the startup window")
-    return VerificationReport.from_violation("abel_identity", found[0], 1e-2, found[1])
+    return _reduce_after_startup("abel_identity_residual", "abel_identity", 1e-2, dev, traj.times, h)
 
 
 def ode_residual(traj: Trajectory, kappa: float, u0: float) -> VerificationReport:
@@ -197,10 +209,7 @@ def ode_residual(traj: Trajectory, kappa: float, u0: float) -> VerificationRepor
     d2u = (traj.derivatives[2:] - traj.derivatives[:-2]) / (2.0 * h)
     forcing = 1.0 + np.sqrt(kappa / (math.pi * t)) * (u0 - 1.0)
     resid = np.abs(d2u + (2.0 - kappa) * du + u - forcing)
-    found = _worst_point(resid, t, STARTUP_STEPS * h - 1e-12 * h)
-    if found is None:
-        raise ValueError("ode_residual: trajectory shorter than the startup window")
-    return VerificationReport.from_violation("ode_residual", found[0], 100.0 * h, found[1])
+    return _reduce_after_startup("ode_residual", "ode_residual", 100.0 * h, resid, t, h)
 
 
 # ----------------------------------------------------------------------
@@ -218,24 +227,6 @@ def _sphere_u(kappa, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b = 2.0 - kappa
     v, dv = analytic.monotone_kernel_samples(times, b, np.sqrt(2.0 - b), 0.0)
     return 1.0 + v, dv
-
-
-def _reduce(
-    check_id: str, tolerance: float, violations, where, floor: float = 0.0
-) -> VerificationReport:
-    """Report the first largest entry (row-major) of the violation array, located by where(*index).
-
-    When no entry beats the floor, the report carries the floor and the
-    location "--".  A NaN entry is never below the floor: it is reported,
-    and fails the check.
-    """
-    violations = np.asarray(violations, dtype=float)
-    if violations.size:
-        index = np.unravel_index(np.argmax(violations), violations.shape)
-        if not violations[index] <= floor:
-            return VerificationReport.from_violation(
-                check_id, violations[index], tolerance, where(*index))
-    return VerificationReport.from_violation(check_id, floor, tolerance, "--")
 
 
 def _faddeeva_quadrature_error(x: float, y: float) -> float:

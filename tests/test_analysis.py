@@ -72,7 +72,10 @@ def test_check_monotone_reports_the_first_largest_drop():
     rep = check_monotone(_uniform_traj([0.0, 1.0, 0.5, 1.0, 0.5]), tol=0.1)
     assert (rep.worst_violation, rep.location) == (0.5, "t=0.02")
     rep = check_monotone(_uniform_traj([1.0], derivatives=[0.0]))
-    assert (rep.passed, rep.worst_violation, rep.location) == (True, 0.0, "t=--")
+    assert (rep.passed, rep.worst_violation, rep.location) == (True, 0.0, "--")
+    # Nothing decreases: the floor of 0 at no location, as in the suite's reducer.
+    rep = check_monotone(_uniform_traj([0.0, 1.0, 1.0, 2.0]))
+    assert (rep.passed, rep.worst_violation, rep.location) == (True, 0.0, "--")
 
 
 def test_suite_reducer_rules():
@@ -172,6 +175,12 @@ def test_imag_sqrt_alpha_positive_and_consistent_with_derivative():
             assert abs(up - analytic.u_rest_derivative(float(t), float(kappa))) <= 1e-12
 
 
+@pytest.mark.parametrize("kappa", [0.0, -1.0, 4.0, 5.0, math.nan, math.inf])
+def test_imag_sqrt_alpha_rejects_every_kappa_outside_its_domain(kappa):
+    with pytest.raises(ValueError, match=r"^kappa must lie in \(0, 4\), got "):
+        imag_sqrt_alpha_villat(1.0, kappa)
+
+
 def test_decomposition_cancellation_identity():
     # x cos(theta/2) + y sin(theta/2) = 0 for the substitution used in the
     # Re/Im split.
@@ -239,9 +248,14 @@ def test_residuals_skip_the_startup_window():
     times = np.arange(0, 101) * h
     spiked = np.zeros(101)
     spiked[3] = 1e3
+    # u = 2 against the forcing 1: a residual of 1 everywhere past the window,
+    # first reached at its start.
+    traj = Trajectory(times=times, values=np.full(101, 2.0), derivatives=spiked)
+    rep = ode_residual(traj, 2.0, 1.0)
+    assert (rep.worst_violation, rep.location) == (1.0, "t=0.1")
     traj = Trajectory(times=times, values=np.ones(101), derivatives=spiked)
     rep = ode_residual(traj, 2.0, 1.0)
-    assert rep.worst_violation <= 1e-14 and rep.location == "t=0.1"
+    assert (rep.worst_violation, rep.location) == (0.0, "--")
     traj = Trajectory(times=times, values=times + spiked, derivatives=np.ones(101))
     rep = abel_identity_residual(traj)
     assert rep.passed and rep.location != "t=0.03"

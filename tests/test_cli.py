@@ -294,7 +294,7 @@ def test_verify_needs_two_points(tmp_path, capsys, points):
 _NUM = r"-?\d+(\.\d+)?(e[-+]\d+)?"
 _T = rf"t={_NUM}"
 _VERIFY_LOCATIONS = {
-    # A passing sign check has nothing above the floor, so no location.
+    # A passing sign or monotonicity check has nothing above the floor, so no location.
     "closed_form_monotone": "--",
     "closed_form_derivative_positive": "--",
     "terminal_approach": rf"kappa={_NUM}",
@@ -303,11 +303,11 @@ _VERIFY_LOCATIONS = {
     "proof_integral_negative": rf"t={_NUM}, theta={_NUM}",
     "imag_sqrt_alpha_positive": "--",
     "ide_vs_closed_form": re.escape("kappa=2, [0,10]"),
-    "ide_monotone": _T,
+    "ide_monotone": "--",
     "ode_residual": _T,
     "abel_identity": _T,
     "oscillator_monotone_ic": re.escape("b=-1, A=1, t0=1"),
-    "oscillator_monotone": _T,
+    "oscillator_monotone": "--",
     "faddeeva_vs_quadrature": rf"x={_NUM}, y={_NUM}",
     "villat_derivative_identity": rf"z=\({_NUM}[-+]{_NUM}j\)",
     "villat_asymptotic_match": rf"\|z\|={_NUM}, arg={_NUM}",

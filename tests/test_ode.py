@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spherefall import analytic
 from spherefall.ode import (
@@ -11,6 +12,7 @@ from spherefall.ode import (
     classify_homogeneous,
     solve_oscillator,
 )
+from rk4_oracle import solve_oscillator_loop
 
 
 def test_classify_stable_falling_sphere():
@@ -50,6 +52,17 @@ def test_monotone_ic_trajectory_matches_kernel_translate():
     traj = solve_oscillator(prob, 1e-3, 20.0)
     ref = np.array([A * analytic.monotone_kernel_M(t + t0, b) for t in traj.times])
     assert np.max(np.abs(traj.values - ref)) <= 1e-6
+
+
+def test_monotone_ic_trajectory_holds_the_increment_form_accuracy():
+    # Stepping with P = I + E instead of adding the increment rounds E to
+    # eps absolute and lands at 1.7e-10 here; the increment form at 1.4e-11.
+    b, A, t0 = -1.0, 1.0, 1.0
+    ic = analytic.monotone_initial_conditions(b, A, t0)
+    prob = OscillatorProblem(b=b, A=A, t0=t0, v0=ic.v0, v0_prime=ic.v0_prime)
+    traj = solve_oscillator(prob, 1e-3, 20.0)
+    ref, _ = analytic.monotone_kernel_samples(traj.times, b, A, t0)
+    assert np.max(np.abs(traj.values - ref)) <= 1e-10
 
 
 def test_sphere_case_bootstrap_matches_closed_form():
@@ -129,6 +142,38 @@ def test_divergent_trajectory_flagged_not_raised():
     traj = solve_oscillator(prob, 0.05, 800.0)
     assert traj.meta["diverged"] is True
     assert traj.times[-1] < 800.0
+    assert np.all(np.isfinite(traj.values))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    b=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+    A=st.floats(-2.0, 2.0),
+    t0=st.floats(0.1, 10.0),
+    h=st.floats(1e-3, 0.1),
+    v0=st.floats(-1.0, 1.0),
+    v0_prime=st.floats(-1.0, 1.0),
+)
+def test_fused_step_matches_the_four_stage_loop(b, A, t0, h, v0, v0_prime):
+    # The fused update and the four-stage loop take the same steps with the
+    # operations grouped differently.  With stable damping the rounding
+    # differences (a few ulps of the state per step) grow at most linearly,
+    # so 2000 steps stay within 2000 * 2 eps ~ 1e-12 of the state's scale.
+    prob = OscillatorProblem(b=b, A=A, t0=t0, v0=v0, v0_prime=v0_prime)
+    traj = solve_oscillator(prob, h, 2000 * h)
+    v, dv = solve_oscillator_loop(prob, h, 2000 * h)
+    assert len(traj.values) == len(v) == 2001
+    scale = 1.0 + max(np.max(np.abs(v)), np.max(np.abs(dv)))
+    assert np.max(np.abs(traj.values - v)) <= 1e-12 * scale
+    assert np.max(np.abs(traj.derivatives - dv)) <= 1e-12 * scale
+
+
+def test_diverging_sphere_stops_at_the_same_row_as_the_loop():
+    prob = OscillatorProblem.sphere(3.9, 0.0)
+    traj = solve_oscillator(prob, 0.05, 800.0)
+    v, _ = solve_oscillator_loop(prob, 0.05, 800.0)
+    assert traj.meta["diverged"] is True
+    assert len(traj.values) == len(v) == 13979  # of 16001 grid points
     assert np.all(np.isfinite(traj.values))
 
 
