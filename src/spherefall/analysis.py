@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analytic, ide, ode
+from .analytic import _roots_from_damping, _sphere, _sphere_samples
 from .trajectory import Trajectory
 from .special import (
     _window_quadrature,
@@ -114,7 +115,7 @@ def _proof_peak(t: float, theta: float) -> tuple[float, float]:
     These are the peak and half-width of the Lorentzian factor 1/P of F,
     and the real and imaginary parts of the Faddeeva argument behind it.
     """
-    if t <= 0.0:
+    if not t > 0.0:  # a NaN t fails too
         raise ValueError(f"t must be > 0, got {t}")
     if not 0.0 < theta < math.pi:
         raise ValueError(f"theta must lie in (0, pi), got {theta}")
@@ -156,11 +157,9 @@ def imag_sqrt_alpha_villat(t: float, kappa: float) -> float:
     w(x + iy) with x = -sqrt(t) sin(theta/2), y = sqrt(t) cos(theta/2);
     disagreement beyond 1e-10 is an internal-consistency error.
     """
-    if t <= 0.0:
+    if not t > 0.0:  # a NaN t fails too
         raise ValueError(f"t must be > 0, got {t}")
-    if not 0.0 < kappa < 4.0:  # a NaN kappa fails here too
-        raise ValueError(f"kappa must lie in (0, 4), got {kappa}")
-    alpha = analytic.char_roots(kappa).alpha
+    alpha, _ = _roots_from_damping(_sphere(kappa)[0])
     direct = (cmath.sqrt(alpha) * villat(alpha * t)).imag
 
     theta = cmath.phase(alpha)
@@ -219,16 +218,6 @@ def ode_residual(traj: Trajectory, kappa: float, u0: float) -> VerificationRepor
 _KAPPA_SET = (0.5, 1.0, 2.0, 2.5, 2.9, 3.5, 3.9)
 
 
-def _sphere_u(kappa, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """u and u' of the sphere released from rest, a column of kappas against a row of times.
-
-    The amplitude is sqrt(2 - b) of the rounded b = 2 - kappa, as in :func:`analytic.u_rest`.
-    """
-    b = 2.0 - kappa
-    v, dv = analytic.monotone_kernel_samples(times, b, np.sqrt(2.0 - b), 0.0)
-    return 1.0 + v, dv
-
-
 def _faddeeva_quadrature_error(x: float, y: float) -> float:
     w = faddeeva(complex(x, y))
     return max(
@@ -264,10 +253,10 @@ def run_default_suite(h: float = 1e-3, points: int = 400) -> list[VerificationRe
         raise ValueError(f"points must be >= 2, got {points}")
     times = np.concatenate(([0.0], np.logspace(-3, 3, points)))
     kappas = np.array(_KAPPA_SET)[:, None]
-    u, du = _sphere_u(kappas, times)
+    u, du = _sphere_samples(times, kappas)
     lead = np.sqrt(kappas / (100.0 * math.pi))
     grid = np.linspace(0.05, 3.95, 20)
-    alpha, beta = analytic._roots_from_damping(2.0 - grid)
+    alpha, beta = _roots_from_damping(_sphere(grid)[0])
     root_sum = np.sqrt(alpha) + np.sqrt(beta)
     t_grid = np.logspace(-2, 3, 6).tolist()
     thetas = np.linspace(math.pi / 12.0, math.pi * 11.0 / 12.0, 6).tolist()
@@ -281,7 +270,7 @@ def run_default_suite(h: float = 1e-3, points: int = 400) -> list[VerificationRe
                 lambda i, j: f"kappa={_KAPPA_SET[i]}, t={times[j]:.6g}"),
         # Leading-order terminal approach: u(100) - 1 ~ -sqrt(kappa/(100 pi)).
         _reduce("terminal_approach", 0.05,
-                np.abs(_sphere_u(kappas, np.array([100.0]))[0] - 1.0 + lead) / lead,
+                np.abs(_sphere_samples(np.array([100.0]), kappas)[0] - 1.0 + lead) / lead,
                 lambda i, j: f"kappa={_KAPPA_SET[i]}"),
         # Characteristic-root identities.
         _reduce("root_identities", 1e-13,
@@ -289,7 +278,8 @@ def run_default_suite(h: float = 1e-3, points: int = 400) -> list[VerificationRe
                         root_sum * root_sum - grid, np.abs(alpha) - 1.0]).max(axis=0),
                 lambda i: f"kappa={grid[i]:.4g}"),
         # Decoupling: u(0) = 1 + sqrt(kappa) M(0) = 0 for every kappa.
-        _reduce("decoupling_v0", 1e-12, np.abs(_sphere_u(grid[:, None], np.zeros(1))[0]),
+        _reduce("decoupling_v0", 1e-12,
+                np.abs(_sphere_samples(np.zeros(1), grid[:, None])[0]),
                 lambda i, j: f"kappa={grid[i]:.4g}"),
         # Sign integral of the monotonicity argument: strictly negative everywhere.
         _reduce("proof_integral_negative", 0.0,
@@ -306,7 +296,7 @@ def run_default_suite(h: float = 1e-3, points: int = 400) -> list[VerificationRe
     # observed order ~1.5 of the product-integration scheme.
     ide_tol = max(1e-4, 1e-4 * (h / 1e-3) ** 1.5)
     traj2 = ide.solve_ide(2.0, 0.0, h, 10.0)
-    sup = float(np.max(np.abs(traj2.values - _sphere_u(2.0, traj2.times)[0])))
+    sup = float(np.max(np.abs(traj2.values - _sphere_samples(traj2.times, 2.0)[0])))
     reports.append(VerificationReport.from_violation(
         "ide_vs_closed_form", sup, ide_tol, "kappa=2, [0,10]"))
     reports.append(replace(check_monotone(traj2, tol=10.0 * h), check_id="ide_monotone"))

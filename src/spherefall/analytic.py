@@ -3,7 +3,8 @@
 Covers the characteristic roots of m^2 + (2-kappa)m + 1, the monotone
 kernel M(t) of the damped oscillator with 1/sqrt(pi(t+t0)) forcing,
 the sphere released with u(0) = eps, which is that oscillator:
-u(tau) = 1 + (1 - eps) sqrt(kappa) M(tau; b = 2 - kappa), the general
+u(tau) = 1 + (1 - eps) sqrt(kappa) M(tau; b = 2 - kappa) (``_sphere``
+alone maps kappa to (b, A) and checks kappa in (0, 4)), the general
 solution from any initial state, and the unique initial conditions
 whose trajectory stays monotone despite an unstable homogeneous
 problem.  Every closed-form value comes from one evaluator of (M, M'),
@@ -80,6 +81,12 @@ def _real_part_checked(value):
     return value.real
 
 
+def _require(ok, x, message: str) -> None:
+    """Raise ValueError(message.format(x_i)) for the first x_i whose ok_i fails, if any."""
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        raise ValueError(message.format(np.extract(np.logical_not(ok), x)[0]))
+
+
 def _roots_from_damping(b):
     """alpha = -b/2 + i sqrt((2 - b)(2 + b))/2 and its conjugate beta, the roots of m^2 + b m + 1.
 
@@ -87,10 +94,7 @@ def _roots_from_damping(b):
     element the bits of the scalar roots (Python complex); an error names
     the first element outside the interval, NaN included.
     """
-    inside = (-2.0 < b) & (b < 2.0)
-    if not (inside.all() if isinstance(b, np.ndarray) else inside):
-        bad = np.extract(np.logical_not(inside), b)[0]
-        raise ValueError(f"damping coefficient must lie in (-2, 2), got {bad}")
+    _require((-2.0 < b) & (b < 2.0), b, "damping coefficient must lie in (-2, 2), got {}")
     re, im = -b / 2.0, np.sqrt((2.0 - b) * (2.0 + b)) / 2.0
     if not isinstance(b, np.ndarray):
         return complex(re, im), complex(re, -im)
@@ -100,14 +104,14 @@ def _roots_from_damping(b):
 
 
 def char_roots(kappa: float) -> CharRoots:
-    """Characteristic roots for density parameter kappa in (0, 9), kappa != 4.
+    """Characteristic roots for density parameter kappa in (0, 9], kappa != 4.
 
     Complex conjugate pair for kappa < 4 (alpha with Im > 0, |alpha| = 1),
     real distinct roots for kappa > 4 (alpha the larger).  The double
     roots at kappa = 4 and where b rounds to 2 are rejected.
     """
-    if not 0.0 < kappa < 9.0:
-        raise ValueError(f"kappa must lie in (0, 9), got {kappa}")
+    if not 0.0 < kappa <= 9.0:
+        raise ValueError(f"kappa must lie in (0, 9], got {kappa}")
     if kappa == 4.0:
         raise ValueError("kappa = 4 is the degenerate double-root case")
     b = 2.0 - kappa
@@ -119,16 +123,17 @@ def char_roots(kappa: float) -> CharRoots:
     return CharRoots(alpha=complex((-b + disc) / 2.0), beta=complex((-b - disc) / 2.0), b=b)
 
 
-def _sphere(kappa: float) -> tuple[CharRoots, float]:
-    """Roots and amplitude sqrt(kappa) of the sphere's oscillator form, kappa in (0, 4).
+def _sphere(kappa, eps=0.0):
+    """(b, A) of the sphere released with u(0) = eps: v'' + b v' + v = -A/sqrt(pi t) for v = u - 1.
 
-    The amplitude is sqrt(2 - b) of the rounded b = 2 - kappa, so that it
-    matches the roots even for tiny kappa (u(0) = 0, u'(0) = 1 hold).
+    b = 2 - kappa and A = (1 - eps) sqrt(2 - b): sqrt(kappa) from the rounded b keeps
+    u(0) = eps and u'(0) = 1 - eps for tiny kappa.  kappa is a float or a (k, 1) column.
     """
-    if not 0.0 < kappa < 4.0:
-        raise ValueError(f"kappa must lie in (0, 4) for the transient solution, got {kappa}")
-    roots = char_roots(kappa)
-    return roots, math.sqrt(2.0 - roots.b)
+    _require((0.0 < kappa) & (kappa < 4.0), kappa, "kappa must lie in (0, 4), got {}")
+    b = 2.0 - kappa
+    _require(b != 2.0, kappa, "kappa={} is too small: b = 2 - kappa rounds to 2")
+    sqrt = np.sqrt if isinstance(b, np.ndarray) else math.sqrt
+    return b, (1.0 - eps) * sqrt(2.0 - b)
 
 
 def _kernel(t, alpha, beta):
@@ -144,14 +149,20 @@ def _kernel(t, alpha, beta):
     times gives (k, n), one Villat call per root.  Vi(beta t) is not taken
     as conj(Vi(alpha t)): that would make the conjugate-symmetry check vacuous.
     """
-    if (t < 0.0).any() if isinstance(t, np.ndarray) else t < 0.0:
-        raise ValueError(f"t must be >= 0, got {np.min(t)}")
+    _require(t >= 0.0, t, "t must be >= 0, got {}")
     va, vb = villat(alpha * t), villat(beta * t)
     sqrt = np.sqrt if isinstance(alpha, np.ndarray) else cmath.sqrt
     sa, sb = sqrt(alpha), sqrt(beta)
     m = (sb * va - sa * vb) / (alpha - beta)
     dm = (alpha * sb * va - beta * sa * vb) / (alpha - beta)
     return _real_part_checked(m), _real_part_checked(dm)
+
+
+def _sphere_samples(t, kappa, eps=0.0):
+    """(u, u') = (1 + A M(t), A M'(t)) of the sphere from u(0) = eps; (k, 1) kappas give (k, n)."""
+    b, A = _sphere(kappa, eps)
+    m, dm = _kernel(t, *_roots_from_damping(b))
+    return 1.0 + A * m, A * dm
 
 
 def u_rest(tau: float, kappa: float) -> float:
@@ -161,8 +172,7 @@ def u_rest(tau: float, kappa: float) -> float:
     u = 1 + (1 - eps) sqrt(kappa) M(tau; 2 - kappa), with u(0) = 0 and
     u -> 1; evaluated through the Villat function only.
     """
-    roots, amplitude = _sphere(kappa)
-    return 1.0 + amplitude * _kernel(tau, roots.alpha, roots.beta)[0]
+    return _sphere_samples(tau, kappa)[0]
 
 
 def u_rest_derivative(tau: float, kappa: float) -> float:
@@ -172,8 +182,7 @@ def u_rest_derivative(tau: float, kappa: float) -> float:
     u' = sqrt(kappa) Im{sqrt(alpha) Vi(alpha tau)} / Im{alpha} > 0;
     continuous at tau = 0 with u'(0) = 1.
     """
-    roots, amplitude = _sphere(kappa)
-    return amplitude * _kernel(tau, roots.alpha, roots.beta)[1]
+    return _sphere_samples(tau, kappa)[1]
 
 
 def monotone_kernel_M(t: float, b: float) -> float:
@@ -206,10 +215,8 @@ def general_state(
     conditions yield exactly v(t) = A M(t+t0) with no cancellation of
     exponentially large terms.
     """
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if t0 < 0.0:
-        raise ValueError(f"t0 must be >= 0, got {t0}")
+    _require(t >= 0.0, t, "t must be >= 0, got {}")
+    _require(t0 >= 0.0, t0, "t0 must be >= 0, got {}")
     alpha, beta = _roots_from_damping(b)
     m0, m0p = _kernel(t0, alpha, beta)
     w0, w0_prime = v0 - A * m0, v0_prime - A * m0p
@@ -231,7 +238,6 @@ def monotone_initial_conditions(b: float, A: float, t0: float) -> MonotoneIC:
     A = sqrt(kappa), t0 = 0) the value v0 is -1 for every kappa, and
     v0' = 1.
     """
-    if t0 < 0.0:
-        raise ValueError(f"t0 must be >= 0, got {t0}")
+    _require(t0 >= 0.0, t0, "t0 must be >= 0, got {}")
     m0, m0p = _kernel(t0, *_roots_from_damping(b))
     return MonotoneIC(v0=A * m0, v0_prime=A * m0p)

@@ -120,13 +120,16 @@ def _solve_oscillator(solver: str, prob: ode.OscillatorProblem, h: float, T: flo
 
 
 def _sphere_trajectory(solver: str, kappa: float, eps: float, h: float, T: float) -> Trajectory:
+    """The sphere released with u(0) = eps: solve_ide, _sphere_samples, or RK4 on v = u - 1."""
     if solver == "ide":
         return ide.solve_ide(kappa, eps, h, T)
-    v = _solve_oscillator(solver, ode.OscillatorProblem.sphere(kappa, eps), h, T)
     if solver == "closed-form":
-        meta = {"solver": solver, "kappa": kappa, "eps": eps, "h": h, "T": v.meta["T"]}
-    else:
-        meta = {**v.meta, "kappa": kappa, "eps": eps, "variable": "u"}
+        times = uniform_grid(h, T)
+        values, derivs = analytic._sphere_samples(times, kappa, eps)
+        meta = {"solver": solver, "kappa": kappa, "eps": eps, "h": h, "T": (len(times) - 1) * h}
+        return Trajectory(times=times, values=values, derivatives=derivs, meta=meta)
+    v = ode.solve_oscillator(ode.OscillatorProblem.sphere(kappa, eps), h, T)
+    meta = {**v.meta, "kappa": kappa, "eps": eps, "variable": "u"}
     return dataclasses.replace(v, values=v.values + 1.0, meta=meta)
 
 

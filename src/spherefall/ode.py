@@ -44,20 +44,18 @@ class OscillatorProblem:
     v0_prime: float
 
     def __post_init__(self) -> None:
-        if self.t0 < 0.0:
+        if not self.t0 >= 0.0:  # a NaN t0 fails too
             raise ValueError(f"t0 must be >= 0, got {self.t0}")
 
     @classmethod
     def sphere(cls, kappa: float, eps: float) -> "OscillatorProblem":
         """The sphere released with u(0) = eps, as the oscillator for v = u - 1.
 
-        b = 2 - kappa, A = (1 - eps) sqrt(kappa), t0 = 0, v0 = eps - 1 and
-        v0' = 1 - eps, for kappa in (0, 4).  The initial state is the
-        monotone one, v = A M(t).
+        (b, A) = (2 - kappa, (1 - eps) sqrt(kappa)) from :func:`spherefall.analytic._sphere`,
+        kappa in (0, 4); t0 = 0 and the monotone state v0 = eps - 1, v0' = 1 - eps.
         """
-        roots, amplitude = analytic._sphere(kappa)
-        return cls(b=roots.b, A=(1.0 - eps) * amplitude, t0=0.0, v0=eps - 1.0,
-                   v0_prime=1.0 - eps)
+        b, A = analytic._sphere(kappa, eps)
+        return cls(b=b, A=A, t0=0.0, v0=eps - 1.0, v0_prime=1.0 - eps)
 
 
 @dataclass(frozen=True)
@@ -70,6 +68,8 @@ class StabilityClass:
 
 def classify_homogeneous(b: float) -> StabilityClass:
     """Classify the homogeneous roots: complex pair iff |b| < 2, sign of Re = sign(-b/2)."""
+    if np.isnan(b):
+        raise ValueError(f"b must not be NaN, got {b}")
     if abs(b) < 2.0:
         kind = "complex-conjugate"
     elif abs(b) == 2.0:

@@ -43,9 +43,9 @@ class PhysicalParams:
     g: float
 
     def __post_init__(self) -> None:
-        if self.rho <= 0.0 or self.mu <= 0.0 or self.R <= 0.0 or self.g <= 0.0:
+        if not (self.rho > 0.0 and self.mu > 0.0 and self.R > 0.0 and self.g > 0.0):
             raise ValueError("PhysicalParams: rho, mu, R, g must all be > 0")
-        if self.rho_s < 0.0:
+        if not self.rho_s >= 0.0:
             raise ValueError("PhysicalParams: rho_s must be >= 0")
 
     @property
@@ -75,14 +75,14 @@ class DimensionlessGroup:
     U0: float
 
     def __post_init__(self) -> None:
-        if self.B <= 0.0 or self.Q <= 0.0:
+        if not (self.B > 0.0 and self.Q > 0.0):
             raise ValueError("DimensionlessGroup: B and Q must be > 0")
         # kappa = 9 is the massless-sphere boundary (rho_s = 0).
         if not 0.0 < self.kappa <= 9.0:
             raise ValueError(f"DimensionlessGroup: kappa must lie in (0, 9], got {self.kappa}")
-        if abs(self.kappa - math.pi * self.Q**2 / self.B) > 1e-12 * self.kappa:
+        if not abs(self.kappa - math.pi * self.Q**2 / self.B) <= 1e-12 * self.kappa:
             raise ValueError("DimensionlessGroup: kappa must equal pi Q^2 / B")
-        if abs(self.U0 - self.M / self.B) > 1e-12 * max(abs(self.U0), 1e-300):
+        if not abs(self.U0 - self.M / self.B) <= 1e-12 * max(abs(self.U0), 1e-300):
             raise ValueError("DimensionlessGroup: U0 must equal M / B")
 
 

@@ -128,8 +128,9 @@ def test_integrand_near_theta_pi_is_finite():
 
 
 def test_integrand_domain_errors():
-    with pytest.raises(ValueError):
-        proof_integral(-1.0, 1.0)
+    for t in (-1.0, 0.0, math.nan):  # a NaN t is no sign question: it fails the domain
+        with pytest.raises(ValueError, match="^t must be > 0, got "):
+            proof_integral(t, 1.0)
     with pytest.raises(ValueError):
         proof_integral(1.0, 3.5)
 
@@ -173,6 +174,12 @@ def test_imag_sqrt_alpha_positive_and_consistent_with_derivative():
             roots = analytic.char_roots(float(kappa))
             up = math.sqrt(kappa) * val / roots.alpha.imag
             assert abs(up - analytic.u_rest_derivative(float(t), float(kappa))) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [-1.0, 0.0, math.nan])
+def test_imag_sqrt_alpha_rejects_every_t_outside_its_domain(t):
+    with pytest.raises(ValueError, match="^t must be > 0, got "):
+        imag_sqrt_alpha_villat(t, 1.0)
 
 
 @pytest.mark.parametrize("kappa", [0.0, -1.0, 4.0, 5.0, math.nan, math.inf])

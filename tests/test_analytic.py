@@ -2,13 +2,17 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spherefall import analytic, ide
+from spherefall.analysis import imag_sqrt_alpha_villat
 from spherefall.analytic import (
+    _sphere,
+    _sphere_samples,
     char_roots,
     general_state,
     monotone_initial_conditions,
@@ -79,6 +83,20 @@ def test_char_roots_domain_errors():
         char_roots(0.0)
     with pytest.raises(ValueError):
         char_roots(9.5)
+    with pytest.raises(ValueError):
+        char_roots(math.nan)
+
+
+def test_char_roots_at_the_massless_sphere():
+    # kappa = 9 (rho_s = 0) ends the domain of solve_ide and drag; the
+    # roots of m^2 - 7m + 1 are phi^4 and phi^-4, phi the golden ratio.
+    r = char_roots(9.0)
+    sa, sb = cmath.sqrt(r.alpha), cmath.sqrt(r.beta)
+    assert r.b == -7.0 and r.alpha.imag == 0.0 and r.beta.imag == 0.0
+    assert abs(r.alpha - ((1.0 + math.sqrt(5.0)) / 2.0) ** 4) <= 1e-14 * r.alpha.real
+    assert abs(r.alpha * r.beta - 1.0) <= 1e-14
+    assert abs(r.alpha + r.beta - (9.0 - 2.0)) <= 1e-14
+    assert abs((sa + sb) ** 2 - 9.0) <= 1e-13
 
 
 @given(kappas)
@@ -179,31 +197,69 @@ def test_kappa_below_the_resolution_of_b_is_rejected_by_name():
             fn()
 
 
+_SPHERE_ENTRY_POINTS = {
+    "u_rest": lambda kappa: u_rest(1.0, kappa),
+    "u_rest_derivative": lambda kappa: u_rest_derivative(1.0, kappa),
+    "_sphere_samples": lambda kappa: _sphere_samples(np.array([0.0, 1.0]), kappa, 0.3),
+    "OscillatorProblem.sphere": lambda kappa: OscillatorProblem.sphere(kappa, 0.3),
+    "imag_sqrt_alpha_villat": lambda kappa: imag_sqrt_alpha_villat(1.0, kappa),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SPHERE_ENTRY_POINTS))
+@pytest.mark.parametrize("kappa", [0.0, -1.0, 4.0, 4.5, 9.0, math.nan, math.inf, 1e-17])
+def test_every_sphere_entry_point_rejects_kappa_outside_the_closed_form_domain(entry, kappa):
+    # One domain, (0, 4), and one message for it, wherever the sphere enters.
+    if kappa == 1e-17:
+        message = r"^kappa=1e-17 is too small: b = 2 - kappa rounds to 2$"
+    else:
+        message = rf"^kappa must lie in \(0, 4\), got {re.escape(str(kappa))}$"
+    with pytest.raises(ValueError, match=message):
+        _SPHERE_ENTRY_POINTS[entry](kappa)
+
+
+def test_sphere_map_of_a_column_is_the_scalar_map_per_row():
+    kappa = np.array([[1e-10], [0.5], [2.0], [3.9]])
+    b, A = _sphere(kappa, 0.3)
+    assert b.shape == A.shape == (4, 1)
+    for row, k in enumerate(kappa[:, 0].tolist()):
+        scalar = (2.0 - k, (1.0 - 0.3) * math.sqrt(2.0 - (2.0 - k)))
+        assert (b[row, 0], A[row, 0]) == _sphere(k, 0.3) == scalar
+    u, du = _sphere_samples(np.array([0.0, 1.0, 10.0]), kappa, 0.3)
+    assert u.shape == du.shape == (4, 3)
+    for row, k in enumerate(kappa[:, 0].tolist()):
+        ref_u, ref_du = _sphere_samples(np.array([0.0, 1.0, 10.0]), k, 0.3)
+        assert np.all(np.abs(u[row] - ref_u) <= ARRAY_ATOL)
+        assert np.all(np.abs(du[row] - ref_du) <= ARRAY_ATOL)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (4.5, r"^kappa must lie in \(0, 4\), got 4.5$"),
+    (1e-17, r"^kappa=1e-17 is too small: b = 2 - kappa rounds to 2$"),
+])
+def test_sphere_map_of_a_column_names_the_first_bad_kappa(bad, message):
+    with pytest.raises(ValueError, match=message):
+        _sphere(np.array([[1.0], [bad], [2.0], [bad + 1.0]]))
+
+
 # ----------------------------------------------------------------------
 # General initial velocity
 # ----------------------------------------------------------------------
 
-def _sphere_u(times, kappa, eps):
-    # The sphere released with u(0) = eps, sampled through its oscillator map.
-    prob = OscillatorProblem.sphere(kappa, eps)
-    v, dv = monotone_kernel_samples(np.asarray(times, dtype=float), prob.b, prob.A, prob.t0)
-    return 1.0 + v, dv
-
-
 def test_u_general_eps_one_is_constant():
-    u, du = _sphere_u([0.0, 0.5, 3.0, 20.0], 2.0, 1.0)
+    u, du = _sphere_samples(np.array([0.0, 0.5, 3.0, 20.0]), 2.0, 1.0)
     assert np.all(u == 1.0) and np.all(du == 0.0)
 
 
 def test_u_general_eps_zero_is_u_rest():
     times = [0.0, 0.7, 5.0]
-    u, _ = _sphere_u(times, 1.5, 0.0)
+    u, _ = _sphere_samples(np.array(times), 1.5, 0.0)
     assert np.all(np.abs(u - [u_rest(t, 1.5) for t in times]) <= ARRAY_ATOL)
 
 
 def test_u_general_matches_ide_solver():
     traj = ide.solve_ide(2.0, 0.5, 1e-3, 10.0)
-    ref, _ = _sphere_u(traj.times, 2.0, 0.5)
+    ref, _ = _sphere_samples(traj.times, 2.0, 0.5)
     assert np.max(np.abs(traj.values - ref)) <= 1e-4
 
 
@@ -319,6 +375,11 @@ def test_kernel_samples_keep_the_grid_shape(shape):
 def test_kernel_samples_reject_a_negative_time():
     with pytest.raises(ValueError, match="t must be >= 0"):
         monotone_kernel_samples(np.array([0.0, 1.0, -0.5]), 0.5, 1.0, 0.0)
+    # A NaN time fails the same check, named as the first bad element.
+    with pytest.raises(ValueError, match="^t must be >= 0, got nan$"):
+        monotone_kernel_samples(np.array([0.0, math.nan, -0.5]), 0.5, 1.0, 0.0)
+    with pytest.raises(ValueError, match="^t must be >= 0, got nan$"):
+        u_rest(math.nan, 1.0)
 
 
 def test_real_part_check_names_the_worst_array_element():
@@ -399,6 +460,13 @@ def test_vp_domain_errors():
         _vp(0.0, -1.0, 1.0, -1.0)
     with pytest.raises(ValueError):
         _vp(-1.0, -1.0, 1.0, 1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match=r"^t must be >= 0, got "):
+            _vp(bad, -1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"^t0 must be >= 0, got "):
+            _vp(1.0, -1.0, 1.0, bad)
+        with pytest.raises(ValueError, match=r"^t0 must be >= 0, got "):
+            monotone_initial_conditions(-1.0, 1.0, bad)
 
 
 def test_general_solution_with_monotone_ics_is_the_kernel_translate():

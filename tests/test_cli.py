@@ -334,6 +334,21 @@ def test_sphere_ode_rejects_kappa_outside_oscillator_range(capsys):
     assert "kappa" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["trajectory", "--kappa", "4.5", "--solver", "closed-form"], "4.5"),
+    (["trajectory", "--kappa", "4.5", "--solver", "ode"], "4.5"),
+    (["compare", "--kappa", "9", "--T", "1", "--h", "0.1"], "9.0"),
+    (["sweep", "--kappas", "1,4.5"], "4.5"),
+])
+def test_sphere_commands_share_one_domain_message_and_write_nothing(tmp_path, capsys, argv, bad):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: kappa must lie in (0, 4), got {bad}\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_numerical_failure_exit_three(tmp_path):
     out = tmp_path / "div.csv"
     code = main([

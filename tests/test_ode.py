@@ -32,6 +32,11 @@ def test_classify_real_roots_beyond_four():
     assert cls.root_kind == "real-distinct"
 
 
+def test_classify_rejects_nan():
+    with pytest.raises(ValueError, match="^b must not be NaN"):
+        classify_homogeneous(math.nan)
+
+
 def test_classify_boundaries():
     assert classify_homogeneous(2.0).root_kind == "real-double"  # kappa = 0
     assert classify_homogeneous(-2.0).root_kind == "real-double"  # kappa = 4
@@ -183,6 +188,7 @@ def test_solver_argument_validation():
         solve_oscillator(prob, 0.0, 1.0)
     with pytest.raises(ValueError):
         solve_oscillator(prob, 1e-2, 1e-3)
-    with pytest.raises(ValueError):
-        OscillatorProblem(b=0.0, A=1.0, t0=-1.0, v0=0.0, v0_prime=0.0)
+    for t0 in (-1.0, math.nan):  # a NaN t0 is rejected, not run as an RK4 divergence
+        with pytest.raises(ValueError, match="^t0 must be >= 0, got "):
+            OscillatorProblem(b=0.0, A=1.0, t0=t0, v0=0.0, v0_prime=0.0)
 

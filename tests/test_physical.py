@@ -46,6 +46,14 @@ def test_params_validation():
         PhysicalParams(rho_s=1.0, rho=1000.0, mu=0.1, R=-0.01, g=9.8)
 
 
+@pytest.mark.parametrize("field", ["rho_s", "rho", "mu", "R", "g"])
+def test_params_validation_rejects_nan(field):
+    # A NaN used to pass, and nondimensionalize then built an all-NaN group.
+    fields = {**dict(rho_s=1190.0, rho=1000.0, mu=0.1, R=0.001, g=9.8), field: math.nan}
+    with pytest.raises(ValueError, match="^PhysicalParams: "):
+        nondimensionalize(PhysicalParams(**fields))
+
+
 def test_stokes_velocity_zero_for_neutral_buoyancy():
     p = PhysicalParams(rho_s=1000.0, rho=1000.0, mu=0.1, R=0.001, g=9.8)
     assert stokes_terminal_velocity(p) == 0.0
@@ -99,6 +107,14 @@ def test_nondimensional_group_invariants(rho_s, rho, mu, R):
 def test_group_validation_rejects_inconsistent_fields():
     with pytest.raises(ValueError):
         DimensionlessGroup(B=1.0, Q=1.0, M=1.0, kappa=1.0, U0=1.0)  # kappa != pi Q^2/B
+
+
+@pytest.mark.parametrize("field", ["B", "Q", "M", "kappa", "U0"])
+def test_group_validation_rejects_nan(field):
+    g = nondimensionalize(P_REF)
+    fields = {**dict(B=g.B, Q=g.Q, M=g.M, kappa=g.kappa, U0=g.U0), field: math.nan}
+    with pytest.raises(ValueError, match="^DimensionlessGroup: "):
+        DimensionlessGroup(**fields)
 
 
 def _constant_history(value: float, n: int = 200, h: float = 1e-3) -> Trajectory:
