@@ -76,10 +76,10 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
-    """CSV of equal-length float columns, each value in shortest round-trip form."""
-    cells = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
-    lines = [",".join(header), *map(",".join, zip(*cells))]
-    return "\n".join(lines) + "\n"
+    """CSV of equal-length float columns, each value as ``repr`` prints it (shortest round trip)."""
+    from . import _shortest  # on first use, so importing the CLI loads no formatter
+
+    return ",".join(header) + "\n" + _shortest.csv_rows(np.column_stack(columns))
 
 
 def _emit(path: str, text: str) -> None:

@@ -14,6 +14,7 @@ member of the family; see ``OscillatorProblem.sphere``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ _BLOCK_STEPS = 1024  # steps per block of forcing samples and states, to keep me
 
 @dataclass(frozen=True)
 class OscillatorProblem:
-    """Damping b, forcing amplitude A, forcing offset t0 >= 0, and initial state."""
+    """Damping b, forcing amplitude A, forcing offset t0 >= 0, and initial state, all finite."""
 
     b: float
     A: float
@@ -46,6 +47,10 @@ class OscillatorProblem:
     def __post_init__(self) -> None:
         if not self.t0 >= 0.0:  # a NaN t0 fails too
             raise ValueError(f"t0 must be >= 0, got {self.t0}")
+        # A non-finite field is a domain error, not a trajectory that diverges at T = 0.
+        for name in ("b", "A", "t0", "v0", "v0_prime"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @classmethod
     def sphere(cls, kappa: float, eps: float) -> "OscillatorProblem":

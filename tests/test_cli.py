@@ -194,6 +194,9 @@ def test_json_and_csv_outputs_carry_the_same_numbers(tmp_path, argv, keys):
         assert payload["sup_norm"] == summary["sup_norm"]
     assert got.shape == rows.shape
     assert np.array_equal(got, rows)
+    # Equal values are not enough: each cell has the shortest digits, those of repr.
+    cells = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert cells == [[repr(v) for v in row] for row in got.tolist()]
 
 
 def test_cli_runs_without_scipy(tmp_path):

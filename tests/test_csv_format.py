@@ -1,0 +1,88 @@
+"""The CLI's CSV cells against the per-cell ``repr`` oracle, byte for byte."""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import spherefall
+from csv_oracle import csv_text_loop
+from spherefall import _shortest, cli
+
+
+def _check_against_oracle(values: np.ndarray, ncols: int) -> None:
+    cells = np.resize(values, -(-len(values) // ncols) * ncols).reshape(-1, ncols)
+    header = [f"c{j}" for j in range(ncols)]
+    columns = list(cells.T)
+    assert cli._csv_text(header, columns) == csv_text_loop(header, columns)
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=64),
+       st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=64),
+       st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_every_cell_prints_as_repr(bit_patterns, floats, ncols):
+    # Raw 64-bit patterns reach every exponent, NaN payloads and subnormals included.
+    values = np.concatenate([np.array(bit_patterns, dtype=np.uint64).view(np.float64),
+                             np.array(floats, dtype=np.float64), [-0.0]])
+    _check_against_oracle(values, ncols)
+
+
+def test_one_call_over_many_blocks_prints_as_repr():
+    rng = np.random.default_rng(20201)
+    random_bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    powers = np.array([2.0**j for j in range(-1074, 1024)] + [float(f"1e{j}") for j in range(-323, 309)])
+    near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    # Above 2^53 the doubles are the even integers, and repr switches to exponent form at 1e16.
+    big = 2.0**53 + 2.0 * np.arange(-64, 65)
+    values = np.concatenate([random_bits, near, -near, big, -big])
+    assert len(values) > 10 * _shortest._BLOCK_CELLS
+    _check_against_oracle(values, 5)
+    _check_against_oracle(np.empty(0), 3)
+
+
+def test_multipliers_bracket_the_powers_of_ten():
+    # (g - 1) 2^r <= 10^-k < g 2^r with 2^125 <= g < 2^126, over every k a normal double needs.
+    for k in range(-324, 293):
+        g1, g0 = _shortest._multiplier(k)
+        g = g1 << 63 | g0
+        scale = Fraction(2) ** (_shortest._floor_log2_pow10(-k) - 125)
+        assert 1 << 125 <= g < 1 << 126
+        assert (g - 1) * scale <= Fraction(10) ** -k < g * scale
+
+
+@pytest.mark.parametrize("argv", [
+    ["trajectory", "--kappa", "2.5", "--solver", "ide", "--T", "2", "--h", "0.001"],
+    ["trajectory", "--b", "-1", "--A", "1", "--t0", "1", "--solver", "ode", "--T", "5",
+     "--h", "0.01"],
+    ["compare", "--kappa", "3", "--eps", "0.5", "--T", "1", "--h", "0.01"],
+    ["sweep", "--solver", "closed-form", "--kappas", "0.5,3.95", "--T", "20", "--h", "0.005"],
+    ["drag", "--rho-s", "1190", "--rho", "1000", "--mu", "0.1", "--radius", "0.001",
+     "--g", "9.8", "--T", "0.005", "--h", "0.0001"],
+], ids=["trajectory", "oscillator", "compare", "sweep", "drag"])
+def test_cli_csv_files_equal_the_oracle_text(tmp_path, monkeypatch, argv):
+    expected = []
+    write = cli._csv_text
+
+    def recording(header, columns):
+        expected.append(csv_text_loop(header, columns))
+        return write(header, columns)
+
+    monkeypatch.setattr(cli, "_csv_text", recording)
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    paths = sorted(out.glob("trajectory_*.csv")) if out.is_dir() else [out]
+    assert len(expected) == len(paths) >= 1
+    assert sorted(p.read_text() for p in paths) == sorted(expected)
+
+
+def test_importing_the_cli_loads_no_formatter():
+    code = "import sys, spherefall.cli; print('spherefall._shortest' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(spherefall.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "False", done.stderr

@@ -191,4 +191,12 @@ def test_solver_argument_validation():
     for t0 in (-1.0, math.nan):  # a NaN t0 is rejected, not run as an RK4 divergence
         with pytest.raises(ValueError, match="^t0 must be >= 0, got "):
             OscillatorProblem(b=0.0, A=1.0, t0=t0, v0=0.0, v0_prime=0.0)
+    # Every other non-finite field is rejected by name, not run as an RK4 divergence at T = 0.
+    finite = {"b": 0.0, "A": 1.0, "t0": 1.0, "v0": 0.0, "v0_prime": 0.0}
+    for name in ("b", "A", "t0", "v0", "v0_prime"):
+        for bad in (math.nan, math.inf, -math.inf):
+            if name == "t0" and not bad > 0.0:
+                continue  # the check above
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+                OscillatorProblem(**{**finite, name: bad})
 
