@@ -114,11 +114,10 @@ def char_roots(kappa: float) -> CharRoots:
         raise ValueError(f"kappa must lie in (0, 9], got {kappa}")
     if kappa == 4.0:
         raise ValueError("kappa = 4 is the degenerate double-root case")
-    b = 2.0 - kappa
-    if b == 2.0:
-        raise ValueError(f"kappa={kappa} is too small: b = 2 - kappa rounds to 2")
     if kappa < 4.0:
+        b = _sphere(kappa)[0]
         return CharRoots(*_roots_from_damping(b), b=b)
+    b = 2.0 - kappa
     disc = math.sqrt(b * b - 4.0)
     return CharRoots(alpha=complex((-b + disc) / 2.0), beta=complex((-b - disc) / 2.0), b=b)
 
@@ -136,33 +135,11 @@ def _sphere(kappa, eps=0.0):
     return b, (1.0 - eps) * sqrt(2.0 - b)
 
 
-def _kernel(t, alpha, beta):
-    """(M(t), M'(t)) from one evaluation each of Vi(alpha t) and Vi(beta t).
-
-    M(t) = [sqrt(beta) Vi(alpha t) - sqrt(alpha) Vi(beta t)] / (alpha - beta).
-    By d/dz Vi(z) = Vi(z) - 1/sqrt(pi z) the 1/sqrt(pi t) parts cancel, as
-    alpha sqrt(beta) = sqrt(alpha) for alpha beta = 1, leaving M'(t) =
-    [alpha sqrt(beta) Vi(alpha t) - beta sqrt(alpha) Vi(beta t)] / (alpha - beta),
-    finite at t = 0 with M'(0) = 1/(sqrt(alpha) + sqrt(beta)).
-
-    t and the roots may be arrays: a (k, 1) column of roots against (n,)
-    times gives (k, n), one Villat call per root.  Vi(beta t) is not taken
-    as conj(Vi(alpha t)): that would make the conjugate-symmetry check vacuous.
-    """
-    _require(t >= 0.0, t, "t must be >= 0, got {}")
-    va, vb = villat(alpha * t), villat(beta * t)
-    sqrt = np.sqrt if isinstance(alpha, np.ndarray) else cmath.sqrt
-    sa, sb = sqrt(alpha), sqrt(beta)
-    m = (sb * va - sa * vb) / (alpha - beta)
-    dm = (alpha * sb * va - beta * sa * vb) / (alpha - beta)
-    return _real_part_checked(m), _real_part_checked(dm)
-
-
 def _sphere_samples(t, kappa, eps=0.0):
     """(u, u') = (1 + A M(t), A M'(t)) of the sphere from u(0) = eps; (k, 1) kappas give (k, n)."""
     b, A = _sphere(kappa, eps)
-    m, dm = _kernel(t, *_roots_from_damping(b))
-    return 1.0 + A * m, A * dm
+    am, adm = monotone_kernel_samples(t, b, A, 0.0)
+    return 1.0 + am, adm
 
 
 def u_rest(tau: float, kappa: float) -> float:
@@ -190,43 +167,55 @@ def monotone_kernel_M(t: float, b: float) -> float:
 
     For b in (-2, 2) this is negative and increases monotonically to 0.
     """
-    return _kernel(t, *_roots_from_damping(b))[0]
+    return monotone_kernel_samples(t, b, 1.0, 0.0)[0]
 
 
-def monotone_kernel_samples(times: np.ndarray, b, A, t0: float) -> tuple[np.ndarray, np.ndarray]:
-    """A M(t + t0) and A M'(t + t0) at every t of the grid: the monotone trajectory.
+def monotone_kernel_samples(times, b, A, t0: float):
+    """(A M(t + t0), A M'(t + t0)) at a time or an array of times: the one evaluator of (M, M').
 
-    Two array Villat evaluations over the whole grid; b and A may be (k, 1)
-    columns, one row of the result per damping value.  Each entry equals A
-    times the scalar kernel at t + t0 up to the last bits of array arithmetic.
+    M(t) = [sqrt(beta) Vi(alpha t) - sqrt(alpha) Vi(beta t)] / (alpha - beta).
+    By d/dz Vi(z) = Vi(z) - 1/sqrt(pi z) the 1/sqrt(pi t) parts cancel, as
+    alpha sqrt(beta) = sqrt(alpha) for alpha beta = 1, leaving M'(t) =
+    [alpha sqrt(beta) Vi(alpha t) - beta sqrt(alpha) Vi(beta t)] / (alpha - beta),
+    finite at t = 0 with M'(0) = 1/(sqrt(alpha) + sqrt(beta)).
+
+    A float time takes the Python complex path.  Array times take two array
+    Villat calls, b and A may be (k, 1) columns (one row per damping value),
+    and each entry equals the scalar value up to the last bits.  Vi(beta t) is
+    not taken as conj(Vi(alpha t)): that would make the conjugate-symmetry check vacuous.
     """
-    m, dm = _kernel(np.asarray(times, dtype=float) + t0, *_roots_from_damping(b))
-    return A * m, A * dm
+    t = np.add(times, t0)
+    _require(t >= 0.0, t, "t must be >= 0, got {}")
+    alpha, beta = _roots_from_damping(b)
+    va, vb = villat(alpha * t), villat(beta * t)
+    sqrt = np.sqrt if isinstance(alpha, np.ndarray) else cmath.sqrt
+    sa, sb = sqrt(alpha), sqrt(beta)
+    m = (sb * va - sa * vb) / (alpha - beta)
+    dm = (alpha * sb * va - beta * sa * vb) / (alpha - beta)
+    return A * _real_part_checked(m), A * _real_part_checked(dm)
 
 
-def general_state(
-    t: float, b: float, A: float, t0: float, v0: float, v0_prime: float
-) -> tuple[float, float]:
-    """Value and derivative at time t of the solution with v(0)=v0, v'(0)=v0'.
+def general_state(t, b: float, A: float, t0: float, v0: float, v0_prime: float):
+    """Value and derivative at t >= 0, a float or an array, of the solution with v(0)=v0, v'(0)=v0'.
 
     Decomposed against the bounded particular solution A*M(t+t0): the
     coefficients of exp(alpha t) and exp(beta t) match the initial-condition
     mismatch (v0 - A M(t0), v0' - A M'(t0)), so the monotone initial
     conditions yield exactly v(t) = A M(t+t0) with no cancellation of
-    exponentially large terms.
+    exponentially large terms.  An array of times gives arrays of its
+    shape, equal to the element-wise calls up to the last bits.
     """
     _require(t >= 0.0, t, "t must be >= 0, got {}")
-    _require(t0 >= 0.0, t0, "t0 must be >= 0, got {}")
+    ic = monotone_initial_conditions(b, A, t0)
+    w0, w0_prime = v0 - ic.v0, v0_prime - ic.v0_prime
     alpha, beta = _roots_from_damping(b)
-    m0, m0p = _kernel(t0, alpha, beta)
-    w0, w0_prime = v0 - A * m0, v0_prime - A * m0p
     c1 = (beta * w0 - w0_prime) / (beta - alpha)
     c2 = (w0_prime - alpha * w0) / (beta - alpha)
-    ea = cmath.exp(alpha * t)
-    eb = cmath.exp(beta * t)
-    m, dm = _kernel(t + t0, alpha, beta)
-    value = c1 * ea + c2 * eb + A * m
-    deriv = c1 * alpha * ea + c2 * beta * eb + A * dm
+    with np.errstate(over="raise"):  # a mode too large for a double raises, never returns inf
+        ea, eb = np.exp(alpha * t), np.exp(beta * t)
+    am, adm = monotone_kernel_samples(t, b, A, t0)
+    value = c1 * ea + c2 * eb + am
+    deriv = c1 * alpha * ea + c2 * beta * eb + adm
     return _real_part_checked(value), _real_part_checked(deriv)
 
 
@@ -239,5 +228,4 @@ def monotone_initial_conditions(b: float, A: float, t0: float) -> MonotoneIC:
     v0' = 1.
     """
     _require(t0 >= 0.0, t0, "t0 must be >= 0, got {}")
-    m0, m0p = _kernel(t0, *_roots_from_damping(b))
-    return MonotoneIC(v0=A * m0, v0_prime=A * m0p)
+    return MonotoneIC(*monotone_kernel_samples(0.0, b, A, t0))

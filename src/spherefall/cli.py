@@ -57,8 +57,9 @@ def _finite_float(text: str) -> float:
 # Output helpers
 # ----------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _json_text(**fields) -> str:
+    """A JSON document: the schema version, then the given fields in order."""
+    return json.dumps({"schema": SCHEMA_VERSION, **fields}, indent=1) + "\n"
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -92,9 +93,7 @@ def _emit(path: str, text: str) -> None:
 def _emit_columns(output: str, path: str, columns: dict[str, np.ndarray], **fields) -> None:
     """Named columns as CSV, or as JSON lists after the schema and the given fields."""
     if output == "json":
-        payload = {"schema": SCHEMA_VERSION, **fields,
-                   **{name: col.tolist() for name, col in columns.items()}}
-        _emit(path, json.dumps(payload, indent=1) + "\n")
+        _emit(path, _json_text(**fields, **{name: col.tolist() for name, col in columns.items()}))
     else:
         _emit(path, _csv_text(list(columns), list(columns.values())))
 
@@ -191,17 +190,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     results = sorted((_sweep_one(args, k, traj) for k, traj in solved), key=lambda r: r["kappa"])
     summary_path = os.path.join(args.out, f"sweep_summary.{args.output}")
     if args.output == "json":
-        _atomic_write(
-            summary_path,
-            json.dumps({"schema": SCHEMA_VERSION, "sweep": results}, indent=1) + "\n",
-        )
+        _atomic_write(summary_path, _json_text(sweep=results))
     else:
-        lines = ["kappa,terminal_error,monotone,file"]
-        for r in results:
-            lines.append(
-                f"{_fmt(r['kappa'])},{_fmt(r['terminal_error'])},"
-                f"{str(r['monotone']).lower()},{r['file']}"
-            )
+        lines = ["kappa,terminal_error,monotone,file"] + [
+            f"{r['kappa']!r},{r['terminal_error']!r},{str(r['monotone']).lower()},{r['file']}"
+            for r in results]
         _atomic_write(summary_path, "\n".join(lines) + "\n")
     diverged = [(k, traj) for k, traj in solved if traj.meta.get("diverged")]
     for k, traj in diverged:
@@ -221,10 +214,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     _emit_columns(args.output, args.out, columns, kappa=args.kappa, h=args.h, T=args.T,
                   sup_norm=sup)
     if args.output == "csv" and args.out != "-":
-        _atomic_write(
-            args.out + ".summary.json",
-            json.dumps({"schema": SCHEMA_VERSION, "sup_norm": sup}, indent=1) + "\n",
-        )
+        _atomic_write(args.out + ".summary.json", _json_text(sup_norm=sup))
     print(f"sup-norm ide={sup['ide']:.6g} ode={sup['ode']:.6g}", file=sys.stderr)
     if ode_traj.meta["diverged"]:
         print(f"numerical failure: RK4 diverged after t={ode_traj.meta['T']:g}", file=sys.stderr)
@@ -235,19 +225,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     reports = analysis.run_default_suite(h=args.h, points=args.points)
     for rep in reports:
-        status = "PASS" if rep.passed else "FAIL"
-        print(
-            f"{status} {rep.check_id}: worst={rep.worst_violation:.3e} "
-            f"tol={rep.tolerance:.3e} at {rep.location}"
-        )
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "passed": all(r.passed for r in reports),
-        "reports": [dataclasses.asdict(r) for r in reports],
-    }
+        print(f"{'PASS' if rep.passed else 'FAIL'} {rep.check_id}: "
+              f"worst={rep.worst_violation:.3e} tol={rep.tolerance:.3e} at {rep.location}")
+    passed = all(r.passed for r in reports)
     if args.out != "-":
-        _atomic_write(args.out, json.dumps(payload, indent=1) + "\n")
-    return EXIT_OK if payload["passed"] else EXIT_VERIFICATION
+        _atomic_write(args.out, _json_text(passed=passed,
+                                           reports=[dataclasses.asdict(r) for r in reports]))
+    return EXIT_OK if passed else EXIT_VERIFICATION
 
 
 def _cmd_drag(args: argparse.Namespace) -> int:
@@ -261,12 +245,7 @@ def _cmd_drag(args: argparse.Namespace) -> int:
     header = ["t", "U", "dU", "F_stokes", "F_added_mass", "F_basset", "F_buoyancy",
               "residual"]
     if args.output == "json":
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "columns": header,
-            "rows": np.column_stack(columns).tolist(),
-        }
-        _emit(args.out, json.dumps(payload, indent=1) + "\n")
+        _emit(args.out, _json_text(columns=header, rows=np.column_stack(columns).tolist()))
     else:
         _emit(args.out, _csv_text(header, columns))
     return EXIT_OK

@@ -142,6 +142,7 @@ def solve_ide(kappa: float, u0: float, h: float, T: float) -> Trajectory:
     Toeplitz system, solved as the power-series quotient rhs * (1/t)
     through :func:`_reciprocal` in O(n log n) time and O(n) memory.  The
     empirical convergence against the closed form is order ~1.5 in sup norm.
+    A solve that overflows raises ArithmeticError.
     """
     if not 0.0 < kappa <= 9.0:
         raise ValueError(f"kappa must lie in (0, 9], got {kappa}")
@@ -159,8 +160,11 @@ def solve_ide(kappa: float, u0: float, h: float, T: float) -> Trajectory:
     t = c * a + h
     t[0] = 1.0 + 0.5 * h + c * a[0]
     rhs = d0 * (1.0 - 0.5 * h - c * first[1:])
-    d = np.concatenate(([d0], _causal_product(_reciprocal(t, n), rhs, n)))
-    u = np.cumsum(np.concatenate(([u0], 0.5 * h * (d[:-1] + d[1:]))))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        d = np.concatenate(([d0], _causal_product(_reciprocal(t, n), rhs, n)))
+        u = np.cumsum(np.concatenate(([u0], 0.5 * h * (d[:-1] + d[1:]))))
+    if not np.isfinite(u).all():  # u_k is not finite where d_k is not
+        raise ArithmeticError(f"solve_ide: the solution is not finite at kappa={kappa:g}")
 
     meta = {"solver": "ide", "kappa": kappa, "u0": u0, "h": h, "T": n * h}
     return Trajectory(times=times, values=u, derivatives=d, meta=meta)

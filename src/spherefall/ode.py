@@ -101,8 +101,8 @@ def solve_oscillator(prob: OscillatorProblem, h: float, T: float) -> Trajectory:
 
     With t0 = 0 the forcing derivatives are unbounded at the start and a
     one-step method cannot hold its order there, so the first
-    ``_BOOTSTRAP_STEPS`` grid states come from the closed form
-    (:func:`spherefall.analytic.general_state`).  A diverging trajectory
+    ``_BOOTSTRAP_STEPS`` grid states come from one array call of the closed
+    form (:func:`spherefall.analytic.general_state`).  A diverging trajectory
     is truncated and flagged in ``meta['diverged']`` rather than raised:
     the divergence is the object under study.
     """
@@ -113,8 +113,9 @@ def solve_oscillator(prob: OscillatorProblem, h: float, T: float) -> Trajectory:
     v, dv = np.empty((2, n + 1))
     v[0], dv[0] = prob.v0, prob.v0_prime
     start = min(_BOOTSTRAP_STEPS, n) if t0 == 0.0 else 0
-    for i in range(1, start + 1):
-        v[i], dv[i] = analytic.general_state(i * h, b, A, 0.0, prob.v0, prob.v0_prime)
+    if start:
+        v[1 : start + 1], dv[1 : start + 1] = analytic.general_state(
+            np.arange(1, start + 1) * h, b, A, 0.0, prob.v0, prob.v0_prime)
 
     Z = h * np.array([[0.0, 1.0], [-1.0, -b]])
     Z2 = Z @ Z

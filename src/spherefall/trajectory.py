@@ -54,4 +54,6 @@ def uniform_grid(h: float, T: float) -> np.ndarray:
         raise ValueError(f"h must be > 0, got {h}")
     if T < h:
         raise ValueError(f"horizon T={T} must be at least one step h={h}")
+    if T / h == math.inf:
+        raise ValueError(f"T/h must be a finite step count, got T={T}, h={h}")
     return np.arange(max(1, int(round(T / h))) + 1) * h

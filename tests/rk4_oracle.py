@@ -30,8 +30,9 @@ def solve_oscillator_loop(prob: OscillatorProblem, h: float, T: float) -> tuple[
     dv = np.empty(n + 1)
     v[0], dv[0] = prob.v0, prob.v0_prime
     start = min(_BOOTSTRAP_STEPS, n) if t0 == 0.0 else 0
-    for i in range(1, start + 1):
-        v[i], dv[i] = analytic.general_state(i * h, b, A, 0.0, prob.v0, prob.v0_prime)
+    if start:
+        v[1 : start + 1], dv[1 : start + 1] = analytic.general_state(
+            np.arange(1, start + 1) * h, b, A, 0.0, prob.v0, prob.v0_prime)
     for k in range(start, n):
         t = k * h
         x, y = v[k], dv[k]

@@ -46,7 +46,7 @@ kappas = st.floats(min_value=0.01, max_value=3.99, allow_nan=False)
 
 def _kernel_derivative(t, b):
     # M'(t) on the scalar path: the second half of the (M, M') evaluator.
-    return analytic._kernel(t, *analytic._roots_from_damping(b))[1]
+    return monotone_kernel_samples(t, b, 1.0, 0.0)[1]
 
 
 # ----------------------------------------------------------------------
@@ -494,6 +494,35 @@ def test_general_state_reproduces_initial_conditions():
     v, dv = general_state(0.0, 0.5, 2.0, 3.0, 0.7, -0.2)
     assert abs(v - 0.7) < 1e-10
     assert abs(dv + 0.2) < 1e-10
+
+
+@pytest.mark.parametrize("b, A, t0, v0, v0p", [
+    (0.5, 1.0, 0.0, -1.0, 1.0),  # the RK4 bootstrap of a singular start
+    (-1.0, 1.0, 1.0, 0.3, -0.2),  # a growing homogeneous mode
+    (1.5, 2.0, 0.5, 0.0, 0.0),
+])
+def test_general_state_over_an_array_matches_the_scalar_calls(b, A, t0, v0, v0p):
+    # Array exp and Villat round differently from the scalar path, so not bit for bit.
+    t = np.concatenate(([0.0], np.logspace(-4, 1.5, 40)))
+    v, dv = general_state(t, b, A, t0, v0, v0p)
+    assert v.shape == dv.shape == t.shape
+    for ti, vi, dvi in zip(t.tolist(), v.tolist(), dv.tolist()):
+        sv, sdv = general_state(ti, b, A, t0, v0, v0p)
+        assert abs(vi - sv) <= 1e-14 * (1.0 + abs(sv))
+        assert abs(dvi - sdv) <= 1e-14 * (1.0 + abs(sdv))
+
+
+def test_general_state_raises_where_a_mode_overflows():
+    # Re alpha = 0.995 at b = -1.99: exp(alpha t) is past the largest double at t = 1000.
+    for t in (1000.0, np.array([1.0, 1000.0])):
+        with pytest.raises(ArithmeticError, match="overflow"):
+            general_state(t, -1.99, 1.0, 0.0, 0.3, 0.0)
+
+
+@pytest.mark.parametrize("bad", [-0.5, math.nan])
+def test_general_state_over_an_array_names_a_bad_time(bad):
+    with pytest.raises(ValueError, match=rf"^t must be >= 0, got {bad}$"):
+        general_state(np.array([0.0, 1.0, bad, 2.0]), 0.5, 1.0, 0.0, -1.0, 1.0)
 
 
 # ----------------------------------------------------------------------

@@ -235,8 +235,10 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         base = ["trajectory", "--kappa", "2", "--solver", solver, "--out", str(out)]
         assert main(base + ["--h", "0"]) == 1
         assert main(base + ["--T", "-1", "--h", "0.1"]) == 1
-        # An infinite horizon is a usage error, not a numerical failure.
+        # An infinite horizon is a usage error, not a numerical failure, and
+        # so is a finite one that is an infinite number of steps.
         assert main(base + ["--T", "inf"]) == 1
+        assert main(base + ["--T", "1e300", "--h", "1e-300"]) == 1
     assert not out.exists()
     # Every real-valued flag is finite, not only the grid.
     assert main(["trajectory", "--kappa", "2", "--solver", "ide", "--eps", "nan",
@@ -385,3 +387,39 @@ def test_sweep_reports_an_rk4_divergence_with_exit_three(tmp_path, capsys):
     assert len((out / "sweep_summary.csv").read_text().splitlines()) == 3
     err = capsys.readouterr().err.splitlines()
     assert err == [f"numerical failure: RK4 diverged at kappa=3.9 after t={rows[-1, 0]:g}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["trajectory", "--kappa", "2", "--solver", "ide", "--eps", "1e308", "--T", "1", "--h", "0.01"],
+    ["sweep", "--solver", "ide", "--kappas", "1,2", "--eps", "1e308", "--T", "1", "--h", "0.01"],
+    ["drag", "--rho-s", "1190", *_DRAG_ARGS, "--eps", "1e308"],
+], ids=["trajectory", "sweep", "drag"])
+def test_an_overflowing_ide_solve_exits_three_and_writes_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"numerical failure: solve_ide: the solution is not finite at kappa=\S+\n",
+                        captured.err), captured.err
+    assert os.listdir(tmp_path) == []
+
+
+def test_every_json_document_opens_with_the_schema(tmp_path):
+    # The five JSON documents share one envelope: the schema first, one-space
+    # indent, one trailing newline.
+    runs = [
+        (["trajectory", "--kappa", "1", "--T", "0.1", "--h", "0.01", "--output", "json"],
+         "traj.json", "traj.json"),
+        (["sweep", "--kappas", "1", "--T", "0.1", "--h", "0.01", "--output", "json"],
+         "sw", "sw/sweep_summary.json"),
+        (["compare", "--kappa", "1", "--T", "0.1", "--h", "0.01"],
+         "cmp.csv", "cmp.csv.summary.json"),
+        (["verify", "--h", "0.01", "--points", "20"], "verify.json", "verify.json"),
+        (["drag", "--rho-s", "1190", *_DRAG_ARGS, "--output", "json"], "drag.json", "drag.json"),
+    ]
+    for argv, out, doc in runs:
+        assert main([*argv, "--out", str(tmp_path / out)]) == 0
+        text = (tmp_path / doc).read_text()
+        assert text.startswith('{\n "schema": 1,\n "'), (doc, text[:40])
+        assert text.endswith("\n}\n"), doc
+        assert json.loads(text)["schema"] == 1

@@ -1,6 +1,7 @@
 """Tests for the product-integration solver of the memory equation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,7 +49,9 @@ def test_uniform_grid_rounds_the_horizon_to_whole_steps():
         uniform_grid(0.0, 1.0)
     with pytest.raises(ValueError, match="at least one step"):
         uniform_grid(0.1, -1.0)
-    for h, T in ((0.1, math.inf), (0.1, math.nan), (math.nan, 1.0), (math.inf, 1.0)):
+    # In the last pair h and T are finite but T/h is not: no finite number of steps.
+    for h, T in ((0.1, math.inf), (0.1, math.nan), (math.nan, 1.0), (math.inf, 1.0),
+                 (1e-300, 1e300)):
         with pytest.raises(ValueError, match="finite"):
             uniform_grid(h, T)
 
@@ -175,6 +178,16 @@ def test_solver_argument_validation():
     for u0 in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="u0 must be finite"):
             solve_ide(2.0, u0, 1e-2, 0.1)
+
+
+def test_solve_ide_raises_where_the_solution_overflows():
+    # u0 = 1e308 is finite, but the history sum of u' = 1 - u0 overflows at
+    # the first step.  That is an ArithmeticError, not NaN cells and warnings.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match=r"^solve_ide: .* not finite at kappa=2$"):
+            solve_ide(2.0, 1e308, 1e-2, 1.0)
+    assert np.isfinite(solve_ide(2.0, 1e300, 1e-2, 1.0).values).all()
 
 
 # ----------------------------------------------------------------------
