@@ -1,4 +1,4 @@
-"""CSV text of float64 arrays, each cell byte-identical to ``repr(float(cell))``, in numpy.
+"""Text of float64 arrays, each cell byte-identical to ``repr(float(cell))``, in numpy.
 
 ``repr`` prints the shortest decimal that reads back as the same double,
 the closest such decimal to it, ties to an even last digit.  Schubfach
@@ -12,44 +12,38 @@ with the 64x64 -> 128-bit high products formed from 32-bit limbs.  Every
 uint64 expression combines only uint64 arrays and ``np.uint64`` scalars:
 mixing in a signed array promotes to float64.
 
+k, the shift h and g(k) depend only on the biased exponent and on
+whether the fraction is zero (a power of two), so one table row per
+pair holds them.  For a normal double the digits have 16 or 17 digits;
+they are padded to seventeen and split into a first digit and four
+groups of four, which give both the text and, through a 10^4-entry
+table, the count of digits before the trailing zeros.
+
 Each cell is then laid out as ``repr`` does (positional iff the decimal
 exponent lies in [-4, 16), with ``.0`` on integers, otherwise
-``d[.ddd]e±XX``) in a fixed row of character slots with a keep-mask, so
-one boolean compress per block of rows gives the text, separators
-included.  Subnormal and non-finite cells are not run through the
-kernel: they take ``repr`` itself.
+``d[.ddd]e±XX``) in a fixed row of byte slots.  A mask per layout zeroes
+the slots ``repr`` does not print, the cell's separator follows in slots
+of its own, and one ``bytes.translate`` per block of rows deletes the
+zero bytes.  Zeros are laid out from the table; subnormal and non-finite
+cells take ``repr`` itself.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["csv_rows"]
+__all__ = ["cells_text"]
 
 _U = np.uint64
-_BLOCK_CELLS = 16384  # cells per compress, to keep the slot rows small
+_BLOCK_CELLS = 8192  # cells per block: ran faster than 4096 or 16384 on the trajectory tables
 _M32 = _U(0xFFFFFFFF)
 _M63 = _U((1 << 63) - 1)
 _FRACTION = _U((1 << 52) - 1)
 _HIDDEN = _U(1 << 52)
-_POW10 = np.array([10**i for i in range(18)], dtype=np.uint64)
 _TEN = _U(10)
-
-# A cell is laid out in 48 byte slots, six little-endian uint64 words, in output order:
-#   word 0: '-', '0', '.', '0', '0', '0', d1, '.'
-#   words 1-4: d2 '.' d3 '.' ... d17 '.', four digits to a word
-#   word 5: 'e', exponent sign, three exponent digits, separator, two unused slots
-# where d1..d17 are the digits padded with zeros to seventeen.  A keep-mask per
-# cell picks the slots that repr prints.  The tables give the words by value.
-_WIDTH = 48
-_LEAD = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), dtype="<u8")
-_EXPONENT = np.frombuffer(b"".join(b"e+%03d\0\0\0" % e for e in range(1000)), dtype="<u8")
-_MINUS = _U((ord("-") - ord("+")) << 8)
-_GROUPS = np.full((10**4, 8), ord("."), dtype=np.uint8)
-_GROUPS[:, ::2] = np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
-_GROUPS = _GROUPS.view("<u8")[:, 0]
+_TEN4, _TEN8, _TEN16 = _U(10**4), _U(10**8), _U(10**16)
 
 
 def _floor_log10_pow2(e):
@@ -64,7 +58,6 @@ def _floor_log2_pow10(e):
     return (e * 913_124_641_741) >> 38
 
 
-@lru_cache(maxsize=None)
 def _multiplier(k: int) -> tuple[int, int]:
     """g(k) = floor(10^-k 2^(125 - floor(log2 10^-k))) + 1 in [2^125, 2^126), as (g >> 63, g mod 2^63)."""
     e2 = 125 - _floor_log2_pow10(-k)
@@ -78,18 +71,49 @@ def _multiplier(k: int) -> tuple[int, int]:
     return g >> 63, g & ((1 << 63) - 1)
 
 
-def _multipliers(k: np.ndarray) -> tuple[np.ndarray, ...]:
-    """g at each k as g1 and the 32-bit limbs of g1 and g0, from a table over the block's k."""
-    lo = int(k.min())
-    halves = [_multiplier(j) for j in range(lo, int(k.max()) + 1)]
-    g1, g0 = np.array(halves, dtype=np.uint64).reshape(-1, 2).T[:, k - lo]
-    return g1, g1 & _M32, g1 >> _U(32), g0 & _M32, g0 >> _U(32)
+# The decimal exponent e of a normal double's first digit lies in [-308, 308]; the
+# tables over e index it, with the sign, as _E_SPAN * sign + e - _E_MIN.
+_E_MIN, _E_SPAN = -309, 620
+
+
+def _exponent_table() -> dict[str, np.ndarray]:
+    """The kernel's per-cell constants, by row 2 (bits >> 52) + (fraction == 0).
+
+    Columns: e, the index over the sign and exponent tables of k + 16 (the
+    decimal exponent of the first of 17 digits; 16 digits take one less); the
+    shift h; the left end's distance from v in units of the half step (1 at a
+    power of two, where the double below is half as far as the one above,
+    otherwise 2); g(k) as (g >> 63, g mod 2^63); and whether the row's
+    exponent is 0 or 0x7FF.  Those rows repeat the nearest normal row, so the
+    kernel runs on every cell; their output is replaced.
+    """
+    row = np.arange(1 << 13)
+    sign, biased = row >> 12, (row >> 1) & 0x7FF
+    nearest = np.clip(biased, 1, 0x7FE)
+    # The smallest normal exponent has subnormals below it, as evenly spaced.
+    power_of_two = (row & 1 == 1) & (nearest > 1)
+    q = nearest - 1075
+    k = np.where(power_of_two, _floor_log10_three_quarters_pow2(q), _floor_log10_pow2(q))
+    g = np.array([_multiplier(j) for j in range(k.min(), k.max() + 1)], dtype=np.uint64)
+    return {
+        "e": (k + 16 - _E_MIN + _E_SPAN * sign).astype(np.intp),
+        "h": (q + _floor_log2_pow10(-k) + 2).astype(np.uint64),
+        "left": np.where(power_of_two, 1, 2).astype(np.uint64),
+        "g1": g[k - k.min(), 0],
+        "g0": g[k - k.min(), 1],
+        "outside": nearest != biased,
+    }
+
+
+_ROWS = _exponent_table()
 
 
 def _mul_high(a_lo: np.ndarray, a_hi: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray) -> np.ndarray:
     """The high 64 bits of the 128-bit product a b, from the 32-bit limbs of a < 2^63 and b < 2^60.
 
     Under those bounds the three middle terms add up below 2^64, so no carry is lost.
+    The kernel's b is at most (4c + 2) 2^h < 2^(55 + h), so the bound rests on
+    every table row having h <= 5.
     """
     mid = a_hi * b_lo + a_lo * b_hi + ((a_lo * b_lo) >> _U(32))
     return a_hi * b_hi + (mid >> _U(32))
@@ -105,21 +129,21 @@ def _round_to_odd(g: tuple[np.ndarray, ...], cp: np.ndarray) -> np.ndarray:
 
 
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Digits and exponent k of the decimal digits 10^k that repr prints, for normal doubles."""
-    biased = ((bits >> _U(52)) & _U(0x7FF)).astype(np.int64)
-    fraction = bits & _FRACTION
-    q = biased - 1075
-    c = fraction | _HIDDEN
-    # At a power of two the double below is half as far as the one above.
-    irregular = (fraction == _U(0)) & (biased > 1)
-    k = np.where(irregular, _floor_log10_three_quarters_pow2(q), _floor_log10_pow2(q))
-    h = (q + _floor_log2_pow10(-k) + 2).astype(np.uint64)
-    g = _multipliers(k)
+    """The digits that repr prints, 16 or 17 of them with trailing zeros, and each cell's table row.
+
+    Exact for normal doubles; for the others the digits are those of a
+    normal double with the same fraction.
+    """
+    row = ((bits >> _U(52) << _U(1)) | (bits << _U(12) == _U(0))).view(np.int64)
+    g1, g0 = _ROWS["g1"][row], _ROWS["g0"][row]
+    g = (g1, g1 & _M32, g1 >> _U(32), g0 & _M32, g0 >> _U(32))
+    h = _ROWS["h"][row]
+    c = (bits & _FRACTION) | _HIDDEN
 
     # v, and the ends of its rounding interval, scaled by 4 10^-k.
     cb = c << _U(2)
     vb = _round_to_odd(g, cb << h)
-    vbl = _round_to_odd(g, (cb - np.where(irregular, _U(1), _U(2))) << h)
+    vbl = _round_to_odd(g, (cb - _ROWS["left"][row]) << h)
     vbr = _round_to_odd(g, (cb + _U(2)) << h)
     odd = c & _U(1)  # an odd c excludes the ends of the interval
     vbl += odd
@@ -134,25 +158,13 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     uin = vbl <= vb & ~_U(3)
     win = (vb | _U(3)) + _U(1) <= vbr
     t_closer = (vb & _U(3)) + (s & _U(1)) > _U(2)
-    return np.where(upin != wpin, sp10 + np.where(upin, _U(0), _TEN),
-                    s + np.where(uin != win, win, t_closer)), k
-
-
-def _strip_zeros(digits: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Move trailing decimal zeros of the digits into the exponent k, 16, 8, 4, 2 and 1 at a time."""
-    at = np.flatnonzero(digits % _TEN == _U(0))
-    d, e = digits[at], k[at]
-    for p in (16, 8, 4, 2, 1):
-        quot = d // _POW10[p]
-        exact = quot * _POW10[p] == d
-        d = np.where(exact, quot, d)
-        e = e + np.where(exact, p, 0)
-    digits[at], k[at] = d, e
-    return digits, k
+    longer = s + ((win & ~uin) | (t_closer & (uin == win)))
+    shorter = sp10 + wpin * _TEN
+    return longer + (upin != wpin) * (shorter - longer), row
 
 
 def _layout_code(negative: np.ndarray, e: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """The row of _KEEP for a cell's sign, decimal exponent e and digit count n.
+    """The row of _MASK for a cell's sign, decimal exponent e and digit count n.
 
     Exponents -4..15 each have their own layout; scientific ones differ only
     in having two or three exponent digits.
@@ -161,13 +173,39 @@ def _layout_code(negative: np.ndarray, e: np.ndarray, n: np.ndarray) -> np.ndarr
     return (negative * 22 + exponent_class) * 18 + n
 
 
-def _keep_table() -> np.ndarray:
-    """The slots each layout prints; the last row prints only the separator."""
+# A cell is laid out in byte slots, little-endian uint64 words, in output order:
+#   word 0: '-', '0', '.', '0', '0', '0', d1, '.'
+#   words 1-4: d2 '.' d3 '.' ... d17 '.', four digits to a word
+#   word 5: 'e', exponent sign, three exponent digits, then the separator
+#   words 6-: the rest of the separator, if it is longer than three bytes
+# where d1..d17 are the digits padded with zeros to seventeen.  The tables give
+# the words by value, and the mask of the slots repr prints by layout code.
+_SEP_AT = 45
+_LEAD = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), dtype="<u8")
+_GROUP_DIGITS = np.indices((10,) * 4).reshape(4, -1)  # the digits of 0..9999, by place
+_GROUPS = np.full((10**4, 8), ord("."), dtype=np.uint8)
+_GROUPS[:, ::2] = _GROUP_DIGITS.T + ord("0")
+_GROUPS = _GROUPS.view("<u8")[:, 0]
+# The digit count up to the last nonzero digit of group j = 0..3, or 1 if the group is zero.
+_LAST_NONZERO = np.max((_GROUP_DIGITS != 0) * np.arange(1, 5)[:, None], axis=0)
+_DIGIT_COUNT = np.where(_LAST_NONZERO > 0, _LAST_NONZERO + 4 * np.arange(4)[:, None] + 1,
+                        1).astype(np.uint8)
+_E = np.arange(_E_SPAN) + _E_MIN
+_EXPONENT = np.zeros((2 * _E_SPAN, 8), dtype=np.uint8)  # 'e', sign, three digits, by sign and e
+_EXPONENT[:, 0] = ord("e")
+_EXPONENT[:, 1] = np.where(np.tile(_E, 2) < 0, ord("-"), ord("+"))
+_EXPONENT[:, 2:5] = np.abs(np.tile(_E, 2))[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
+_EXPONENT = _EXPONENT.view("<u8")[:, 0]
+_E_CODE = _layout_code(np.repeat([0, 1], _E_SPAN), np.tile(_E, 2), 0)  # with n = 0
+
+
+def _mask_table() -> np.ndarray:
+    """The slots each layout prints, as 0xFF bytes of six words; the last row prints none."""
     grid = np.meshgrid([0, 1], np.r_[-4:17, 100], np.arange(18), indexing="ij")
     negative, e, n = (a.ravel() for a in grid)
     small = (e < 0) & (e >= -4)
     scientific = (e < -4) | (e >= 16)
-    keep = np.zeros((len(e), _WIDTH), dtype=bool)
+    keep = np.zeros((len(e), _SEP_AT + 3), dtype=bool)
     keep[:, 0] = negative == 1
     keep[:, 1] = keep[:, 2] = small
     keep[:, 3:6] = np.arange(1, 4) <= np.where(small, -e - 1, 0)[:, None]
@@ -178,73 +216,100 @@ def _keep_table() -> np.ndarray:
     keep[:, 7:40:2] = np.arange(1, 18) == point[:, None]
     keep[:, 40:45] = scientific[:, None]
     keep[:, 42] &= np.abs(e) >= 100
-    keep[:, 45] = True
-    table = np.zeros((len(e) + 1, _WIDTH), dtype=bool)
-    table[_layout_code(negative, e, n)] = keep
-    table[-1, 45] = True
-    return table
+    table = np.zeros((len(e) + 1, _SEP_AT + 3), dtype=np.uint8)
+    table[_layout_code(negative, e, n)] = keep * 0xFF
+    return table.view("<u8")
 
 
-_KEEP = _keep_table()
+_MASK = _mask_table()
+_PRINTED = np.count_nonzero(_MASK.view(np.uint8).reshape(len(_MASK), -1), axis=1)
+_NONE = len(_MASK) - 1
 
 
-def _block(x: np.ndarray, sep: np.ndarray) -> bytes:
-    """The cells of x in order, each followed by its separator byte, as repr prints them."""
+def _block(x: np.ndarray, sep: np.ndarray, text: np.ndarray) -> bytes:
+    """The cells of x in order, each followed by its separator words, as repr prints them.
+
+    text is the slot array to lay them out in, with at least len(x) rows.
+    """
     bits = x.view(np.uint64)
-    biased = (bits >> _U(52)) & _U(0x7FF)
-    zero = (bits << _U(1)) == _U(0)
-    special = ((biased == _U(0)) | (biased == _U(0x7FF))) & ~zero
-    # Zeros, subnormals and non-finite cells go through the kernel as 1.0.
-    one = np.float64(1.0).view(np.uint64)
-    digits, k = _shortest(np.where(zero | special, one, bits))
-    digits, k = _strip_zeros(digits, k)
-    n = np.searchsorted(_POW10, digits, side="right")  # digit count
-    e = k + n - 1  # decimal exponent of the first digit
+    digits, row = _shortest(bits)
+    sixteen = digits < _TEN16
+    padded = digits + sixteen * (digits * _U(9))
+    first = padded // _TEN16
+    rest = padded - first * _TEN16
+    hi = rest // _TEN8
+    lo = rest - hi * _TEN8
+    g1, g3 = hi // _TEN4, lo // _TEN4
+    groups = [g.view(np.int64) for g in (g1, hi - g1 * _TEN4, g3, lo - g3 * _TEN4)]
+    n = np.maximum(np.maximum(_DIGIT_COUNT[0][groups[0]], _DIGIT_COUNT[1][groups[1]]),
+                   np.maximum(_DIGIT_COUNT[2][groups[2]], _DIGIT_COUNT[3][groups[3]]))
+    e = _ROWS["e"][row] - sixteen
+    code = _E_CODE[e] + n
 
-    # The digits padded to seventeen: d1, then four groups of four.
-    padded = np.where(zero, _U(0), digits * _POW10[17 - n])
-    first = padded // _POW10[16]
-    rest = padded - first * _POW10[16]
-    hi = rest // _POW10[8]
-    lo = rest - hi * _POW10[8]
-    text = np.empty((len(x), _WIDTH // 8), dtype="<u8")
+    text = text[: len(x)]
     text[:, 0] = _LEAD[first]
-    text[:, 1] = _GROUPS[hi // _POW10[4]]
-    text[:, 2] = _GROUPS[hi % _POW10[4]]
-    text[:, 3] = _GROUPS[lo // _POW10[4]]
-    text[:, 4] = _GROUPS[lo % _POW10[4]]
-    text[:, 5] = (_EXPONENT[np.abs(e)] + np.where(e < 0, _MINUS, _U(0))
-                  + (sep.astype(np.uint64) << _U(40)))
+    for j, grp in enumerate(groups, 1):
+        text[:, j] = _GROUPS[grp]
+    text[:, 5] = _EXPONENT[e]
+    text[:, 6:] = sep[:, 1:]
 
-    code = _layout_code((bits >> _U(63)).astype(np.intp), e, n)
-    code[special] = len(_KEEP) - 1  # only the separator; repr fills the cell in below
-    keep = np.take(_KEEP, code, axis=0)
-    out = np.compress(keep.ravel(), text.view(np.uint8).ravel()).tobytes()
-    if not special.any():
+    special = np.empty(0, dtype=np.intp)
+    outside = _ROWS["outside"][row]
+    if outside.any():
+        at = np.flatnonzero(outside)
+        zero = bits[at] << _U(1) == _U(0)
+        special = at[~zero]
+        at = at[zero]
+        text[at, 0], text[at, 1] = _LEAD[0], _GROUPS[0]
+        code[at] = _E_CODE[_E_SPAN * (bits[at] >> _U(63)).astype(np.intp) - _E_MIN] + 1
+        code[special] = _NONE  # only the separator; repr fills the cell in below
+
+    text[:, :6] &= np.take(_MASK, code, axis=0)
+    text[:, 5] |= sep[:, 0]
+    out = text.tobytes().translate(None, b"\0")
+    if not len(special):
         return out
 
-    ends = np.cumsum(keep.sum(axis=1))
+    length = _PRINTED[code] + np.count_nonzero(sep.view(np.uint8).reshape(len(x), -1), axis=1)
+    starts = np.cumsum(length) - length
     pieces, start = [], 0
-    for i in np.flatnonzero(special).tolist():
-        at = int(ends[i]) - 1  # the cell's separator
+    for i in special.tolist():
+        at = int(starts[i])  # the cell prints nothing, so its separator starts here
         pieces += [out[start:at], repr(float(x[i])).encode("ascii")]
         start = at
     pieces.append(out[start:])
     return b"".join(pieces)
 
 
-def csv_rows(cells: np.ndarray) -> str:
-    """The rows of a 2-D float array as CSV lines, each cell as ``repr(float(cell))``.
+def cells_text(cells: np.ndarray, seps: Sequence[bytes], last: bytes) -> list[bytes]:
+    """The cells of a 2-D float array in row order, each as ``repr(float(cell))``, in pieces.
 
-    Cells in a row are separated by ``,`` and every row ends in ``\\n``.
+    Cell j of each row is followed by ``seps[j]``, except the final cell of
+    the array, which is followed by ``last``.  A separator may not hold a
+    zero byte.
     """
     cells = np.ascontiguousarray(cells, dtype=np.float64)
     rows, cols = cells.shape
+    ends = [*seps, last]
+    if len(seps) != cols or any(b"\0" in s for s in ends):
+        raise ValueError("cells_text: one separator per column, without zero bytes")
     if cells.size == 0:
-        return ""
-    sep = np.full(cols, ord(","), dtype=np.uint8)
-    sep[-1] = ord("\n")
+        return []
+    # Word 5 holds three separator bytes; a longer separator takes more words.
+    width = 6 + -(-max(0, max(map(len, ends)) - 3) // 8)
+    slots = np.zeros((cols + 1, 8 * width), dtype=np.uint8)
+    for at, s in zip(slots, ends):
+        at[_SEP_AT : _SEP_AT + len(s)] = list(s)
+    words = slots.view("<u8")[:, 5:]
     step = max(1, _BLOCK_CELLS // cols)
-    blocks = [_block(cells[i : i + step].ravel(), np.tile(sep, min(step, rows - i)))
-              for i in range(0, rows, step)]
-    return b"".join(blocks).decode("ascii")
+    tiled = np.tile(words[:cols], (min(step, rows), 1))
+    pieces = []
+    text = np.empty((len(tiled), width), dtype="<u8")
+    for i in range(0, rows, step):
+        block = cells[i : i + step].ravel()
+        sep = tiled[: len(block)]
+        if i + step >= rows:
+            sep = sep.copy()
+            sep[-1] = words[cols]
+        pieces.append(_block(block, sep, text))
+    return pieces

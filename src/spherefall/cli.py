@@ -58,16 +58,54 @@ def _finite_float(text: str) -> float:
 # ----------------------------------------------------------------------
 
 def _json_text(**fields) -> str:
-    """A JSON document: the schema version, then the given fields in order."""
-    return json.dumps({"schema": SCHEMA_VERSION, **fields}, indent=1) + "\n"
+    """A JSON document: the schema version, then the given fields in order.
+
+    The text is ``json.dumps({"schema": 1, **fields}, indent=1) + "\\n"``,
+    byte for byte.  A float array field (a column, or drag's rows as a 2-D
+    array) whose cells are all finite is written by the shortest-digit
+    kernel, which prints each cell as json does, with ``float.__repr__``;
+    every other value goes through ``json.dumps``, which writes a
+    non-finite cell as ``NaN`` or ``Infinity``.
+    """
+    parts = [b'{\n "schema": %d' % SCHEMA_VERSION]
+    for name, value in fields.items():
+        parts.append(b",\n %s: " % json.dumps(name).encode("ascii"))
+        if (isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim in (1, 2)
+                and value.size and np.isfinite(value).all()):
+            parts += _json_array(value)
+        else:
+            value = value.tolist() if isinstance(value, np.ndarray) else value
+            parts.append(json.dumps(value, indent=1).replace("\n", "\n ").encode("ascii"))
+    parts.append(b"\n}\n")
+    return b"".join(parts).decode("ascii")
+
+
+def _json_array(cells: np.ndarray) -> list[bytes]:
+    """A non-empty 1-D or 2-D float array as ``json.dumps(cells.tolist(), indent=1)`` writes it
+    one level deep, in pieces to join."""
+    from . import _shortest  # on first use, so a document without arrays loads no formatter
+
+    cell = b"\n" + b" " * (cells.ndim + 1)  # each cell on its own line, indented
+    if cells.ndim == 1:
+        return [b"[" + cell, *_shortest.cells_text(cells[:, None], [b"," + cell], b""), b"\n ]"]
+    seps = [b"," + cell] * (cells.shape[1] - 1) + [b"\n  ],\n  [" + cell]
+    return [b"[\n  [" + cell, *_shortest.cells_text(cells, seps, b""), b"\n  ]\n ]"]
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write text to path through a temporary file in its directory, then rename it into place.
+
+    The file gets the mode ``open`` gives a new file, 0o666 less the umask,
+    not the 0o600 of the temporary file.
+    """
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)
+        umask = os.umask(0)  # reading the umask means setting it; put it straight back
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except OSError as exc:  # name the requested path, not the temporary file
         raise OSError(exc.errno, exc.strerror, path) from None
@@ -80,7 +118,9 @@ def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
     """CSV of equal-length float columns, each value as ``repr`` prints it (shortest round trip)."""
     from . import _shortest  # on first use, so importing the CLI loads no formatter
 
-    return ",".join(header) + "\n" + _shortest.csv_rows(np.column_stack(columns))
+    seps = [b","] * (len(columns) - 1) + [b"\n"]
+    rows = _shortest.cells_text(np.column_stack(columns), seps, b"\n")
+    return b"".join([",".join(header).encode("ascii") + b"\n", *rows]).decode("ascii")
 
 
 def _emit(path: str, text: str) -> None:
@@ -93,7 +133,7 @@ def _emit(path: str, text: str) -> None:
 def _emit_columns(output: str, path: str, columns: dict[str, np.ndarray], **fields) -> None:
     """Named columns as CSV, or as JSON lists after the schema and the given fields."""
     if output == "json":
-        _emit(path, _json_text(**fields, **{name: col.tolist() for name, col in columns.items()}))
+        _emit(path, _json_text(**fields, **columns))
     else:
         _emit(path, _csv_text(list(columns), list(columns.values())))
 
@@ -245,7 +285,7 @@ def _cmd_drag(args: argparse.Namespace) -> int:
     header = ["t", "U", "dU", "F_stokes", "F_added_mass", "F_basset", "F_buoyancy",
               "residual"]
     if args.output == "json":
-        _emit(args.out, _json_text(columns=header, rows=np.column_stack(columns).tolist()))
+        _emit(args.out, _json_text(columns=header, rows=np.column_stack(columns)))
     else:
         _emit(args.out, _csv_text(header, columns))
     return EXIT_OK

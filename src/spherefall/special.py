@@ -125,9 +125,10 @@ def _w_rational(z):
     """
     den = _W_L - 1j * z
     big_z = 2.0 * _W_L / den - 1.0
-    p = 0.0j
-    for a in _W_COEF:
-        p = p * big_z + a
+    p = 0.0j * big_z + _W_COEF[0]
+    for a in _W_COEF[1:]:  # Horner in place: an array p takes no temporary per term
+        p *= big_z
+        p += a
     return (2.0 * p / den + 1.0 / SQRT_PI) / den
 
 

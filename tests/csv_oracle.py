@@ -2,7 +2,7 @@
 
 This is the straightforward loop: one ``repr`` per float, cells joined
 by commas and rows by newlines, after a header line.  The CLI formats
-its cells with ``spherefall._shortest.csv_rows`` instead, which must
+its cells with ``spherefall._shortest.cells_text`` instead, which must
 give the same text byte for byte.
 """
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 
@@ -423,3 +424,21 @@ def test_every_json_document_opens_with_the_schema(tmp_path):
         assert text.startswith('{\n "schema": 1,\n "'), (doc, text[:40])
         assert text.endswith("\n}\n"), doc
         assert json.loads(text)["schema"] == 1
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_output_files_take_the_mode_open_gives_under_the_umask(tmp_path, umask, output):
+    # The atomic write goes through a 0o600 temporary file; the result must not keep that mode.
+    path = tmp_path / f"a.{output}"
+    old = os.umask(umask)
+    try:
+        code = main(["trajectory", "--kappa", "2", "--T", "1", "--h", "0.1", "--output", output,
+                     "--out", str(path)])
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE((tmp_path / "plain").stat().st_mode)

@@ -86,3 +86,54 @@ def test_importing_the_cli_loads_no_formatter():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.strip() == "False", done.stderr
+
+
+def _table_rows():
+    """Every normal (biased exponent, power-of-two flag) pair with its row of the kernel's table."""
+    biased, flag = np.meshgrid(np.arange(1, 2047), [0, 1], indexing="ij")
+    biased, flag = biased.ravel(), flag.ravel()
+    return biased, flag, 2 * biased + flag
+
+
+def test_exponent_table_rows_follow_the_floor_logs_and_multipliers():
+    rows = _shortest._ROWS
+    for b, f, r in zip(*_table_rows()):
+        q, irregular = int(b) - 1075, bool(f) and b > 1
+        k = (_shortest._floor_log10_three_quarters_pow2(q) if irregular
+             else _shortest._floor_log10_pow2(q))
+        h = q + _shortest._floor_log2_pow10(-k) + 2
+        for sign in (0, 1):
+            at = r + sign * 4096
+            assert rows["e"][at] - 16 + _shortest._E_MIN - sign * _shortest._E_SPAN == k
+            assert rows["h"][at] == h
+            # The carry-free _mul_high bound needs h <= 5.
+            assert 2 <= h <= 5
+            assert rows["left"][at] == (1 if irregular else 2)
+            assert (int(rows["g1"][at]), int(rows["g0"][at])) == _shortest._multiplier(k)
+            assert not rows["outside"][at]
+    zero_and_top = np.array([0, 1, 4094, 4095])
+    assert rows["outside"][np.r_[zero_and_top, zero_and_top + 4096]].all()
+
+
+def test_kernel_digits_have_sixteen_or_seventeen_digits():
+    # The digit layout pads to seventeen digits and relies on this, at every exponent.
+    biased, flag, _ = _table_rows()
+    rng = np.random.default_rng(16)
+    fractions = [np.zeros(len(biased), dtype=np.uint64), np.full(len(biased), 1, dtype=np.uint64),
+                 np.full(len(biased), (1 << 52) - 1, dtype=np.uint64),
+                 rng.integers(1, 1 << 52, len(biased), dtype=np.uint64)]
+    for fraction in fractions:
+        fraction = np.where(flag == 1, 0, fraction).astype(np.uint64)
+        bits = (biased.astype(np.uint64) << np.uint64(52)) | fraction
+        digits, _ = _shortest._shortest(bits)
+        assert (digits >= 10**15).all() and (digits < 10**17).all()
+        text = b"".join(_shortest.cells_text(bits.view(np.float64)[:, None], [b"\n"], b"\n"))
+        assert text.decode().split() == [repr(v) for v in bits.view(np.float64).tolist()]
+
+
+def test_cells_text_rejects_a_bad_separator_layout():
+    cells = np.zeros((2, 2))
+    with pytest.raises(ValueError):
+        _shortest.cells_text(cells, [b","], b"\n")
+    with pytest.raises(ValueError):
+        _shortest.cells_text(cells, [b",", b"\0"], b"\n")
