@@ -17,15 +17,18 @@ whether the fraction is zero (a power of two), so one table row per
 pair holds them.  For a normal double the digits have 16 or 17 digits;
 they are padded to seventeen and split into a first digit and four
 groups of four, which give both the text and, through a 10^4-entry
-table, the count of digits before the trailing zeros.
+table, the count of digits before the trailing zeros.  A zero's row
+has g = 0, so the same search gives it the digits 0, at decimal
+exponent 0.
 
 Each cell is then laid out as ``repr`` does (positional iff the decimal
 exponent lies in [-4, 16), with ``.0`` on integers, otherwise
 ``d[.ddd]e±XX``) in a fixed row of byte slots.  A mask per layout zeroes
 the slots ``repr`` does not print, the cell's separator follows in slots
 of its own, and one ``bytes.translate`` per block of rows deletes the
-zero bytes.  Zeros are laid out from the table; subnormal and non-finite
-cells take ``repr`` itself.
+zero bytes.  A subnormal or non-finite cell prints the marker byte 1
+instead, and the block's text is split at the markers to put ``repr`` of
+those cells in their place.
 """
 
 from __future__ import annotations
@@ -83,25 +86,30 @@ def _exponent_table() -> dict[str, np.ndarray]:
     decimal exponent of the first of 17 digits; 16 digits take one less); the
     shift h; the left end's distance from v in units of the half step (1 at a
     power of two, where the double below is half as far as the one above,
-    otherwise 2); g(k) as (g >> 63, g mod 2^63); and whether the row's
-    exponent is 0 or 0x7FF.  Those rows repeat the nearest normal row, so the
-    kernel runs on every cell; their output is replaced.
+    otherwise 2); g(k) as (g >> 63, g mod 2^63); and whether the row is a
+    subnormal, infinite or NaN one.  Those rows, and the two zero rows, repeat
+    the nearest normal row, so the kernel runs on every cell, but a zero row
+    has g = 0 and decimal exponent 0, and the others' output is replaced.
     """
     row = np.arange(1 << 13)
     sign, biased = row >> 12, (row >> 1) & 0x7FF
     nearest = np.clip(biased, 1, 0x7FE)
+    zero = (biased == 0) & (row & 1 == 1)
     # The smallest normal exponent has subnormals below it, as evenly spaced.
     power_of_two = (row & 1 == 1) & (nearest > 1)
     q = nearest - 1075
     k = np.where(power_of_two, _floor_log10_three_quarters_pow2(q), _floor_log10_pow2(q))
     g = np.array([_multiplier(j) for j in range(k.min(), k.max() + 1)], dtype=np.uint64)
+    g = g[k - k.min()]
+    g[zero] = 0
     return {
-        "e": (k + 16 - _E_MIN + _E_SPAN * sign).astype(np.intp),
+        # A zero's digits, 0, count as 16 digits, so its 1 gives decimal exponent 0.
+        "e": (np.where(zero, 1, k + 16) - _E_MIN + _E_SPAN * sign).astype(np.intp),
         "h": (q + _floor_log2_pow10(-k) + 2).astype(np.uint64),
         "left": np.where(power_of_two, 1, 2).astype(np.uint64),
-        "g1": g[k - k.min(), 0],
-        "g0": g[k - k.min(), 1],
-        "outside": nearest != biased,
+        "g1": g[:, 0],
+        "g0": g[:, 1],
+        "outside": (nearest != biased) & ~zero,
     }
 
 
@@ -131,8 +139,8 @@ def _round_to_odd(g: tuple[np.ndarray, ...], cp: np.ndarray) -> np.ndarray:
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The digits that repr prints, 16 or 17 of them with trailing zeros, and each cell's table row.
 
-    Exact for normal doubles; for the others the digits are those of a
-    normal double with the same fraction.
+    Exact for normal doubles, and 0 for zeros; for the others the digits are
+    those of a normal double with the same fraction.
     """
     row = ((bits >> _U(52) << _U(1)) | (bits << _U(12) == _U(0))).view(np.int64)
     g1, g0 = _ROWS["g1"][row], _ROWS["g0"][row]
@@ -200,7 +208,7 @@ _E_CODE = _layout_code(np.repeat([0, 1], _E_SPAN), np.tile(_E, 2), 0)  # with n 
 
 
 def _mask_table() -> np.ndarray:
-    """The slots each layout prints, as 0xFF bytes of six words; the last row prints none."""
+    """The slots each layout prints, as 0xFF bytes of six words; the last row prints slot 0 only."""
     grid = np.meshgrid([0, 1], np.r_[-4:17, 100], np.arange(18), indexing="ij")
     negative, e, n = (a.ravel() for a in grid)
     small = (e < 0) & (e >= -4)
@@ -218,18 +226,19 @@ def _mask_table() -> np.ndarray:
     keep[:, 42] &= np.abs(e) >= 100
     table = np.zeros((len(e) + 1, _SEP_AT + 3), dtype=np.uint8)
     table[_layout_code(negative, e, n)] = keep * 0xFF
+    table[-1, 0] = 0xFF
     return table.view("<u8")
 
 
 _MASK = _mask_table()
-_PRINTED = np.count_nonzero(_MASK.view(np.uint8).reshape(len(_MASK), -1), axis=1)
-_NONE = len(_MASK) - 1
+_MARK = len(_MASK) - 1  # the layout of a cell that repr prints: the marker byte 1 in slot 0
 
 
-def _block(x: np.ndarray, sep: np.ndarray, text: np.ndarray) -> bytes:
+def _block(x: np.ndarray, sep: np.ndarray, text: np.ndarray) -> list[bytes]:
     """The cells of x in order, each followed by its separator words, as repr prints them.
 
-    text is the slot array to lay them out in, with at least len(x) rows.
+    sep holds each cell's separator words and text is the slot array to lay
+    the cells out in, both with at least len(x) rows.  The text comes in pieces.
     """
     bits = x.view(np.uint64)
     digits, row = _shortest(bits)
@@ -246,70 +255,48 @@ def _block(x: np.ndarray, sep: np.ndarray, text: np.ndarray) -> bytes:
     e = _ROWS["e"][row] - sixteen
     code = _E_CODE[e] + n
 
-    text = text[: len(x)]
+    text, sep = text[: len(x)], sep[: len(x)]
     text[:, 0] = _LEAD[first]
     for j, grp in enumerate(groups, 1):
         text[:, j] = _GROUPS[grp]
     text[:, 5] = _EXPONENT[e]
     text[:, 6:] = sep[:, 1:]
 
-    special = np.empty(0, dtype=np.intp)
     outside = _ROWS["outside"][row]
-    if outside.any():
-        at = np.flatnonzero(outside)
-        zero = bits[at] << _U(1) == _U(0)
-        special = at[~zero]
-        at = at[zero]
-        text[at, 0], text[at, 1] = _LEAD[0], _GROUPS[0]
-        code[at] = _E_CODE[_E_SPAN * (bits[at] >> _U(63)).astype(np.intp) - _E_MIN] + 1
-        code[special] = _NONE  # only the separator; repr fills the cell in below
+    text[outside, 0] = 1
+    code[outside] = _MARK
 
     text[:, :6] &= np.take(_MASK, code, axis=0)
     text[:, 5] |= sep[:, 0]
     out = text.tobytes().translate(None, b"\0")
-    if not len(special):
-        return out
-
-    length = _PRINTED[code] + np.count_nonzero(sep.view(np.uint8).reshape(len(x), -1), axis=1)
-    starts = np.cumsum(length) - length
-    pieces, start = [], 0
-    for i in special.tolist():
-        at = int(starts[i])  # the cell prints nothing, so its separator starts here
-        pieces += [out[start:at], repr(float(x[i])).encode("ascii")]
-        start = at
-    pieces.append(out[start:])
-    return b"".join(pieces)
+    if not outside.any():  # bytes.split scans byte by byte, and most blocks hold no marker
+        return [out]
+    parts = out.split(b"\1")
+    cells = [repr(v).encode("ascii") for v in x[outside].tolist()]
+    return [piece for pair in zip(parts, cells) for piece in pair] + parts[-1:]
 
 
-def cells_text(cells: np.ndarray, seps: Sequence[bytes], last: bytes) -> list[bytes]:
+def cells_text(cells: np.ndarray, seps: Sequence[bytes]) -> list[bytes]:
     """The cells of a 2-D float array in row order, each as ``repr(float(cell))``, in pieces.
 
-    Cell j of each row is followed by ``seps[j]``, except the final cell of
-    the array, which is followed by ``last``.  A separator may not hold a
-    zero byte.
+    Cell j of each row, the final cell of the array included, is followed by
+    ``seps[j]``.  A separator may not hold byte 0 or byte 1.
     """
     cells = np.ascontiguousarray(cells, dtype=np.float64)
     rows, cols = cells.shape
-    ends = [*seps, last]
-    if len(seps) != cols or any(b"\0" in s for s in ends):
-        raise ValueError("cells_text: one separator per column, without zero bytes")
+    if len(seps) != cols or any(b"\0" in s or b"\1" in s for s in seps):
+        raise ValueError("cells_text: one separator per column, without bytes 0 or 1")
     if cells.size == 0:
         return []
     # Word 5 holds three separator bytes; a longer separator takes more words.
-    width = 6 + -(-max(0, max(map(len, ends)) - 3) // 8)
-    slots = np.zeros((cols + 1, 8 * width), dtype=np.uint8)
-    for at, s in zip(slots, ends):
+    width = 6 + -(-max(0, max(map(len, seps)) - 3) // 8)
+    slots = np.zeros((cols, 8 * width), dtype=np.uint8)
+    for at, s in zip(slots, seps):
         at[_SEP_AT : _SEP_AT + len(s)] = list(s)
-    words = slots.view("<u8")[:, 5:]
     step = max(1, _BLOCK_CELLS // cols)
-    tiled = np.tile(words[:cols], (min(step, rows), 1))
+    sep = np.tile(slots.view("<u8")[:, 5:], (min(step, rows), 1))
+    text = np.empty((len(sep), width), dtype="<u8")
     pieces = []
-    text = np.empty((len(tiled), width), dtype="<u8")
     for i in range(0, rows, step):
-        block = cells[i : i + step].ravel()
-        sep = tiled[: len(block)]
-        if i + step >= rows:
-            sep = sep.copy()
-            sep[-1] = words[cols]
-        pieces.append(_block(block, sep, text))
+        pieces += _block(cells[i : i + step].ravel(), sep, text)
     return pieces

@@ -82,14 +82,18 @@ def _json_text(**fields) -> str:
 
 def _json_array(cells: np.ndarray) -> list[bytes]:
     """A non-empty 1-D or 2-D float array as ``json.dumps(cells.tolist(), indent=1)`` writes it
-    one level deep, in pieces to join."""
+    one level deep, in pieces to join: the closing brackets replace the final cell's separator."""
     from . import _shortest  # on first use, so a document without arrays loads no formatter
 
     cell = b"\n" + b" " * (cells.ndim + 1)  # each cell on its own line, indented
     if cells.ndim == 1:
-        return [b"[" + cell, *_shortest.cells_text(cells[:, None], [b"," + cell], b""), b"\n ]"]
-    seps = [b"," + cell] * (cells.shape[1] - 1) + [b"\n  ],\n  [" + cell]
-    return [b"[\n  [" + cell, *_shortest.cells_text(cells, seps, b""), b"\n  ]\n ]"]
+        head, seps, tail = b"[" + cell, [b"," + cell], b"\n ]"
+    else:
+        head, tail = b"[\n  [" + cell, b"\n  ]\n ]"
+        seps = [b"," + cell] * (cells.shape[1] - 1) + [b"\n  ],\n  [" + cell]
+    pieces = _shortest.cells_text(cells.reshape(len(cells), -1), seps)
+    pieces[-1] = pieces[-1][: -len(seps[-1])]
+    return [head, *pieces, tail]
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -119,7 +123,7 @@ def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
     from . import _shortest  # on first use, so importing the CLI loads no formatter
 
     seps = [b","] * (len(columns) - 1) + [b"\n"]
-    rows = _shortest.cells_text(np.column_stack(columns), seps, b"\n")
+    rows = _shortest.cells_text(np.column_stack(columns), seps)
     return b"".join([",".join(header).encode("ascii") + b"\n", *rows]).decode("ascii")
 
 
@@ -182,13 +186,18 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
     if args.b is not None and args.kappa is not None:
         raise _UsageError("trajectory: --kappa and --b are mutually exclusive")
     if args.b is None:
-        traj = _sphere_trajectory(args.solver, args.kappa, args.eps, args.h, args.T)
+        if args.A is not None or args.t0 is not None:
+            raise _UsageError("trajectory: --A and --t0 apply to the oscillator (--b) only")
+        eps = 0.0 if args.eps is None else args.eps
+        traj = _sphere_trajectory(args.solver, args.kappa, eps, args.h, args.T)
+    elif args.eps is not None:
+        raise _UsageError("trajectory: --eps applies to the sphere (--kappa) only")
     elif args.solver == "ide":
         raise _UsageError("the ide solver applies to the sphere problem only")
     else:
-        ic = analytic.monotone_initial_conditions(args.b, args.A, args.t0)
-        prob = ode.OscillatorProblem(b=args.b, A=args.A, t0=args.t0, v0=ic.v0,
-                                     v0_prime=ic.v0_prime)
+        A, t0 = 1.0 if args.A is None else args.A, 0.0 if args.t0 is None else args.t0
+        ic = analytic.monotone_initial_conditions(args.b, A, t0)
+        prob = ode.OscillatorProblem(b=args.b, A=A, t0=t0, v0=ic.v0, v0_prime=ic.v0_prime)
         traj = _solve_oscillator(args.solver, prob, args.h, args.T)
     _write_trajectory(args.output, traj, args.out)
     if traj.meta.get("diverged"):
@@ -314,10 +323,10 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("trajectory", help="one trajectory (sphere or forced oscillator)")
     sp.add_argument("--kappa", type=_finite_float, help="density parameter of the sphere problem")
-    sp.add_argument("--eps", type=_finite_float, default=0.0, help="initial velocity u(0)")
+    sp.add_argument("--eps", type=_finite_float, help="sphere's initial velocity u(0) (default 0)")
     sp.add_argument("--b", type=_finite_float, help="oscillator damping (enables oscillator mode)")
-    sp.add_argument("--A", type=_finite_float, default=1.0, help="oscillator forcing amplitude")
-    sp.add_argument("--t0", type=_finite_float, default=0.0, help="oscillator forcing offset")
+    sp.add_argument("--A", type=_finite_float, help="oscillator forcing amplitude (default 1)")
+    sp.add_argument("--t0", type=_finite_float, help="oscillator forcing offset (default 0)")
     add_common(sp)
     sp.set_defaults(handler=_cmd_trajectory)
 

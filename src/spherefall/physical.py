@@ -43,6 +43,9 @@ class PhysicalParams:
     g: float
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"PhysicalParams: {name} must be finite, got {value}")
         if not (self.rho > 0.0 and self.mu > 0.0 and self.R > 0.0 and self.g > 0.0):
             raise ValueError("PhysicalParams: rho, mu, R, g must all be > 0")
         if not self.rho_s >= 0.0:

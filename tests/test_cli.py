@@ -355,6 +355,29 @@ def test_sphere_commands_share_one_domain_message_and_write_nothing(tmp_path, ca
     assert os.listdir(tmp_path) == []
 
 
+_OSCILLATOR_ONLY = "error: trajectory: --A and --t0 apply to the oscillator (--b) only\n"
+_SPHERE_ONLY = "error: trajectory: --eps applies to the sphere (--kappa) only\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--kappa", "2", "--A", "5"], _OSCILLATOR_ONLY),
+    (["--kappa", "2", "--t0", "3"], _OSCILLATOR_ONLY),
+    (["--kappa", "2", "--A", "1", "--t0", "0"], _OSCILLATOR_ONLY),
+    (["--b", "-1", "--eps", "0.5"], _SPHERE_ONLY),
+    (["--b", "-1", "--eps", "0"], _SPHERE_ONLY),
+])
+def test_trajectory_rejects_the_other_modes_flags(tmp_path, capsys, argv, message):
+    # These used to be ignored: the sphere or oscillator was written without them.
+    for output in ("csv", "json"):
+        out = tmp_path / f"out.{output}"
+        assert main(["trajectory", *argv, "--T", "1", "--h", "0.1", "--output", output,
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+    assert os.listdir(tmp_path) == []
+
+
 def test_numerical_failure_exit_three(tmp_path):
     out = tmp_path / "div.csv"
     code = main([

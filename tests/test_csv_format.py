@@ -111,8 +111,13 @@ def test_exponent_table_rows_follow_the_floor_logs_and_multipliers():
             assert rows["left"][at] == (1 if irregular else 2)
             assert (int(rows["g1"][at]), int(rows["g0"][at])) == _shortest._multiplier(k)
             assert not rows["outside"][at]
-    zero_and_top = np.array([0, 1, 4094, 4095])
-    assert rows["outside"][np.r_[zero_and_top, zero_and_top + 4096]].all()
+    subnormal_and_top = np.array([0, 4094, 4095])
+    assert rows["outside"][np.r_[subnormal_and_top, subnormal_and_top + 4096]].all()
+    # A zero row has g = 0, so its digits are 0; they count as 16 digits, which take e - 1.
+    for at in (1, 1 + 4096):
+        assert not rows["outside"][at] and rows["g1"][at] == rows["g0"][at] == 0
+        assert rows["e"][at] - 1 + _shortest._E_MIN - (at >> 12) * _shortest._E_SPAN == 0
+        assert 2 <= rows["h"][at] <= 5
 
 
 def test_kernel_digits_have_sixteen_or_seventeen_digits():
@@ -127,13 +132,36 @@ def test_kernel_digits_have_sixteen_or_seventeen_digits():
         bits = (biased.astype(np.uint64) << np.uint64(52)) | fraction
         digits, _ = _shortest._shortest(bits)
         assert (digits >= 10**15).all() and (digits < 10**17).all()
-        text = b"".join(_shortest.cells_text(bits.view(np.float64)[:, None], [b"\n"], b"\n"))
+        text = b"".join(_shortest.cells_text(bits.view(np.float64)[:, None], [b"\n"]))
         assert text.decode().split() == [repr(v) for v in bits.view(np.float64).tolist()]
 
 
 def test_cells_text_rejects_a_bad_separator_layout():
     cells = np.zeros((2, 2))
     with pytest.raises(ValueError):
-        _shortest.cells_text(cells, [b","], b"\n")
+        _shortest.cells_text(cells, [b","])
     with pytest.raises(ValueError):
-        _shortest.cells_text(cells, [b",", b"\0"], b"\n")
+        _shortest.cells_text(cells, [b",", b"\0"])
+    with pytest.raises(ValueError):  # byte 1 marks the cells that repr prints
+        _shortest.cells_text(cells, [b",", b"\n\1"])
+
+
+# Cells the kernel does not lay out itself (subnormal, NaN, infinite) and the zeros.
+RARE = [5e-324, np.nan, -np.inf, 0.0, -0.0]
+
+
+def edge_positions(ncols: int) -> list[list[int]]:
+    """Flat cell indices: the first cell, each side of the first block boundary, the final cell,
+    and all four at once."""
+    boundary = max(1, _shortest._BLOCK_CELLS // ncols) * ncols  # the second block's first cell
+    return [[0], [boundary - 1], [boundary], [-1], [0, boundary - 1, boundary, -1]]
+
+
+@pytest.mark.parametrize("ncols", [1, 3, 8])
+@pytest.mark.parametrize("rare", RARE, ids=repr)
+def test_rare_cells_at_the_edges_print_as_repr(rare, ncols):
+    values = np.random.default_rng(17).standard_normal(2 * _shortest._BLOCK_CELLS + 5 * ncols)
+    for at in edge_positions(ncols):
+        placed = values.copy()
+        placed[at] = rare
+        _check_against_oracle(placed, ncols)

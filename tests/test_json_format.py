@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import spherefall
 from spherefall import _shortest, cli
+from test_csv_format import RARE, edge_positions
 
 
 def _json_oracle(**fields) -> str:
@@ -47,6 +48,20 @@ def test_arrays_over_many_blocks_print_as_json_dumps():
     column[12345] = np.inf
     rows[-1, 3] = np.nan
     assert cli._json_text(t=column, rows=rows) == _json_oracle(t=column, rows=rows)
+
+
+@pytest.mark.parametrize("rare", [*RARE, -2.5e-310], ids=repr)
+def test_rare_cells_at_the_edges_print_as_json_dumps(rare):
+    # A finite rare cell goes through the kernel, a subnormal final cell included, where the
+    # cut of the final separator follows a cell that repr printed; NaN and inf through json.
+    rng = np.random.default_rng(17)
+    column = rng.standard_normal(2 * _shortest._BLOCK_CELLS + 5)
+    rows = rng.standard_normal((2 * _shortest._BLOCK_CELLS // 8 + 5, 8))
+    for at_column, at_rows in zip(edge_positions(1), edge_positions(8)):
+        t, r = column.copy(), rows.copy()
+        t[at_column] = rare
+        r.reshape(-1)[at_rows] = rare
+        assert cli._json_text(t=t, rows=r) == _json_oracle(t=t, rows=r)
 
 
 _DRAG = ["drag", "--rho-s", "1190", "--rho", "1000", "--mu", "0.1", "--radius", "0.001",

@@ -54,6 +54,15 @@ def test_params_validation_rejects_nan(field):
         nondimensionalize(PhysicalParams(**fields))
 
 
+@pytest.mark.parametrize("field", ["rho_s", "rho", "mu", "R", "g"])
+def test_params_validation_rejects_infinity_by_name(field):
+    # g = inf used to give an infinite buoyancy and residual; rho_s, rho or R = inf a
+    # ZeroDivisionError in nondimensionalize.
+    fields = {**dict(rho_s=1190.0, rho=1000.0, mu=0.1, R=0.001, g=9.8), field: math.inf}
+    with pytest.raises(ValueError, match=f"^PhysicalParams: {field} must be finite"):
+        PhysicalParams(**fields)
+
+
 def test_stokes_velocity_zero_for_neutral_buoyancy():
     p = PhysicalParams(rho_s=1000.0, rho=1000.0, mu=0.1, R=0.001, g=9.8)
     assert stokes_terminal_velocity(p) == 0.0
