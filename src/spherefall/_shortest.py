@@ -23,17 +23,15 @@ exponent 0.
 
 Each cell is then laid out as ``repr`` does (positional iff the decimal
 exponent lies in [-4, 16), with ``.0`` on integers, otherwise
-``d[.ddd]e±XX``) in a fixed row of byte slots.  A mask per layout zeroes
-the slots ``repr`` does not print, the cell's separator follows in slots
-of its own, and one ``bytes.translate`` per block of rows deletes the
-zero bytes.  A subnormal or non-finite cell prints the marker byte 1
-instead, and the block's text is split at the markers to put ``repr`` of
-those cells in their place.
+``d[.ddd]e±XX``) in a fixed row of 48 byte slots.  A mask per layout
+zeroes the slots ``repr`` does not print, the cell's one separator byte
+fills the slot after the exponent, and one ``bytes.translate`` per block
+of rows deletes the zero bytes.  A subnormal or non-finite cell prints
+the marker byte 1 instead, and the block's text is split at the markers
+to put ``repr`` of those cells in their place.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -184,11 +182,9 @@ def _layout_code(negative: np.ndarray, e: np.ndarray, n: np.ndarray) -> np.ndarr
 # A cell is laid out in byte slots, little-endian uint64 words, in output order:
 #   word 0: '-', '0', '.', '0', '0', '0', d1, '.'
 #   words 1-4: d2 '.' d3 '.' ... d17 '.', four digits to a word
-#   word 5: 'e', exponent sign, three exponent digits, then the separator
-#   words 6-: the rest of the separator, if it is longer than three bytes
+#   word 5: 'e', exponent sign, three exponent digits, the separator, two zeros
 # where d1..d17 are the digits padded with zeros to seventeen.  The tables give
 # the words by value, and the mask of the slots repr prints by layout code.
-_SEP_AT = 45
 _LEAD = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), dtype="<u8")
 _GROUP_DIGITS = np.indices((10,) * 4).reshape(4, -1)  # the digits of 0..9999, by place
 _GROUPS = np.full((10**4, 8), ord("."), dtype=np.uint8)
@@ -213,7 +209,7 @@ def _mask_table() -> np.ndarray:
     negative, e, n = (a.ravel() for a in grid)
     small = (e < 0) & (e >= -4)
     scientific = (e < -4) | (e >= 16)
-    keep = np.zeros((len(e), _SEP_AT + 3), dtype=bool)
+    keep = np.zeros((len(e), 48), dtype=bool)
     keep[:, 0] = negative == 1
     keep[:, 1] = keep[:, 2] = small
     keep[:, 3:6] = np.arange(1, 4) <= np.where(small, -e - 1, 0)[:, None]
@@ -224,7 +220,7 @@ def _mask_table() -> np.ndarray:
     keep[:, 7:40:2] = np.arange(1, 18) == point[:, None]
     keep[:, 40:45] = scientific[:, None]
     keep[:, 42] &= np.abs(e) >= 100
-    table = np.zeros((len(e) + 1, _SEP_AT + 3), dtype=np.uint8)
+    table = np.zeros((len(e) + 1, 48), dtype=np.uint8)
     table[_layout_code(negative, e, n)] = keep * 0xFF
     table[-1, 0] = 0xFF
     return table.view("<u8")
@@ -234,11 +230,12 @@ _MASK = _mask_table()
 _MARK = len(_MASK) - 1  # the layout of a cell that repr prints: the marker byte 1 in slot 0
 
 
-def _block(x: np.ndarray, sep: np.ndarray, text: np.ndarray) -> list[bytes]:
-    """The cells of x in order, each followed by its separator words, as repr prints them.
+def _block(x: np.ndarray, sep: np.ndarray, text: np.ndarray) -> bytes:
+    """The cells of x in order, each as repr prints it and followed by its separator byte.
 
-    sep holds each cell's separator words and text is the slot array to lay
-    the cells out in, both with at least len(x) rows.  The text comes in pieces.
+    sep holds each cell's separator byte at its slot of word 5, and text is
+    the (rows, 6) slot array to lay the cells out in, both with at least
+    len(x) rows.
     """
     bits = x.view(np.uint64)
     digits, row = _shortest(bits)
@@ -260,43 +257,35 @@ def _block(x: np.ndarray, sep: np.ndarray, text: np.ndarray) -> list[bytes]:
     for j, grp in enumerate(groups, 1):
         text[:, j] = _GROUPS[grp]
     text[:, 5] = _EXPONENT[e]
-    text[:, 6:] = sep[:, 1:]
 
     outside = _ROWS["outside"][row]
     text[outside, 0] = 1
     code[outside] = _MARK
 
-    text[:, :6] &= np.take(_MASK, code, axis=0)
-    text[:, 5] |= sep[:, 0]
+    text &= np.take(_MASK, code, axis=0)
+    text[:, 5] |= sep
     out = text.tobytes().translate(None, b"\0")
     if not outside.any():  # bytes.split scans byte by byte, and most blocks hold no marker
-        return [out]
+        return out
     parts = out.split(b"\1")
     cells = [repr(v).encode("ascii") for v in x[outside].tolist()]
-    return [piece for pair in zip(parts, cells) for piece in pair] + parts[-1:]
+    return b"".join([piece for pair in zip(parts, cells) for piece in pair] + parts[-1:])
 
 
-def cells_text(cells: np.ndarray, seps: Sequence[bytes]) -> list[bytes]:
-    """The cells of a 2-D float array in row order, each as ``repr(float(cell))``, in pieces.
+def cells_text(cells: np.ndarray, seps: bytes) -> bytes:
+    """The cells of a 2-D float array in row order, each as ``repr(float(cell))``.
 
     Cell j of each row, the final cell of the array included, is followed by
-    ``seps[j]``.  A separator may not hold byte 0 or byte 1.
+    the separator byte ``seps[j]``, which may be neither 0 nor 1.
     """
     cells = np.ascontiguousarray(cells, dtype=np.float64)
     rows, cols = cells.shape
-    if len(seps) != cols or any(b"\0" in s or b"\1" in s for s in seps):
-        raise ValueError("cells_text: one separator per column, without bytes 0 or 1")
+    if len(seps) != cols or b"\0" in seps or b"\1" in seps:
+        raise ValueError("cells_text: one separator byte per column, neither 0 nor 1")
     if cells.size == 0:
-        return []
-    # Word 5 holds three separator bytes; a longer separator takes more words.
-    width = 6 + -(-max(0, max(map(len, seps)) - 3) // 8)
-    slots = np.zeros((cols, 8 * width), dtype=np.uint8)
-    for at, s in zip(slots, seps):
-        at[_SEP_AT : _SEP_AT + len(s)] = list(s)
+        return b""
     step = max(1, _BLOCK_CELLS // cols)
-    sep = np.tile(slots.view("<u8")[:, 5:], (min(step, rows), 1))
-    text = np.empty((len(sep), width), dtype="<u8")
-    pieces = []
-    for i in range(0, rows, step):
-        pieces += _block(cells[i : i + step].ravel(), sep, text)
-    return pieces
+    # Each separator byte goes to slot 45, byte 5 of word 5.
+    sep = np.tile(np.frombuffer(seps, dtype=np.uint8).astype(np.uint64) << _U(40), min(step, rows))
+    text = np.empty((len(sep), 6), dtype="<u8")
+    return b"".join([_block(cells[i : i + step].ravel(), sep, text) for i in range(0, rows, step)])

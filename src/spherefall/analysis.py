@@ -4,9 +4,10 @@ Everything here produces floating-point evidence, not proofs: the
 monotone approach to terminal velocity, the negativity of the proof
 integral that drives it, the equivalence of the memory-integral,
 second-order-ODE and closed-form formulations, and the residuals of
-discrete trajectories against the equations they claim to solve.
-Results are reported as :class:`VerificationReport` values that the CLI
-serializes to JSON.
+discrete trajectories against the equations they claim to solve.  The
+oracles take arrays, so the suite evaluates each oracle grid in one
+call.  Results are reported as :class:`VerificationReport` values that
+the CLI serializes to JSON.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from . import analytic, ide, ode
 from .analytic import _roots_from_damping, _sphere, _sphere_samples
 from .trajectory import Trajectory
 from .special import (
+    _require,
     _window_quadrature,
     AccuracyError,
     faddeeva,
@@ -109,21 +111,21 @@ def check_monotone(traj: Trajectory, tol: float = 1e-12) -> VerificationReport:
 # The sign integral behind the monotonicity result
 # ----------------------------------------------------------------------
 
-def _proof_peak(t: float, theta: float) -> tuple[float, float]:
+def _proof_peak(t, theta):
     """(-sqrt(t) sin(theta/2), sqrt(t) cos(theta/2)), after checking the domain.
 
     These are the peak and half-width of the Lorentzian factor 1/P of F,
     and the real and imaginary parts of the Faddeeva argument behind it.
+    t and theta are floats or arrays that broadcast; an error names the
+    first element outside the domain.
     """
-    if not t > 0.0:  # a NaN t fails too
-        raise ValueError(f"t must be > 0, got {t}")
-    if not 0.0 < theta < math.pi:
-        raise ValueError(f"theta must lie in (0, pi), got {theta}")
-    root = math.sqrt(t)
-    return -root * math.sin(theta / 2.0), root * math.cos(theta / 2.0)
+    _require(t > 0.0, t, "t must be > 0, got {}")  # a NaN t fails too
+    _require((0.0 < theta) & (theta < math.pi), theta, "theta must lie in (0, pi), got {}")
+    root = np.sqrt(t)
+    return -root * np.sin(theta / 2.0), root * np.cos(theta / 2.0)
 
 
-def _proof_integrand(d, peak: float, width: float):
+def _proof_integrand(d, peak, width):
     """F(s) = s exp(-s^2) / P(s) at s = peak + d, with P(s) = (s - peak)^2 + width^2 > 0.
 
     With :func:`_proof_peak`, P(s) = (s + sqrt(t) sin(theta/2))^2 + t cos^2(theta/2):
@@ -134,42 +136,46 @@ def _proof_integrand(d, peak: float, width: float):
     return s * np.exp(-s * s) / (d * d + width * width)
 
 
-def proof_integral(t: float, theta: float) -> float:
+def proof_integral(t, theta):
     """Integral of F over the real line (truncated at |s| <= 9); strictly negative.
 
-    Graded Gauss-Legendre panels around the peak of F.  An error estimate
-    not below 1e-7 |I| leaves the sign unresolved (as does I = 0, which has
-    none) and raises AccuracyError instead of returning an unverified number.
+    Graded Gauss-Legendre panels around the peak of F, for a float or for
+    arrays of t and theta that broadcast, all in one quadrature call.  An
+    error estimate not below 1e-7 |I| leaves the sign unresolved (as does
+    I = 0, which has none) and raises AccuracyError, naming the first such
+    element, instead of returning an unverified number.
     """
+    t, theta = np.asarray(t, dtype=float), np.asarray(theta, dtype=float)
     peak, width = _proof_peak(t, theta)
-    value, est = _window_quadrature(lambda d: _proof_integrand(d, peak, width), peak, width)
-    if not est < 1e-7 * abs(value):  # a NaN estimate is a failure too
-        raise AccuracyError(
-            f"proof_integral: sign unresolved (value={value:.2e}, est={est:.2e})")
+    pd, wd = np.expand_dims(peak, (-2, -1)), np.expand_dims(width, (-2, -1))
+    value, est = _window_quadrature(lambda d: _proof_integrand(d, pd, wd), peak, width)
+    _require(est < 1e-7 * np.abs(value), (value, est, t, theta),  # a NaN estimate fails too
+             "proof_integral: sign unresolved (value={:.2e}, est={:.2e}) at t={}, theta={}",
+             AccuracyError)
     return value
 
 
-def imag_sqrt_alpha_villat(t: float, kappa: float) -> float:
+def imag_sqrt_alpha_villat(t, kappa):
     """Im{sqrt(alpha) Vi(alpha t)}, the quantity whose positivity makes u' > 0.
 
     Computed directly through the Villat function and cross-checked
     against the decomposition cos(theta/2) Im w + sin(theta/2) Re w at
     w(x + iy) with x = -sqrt(t) sin(theta/2), y = sqrt(t) cos(theta/2);
-    disagreement beyond 1e-10 is an internal-consistency error.
+    disagreement beyond 1e-10 is an internal-consistency error, named at its
+    first element.  Floats take the Python complex path, arrays broadcast.
     """
-    if not t > 0.0:  # a NaN t fails too
-        raise ValueError(f"t must be > 0, got {t}")
+    _require(t > 0.0, t, "t must be > 0, got {}")  # a NaN t fails too
     alpha, _ = _roots_from_damping(_sphere(kappa)[0])
-    direct = (cmath.sqrt(alpha) * villat(alpha * t)).imag
+    sqrt = np.sqrt if isinstance(alpha, np.ndarray) else cmath.sqrt
+    direct = (sqrt(alpha) * villat(alpha * t)).imag
 
-    theta = cmath.phase(alpha)
-    w = faddeeva(complex(*_proof_peak(t, theta)))
-    decomposed = math.cos(theta / 2.0) * w.imag + math.sin(theta / 2.0) * w.real
-    if abs(direct - decomposed) > 1e-10:
-        raise ArithmeticError(
-            "imag_sqrt_alpha_villat: computation paths disagree "
-            f"({direct!r} vs {decomposed!r} at t={t}, kappa={kappa})"
-        )
+    theta = np.angle(alpha)
+    x, y = _proof_peak(t, theta)
+    w = faddeeva(x + 1j * y)
+    decomposed = np.cos(theta / 2.0) * w.imag + np.sin(theta / 2.0) * w.real
+    _require(np.abs(direct - decomposed) <= 1e-10, (direct, decomposed, t, kappa),
+             "imag_sqrt_alpha_villat: computation paths disagree ({} vs {} at t={}, kappa={})",
+             ArithmeticError)
     return direct
 
 
@@ -218,25 +224,6 @@ def ode_residual(traj: Trajectory, kappa: float, u0: float) -> VerificationRepor
 _KAPPA_SET = (0.5, 1.0, 2.0, 2.5, 2.9, 3.5, 3.9)
 
 
-def _faddeeva_quadrature_error(x: float, y: float) -> float:
-    w = faddeeva(complex(x, y))
-    return max(
-        abs(w.real - faddeeva_re_quadrature(x, y)),
-        abs(w.imag - faddeeva_im_quadrature(x, y)),
-    )
-
-
-def _villat_derivative_error(z: complex) -> float:
-    """Relative error of central differences against d/dz Vi = Vi - 1/sqrt(pi z).
-
-    The step sits at the cube root of machine epsilon, the central-difference optimum.
-    """
-    step = 2.2e-16 ** (1.0 / 3.0) * max(1.0, abs(z))
-    fd = (villat(z + step) - villat(z - step)) / (2.0 * step)
-    exact = villat(z) - 1.0 / cmath.sqrt(math.pi * z)
-    return abs(fd - exact) / abs(exact)
-
-
 def _asymptotic_error(r: float, phase: float) -> float:
     z = r * cmath.exp(1j * phase)
     return abs(villat_asymptotic(z, 5).value - villat(z)) / abs(villat(z))
@@ -258,9 +245,9 @@ def run_default_suite(h: float = 1e-3, points: int = 400) -> list[VerificationRe
     grid = np.linspace(0.05, 3.95, 20)
     alpha, beta = _roots_from_damping(_sphere(grid)[0])
     root_sum = np.sqrt(alpha) + np.sqrt(beta)
-    t_grid = np.logspace(-2, 3, 6).tolist()
-    thetas = np.linspace(math.pi / 12.0, math.pi * 11.0 / 12.0, 6).tolist()
-    imag_kappas = np.linspace(0.3, 3.7, 6).tolist()
+    t_grid = np.logspace(-2, 3, 6)[:, None]
+    thetas = np.linspace(math.pi / 12.0, math.pi * 11.0 / 12.0, 6)
+    imag_kappas = np.linspace(0.3, 3.7, 6)
 
     reports = [
         # Monotone approach of the closed form, and positivity of u'.
@@ -282,13 +269,11 @@ def run_default_suite(h: float = 1e-3, points: int = 400) -> list[VerificationRe
                 np.abs(_sphere_samples(np.zeros(1), grid[:, None])[0]),
                 lambda i, j: f"kappa={grid[i]:.4g}"),
         # Sign integral of the monotonicity argument: strictly negative everywhere.
-        _reduce("proof_integral_negative", 0.0,
-                [[proof_integral(t, theta) for theta in thetas] for t in t_grid],
-                lambda i, j: f"t={t_grid[i]:.4g}, theta={thetas[j]:.4g}", floor=-math.inf),
+        _reduce("proof_integral_negative", 0.0, proof_integral(t_grid, thetas),
+                lambda i, j: f"t={t_grid[i, 0]:.4g}, theta={thetas[j]:.4g}", floor=-math.inf),
         # Positivity of Im{sqrt(alpha) Vi(alpha t)} (two agreeing paths).
-        _reduce("imag_sqrt_alpha_positive", 0.0,
-                [[-imag_sqrt_alpha_villat(t, k) for k in imag_kappas] for t in t_grid],
-                lambda i, j: f"t={t_grid[i]:.4g}, kappa={imag_kappas[j]:.4g}"),
+        _reduce("imag_sqrt_alpha_positive", 0.0, -imag_sqrt_alpha_villat(t_grid, imag_kappas),
+                lambda i, j: f"t={t_grid[i, 0]:.4g}, kappa={imag_kappas[j]:.4g}"),
     ]
 
     # Discrete solver vs closed form, and the residual checks on it.  The
@@ -316,15 +301,22 @@ def run_default_suite(h: float = 1e-3, points: int = 400) -> list[VerificationRe
     reports.append(replace(check_monotone(osc, tol=10.0 * h), check_id="oscillator_monotone"))
 
     # Fast special-function path against the integral-representation oracles.
-    xs, ys = np.linspace(-2.0, 2.0, 5).tolist(), np.linspace(0.4, 2.0, 5).tolist()
+    xs, ys = np.linspace(-2.0, 2.0, 5)[:, None], np.linspace(0.4, 2.0, 5)
+    w = faddeeva(xs + 1j * ys)
     reports.append(_reduce("faddeeva_vs_quadrature", 1e-10,
-                           [[_faddeeva_quadrature_error(x, y) for y in ys] for x in xs],
-                           lambda i, j: f"x={xs[i]:.3g}, y={ys[j]:.3g}"))
+                           np.maximum(np.abs(w.real - faddeeva_re_quadrature(xs, ys)),
+                                      np.abs(w.imag - faddeeva_im_quadrature(xs, ys))),
+                           lambda i, j: f"x={xs[i, 0]:.3g}, y={ys[j]:.3g}"))
 
-    # Derivative identity of the Villat function, by central differences.
+    # Derivative identity d/dz Vi = Vi - 1/sqrt(pi z), by central differences with
+    # the step at the cube root of machine epsilon, the central-difference optimum.
     zs = (0.7 + 0j, 4.0 + 1.5j, 25.0 + 40.0j, 2.0 - 3.0j, 100.0 + 0j)
-    reports.append(_reduce("villat_derivative_identity", 1e-6,
-                           [_villat_derivative_error(z) for z in zs], lambda i: f"z={zs[i]}"))
+    z = np.array(zs)
+    step = 2.2e-16 ** (1.0 / 3.0) * np.maximum(1.0, np.abs(z))
+    exact = villat(z) - 1.0 / np.sqrt(math.pi * z)
+    fd = (villat(z + step) - villat(z - step)) / (2.0 * step)
+    reports.append(_reduce("villat_derivative_identity", 1e-6, np.abs(fd - exact) / np.abs(exact),
+                           lambda i: f"z={zs[i]}"))
 
     # Divergent-series tail against the stable evaluation at large |z|.
     radii, phases = (1e3, 1e4, 1e5), (0.0, 0.5, 1.5, 2.0)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import villat
+from .special import _require, villat
 
 __all__ = [
     "CharRoots",
@@ -79,12 +79,6 @@ def _real_part_checked(value):
             f"on value {value!r}"
         )
     return value.real
-
-
-def _require(ok, x, message: str) -> None:
-    """Raise ValueError(message.format(x_i)) for the first x_i whose ok_i fails, if any."""
-    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
-        raise ValueError(message.format(np.extract(np.logical_not(ok), x)[0]))
 
 
 def _roots_from_damping(b):

@@ -72,7 +72,7 @@ def _json_text(**fields) -> str:
         parts.append(b",\n %s: " % json.dumps(name).encode("ascii"))
         if (isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim in (1, 2)
                 and value.size and np.isfinite(value).all()):
-            parts += _json_array(value)
+            parts.append(_json_array(value))
         else:
             value = value.tolist() if isinstance(value, np.ndarray) else value
             parts.append(json.dumps(value, indent=1).replace("\n", "\n ").encode("ascii"))
@@ -80,20 +80,20 @@ def _json_text(**fields) -> str:
     return b"".join(parts).decode("ascii")
 
 
-def _json_array(cells: np.ndarray) -> list[bytes]:
+def _json_array(cells: np.ndarray) -> bytes:
     """A non-empty 1-D or 2-D float array as ``json.dumps(cells.tolist(), indent=1)`` writes it
-    one level deep, in pieces to join: the closing brackets replace the final cell's separator."""
+    one level deep: the kernel puts ``,`` between the cells of a row and ``;`` after it, and
+    those become json's line breaks and indentation, ``,`` first (a row break holds one)."""
     from . import _shortest  # on first use, so a document without arrays loads no formatter
 
     cell = b"\n" + b" " * (cells.ndim + 1)  # each cell on its own line, indented
     if cells.ndim == 1:
-        head, seps, tail = b"[" + cell, [b"," + cell], b"\n ]"
+        head, row_break, tail = b"[" + cell, b"," + cell, b"\n ]"
     else:
-        head, tail = b"[\n  [" + cell, b"\n  ]\n ]"
-        seps = [b"," + cell] * (cells.shape[1] - 1) + [b"\n  ],\n  [" + cell]
-    pieces = _shortest.cells_text(cells.reshape(len(cells), -1), seps)
-    pieces[-1] = pieces[-1][: -len(seps[-1])]
-    return [head, *pieces, tail]
+        head, row_break, tail = b"[\n  [" + cell, b"\n  ],\n  [" + cell, b"\n  ]\n ]"
+    rows = cells.reshape(len(cells), -1)
+    text = _shortest.cells_text(rows, b"," * (rows.shape[1] - 1) + b";")[:-1]
+    return head + text.replace(b",", b"," + cell).replace(b";", row_break) + tail
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -122,9 +122,8 @@ def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
     """CSV of equal-length float columns, each value as ``repr`` prints it (shortest round trip)."""
     from . import _shortest  # on first use, so importing the CLI loads no formatter
 
-    seps = [b","] * (len(columns) - 1) + [b"\n"]
-    rows = _shortest.cells_text(np.column_stack(columns), seps)
-    return b"".join([",".join(header).encode("ascii") + b"\n", *rows]).decode("ascii")
+    rows = _shortest.cells_text(np.column_stack(columns), b"," * (len(columns) - 1) + b"\n")
+    return (",".join(header).encode("ascii") + b"\n" + rows).decode("ascii")
 
 
 def _emit(path: str, text: str) -> None:
@@ -223,6 +222,8 @@ def _sweep_one(args: argparse.Namespace, kappa: float, traj: Trajectory) -> dict
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.out == "-":
+        raise _UsageError("sweep: --out names the output directory; '-' (stdout) is not one")
     try:
         kappas = [float(s) for s in args.kappas.split(",") if s.strip()]
     except ValueError as exc:
@@ -311,11 +312,11 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_solver=True):
+    def add_common(sp, with_solver=True, out_help="output path ('-' = stdout)"):
         sp.add_argument("--h", type=_finite_float, default=1e-3, help="step size")
         sp.add_argument("--T", type=_finite_float, default=10.0, help="horizon")
         sp.add_argument("--output", choices=("csv", "json"), default="csv")
-        sp.add_argument("--out", default="-", help="output path ('-' = stdout)")
+        sp.add_argument("--out", default="-", help=out_help)
         if with_solver:
             sp.add_argument(
                 "--solver", choices=("closed-form", "ide", "ode"), default="closed-form"
@@ -334,7 +335,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--kappas", required=True,
                     help="comma-separated kappa list, e.g. 0.5,1,2.5")
     sp.add_argument("--eps", type=_finite_float, default=0.0)
-    add_common(sp)
+    add_common(sp, out_help="output directory (default sweep_out)")
     sp.set_defaults(handler=_cmd_sweep, out="sweep_out")
 
     sp = sub.add_parser("compare", help="closed-form vs IDE vs ODE on one grid")

@@ -30,12 +30,12 @@ complex products and quotients differently from CPython, so an array
 result agrees with the scalar calls to about 1e-15 relative, not bit for
 bit.
 
-The two integral-representation
-quadratures are independent oracles used by the verification suite to
-referee the fast path: 32-point Gauss-Legendre panels graded
-geometrically away from the Lorentzian peak, whose error estimate (the
-change when every panel is split in two) raises AccuracyError when it
-is too large.
+The two integral-representation quadratures are independent oracles used
+by the verification suite to referee the fast path: 32-point
+Gauss-Legendre panels graded geometrically away from the Lorentzian peak,
+whose error estimate (the change when every panel is split in two)
+raises AccuracyError when it is too large.  They take floats or arrays;
+over an array each point keeps its own panels, padded with empty ones.
 """
 
 from __future__ import annotations
@@ -85,6 +85,18 @@ def _check_finite(z, name: str):
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"{name}: argument must be finite, got {z!r}")
     return z
+
+
+def _require(ok, x, message: str, error: type = ValueError) -> None:
+    """Raise error(message.format(*x_i)) for the first i (row-major) where ok fails, if any.
+
+    x is a value or a tuple of values broadcasting against ok; x_i holds their elements at i.
+    """
+    if ok.all() if isinstance(ok, np.ndarray) else ok:
+        return
+    bad = np.logical_not(ok)
+    fields = x if isinstance(x, tuple) else (x,)
+    raise error(message.format(*(np.extract(*np.broadcast_arrays(bad, v))[0] for v in fields)))
 
 
 # ----------------------------------------------------------------------
@@ -234,69 +246,80 @@ _GRADING = 4.0  # ratio of successive panel edges away from the peak
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
-def _panel_sum(f, edges: np.ndarray) -> float:
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    return float(half @ (f(mid[:, None] + half[:, None] * _GL_NODES) @ _GL_WEIGHTS))
+def _panel_sum(f, edges: np.ndarray) -> np.ndarray:
+    """The 32-point Gauss-Legendre sum over the panels between each row's sorted edges."""
+    mid = 0.5 * edges[..., 1:] + 0.5 * edges[..., :-1]  # no overflow where edges collapse at 1e308
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    sums = f(mid[..., None] + half[..., None] * _GL_NODES) @ _GL_WEIGHTS
+    return (half[..., None, :] @ sums[..., None])[..., 0, 0]
 
 
-def _window_quadrature(f, peak: float, width: float) -> tuple[float, float]:
+def _window_quadrature(f, peak, width):
     """(value, error estimate) of the integral over |s| <= 9 of an integrand given as f(s - peak).
 
     f takes the offset d = s - peak (an array) and carries an exp(-s^2)
     factor, to be formed as exp(-(peak + d)^2), and a peak at d = 0 of
     half-width width > 0.  Working in d places the nodes near the peak
     exactly, however narrow it is.  32-point Gauss-Legendre panels have
-    edges at d = +-width * 4^j and at s = 0 and +-9, so they grade
+    edges at d = +-width * 4^j below 18 and at s = 0 and +-9, so they grade
     geometrically away from the peak.  The value is the sum over every
     panel split in two; the estimate is its distance from the sum over
-    the undivided panels.
+    the undivided panels.  peak and width broadcast: f gets offsets of
+    shape peak.shape + (panels, 32), and the value and estimate have the
+    shape of peak (floats for floats).  The narrowest width sets the count
+    of graded edges; a point that needs fewer has the rest clipped onto the
+    window ends, where they bound empty panels.
     """
-    lo, hi = -_WINDOW - peak, _WINDOW - peak
-    edges = {lo, -peak, hi}
-    step = width
+    peak, width = np.broadcast_arrays(peak, width)
+    count, step = 0, np.min(width, initial=np.inf)
     while step < 2.0 * _WINDOW:
-        edges.update(e for e in (-step, step) if lo < e < hi)
+        count += 1
         step *= _GRADING
-    edges = np.array(sorted(edges))
-    halves = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-    value = _panel_sum(f, halves)
-    return value, abs(value - _panel_sum(f, edges))
+    graded = np.ldexp(width[..., None], 2 * np.arange(count))  # width * 4^j (_GRADING), exactly
+    graded[graded >= 2.0 * _WINDOW] = np.inf  # past the grading: clipped onto a window end
+    lo, hi = -_WINDOW - peak[..., None], _WINDOW - peak[..., None]
+    edges = np.sort(np.concatenate(
+        [lo, -peak[..., None], hi, np.clip(-graded, lo, hi), np.clip(graded, lo, hi)], -1))
+    halves = np.sort(np.concatenate([edges, 0.5 * edges[..., :-1] + 0.5 * edges[..., 1:]], -1))
+    value = _panel_sum(f, halves)[()]  # [()] turns 0-d into a float
+    return value, np.abs(value - _panel_sum(f, edges))
 
 
-def _poisson_quadrature(x: float, y: float, numerator, name: str) -> float:
-    if y <= 0.0:
-        raise ValueError(f"{name}: requires y > 0")
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"{name}: arguments must be finite")
+def _poisson_quadrature(x, y, numerator, name: str):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    _require(~(y <= 0.0), y, name + ": requires y > 0, got {}")
+    _require(np.isfinite(x) & np.isfinite(y), (x, y),
+             name + ": arguments must be finite, got x={}, y={}")
+    xd, yd = np.expand_dims(x, (-2, -1)), np.expand_dims(y, (-2, -1))
 
     def integrand(d: np.ndarray) -> np.ndarray:
-        s = x + d
-        return numerator(-d) * np.exp(-s * s) / (d * d + y * y)
+        s = xd + d
+        return numerator(-d, yd) * np.exp(-s * s) / (d * d + yd * yd)
 
     # The Lorentzian factor peaks at s = x with half-width y.
     val, est = _window_quadrature(integrand, x, y)
-    if not est <= 1e-10:  # a NaN estimate is a failure too
-        raise AccuracyError(f"{name}: quadrature did not converge (est={est:.2e})")
+    _require(est <= 1e-10, (est, x, y),  # a NaN estimate is a failure too
+             name + ": quadrature did not converge (est={:.2e}) at x={}, y={}", AccuracyError)
     return val / math.pi
 
 
-def faddeeva_re_quadrature(x: float, y: float) -> float:
+def faddeeva_re_quadrature(x, y):
     """Re w(x+iy) from (1/pi) * integral of y exp(-s^2) / ((x-s)^2 + y^2), y > 0.
 
     Reference oracle used to referee ``faddeeva``: graded Gauss-Legendre
     panels over |s| <= 9, placed by their offset from the peak at s = x
     (see ``_window_quadrature``), so a narrow peak is resolved down to
-    y of about 1e-155.  Raises AccuracyError when the doubled-panel error
-    estimate exceeds 1e-10, as it does once y is small enough for y * y
-    to underflow.
+    y of about 1e-155.  x and y are floats or arrays that broadcast.
+    Raises AccuracyError, naming the first such element, when the
+    doubled-panel error estimate exceeds 1e-10, as it does once y is
+    small enough for y * y to underflow.
     """
-    return _poisson_quadrature(x, y, lambda dx: y, "faddeeva_re_quadrature")
+    return _poisson_quadrature(x, y, lambda dx, y: y, "faddeeva_re_quadrature")
 
 
-def faddeeva_im_quadrature(x: float, y: float) -> float:
+def faddeeva_im_quadrature(x, y):
     """Im w(x+iy) from (1/pi) * integral of (x-s) exp(-s^2) / ((x-s)^2 + y^2), y > 0."""
-    return _poisson_quadrature(x, y, lambda dx: dx, "faddeeva_im_quadrature")
+    return _poisson_quadrature(x, y, lambda dx, y: dx, "faddeeva_im_quadrature")
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the verification engine."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,13 @@ from spherefall.analysis import (
     proof_integral,
     run_default_suite,
 )
-from spherefall.special import AccuracyError, _window_quadrature
+from spherefall.special import (
+    AccuracyError,
+    _window_quadrature,
+    faddeeva_im_quadrature,
+    faddeeva_re_quadrature,
+    villat,
+)
 from spherefall.trajectory import Trajectory
 
 # 50-digit oracle value (mp_oracle.py / mpmath.quad)
@@ -133,6 +140,11 @@ def test_integrand_domain_errors():
             proof_integral(t, 1.0)
     with pytest.raises(ValueError):
         proof_integral(1.0, 3.5)
+    # An array names its first element outside the domain, in row-major order.
+    with pytest.raises(ValueError, match=r"^t must be > 0, got -2\.0$"):
+        proof_integral(np.array([[1.0, 2.0], [-2.0, -3.0]]), 1.0)
+    with pytest.raises(ValueError, match=r"^theta must lie in \(0, pi\), got 3\.5$"):
+        proof_integral(np.array([[1.0], [2.0]]), np.array([1.0, 3.5, 0.0]))
 
 
 def test_proof_integral_reference_point():
@@ -148,11 +160,23 @@ def test_proof_integral_odd_integrand_vanishes():
     assert abs(val) <= 1e-15
 
 
-@pytest.mark.parametrize("t", [1e30, 1e300])
+def test_window_quadrature_pads_a_row_with_empty_panels_only():
+    # |d| has a kink at the peak that a width-30 point's own panels do not
+    # resolve: an edge added there would change its value, an empty panel not.
+    batch, _ = _window_quadrature(np.abs, np.array([0.5, 0.5]), np.array([1e-10, 30.0]))
+    alone, _ = _window_quadrature(np.abs, 0.5, 30.0)
+    assert abs(batch[1] - alone) <= 1e-13 * alone
+    # The narrow row's graded edges close in on the kink: 9.5^2/2 + 8.5^2/2 to rounding.
+    assert abs(batch[0] - 90.25 / 2.0 - 72.25 / 2.0) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [1e30, 1e300, [1.0, 1e300], np.array([[1.0, 1e30], [1e300, 2.0]])])
 def test_proof_integral_raises_where_its_sign_is_unresolved(t):
     # The peak lies far outside |s| <= 9: what is left is rounding noise
     # (1e30) or exactly 0 (1e300), neither of which has a sign to report.
-    with pytest.raises(AccuracyError, match="sign unresolved"):
+    # An array raises when any element does, and names the first of them.
+    first = re.escape(repr(float(next(v for v in np.ravel(t) if v > 1.0))))
+    with pytest.raises(AccuracyError, match=rf"sign unresolved .* at t={first}, theta=1\.0$"):
         proof_integral(t, 1.0)
 
 
@@ -176,16 +200,64 @@ def test_imag_sqrt_alpha_positive_and_consistent_with_derivative():
             assert abs(up - analytic.u_rest_derivative(float(t), float(kappa))) <= 1e-12
 
 
-@pytest.mark.parametrize("t", [-1.0, 0.0, math.nan])
+@pytest.mark.parametrize("t", [-1.0, 0.0, math.nan, np.array([1.0, math.nan, -1.0])])
 def test_imag_sqrt_alpha_rejects_every_t_outside_its_domain(t):
-    with pytest.raises(ValueError, match="^t must be > 0, got "):
+    with pytest.raises(ValueError, match="^t must be > 0, got nan$" if np.ndim(t) else
+                       "^t must be > 0, got "):
         imag_sqrt_alpha_villat(t, 1.0)
 
 
-@pytest.mark.parametrize("kappa", [0.0, -1.0, 4.0, 5.0, math.nan, math.inf])
+@pytest.mark.parametrize("kappa", [0.0, -1.0, 4.0, 5.0, math.nan, math.inf,
+                                   np.array([[1.0], [4.0], [0.0]])])
 def test_imag_sqrt_alpha_rejects_every_kappa_outside_its_domain(kappa):
-    with pytest.raises(ValueError, match=r"^kappa must lie in \(0, 4\), got "):
-        imag_sqrt_alpha_villat(1.0, kappa)
+    with pytest.raises(ValueError, match=r"^kappa must lie in \(0, 4\), got "
+                       + ("4.0$" if np.ndim(kappa) else "")):
+        imag_sqrt_alpha_villat(np.array([1.0, 2.0]), kappa)
+
+
+# ----------------------------------------------------------------------
+# The oracles over arrays
+# ----------------------------------------------------------------------
+
+_ORACLES = {
+    "faddeeva_re_quadrature": (faddeeva_re_quadrature, np.linspace(-3.0, 2.5, 5),
+                               np.logspace(-6.0, 0.5, 4)),
+    "faddeeva_im_quadrature": (faddeeva_im_quadrature, np.linspace(-3.0, 2.5, 5),
+                               np.logspace(-6.0, 0.5, 4)),
+    "proof_integral": (proof_integral, np.logspace(-2.0, 3.0, 5), np.linspace(0.2, 3.0, 4)),
+    "imag_sqrt_alpha_villat": (imag_sqrt_alpha_villat, np.logspace(-2.0, 3.0, 5),
+                               np.linspace(0.3, 3.7, 4)),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLES))
+def test_array_oracle_equals_the_scalar_calls(name):
+    oracle, a, b = _ORACLES[name]
+    batch = oracle(a[:, None], b)
+    scalar = np.array([[oracle(x, y) for y in b.tolist()] for x in a.tolist()])
+    assert batch.shape == (len(a), len(b))
+    assert type(oracle(float(a[0]), float(b[0]))) in (float, np.float64)
+    scale = np.abs(scalar)
+    if oracle is imag_sqrt_alpha_villat:
+        # The imaginary part of a value of modulus |Vi(alpha t)| cancels as t grows
+        # (1.6e-13 of itself at t = 1e3), so the paths are compared on that modulus.
+        alpha = np.array([analytic.char_roots(k).alpha for k in b.tolist()])
+        scale = np.abs(villat(alpha * a[:, None]))
+    assert np.all(np.abs(batch - scalar) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("oracle", [faddeeva_re_quadrature, faddeeva_im_quadrature,
+                                    proof_integral])
+def test_one_batch_of_narrow_and_wide_peaks_equals_two_calls(oracle):
+    # The width-30 rows need no graded edge: theirs are padded onto the window
+    # ends as empty panels, to match the 1e-10 rows' count.
+    if oracle is proof_integral:  # width = sqrt(t) cos(theta/2) = 1e-10 and 30
+        a, b = np.array([1e-18, 3600.0]), 2.0 * np.arccos([0.1, 0.5])
+    else:
+        a, b = np.array([2.0, -0.5]), np.array([1e-10, 30.0])
+    batch = oracle(a, b)
+    apart = np.array([oracle(a[:1], b[:1])[0], oracle(a[1:], b[1:])[0]])
+    assert np.all(np.abs(batch - apart) <= 1e-13 * np.abs(apart))
 
 
 def test_decomposition_cancellation_identity():

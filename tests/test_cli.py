@@ -269,6 +269,22 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_sweep_to_stdout_is_a_usage_error(tmp_path, monkeypatch, capsys, output):
+    # '-' is stdout for the other commands; a sweep writes a directory, and made one named '-'.
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--kappas", "1", "--T", "1", "--h", "0.1", "--output", output,
+                 "--out", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: sweep: --out names the output directory; '-' (stdout) is not one\n")
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    assert "output directory (default sweep_out)" in " ".join(capsys.readouterr().out.split())
+
+
 _DRAG_ARGS = ["--rho", "1000", "--mu", "0.1", "--radius", "0.001", "--g", "9.8",
               "--T", "0.005", "--h", "0.0001"]
 

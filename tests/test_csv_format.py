@@ -132,18 +132,20 @@ def test_kernel_digits_have_sixteen_or_seventeen_digits():
         bits = (biased.astype(np.uint64) << np.uint64(52)) | fraction
         digits, _ = _shortest._shortest(bits)
         assert (digits >= 10**15).all() and (digits < 10**17).all()
-        text = b"".join(_shortest.cells_text(bits.view(np.float64)[:, None], [b"\n"]))
+        text = _shortest.cells_text(bits.view(np.float64)[:, None], b"\n")
         assert text.decode().split() == [repr(v) for v in bits.view(np.float64).tolist()]
 
 
 def test_cells_text_rejects_a_bad_separator_layout():
     cells = np.zeros((2, 2))
     with pytest.raises(ValueError):
-        _shortest.cells_text(cells, [b","])
+        _shortest.cells_text(cells, b",")
+    with pytest.raises(ValueError):  # one byte per column: a longer separator is a bad layout
+        _shortest.cells_text(cells, b",\n\n")
     with pytest.raises(ValueError):
-        _shortest.cells_text(cells, [b",", b"\0"])
+        _shortest.cells_text(cells, b",\0")
     with pytest.raises(ValueError):  # byte 1 marks the cells that repr prints
-        _shortest.cells_text(cells, [b",", b"\n\1"])
+        _shortest.cells_text(cells, b",\1")
 
 
 # Cells the kernel does not lay out itself (subnormal, NaN, infinite) and the zeros.

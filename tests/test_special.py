@@ -50,11 +50,12 @@ def test_faddeeva_vs_quadrature_oracles_on_grid():
             assert abs(w.imag - faddeeva_im_quadrature(float(x), float(y))) < 1e-10
 
 
-@pytest.mark.parametrize("x, y", [(0.0, 1e-6), (2.0, 1e-5), (-3.0, 1e-7)])
+@pytest.mark.parametrize("x, y", [(0.0, 1e-6), (2.0, 1e-5), (-3.0, 1e-7),
+                                  (np.array([[0.0], [2.0], [-3.0]]), np.array([1e-7, 1e-5, 1.0]))])
 def test_quadrature_oracles_resolve_a_narrow_peak(x, y):
-    w = faddeeva(complex(x, y))
-    assert abs(w.real - faddeeva_re_quadrature(x, y)) <= 1e-10
-    assert abs(w.imag - faddeeva_im_quadrature(x, y)) <= 1e-10
+    w = faddeeva(x + 1j * y)
+    assert np.all(np.abs(w.real - faddeeva_re_quadrature(x, y)) <= 1e-10)
+    assert np.all(np.abs(w.imag - faddeeva_im_quadrature(x, y)) <= 1e-10)
 
 
 @pytest.mark.parametrize("quadrature, part", [(faddeeva_re_quadrature, "real"),
@@ -77,11 +78,12 @@ def test_quadrature_oracles_resolve_narrow_peaks_on_a_seeded_sweep():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("quadrature", [faddeeva_re_quadrature, faddeeva_im_quadrature])
-@pytest.mark.parametrize("y", [1e-200])
+@pytest.mark.parametrize("y", [1e-200, np.array([[1.0, 1e-200], [1e-210, 0.5]])])
 def test_quadrature_oracles_raise_where_the_peak_is_unresolved(quadrature, y):
     # At y = 1e-200, y * y underflows and a node lands on the peak: the
     # integrand is y/0 or 0/0 there, and an infinite or NaN estimate raises too.
-    with pytest.raises(AccuracyError):
+    # An array raises when any element does, and names the first of them.
+    with pytest.raises(AccuracyError, match=r"did not converge .* at x=2\.0, y=1e-200$"):
         quadrature(2.0, y)
 
 
@@ -325,6 +327,12 @@ def test_quadrature_rejects_nonpositive_y():
         faddeeva_re_quadrature(0.0, 0.0)
     with pytest.raises(ValueError):
         faddeeva_im_quadrature(1.0, -0.5)
+    # An array names its first element outside the domain.
+    with pytest.raises(ValueError, match=r"^faddeeva_re_quadrature: requires y > 0, got -0\.5$"):
+        faddeeva_re_quadrature(np.array([0.0, 1.0]), np.array([[1.0], [-0.5], [0.0]]))
+    with pytest.raises(ValueError, match=r"^faddeeva_im_quadrature: arguments must be finite, "
+                                         r"got x=inf, y=1\.0$"):
+        faddeeva_im_quadrature(np.array([0.0, np.inf, np.nan]), 1.0)
 
 
 def test_multiprecision_oracle_self_consistency():
