@@ -180,6 +180,7 @@ def monotone_kernel_samples(times, b, A, t0: float):
     """
     t = np.add(times, t0)
     _require(t >= 0.0, t, "t must be >= 0, got {}")
+    _require(t < math.inf, t, "t must be finite, got {}")
     alpha, beta = _roots_from_damping(b)
     va, vb = villat(alpha * t), villat(beta * t)
     sqrt = np.sqrt if isinstance(alpha, np.ndarray) else cmath.sqrt
@@ -200,6 +201,7 @@ def general_state(t, b: float, A: float, t0: float, v0: float, v0_prime: float):
     shape, equal to the element-wise calls up to the last bits.
     """
     _require(t >= 0.0, t, "t must be >= 0, got {}")
+    _require(t < math.inf, t, "t must be finite, got {}")
     ic = monotone_initial_conditions(b, A, t0)
     w0, w0_prime = v0 - ic.v0, v0_prime - ic.v0_prime
     alpha, beta = _roots_from_damping(b)
@@ -222,4 +224,5 @@ def monotone_initial_conditions(b: float, A: float, t0: float) -> MonotoneIC:
     v0' = 1.
     """
     _require(t0 >= 0.0, t0, "t0 must be >= 0, got {}")
+    _require(t0 < math.inf, t0, "t0 must be finite, got {}")
     return MonotoneIC(*monotone_kernel_samples(0.0, b, A, t0))

@@ -3,9 +3,9 @@
 Outputs are machine-readable (CSV with an `t,u,du` header or versioned
 JSON), floats are written in shortest round-trip form, and files are
 replaced atomically, so identical configurations produce byte-identical
-results.  Exit codes: 0 success (and, for `verify`, all checks passed),
-1 usage error (a non-finite flag, an unwritable output), 2 verification
-failure (reports still written), 3 numerical failure (overflow/divergence).
+results.  Exit codes: 0 success (and, for `verify`, all checks passed), 1 usage
+error (a non-finite flag, an unwritable output, a grid too large to allocate),
+2 verification failure (reports still written), 3 numerical failure (overflow/divergence).
 """
 
 from __future__ import annotations
@@ -61,17 +61,17 @@ def _json_text(**fields) -> str:
     """A JSON document: the schema version, then the given fields in order.
 
     The text is ``json.dumps({"schema": 1, **fields}, indent=1) + "\\n"``,
-    byte for byte.  A float array field (a column, or drag's rows as a 2-D
-    array) whose cells are all finite is written by the shortest-digit
-    kernel, which prints each cell as json does, with ``float.__repr__``;
-    every other value goes through ``json.dumps``, which writes a
-    non-finite cell as ``NaN`` or ``Infinity``.
+    byte for byte.  A non-empty float array field (a column, or drag's rows
+    as a 2-D array) is written by the shortest-digit kernel, which prints
+    each cell as json does, with ``float.__repr__``, and a non-finite cell
+    as ``NaN``, ``Infinity`` or ``-Infinity``; every other value goes
+    through ``json.dumps``.
     """
     parts = [b'{\n "schema": %d' % SCHEMA_VERSION]
     for name, value in fields.items():
         parts.append(b",\n %s: " % json.dumps(name).encode("ascii"))
         if (isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim in (1, 2)
-                and value.size and np.isfinite(value).all()):
+                and value.size):
             parts.append(_json_array(value))
         else:
             value = value.tolist() if isinstance(value, np.ndarray) else value
@@ -83,7 +83,8 @@ def _json_text(**fields) -> str:
 def _json_array(cells: np.ndarray) -> bytes:
     """A non-empty 1-D or 2-D float array as ``json.dumps(cells.tolist(), indent=1)`` writes it
     one level deep: the kernel puts ``,`` between the cells of a row and ``;`` after it, and
-    those become json's line breaks and indentation, ``,`` first (a row break holds one)."""
+    those become json's line breaks and indentation, ``,`` first (a row break holds one).
+    A non-finite cell's ``repr`` ``nan``/``inf`` becomes ``NaN``/``Infinity``, as in json."""
     from . import _shortest  # on first use, so a document without arrays loads no formatter
 
     cell = b"\n" + b" " * (cells.ndim + 1)  # each cell on its own line, indented
@@ -93,6 +94,8 @@ def _json_array(cells: np.ndarray) -> bytes:
         head, row_break, tail = b"[\n  [" + cell, b"\n  ],\n  [" + cell, b"\n  ]\n ]"
     rows = cells.reshape(len(cells), -1)
     text = _shortest.cells_text(rows, b"," * (rows.shape[1] - 1) + b";")[:-1]
+    if not np.isfinite(cells).all():
+        text = text.replace(b"nan", b"NaN").replace(b"inf", b"Infinity")
     return head + text.replace(b",", b"," + cell).replace(b";", row_break) + tail
 
 
@@ -369,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.handler(args)
-    except (_UsageError, ValueError, OSError) as exc:  # OSError: an unwritable output
+    except (_UsageError, ValueError, OSError, MemoryError) as exc:  # unwritable; unallocatable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:  # includes OverflowError and AccuracyError

@@ -20,15 +20,15 @@ relative error (in modulus) below 2e-15 against a 50-digit reference for
 |z| from 1e-12 to 1e7; the lower half plane is reached through the
 reflection w(z) = 2 exp(-z^2) - conj(w(conj(z))).
 
-``faddeeva`` and ``villat`` take a scalar or a numpy array.  The kernel is
-plain arithmetic shared by both: a scalar runs on Python complex
-arithmetic, an array runs element-wise in numpy and returns an array of
-its shape.  The checks are element-wise: one non-finite element, or one
-on villat's branch cut, raises ValueError for the whole array, and the
-reflection applies to the elements below the real axis.  numpy rounds
-complex products and quotients differently from CPython, so an array
-result agrees with the scalar calls to about 1e-15 relative, not bit for
-bit.
+``faddeeva``, ``villat`` and ``villat_asymptotic`` take a scalar or a
+numpy array.  The kernel is plain arithmetic shared by both: a scalar runs
+on Python complex arithmetic, an array runs element-wise in numpy and
+returns an array of its shape.  The reflection is written once, for
+arrays: a scalar below the real axis goes through it as a 0-d array.  The
+checks are element-wise: one non-finite element, or one on villat's
+branch cut, raises ValueError for the whole array.  numpy rounds complex
+products and quotients differently from CPython, so an array result
+agrees with the scalar calls to about 1e-15 relative, not bit for bit.
 
 The two integral-representation quadratures are independent oracles used
 by the verification suite to referee the fast path: 32-point
@@ -153,9 +153,7 @@ def _faddeeva_array(z: np.ndarray) -> np.ndarray:
         zl = flat[lower]
         with np.errstate(over="ignore", invalid="ignore"):
             wl = 2.0 * np.exp(-zl * zl) - w[lower].conj()
-        if not np.isfinite(wl).all():
-            bad = complex(zl[~np.isfinite(wl)][0])
-            raise OverflowError(f"faddeeva: exp(-z^2) overflows at z={bad!r}")
+        _require(np.isfinite(wl), zl, "faddeeva: exp(-z^2) overflows at z={}", OverflowError)
         w[lower] = wl
     return w.reshape(z.shape)
 
@@ -175,9 +173,7 @@ def faddeeva(z):
     z = _check_finite(z, "faddeeva")
     if isinstance(z, np.ndarray):
         return _faddeeva_array(z)
-    if z.imag < 0.0:
-        return 2.0 * cmath.exp(-z * z) - _w_rational(z.conjugate()).conjugate()
-    return _w_rational(z)
+    return _w_rational(z) if z.imag >= 0.0 else complex(_faddeeva_array(np.array(z)))
 
 
 # ----------------------------------------------------------------------
@@ -187,53 +183,50 @@ def faddeeva(z):
 def villat(z):
     """Villat function Vi(z) = exp(z) erfc(sqrt(z)), principal branch, of a complex or an array.
 
-    Computed as faddeeva(i*sqrt(z)), never as a product of exp and erfc:
-    i*sqrt(z) lies in the closed upper half plane for every z off the
-    branch cut, so the result stays bounded along all rays |arg z| < pi
-    even where exp(z) would overflow.  Any element on the negative real
-    axis is a ValueError.
+    Computed as w(i*sqrt(z)) by the Faddeeva kernel, never as a product of
+    exp and erfc: i*sqrt(z) lies in the closed upper half plane, where the
+    kernel needs no reflection, so the result stays bounded along all rays
+    |arg z| < pi even where exp(z) would overflow.  Any element on the
+    negative real axis is a ValueError.
     """
     z = _check_finite(z, "villat")
+    _require((z.imag != 0.0) | (z.real >= 0.0), z,
+             "villat: branch cut (z on the negative real axis)")
     if isinstance(z, np.ndarray):
-        if ((z.imag == 0.0) & (z.real < 0.0)).any():
-            raise ValueError("villat: branch cut (z on the negative real axis)")
-        return faddeeva(np.asarray(1j * np.sqrt(z)))  # a 0-d array stays an array
-    if z.imag == 0.0 and z.real < 0.0:
-        raise ValueError("villat: branch cut (z on the negative real axis)")
-    return faddeeva(1j * cmath.sqrt(z))
+        return np.asarray(_w_rational(1j * np.sqrt(z)))  # the kernel gives 0-d a numpy scalar
+    return _w_rational(1j * cmath.sqrt(z))
 
 
-def villat_asymptotic(z: complex, m_max: int) -> AsymptoticValue:
+def villat_asymptotic(z, m_max: int) -> AsymptoticValue:
     """Large-|z| expansion Vi(z) ~ (pi z)^{-1/2} [1 + sum_m (-1)^m (2m-1)!!/(2z)^m].
 
     Returns the truncated value together with the magnitude of the first
     omitted term; the series is divergent, so that magnitude is the
     accuracy floor.  Raises AccuracyError when |arg z| >= 3*pi/4 or when
     the requested truncation is already in the divergent regime (first
-    omitted term no smaller than the last kept one).
+    omitted term no smaller than the last kept one).  z is a complex or an
+    array, and an error names its first offending element.
     """
     z = _check_finite(z, "villat_asymptotic")
     if m_max < 0:
         raise ValueError("villat_asymptotic: m_max must be >= 0")
-    if z == 0:
-        raise ValueError("villat_asymptotic: z must be nonzero")
-    if abs(cmath.phase(z)) >= 0.75 * math.pi:
-        raise AccuracyError(
-            "villat_asymptotic: expansion not valid for |arg z| >= 3*pi/4"
-        )
+    sqrt, phase = (np.sqrt, np.angle) if isinstance(z, np.ndarray) else (cmath.sqrt, cmath.phase)
+    _require(z != 0, z, "villat_asymptotic: z must be nonzero, got {}")
+    _require(abs(phase(z)) < 0.75 * math.pi, z,
+             "villat_asymptotic: expansion not valid for |arg z| >= 3*pi/4, got z={}",
+             AccuracyError)
     # |t_{m+1}/t_m| = (2m+1)/(2|z|) must still be < 1 at the truncation point.
-    if 2 * m_max + 1 >= 2.0 * abs(z):
-        raise AccuracyError(
-            "villat_asymptotic: truncation order lies in the divergent regime "
-            f"(m_max={m_max}, |z|={abs(z):.3g})"
-        )
-    prefactor = 1.0 / cmath.sqrt(math.pi * z)
+    radius = abs(z)
+    _require(2 * m_max + 1 < 2.0 * radius, radius,
+             "villat_asymptotic: truncation order lies in the divergent regime "
+             f"(m_max={m_max}, |z|={{:.3g}})", AccuracyError)
+    prefactor = 1.0 / sqrt(math.pi * z)
     term = 1.0 + 0.0j
     total = term
     for m in range(1, m_max + 1):
         term *= -(2 * m - 1) / (2.0 * z)
         total += term
-    first_omitted = abs(term) * (2 * m_max + 1) / (2.0 * abs(z))
+    first_omitted = abs(term) * (2 * m_max + 1) / (2.0 * radius)
     return AsymptoticValue(prefactor * total, abs(prefactor) * first_omitted)
 
 
@@ -294,7 +287,9 @@ def _poisson_quadrature(x, y, numerator, name: str):
 
     def integrand(d: np.ndarray) -> np.ndarray:
         s = xd + d
-        return numerator(-d, yd) * np.exp(-s * s) / (d * d + yd * yd)
+        # For |x| > ~1e154, d * d and s * s overflow at d ~ -x, where both factors go to 0.
+        with np.errstate(over="ignore"):
+            return numerator(-d, yd) * np.exp(-s * s) / (d * d + yd * yd)
 
     # The Lorentzian factor peaks at s = x with half-width y.
     val, est = _window_quadrature(integrand, x, y)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,16 @@ def test_imag_sqrt_alpha_rejects_every_t_outside_its_domain(t):
     with pytest.raises(ValueError, match="^t must be > 0, got nan$" if np.ndim(t) else
                        "^t must be > 0, got "):
         imag_sqrt_alpha_villat(t, 1.0)
+
+
+@pytest.mark.parametrize("oracle", [proof_integral, imag_sqrt_alpha_villat])
+@pytest.mark.parametrize("t", [math.inf, np.array([[1.0, math.inf], [2.0, math.inf]])],
+                         ids=["scalar", "array"])
+def test_an_infinite_time_is_a_domain_error(oracle, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^t must be finite, got inf$"):
+            oracle(t, 1.0)
 
 
 @pytest.mark.parametrize("kappa", [0.0, -1.0, 4.0, 5.0, math.nan, math.inf,

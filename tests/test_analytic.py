@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -523,6 +524,28 @@ def test_general_state_raises_where_a_mode_overflows():
 def test_general_state_over_an_array_names_a_bad_time(bad):
     with pytest.raises(ValueError, match=rf"^t must be >= 0, got {bad}$"):
         general_state(np.array([0.0, 1.0, bad, 2.0]), 0.5, 1.0, 0.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: u_rest(t, 2.0),
+    lambda t: u_rest_derivative(t, 2.0),
+    lambda t: monotone_kernel_samples(t, -1.0, 1.0, 0.0),
+    lambda t: monotone_kernel_samples(np.zeros_like(t), -1.0, 1.0, t),
+    lambda t: general_state(t, -1.0, 1.0, 0.0, 0.0, 0.0),
+], ids=["u_rest", "u_rest_derivative", "samples", "samples_t0", "general_state"])
+@pytest.mark.parametrize("t", [math.inf, np.array([0.0, 1.0, math.inf])], ids=["scalar", "array"])
+def test_an_infinite_time_is_a_domain_error(call, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^t must be finite, got inf$"):
+            call(t)
+
+
+def test_an_infinite_forcing_offset_is_a_domain_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^t0 must be finite, got inf$"):
+            monotone_initial_conditions(-1.0, 1.0, math.inf)
 
 
 # ----------------------------------------------------------------------

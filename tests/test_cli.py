@@ -13,6 +13,7 @@ import pytest
 
 import spherefall
 from direct_oracle import abel_history_direct
+from spherefall import cli, ide, ode
 from spherefall.cli import main
 from spherefall.physical import PhysicalParams
 from spherefall.trajectory import Trajectory
@@ -441,6 +442,28 @@ def test_an_overflowing_ide_solve_exits_three_and_writes_nothing(tmp_path, capsy
     assert captured.out == ""
     assert re.fullmatch(r"numerical failure: solve_ide: the solution is not finite at kappa=\S+\n",
                         captured.err), captured.err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("solver", ["closed-form", "ide", "ode"])
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+def test_a_grid_too_large_to_allocate_is_one_usage_error(tmp_path, monkeypatch, capsys, solver,
+                                                          to_file):
+    # What numpy raises for --h 1e-15; the solvers raise it here without allocating.
+    message = "Unable to allocate 7.11 PiB for an array with shape (1000000000000001,)"
+
+    def no_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "uniform_grid", no_memory)
+    monkeypatch.setattr(ide, "solve_ide", no_memory)
+    monkeypatch.setattr(ode, "solve_oscillator", no_memory)
+    out = ["--out", str(tmp_path / "traj.csv")] if to_file else []
+    assert main(["trajectory", "--kappa", "2", "--T", "1", "--h", "1e-15", "--solver", solver,
+                 *out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
     assert os.listdir(tmp_path) == []
 
 

@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +213,41 @@ def test_array_faddeeva_overflow_below_the_real_axis_raises_like_the_scalar():
         faddeeva(np.array([1.0j, -30.0j]))
 
 
+# The positive real axis, the imaginary axis, and points just above and below the cut.
+_AROUND_THE_CUT = [0.0, 1e-300, 0.5, 7.0, 1e4, 1e300, 3j, -3j, 1e-8j, -2.5e6j, -4.0 + 1e-300j,
+                   -4.0 - 1e-300j, -4.0 + 1e-12j, -1e10 - 1e-6j, 2.0 + 1.5j, -0.3 - 40j]
+
+
+def _bits(w) -> bytes:
+    return np.asarray(w, dtype=complex).tobytes()
+
+
+def test_villat_is_faddeeva_at_i_sqrt_z_bit_for_bit():
+    z = np.array(_AROUND_THE_CUT)
+    for v in z.tolist():
+        assert _bits(villat(v)) == _bits(faddeeva(1j * cmath.sqrt(v)))
+        zero_d = np.array(v)
+        got = villat(zero_d)
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert _bits(got) == _bits(faddeeva(np.asarray(1j * np.sqrt(zero_d))))
+    grid = z.reshape(4, 4)
+    assert _bits(villat(grid)) == _bits(faddeeva(1j * np.sqrt(grid)))
+
+
+@pytest.mark.parametrize("z", [0.5 - 0.5j, -3.0 - 1e-300j, 2.0 - 4.0j, complex(-0.0, -7.5),
+                               12.0 - 1e-3j, -1.5 - 2.5j])
+def test_scalar_faddeeva_below_the_axis_is_the_array_reflection(z):
+    w = faddeeva(z)
+    assert type(w) is complex
+    assert _bits(w) == _bits(faddeeva(np.array(z)))
+    assert abs(w - faddeeva_mp(z)) <= 1e-14 * abs(faddeeva_mp(z))
+
+
+def test_scalar_faddeeva_overflow_below_the_axis_names_z():
+    with pytest.raises(OverflowError, match=re.escape("exp(-z^2) overflows at z=(1-30j)")):
+        faddeeva(complex(1.0, -30.0))
+
+
 def test_villat_at_zero_is_one():
     assert villat(0.0) == 1.0 + 0.0j
 
@@ -291,6 +328,38 @@ def test_asymptotic_rejects_arg_boundary():
     # Just inside the sector it works.
     inside = villat_asymptotic(50.0 * cmath.exp(0.7j * math.pi), 2)
     assert abs(inside.value - villat(50.0 * cmath.exp(0.7j * math.pi))) < 1e-3
+
+
+def test_array_asymptotic_equals_the_scalar_calls():
+    z = np.array([[1e3, 1e4 * cmath.exp(0.5j), 60.0 * cmath.exp(-1.0j)],
+                  [2e5 * cmath.exp(-2.0j), 40.0 * cmath.exp(2.3j), 1e8 * 1j]])
+    for m_max in (0, 3, 5):
+        got = villat_asymptotic(z, m_max)
+        assert got.value.shape == got.error_estimate.shape == z.shape
+        for index in np.ndindex(z.shape):
+            ref = villat_asymptotic(complex(z[index]), m_max)
+            assert abs(got.value[index] - ref.value) <= 1e-15 * abs(ref.value)
+            assert abs(got.error_estimate[index] - ref.error_estimate) <= 1e-15 * ref.error_estimate
+
+
+@pytest.mark.parametrize("z, m_max, error, message", [
+    (np.array([1e3, 0.0, 0j]), 2, ValueError, r"z must be nonzero, got 0j$"),
+    (np.array([[100.0, -100.0 + 1.0j], [-50.0, 7.0]]), 2, AccuracyError,
+     r"\|arg z\| >= 3\*pi/4, got z=\(-100\+1j\)$"),
+    (np.array([100.0, 3.0, 2.0]), 5, AccuracyError,
+     r"divergent regime \(m_max=5, \|z\|=3\)$"),
+], ids=["zero", "sector", "divergent"])
+def test_array_asymptotic_names_the_first_bad_element(z, m_max, error, message):
+    with pytest.raises(error, match=message):
+        villat_asymptotic(z, m_max)
+
+
+@pytest.mark.parametrize("x", [1e200, -1e200, 1e308, -1e308])
+def test_quadrature_oracles_far_outside_the_window_are_zero_without_warnings(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert faddeeva_re_quadrature(x, 1.0) == 0.0
+        assert faddeeva_im_quadrature(x, 1.0) == 0.0
 
 
 def test_naive_villat_agrees_in_benign_regime():
