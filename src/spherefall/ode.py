@@ -5,11 +5,10 @@ The initial value problem is
     v'' + b v' + v = -A / sqrt(pi (t + t0)),    t >= 0,
 
 integrated as the first-order system x' = y, y' = -x - b y - G(t) with
-classical fourth-order Runge-Kutta at a fixed step.  For t0 = 0 the
-forcing is singular at the start, so the first few grid states are
-taken from the closed-form solution (the library owns it) before the
-integrator takes over; see ``solve_oscillator``.  The sphere is one
-member of the family; see ``OscillatorProblem.sphere``.
+classical fourth-order Runge-Kutta at a fixed step.  Every run takes
+its first few grid states from the closed-form solution (the library
+owns it) before the integrator takes over; see ``solve_oscillator``.
+The sphere is one member of the family; see ``OscillatorProblem.sphere``.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ __all__ = [
 ]
 
 _OVERFLOW_GUARD = 1e280
-_BOOTSTRAP_STEPS = 32  # closed-form grid states that start a singular (t0 = 0) run
+_BOOTSTRAP_STEPS = 32  # closed-form grid states that start every run, at any t0
 _BLOCK_STEPS = 1024  # steps per block of forcing samples and states, to keep memory flat
 
 
@@ -99,12 +98,13 @@ def solve_oscillator(prob: OscillatorProblem, h: float, T: float) -> Trajectory:
     Q0 = (h/6)(I + Z + Z^2/2 + Z^3/4), Qh = (h/6)(4I + 2Z + Z^2/2), Q1 = (h/6)I.
     The forcing is sampled in numpy blocks; a step is four multiply-adds.
 
-    With t0 = 0 the forcing derivatives are unbounded at the start and a
-    one-step method cannot hold its order there, so the first
-    ``_BOOTSTRAP_STEPS`` grid states come from one array call of the closed
-    form (:func:`spherefall.analytic.general_state`).  A diverging trajectory
-    is truncated and flagged in ``meta['diverged']`` rather than raised:
-    the divergence is the object under study.
+    The k-th forcing derivative grows like (t + t0)^(-k-1/2), too fast near
+    t + t0 = 0 for a one-step method to hold its order, so at every t0 the
+    first ``_BOOTSTRAP_STEPS`` grid states (or all, if fewer) are one array
+    call of the closed form (:func:`spherefall.analytic.general_state`,
+    b in (-2, 2); it raises where a homogeneous mode overflows a double).
+    A diverging trajectory is truncated and flagged in ``meta['diverged']``
+    rather than raised: the divergence is the object under study.
     """
     times = uniform_grid(h, T)
     n = len(times) - 1
@@ -112,10 +112,9 @@ def solve_oscillator(prob: OscillatorProblem, h: float, T: float) -> Trajectory:
 
     v, dv = np.empty((2, n + 1))
     v[0], dv[0] = prob.v0, prob.v0_prime
-    start = min(_BOOTSTRAP_STEPS, n) if t0 == 0.0 else 0
-    if start:
-        v[1 : start + 1], dv[1 : start + 1] = analytic.general_state(
-            np.arange(1, start + 1) * h, b, A, 0.0, prob.v0, prob.v0_prime)
+    start = min(_BOOTSTRAP_STEPS, n)
+    v[1 : start + 1], dv[1 : start + 1] = analytic.general_state(
+        np.arange(1, start + 1) * h, b, A, t0, prob.v0, prob.v0_prime)
 
     Z = h * np.array([[0.0, 1.0], [-1.0, -b]])
     Z2 = Z @ Z

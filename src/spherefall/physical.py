@@ -14,6 +14,7 @@ balance along a trajectory, the drag table of the CLI.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -59,7 +60,18 @@ class PhysicalParams:
     @property
     def volume(self) -> float:
         """Sphere volume 4 pi R^3 / 3 (m^3)."""
-        return 4.0 * math.pi * self.R**3 / 3.0
+        return _normal("the volume 4 pi R^3 / 3", lambda: 4.0 * math.pi * self.R**3 / 3.0)
+
+
+def _normal(name: str, formula) -> float:
+    """The positive scale formula() if it is a normal double, else a ValueError naming it."""
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError):  # a power of R; a denominator underflowed to 0
+        value = math.nan
+    if not sys.float_info.min <= value <= sys.float_info.max:
+        raise ValueError(f"PhysicalParams: {name} is outside the double range")
+    return value
 
 
 @dataclass(frozen=True)
@@ -92,8 +104,9 @@ class DimensionlessGroup:
 def nondimensionalize(p: PhysicalParams) -> DimensionlessGroup:
     """Constants of the rescaled equation of motion for the given sphere/fluid pair."""
     denom = 2.0 * p.rho_s + p.rho
-    B = 9.0 * p.mu / (p.R**2 * denom)
-    Q = 9.0 * p.rho / (p.R * denom) * math.sqrt(p.mu / (p.rho * math.pi))
+    B = _normal("B = 9 mu / (R^2 (2 rho_s + rho))", lambda: 9.0 * p.mu / (p.R**2 * denom))
+    Q = _normal("Q = 9 rho sqrt(mu / (pi rho)) / (R (2 rho_s + rho))",
+                lambda: 9.0 * p.rho / (p.R * denom) * math.sqrt(p.mu / (p.rho * math.pi)))
     M = 2.0 * p.g * (p.rho_s - p.rho) / denom
     # kappa = pi Q^2 / B reduces to the pure density ratio; the reduced
     # form is exact at the rho_s = 0 boundary where kappa = 9.

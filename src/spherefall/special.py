@@ -215,18 +215,23 @@ def villat_asymptotic(z, m_max: int) -> AsymptoticValue:
     _require(abs(phase(z)) < 0.75 * math.pi, z,
              "villat_asymptotic: expansion not valid for |arg z| >= 3*pi/4, got z={}",
              AccuracyError)
-    # |t_{m+1}/t_m| = (2m+1)/(2|z|) must still be < 1 at the truncation point.
+    # |t_{m+1}/t_m| = (m+1/2)/|z| must still be < 1 at the truncation point.  The
+    # ratios are written over z, not 2z, and the prefactor splits sqrt(pi z), so
+    # nothing overflows for |z| up to the largest double.
     radius = abs(z)
-    _require(2 * m_max + 1 < 2.0 * radius, radius,
+    _require(m_max + 0.5 < radius, radius,
              "villat_asymptotic: truncation order lies in the divergent regime "
              f"(m_max={m_max}, |z|={{:.3g}})", AccuracyError)
-    prefactor = 1.0 / sqrt(math.pi * z)
+    prefactor = 1.0 / (SQRT_PI * sqrt(z))
     term = 1.0 + 0.0j
     total = term
-    for m in range(1, m_max + 1):
-        term *= -(2 * m - 1) / (2.0 * z)
-        total += term
-    first_omitted = abs(term) * (2 * m_max + 1) / (2.0 * radius)
+    # Each quotient forms |z|^2 / max(|Re z|, |Im z|), which overflows only where a part
+    # of z passes 9e307; the quotient is then below 1e-307, and its rounded 0 is right.
+    with np.errstate(over="ignore"):
+        for m in range(1, m_max + 1):
+            term *= -(m - 0.5) / z
+            total += term
+    first_omitted = abs(term) * (m_max + 0.5) / radius
     return AsymptoticValue(prefactor * total, abs(prefactor) * first_omitted)
 
 

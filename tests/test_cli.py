@@ -7,6 +7,7 @@ import re
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -294,6 +295,30 @@ def test_drag_bad_physical_parameter_is_a_usage_error(capsys):
     code = main(["drag", "--rho-s", "1000", "--rho", "-1", "--mu", "0.1", "--radius", "0.001"])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: PhysicalParams: ")
+
+
+@pytest.mark.parametrize("flags, quantity", [
+    (["--rho-s", "0", "--rho", "1e-300", "--mu", "1e300", "--radius", "1e-300"], "B"),
+    (["--rho-s", "1190", "--rho", "1000", "--mu", "0.1", "--radius", "1e-160"], "B"),
+    (["--rho-s", "1190", "--rho", "1000", "--mu", "0.1", "--radius", "1e120"], "the volume"),
+    (["--rho-s", "1190", "--rho", "1000", "--mu", "0.1", "--radius", "1e200"], "B"),
+    (["--rho-s", "1e300", "--rho", "1e-300", "--mu", "1", "--radius", "1"], "Q"),
+    (["--rho-s", "1190", "--rho", "1000", "--mu", "1e-320", "--radius", "1"], "B"),
+], ids=["R^2-underflows", "B-overflows", "volume-overflows", "R^2-overflows", "Q-underflows",
+        "B-subnormal"])
+def test_drag_scale_outside_the_double_range_is_one_usage_error(tmp_path, capsys, flags,
+                                                                quantity):
+    # Every flag is finite and passes PhysicalParams' own checks; the scale formed from
+    # them is what leaves the double range, so the one error line must name it.
+    out = tmp_path / "drag.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["drag", *flags, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"error: PhysicalParams: {quantity} .* is outside the double range\n",
+                        captured.err)
+    assert os.listdir(tmp_path) == []
 
 
 def test_drag_massless_sphere_closes_the_force_balance(tmp_path):

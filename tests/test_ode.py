@@ -81,17 +81,36 @@ def test_sphere_case_bootstrap_matches_closed_form():
 
 
 def test_singular_start_requires_bootstrap():
-    # With t0 = 0 the first 32 states (or the whole grid, if shorter) are
+    # At every t0 the first 32 states (or the whole grid, if shorter) are
     # one array call of the closed form; RK4 takes over from there.
-    prob = OscillatorProblem(b=0.5, A=1.0, t0=0.0, v0=-1.0, v0_prime=1.0)
-    for T, start in ((1.0, 32), (0.01, 10)):
-        traj = solve_oscillator(prob, 1e-3, T)
-        assert traj.meta["bootstrap_steps"] == start
-        v, dv = analytic.general_state(np.arange(1, start + 1) * 1e-3, 0.5, 1.0, 0.0, -1.0, 1.0)
-        assert traj.values[1 : start + 1].tobytes() == v.tobytes()
-        assert traj.derivatives[1 : start + 1].tobytes() == dv.tobytes()
-    smooth = OscillatorProblem(b=0.5, A=1.0, t0=1.0, v0=-1.0, v0_prime=1.0)
-    assert solve_oscillator(smooth, 1e-3, 1.0).meta["bootstrap_steps"] == 0
+    for t0 in (0.0, 1.0):
+        prob = OscillatorProblem(b=0.5, A=1.0, t0=t0, v0=-1.0, v0_prime=1.0)
+        for T, start in ((1.0, 32), (0.01, 10)):
+            traj = solve_oscillator(prob, 1e-3, T)
+            assert traj.meta["bootstrap_steps"] == start
+            v, dv = analytic.general_state(np.arange(1, start + 1) * 1e-3,
+                                           0.5, 1.0, t0, -1.0, 1.0)
+            assert traj.values[1 : start + 1].tobytes() == v.tobytes()
+            assert traj.derivatives[1 : start + 1].tobytes() == dv.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    b=st.floats(-1.9, 1.9),
+    A=st.floats(-2.0, 2.0, allow_subnormal=False),  # subnormal: one rounding, 5e-324, tops 1e-6 A
+    t0=st.just(0.0) | st.floats(-12.0, 1.0).map(lambda e: 10.0**e),  # log-spaced near 0
+    h=st.floats(1e-3, 1e-2),
+)
+def test_monotone_run_matches_the_closed_form_at_every_t0(b, A, t0, h):
+    # Forcing derivatives grow like (t + t0)^(-9/2) for small t + t0, so a
+    # bare RK4 start there is off by up to 1e4; the closed-form start keeps
+    # the run within 3e-8 of the scale over this domain.
+    ic = analytic.monotone_initial_conditions(b, A, t0)
+    prob = OscillatorProblem(b=b, A=A, t0=t0, v0=ic.v0, v0_prime=ic.v0_prime)
+    traj = solve_oscillator(prob, h, 5.0)
+    ref, _ = analytic.monotone_kernel_samples(traj.times, b, A, t0)
+    assert not traj.meta["diverged"]
+    assert np.max(np.abs(traj.values - ref)) <= 1e-6 * (abs(A) + np.max(np.abs(traj.values)))
 
 
 def test_fourth_order_convergence_on_smooth_problem():

@@ -342,6 +342,21 @@ def test_array_asymptotic_equals_the_scalar_calls():
             assert abs(got.error_estimate[index] - ref.error_estimate) <= 1e-15 * ref.error_estimate
 
 
+@pytest.mark.parametrize("z", [6e307, 1e308 + 1e308j])
+def test_asymptotic_near_the_largest_double_matches_villat_without_warnings(z):
+    # pi z and 2 z overflow here; the expansion is formed without either.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref = villat(z)
+        scalar = villat_asymptotic(z, 5)
+        array = villat_asymptotic(np.array([z, 100.0]), 5)
+    assert abs(ref) > 1e-155
+    assert abs(scalar.value - ref) <= 2e-16 * abs(ref)
+    assert abs(array.value[0] - ref) <= 2e-16 * abs(ref)
+    assert scalar.error_estimate == array.error_estimate[0] == 0.0  # underflows: ~1e-1800
+    assert abs(array.value[1] - villat_asymptotic(100.0, 5).value) <= 1e-15 * abs(array.value[1])
+
+
 @pytest.mark.parametrize("z, m_max, error, message", [
     (np.array([1e3, 0.0, 0j]), 2, ValueError, r"z must be nonzero, got 0j$"),
     (np.array([[100.0, -100.0 + 1.0j], [-50.0, 7.0]]), 2, AccuracyError,
