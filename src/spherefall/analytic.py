@@ -8,12 +8,13 @@ alone maps kappa to (b, A) and checks kappa in (0, 4)), the general
 solution from any initial state, and the unique initial conditions
 whose trajectory stays monotone despite an unstable homogeneous
 problem.  Every closed-form value comes from one evaluator of (M, M'),
-two Villat evaluations.
+one Villat evaluation.
 
-Complex-valued formulas here are conjugate-symmetric, so their values
-are real; each such function checks that the imaginary residue is at
-ulp scale before discarding it, which catches branch-convention
-mistakes immediately instead of silently returning garbage.
+The roots are a conjugate pair (beta is built as conj(alpha)), and the
+square roots, exp and the Villat kernel (real coefficients) are
+conjugate-symmetric to the bit, so the beta term of every formula is the
+exact conjugate of its alpha term: it is taken as that conjugate, never
+evaluated, and the values are real parts with no residue to check.
 """
 
 from __future__ import annotations
@@ -60,25 +61,6 @@ class MonotoneIC:
 
     v0: float
     v0_prime: float
-
-
-def _real_part_checked(value):
-    """Return Re(value), insisting the imaginary residue is ulp-sized.
-
-    For a complex array the check is element-wise, and an error names the
-    element with the largest residue relative to its modulus.
-    """
-    if isinstance(value, np.ndarray):
-        if value.size:
-            ratio = np.abs(value.imag) / (1.0 + np.abs(value))
-            _real_part_checked(complex(value.flat[np.argmax(ratio)]))
-        return value.real
-    if abs(value.imag) > 1e-13 * (1.0 + abs(value)):
-        raise ArithmeticError(
-            f"conjugate-symmetry violated: imaginary residue {value.imag:.3e} "
-            f"on value {value!r}"
-        )
-    return value.real
 
 
 def _roots_from_damping(b):
@@ -173,21 +155,24 @@ def monotone_kernel_samples(times, b, A, t0: float):
     [alpha sqrt(beta) Vi(alpha t) - beta sqrt(alpha) Vi(beta t)] / (alpha - beta),
     finite at t = 0 with M'(0) = 1/(sqrt(alpha) + sqrt(beta)).
 
-    A float time takes the Python complex path.  Array times take two array
-    Villat calls, b and A may be (k, 1) columns (one row per damping value),
-    and each entry equals the scalar value up to the last bits.  Vi(beta t) is
-    not taken as conj(Vi(alpha t)): that would make the conjugate-symmetry check vacuous.
+    One Villat call: Vi(beta t) is taken as conj(Vi(alpha t)), which is what
+    evaluating it returns, bit for bit, since beta = conj(alpha); so m and dm
+    are real to the bit and their real parts are returned.  A float time
+    takes the Python complex path.  Array times take one array Villat call,
+    b and A may be (k, 1) columns (one row per damping value), and each entry
+    equals the scalar value up to the last bits.
     """
     t = np.add(times, t0)
     _require(t >= 0.0, t, "t must be >= 0, got {}")
     _require(t < math.inf, t, "t must be finite, got {}")
     alpha, beta = _roots_from_damping(b)
-    va, vb = villat(alpha * t), villat(beta * t)
+    va = villat(alpha * t)
+    vb = va.conjugate()
     sqrt = np.sqrt if isinstance(alpha, np.ndarray) else cmath.sqrt
     sa, sb = sqrt(alpha), sqrt(beta)
     m = (sb * va - sa * vb) / (alpha - beta)
     dm = (alpha * sb * va - beta * sa * vb) / (alpha - beta)
-    return A * _real_part_checked(m), A * _real_part_checked(dm)
+    return A * m.real, A * dm.real
 
 
 def general_state(t, b: float, A: float, t0: float, v0: float, v0_prime: float):
@@ -197,8 +182,10 @@ def general_state(t, b: float, A: float, t0: float, v0: float, v0_prime: float):
     coefficients of exp(alpha t) and exp(beta t) match the initial-condition
     mismatch (v0 - A M(t0), v0' - A M'(t0)), so the monotone initial
     conditions yield exactly v(t) = A M(t+t0) with no cancellation of
-    exponentially large terms.  An array of times gives arrays of its
-    shape, equal to the element-wise calls up to the last bits.
+    exponentially large terms.  The coefficient of exp(beta t) is the
+    conjugate of c1, so the two modes sum to 2 Re(c1 exp(alpha t)).  An
+    array of times gives arrays of its shape, equal to the element-wise
+    calls up to the last bits.
     """
     _require(t >= 0.0, t, "t must be >= 0, got {}")
     _require(t < math.inf, t, "t must be finite, got {}")
@@ -206,13 +193,10 @@ def general_state(t, b: float, A: float, t0: float, v0: float, v0_prime: float):
     w0, w0_prime = v0 - ic.v0, v0_prime - ic.v0_prime
     alpha, beta = _roots_from_damping(b)
     c1 = (beta * w0 - w0_prime) / (beta - alpha)
-    c2 = (w0_prime - alpha * w0) / (beta - alpha)
-    with np.errstate(over="raise"):  # a mode too large for a double raises, never returns inf
-        ea, eb = np.exp(alpha * t), np.exp(beta * t)
     am, adm = monotone_kernel_samples(t, b, A, t0)
-    value = c1 * ea + c2 * eb + am
-    deriv = c1 * alpha * ea + c2 * beta * eb + adm
-    return _real_part_checked(value), _real_part_checked(deriv)
+    with np.errstate(over="raise"):  # a mode too large for a double raises, never returns inf
+        ea = np.exp(alpha * t)
+        return 2.0 * (c1 * ea).real + am, 2.0 * (c1 * alpha * ea).real + adm
 
 
 def monotone_initial_conditions(b: float, A: float, t0: float) -> MonotoneIC:

@@ -57,11 +57,11 @@ def _finite_float(text: str) -> float:
 # Output helpers
 # ----------------------------------------------------------------------
 
-def _json_text(**fields) -> str:
+def _json_text(**fields) -> bytes:
     """A JSON document: the schema version, then the given fields in order.
 
-    The text is ``json.dumps({"schema": 1, **fields}, indent=1) + "\\n"``,
-    byte for byte.  A non-empty float array field (a column, or drag's rows
+    The bytes are ``json.dumps({"schema": 1, **fields}, indent=1) + "\\n"``
+    in ASCII.  A non-empty float array field (a column, or drag's rows
     as a 2-D array) is written by the shortest-digit kernel, which prints
     each cell as json does, with ``float.__repr__``, and a non-finite cell
     as ``NaN``, ``Infinity`` or ``-Infinity``; every other value goes
@@ -77,7 +77,7 @@ def _json_text(**fields) -> str:
             value = value.tolist() if isinstance(value, np.ndarray) else value
             parts.append(json.dumps(value, indent=1).replace("\n", "\n ").encode("ascii"))
     parts.append(b"\n}\n")
-    return b"".join(parts).decode("ascii")
+    return b"".join(parts)
 
 
 def _json_array(cells: np.ndarray) -> bytes:
@@ -99,8 +99,8 @@ def _json_array(cells: np.ndarray) -> bytes:
     return head + text.replace(b",", b"," + cell).replace(b";", row_break) + tail
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write text to path through a temporary file in its directory, then rename it into place.
+def _atomic_write(path: str, data: bytes) -> None:
+    """Write data to path through a temporary file in its directory, then rename it into place.
 
     The file gets the mode ``open`` gives a new file, 0o666 less the umask,
     not the 0o600 of the temporary file.
@@ -108,8 +108,8 @@ def _atomic_write(path: str, text: str) -> None:
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         umask = os.umask(0)  # reading the umask means setting it; put it straight back
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
@@ -121,19 +121,19 @@ def _atomic_write(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
-def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
+def _csv_text(header: list[str], columns: list[np.ndarray]) -> bytes:
     """CSV of equal-length float columns, each value as ``repr`` prints it (shortest round trip)."""
     from . import _shortest  # on first use, so importing the CLI loads no formatter
 
     rows = _shortest.cells_text(np.column_stack(columns), b"," * (len(columns) - 1) + b"\n")
-    return (",".join(header).encode("ascii") + b"\n" + rows).decode("ascii")
+    return ",".join(header).encode("ascii") + b"\n" + rows
 
 
-def _emit(path: str, text: str) -> None:
+def _emit(path: str, data: bytes) -> None:
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode("ascii"))  # text: a redirected stdout may have no buffer
     else:
-        _atomic_write(path, text)
+        _atomic_write(path, data)
 
 
 def _emit_columns(output: str, path: str, columns: dict[str, np.ndarray], **fields) -> None:
@@ -248,7 +248,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         lines = ["kappa,terminal_error,monotone,file"] + [
             f"{r['kappa']!r},{r['terminal_error']!r},{str(r['monotone']).lower()},{r['file']}"
             for r in results]
-        _atomic_write(summary_path, "\n".join(lines) + "\n")
+        _atomic_write(summary_path, ("\n".join(lines) + "\n").encode("ascii"))
     diverged = [(k, traj) for k, traj in solved if traj.meta.get("diverged")]
     for k, traj in diverged:
         print(f"numerical failure: RK4 diverged at kappa={k:g} after t={traj.meta['T']:g}",

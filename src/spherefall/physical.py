@@ -107,10 +107,13 @@ def nondimensionalize(p: PhysicalParams) -> DimensionlessGroup:
     B = _normal("B = 9 mu / (R^2 (2 rho_s + rho))", lambda: 9.0 * p.mu / (p.R**2 * denom))
     Q = _normal("Q = 9 rho sqrt(mu / (pi rho)) / (R (2 rho_s + rho))",
                 lambda: 9.0 * p.rho / (p.R * denom) * math.sqrt(p.mu / (p.rho * math.pi)))
+    p.volume  # the drag table needs it: a volume outside the double range fails before the solve
     M = 2.0 * p.g * (p.rho_s - p.rho) / denom
     # kappa = pi Q^2 / B reduces to the pure density ratio; the reduced
     # form is exact at the rho_s = 0 boundary where kappa = 9.
-    kappa = 9.0 * p.rho / denom
+    kappa = _normal("kappa = 9 rho / (2 rho_s + rho)", lambda: 9.0 * p.rho / denom)
+    if M != 0.0:  # the neutrally buoyant sphere has U0 = 0
+        _normal("U0 = M / B", lambda: abs(M / B))
     return DimensionlessGroup(B=B, Q=Q, M=M, kappa=kappa, U0=M / B)
 
 

@@ -75,15 +75,8 @@ class AsymptoticValue(NamedTuple):
 
 def _check_finite(z, name: str):
     """z as a complex (or complex array), after checking that every element is finite."""
-    if isinstance(z, np.ndarray):
-        z = z.astype(complex)
-        bad = ~np.isfinite(z)
-        if bad.any():
-            raise ValueError(f"{name}: argument must be finite, got {complex(z[bad][0])!r}")
-        return z
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"{name}: argument must be finite, got {z!r}")
+    z = z.astype(complex) if isinstance(z, np.ndarray) else complex(z)
+    _require(np.isfinite(z), z, name + ": argument must be finite, got {}")
     return z
 
 

@@ -8,9 +8,11 @@ roots alpha, beta of m^2 + (2-kappa)m + 1:
     u'(tau) = sqrt(kappa) Im{sqrt(alpha) Vi(alpha tau)} / Im{alpha}.
 
 The library evaluates the same functions as u = 1 + sqrt(kappa) M(tau)
-through the oscillator kernel, which rounds differently, so the tests
-compare the two to a tolerance.  Both take sqrt(kappa) as sqrt(2 - b)
-from the rounded b = 2 - kappa that the roots are built from.
+through the oscillator kernel, with one Villat call, which rounds
+differently, so the tests compare the two to a tolerance.  The bracket
+here evaluates Vi(beta tau) itself, an independent reference for the
+conjugate symmetry the kernel relies on.  Both take sqrt(kappa) as
+sqrt(2 - b) from the rounded b = 2 - kappa that the roots are built from.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from spherefall.analytic import _real_part_checked, char_roots
+from spherefall.analytic import char_roots
 from spherefall.special import villat
 
 
@@ -27,7 +29,9 @@ def u_rest_reference(tau: float, kappa: float) -> float:
     roots = char_roots(kappa)
     a, b = roots.alpha, roots.beta
     bracket = villat(a * tau) / cmath.sqrt(a) - villat(b * tau) / cmath.sqrt(b)
-    return _real_part_checked(1.0 + math.sqrt(2.0 - roots.b) / (a - b) * bracket)
+    u = 1.0 + math.sqrt(2.0 - roots.b) / (a - b) * bracket
+    assert abs(u.imag) <= 1e-13 * (1.0 + abs(u)), f"imaginary residue {u.imag!r} on {u!r}"
+    return u.real
 
 
 def u_rest_derivative_reference(tau: float, kappa: float) -> float:

@@ -383,11 +383,60 @@ def test_kernel_samples_reject_a_negative_time():
         u_rest(math.nan, 1.0)
 
 
-def test_real_part_check_names_the_worst_array_element():
-    values = np.array([1.0 + 1e-20j, 2.0 + 1e-9j, 3.0 + 1e-6j, 0.5 + 1e-17j])
-    with pytest.raises(ArithmeticError, match=r"residue 1\.000e-06 on value \(3\+1e-06j\)"):
-        analytic._real_part_checked(values)
-    assert analytic._real_part_checked(values[[0, 3]]).tolist() == [1.0, 0.5]
+def _two_call_samples(times, b, A, t0):
+    """(A M, A M') evaluating Vi(beta t), not conjugating it: the reference for the one call."""
+    t = np.add(times, t0)
+    alpha, beta = analytic._roots_from_damping(b)
+    va, vb = analytic.villat(alpha * t), analytic.villat(beta * t)
+    sqrt = np.sqrt if isinstance(alpha, np.ndarray) else cmath.sqrt
+    sa, sb = sqrt(alpha), sqrt(beta)
+    m = (sb * va - sa * vb) / (alpha - beta)
+    dm = (alpha * sb * va - beta * sa * vb) / (alpha - beta)
+    assert np.all(m.imag == 0.0) and np.all(dm.imag == 0.0)
+    return A * m.real, A * dm.real
+
+
+def _same_bits(x, y) -> bool:
+    """Equal values and types, the sign of zero included."""
+    return type(x) is type(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+_EDGE_DAMPING = [-2.0 + 1e-15, -1.999999, -1.0, -0.0, 0.0, 1e-300, 1.0, 1.999999, 2.0 - 1e-15]
+_EDGE_TIMES = [0.0, 1e-300, 1e-200, 1e-100, 1e-12, 1e-6, 0.5, 1.0, 7.0, 40.0, 1e3, 1e6, 1e12,
+               1e100, 1e200, 1e300]
+
+
+@pytest.mark.parametrize("t0", [0.0, 1.0])
+def test_one_villat_call_gives_the_bits_of_two(t0):
+    # Vi(beta t) is the exact conjugate of Vi(alpha t), so conjugating it loses no bit.
+    column = np.array(_EDGE_DAMPING)[:, None]
+    amps = np.linspace(-0.7, 1.0, len(_EDGE_DAMPING))[:, None]
+    times = np.array(_EDGE_TIMES)
+    for got, want in zip(monotone_kernel_samples(times, column, amps, t0),
+                         _two_call_samples(times, column, amps, t0)):
+        assert got.shape == want.shape == (len(_EDGE_DAMPING), len(_EDGE_TIMES))
+        assert got.tobytes() == want.tobytes()
+    for b, A in zip(_EDGE_DAMPING, amps[:, 0].tolist()):
+        for t in _EDGE_TIMES:
+            for got, want in zip(monotone_kernel_samples(t, b, A, t0),
+                                 _two_call_samples(t, b, A, t0)):
+                assert _same_bits(got, want), (b, t)
+
+
+@pytest.mark.parametrize("times, b", [
+    (2.0, 0.5),
+    (np.linspace(0.0, 9.0, 10), np.array([[0.5], [-1.0], [1.9]])),
+], ids=["scalar", "array"])
+def test_kernel_samples_call_villat_once(monkeypatch, times, b):
+    shapes, villat = [], analytic.villat
+
+    def counting(z):
+        shapes.append(np.shape(z))
+        return villat(z)
+
+    monkeypatch.setattr(analytic, "villat", counting)
+    monotone_kernel_samples(times, b, 1.0, 0.0)
+    assert shapes == [np.broadcast_shapes(np.shape(times), np.shape(b))]
 
 
 def test_kernel_derivative_bridges_to_u_rest_derivative():
@@ -518,6 +567,14 @@ def test_general_state_raises_where_a_mode_overflows():
     for t in (1000.0, np.array([1.0, 1000.0])):
         with pytest.raises(ArithmeticError, match="overflow"):
             general_state(t, -1.99, 1.0, 0.0, 0.3, 0.0)
+
+
+def test_general_state_raises_where_a_mode_times_its_coefficient_overflows():
+    # exp(alpha t) is finite at t = 700 (Re alpha = 0.95), but times c1 ~ 1e300 it is not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="overflow"):
+            general_state(np.array([1.0, 400.0, 700.0]), -1.9, 1.0, 0.0, 1e300, 0.0)
 
 
 @pytest.mark.parametrize("bad", [-0.5, math.nan])

@@ -304,12 +304,20 @@ def test_drag_bad_physical_parameter_is_a_usage_error(capsys):
     (["--rho-s", "1190", "--rho", "1000", "--mu", "0.1", "--radius", "1e200"], "B"),
     (["--rho-s", "1e300", "--rho", "1e-300", "--mu", "1", "--radius", "1"], "Q"),
     (["--rho-s", "1190", "--rho", "1000", "--mu", "1e-320", "--radius", "1"], "B"),
+    (["--rho-s", "1190", "--rho", "1000", "--mu", "1e-305", "--radius", "1", "--g", "100"],
+     "U0"),
+    (["--rho-s", "1e300", "--rho", "1e-15", "--mu", "1", "--radius", "1e-100"], "kappa"),
 ], ids=["R^2-underflows", "B-overflows", "volume-overflows", "R^2-overflows", "Q-underflows",
-        "B-subnormal"])
-def test_drag_scale_outside_the_double_range_is_one_usage_error(tmp_path, capsys, flags,
-                                                                quantity):
+        "B-subnormal", "U0-overflows", "kappa-subnormal"])
+def test_drag_scale_outside_the_double_range_is_one_usage_error(tmp_path, capsys, monkeypatch,
+                                                                flags, quantity):
     # Every flag is finite and passes PhysicalParams' own checks; the scale formed from
-    # them is what leaves the double range, so the one error line must name it.
+    # them is what leaves the double range, so the one error line must name it, and
+    # before the solve.
+    def no_solve(*args):
+        raise AssertionError("solve_ide ran before the scales were checked")
+
+    monkeypatch.setattr(ide, "solve_ide", no_solve)
     out = tmp_path / "drag.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")

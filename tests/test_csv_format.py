@@ -18,7 +18,7 @@ def _check_against_oracle(values: np.ndarray, ncols: int) -> None:
     cells = np.resize(values, -(-len(values) // ncols) * ncols).reshape(-1, ncols)
     header = [f"c{j}" for j in range(ncols)]
     columns = list(cells.T)
-    assert cli._csv_text(header, columns) == csv_text_loop(header, columns)
+    assert cli._csv_text(header, columns) == csv_text_loop(header, columns).encode("ascii")
 
 
 @given(st.lists(st.integers(0, 2**64 - 1), max_size=64),

@@ -14,10 +14,10 @@ from spherefall import _shortest, cli
 from test_csv_format import RARE, edge_positions
 
 
-def _json_oracle(**fields) -> str:
-    """The document as json.dumps writes it, with every array as its list."""
+def _json_oracle(**fields) -> bytes:
+    """The document as json.dumps writes it, with every array as its list, in ASCII."""
     fields = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in fields.items()}
-    return json.dumps({"schema": cli.SCHEMA_VERSION, **fields}, indent=1) + "\n"
+    return (json.dumps({"schema": cli.SCHEMA_VERSION, **fields}, indent=1) + "\n").encode("ascii")
 
 
 _floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
@@ -91,7 +91,7 @@ def test_cli_json_files_equal_the_oracle_text(tmp_path, monkeypatch, argv):
     assert cli.main(argv) == 0
     paths = sorted(out.glob("*.json")) if out.is_dir() else [out]
     assert len(expected) == len(paths) >= 1
-    assert sorted(p.read_text() for p in paths) == sorted(expected)
+    assert sorted(p.read_bytes() for p in paths) == sorted(expected)
 
 
 def _modules_after(code: str) -> str:

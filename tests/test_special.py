@@ -258,8 +258,12 @@ def test_villat_at_zero_is_one():
 )
 @settings(max_examples=80, deadline=None)
 def test_villat_conjugate_symmetry(re, im):
+    # Bit for bit off the real axis, scalar and array: the closed form takes Vi(beta t) as
+    # conj(Vi(alpha t)).  (On the real axis Vi is real and its imaginary zero is +0 either way.)
     z = complex(re, im)
-    assert villat(z.conjugate()) == villat(z).conjugate()
+    assert _bits(villat(z.conjugate())) == _bits(villat(z).conjugate())
+    zs = np.array([z, z / 3.0, z * 1e-6, z * 1e300])
+    assert _bits(villat(zs.conj())) == _bits(villat(zs).conj())
 
 
 def test_villat_rejects_branch_cut():
