@@ -165,11 +165,10 @@ def imag_sqrt_alpha_villat(t, kappa):
     disagreement beyond 1e-10 is an internal-consistency error, named at its
     first element.  Floats take the Python complex path, arrays broadcast.
     """
-    alpha, _ = _roots_from_damping(_sphere(kappa)[0])
+    alpha, sqrt_alpha = _roots_from_damping(_sphere(kappa)[0])
     theta = np.angle(alpha)
     x, y = _proof_peak(t, theta)  # checks t before villat sees it
-    sqrt = np.sqrt if isinstance(alpha, np.ndarray) else cmath.sqrt
-    direct = (sqrt(alpha) * villat(alpha * t)).imag
+    direct = (sqrt_alpha * villat(alpha * t)).imag
     w = faddeeva(x + 1j * y)
     decomposed = np.cos(theta / 2.0) * w.imag + np.sin(theta / 2.0) * w.real
     _require(np.abs(direct - decomposed) <= 1e-10, (direct, decomposed, t, kappa),
@@ -237,8 +236,9 @@ def run_default_suite(h: float = 1e-3, points: int = 400) -> list[VerificationRe
     u, du = _sphere_samples(times, kappas)
     lead = np.sqrt(kappas / (100.0 * math.pi))
     grid = np.linspace(0.05, 3.95, 20)
-    alpha, beta = _roots_from_damping(_sphere(grid)[0])
-    root_sum = np.sqrt(alpha) + np.sqrt(beta)
+    alpha, sqrt_alpha = _roots_from_damping(_sphere(grid)[0])
+    beta = alpha.conj()
+    root_sum = np.sqrt(alpha) + np.sqrt(beta)  # numpy's complex square roots, a second route
     t_grid = np.logspace(-2, 3, 6)[:, None]
     thetas = np.linspace(math.pi / 12.0, math.pi * 11.0 / 12.0, 6)
     imag_kappas = np.linspace(0.3, 3.7, 6)
@@ -256,7 +256,8 @@ def run_default_suite(h: float = 1e-3, points: int = 400) -> list[VerificationRe
         # Characteristic-root identities.
         _reduce("root_identities", 1e-13,
                 np.abs([alpha * beta - 1.0, alpha + beta - (grid - 2.0),
-                        root_sum * root_sum - grid, np.abs(alpha) - 1.0]).max(axis=0),
+                        root_sum * root_sum - grid, np.abs(alpha) - 1.0,
+                        sqrt_alpha * sqrt_alpha - alpha]).max(axis=0),
                 lambda i: f"kappa={grid[i]:.4g}"),
         # Decoupling: u(0) = 1 + sqrt(kappa) M(0) = 0 for every kappa.
         _reduce("decoupling_v0", 1e-12,

@@ -8,24 +8,18 @@ alone maps kappa to (b, A) and checks kappa in (0, 4)), the general
 solution from any initial state, and the unique initial conditions
 whose trajectory stays monotone despite an unstable homogeneous
 problem.  Every closed-form value comes from one evaluator of (M, M'),
-one Villat evaluation.
-
-The roots are a conjugate pair (beta is built as conj(alpha)), and the
-square roots, exp and the Villat kernel (real coefficients) are
-conjugate-symmetric to the bit, so the beta term of every formula is the
-exact conjugate of its alpha term: it is taken as that conjugate, never
-evaluated, and the values are real parts with no residue to check.
+one Faddeeva evaluation: the roots are a conjugate pair, so M and M'
+are imaginary parts over Im alpha.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .special import _require, villat
+from .special import _require, faddeeva
 
 __all__ = [
     "CharRoots",
@@ -64,19 +58,22 @@ class MonotoneIC:
 
 
 def _roots_from_damping(b):
-    """alpha = -b/2 + i sqrt((2 - b)(2 + b))/2 and its conjugate beta, the roots of m^2 + b m + 1.
+    """(alpha, sqrt(alpha)): alpha = -b/2 + i sqrt((2 - b)(2 + b))/2, a root of m^2 + b m + 1.
 
-    b lies in (-2, 2).  An array b gives complex arrays of its shape, each
-    element the bits of the scalar roots (Python complex); an error names
-    the first element outside the interval, NaN included.
+    The other root is conj(alpha).  sqrt(alpha) = (sqrt(2 - b) + i sqrt(2 + b))/2
+    takes real square roots only.  b lies in (-2, 2).  An array b gives
+    complex arrays of its shape, each element the bits of the scalar values
+    (Python complex); an error names the first element outside the
+    interval, NaN included.
     """
     _require((-2.0 < b) & (b < 2.0), b, "damping coefficient must lie in (-2, 2), got {}")
     re, im = -b / 2.0, np.sqrt((2.0 - b) * (2.0 + b)) / 2.0
+    sre, sim = np.sqrt(2.0 - b) / 2.0, np.sqrt(2.0 + b) / 2.0
     if not isinstance(b, np.ndarray):
-        return complex(re, im), complex(re, -im)
-    alpha = re.astype(complex)
-    alpha.imag = im
-    return alpha, alpha.conj()
+        return complex(re, im), complex(sre, sim)
+    alpha, sqrt_alpha = re.astype(complex), sre.astype(complex)
+    alpha.imag, sqrt_alpha.imag = im, sim
+    return alpha, sqrt_alpha
 
 
 def char_roots(kappa: float) -> CharRoots:
@@ -92,7 +89,8 @@ def char_roots(kappa: float) -> CharRoots:
         raise ValueError("kappa = 4 is the degenerate double-root case")
     if kappa < 4.0:
         b = _sphere(kappa)[0]
-        return CharRoots(*_roots_from_damping(b), b=b)
+        alpha = _roots_from_damping(b)[0]
+        return CharRoots(alpha=alpha, beta=alpha.conjugate(), b=b)
     b = 2.0 - kappa
     disc = math.sqrt(b * b - 4.0)
     return CharRoots(alpha=complex((-b + disc) / 2.0), beta=complex((-b - disc) / 2.0), b=b)
@@ -131,7 +129,7 @@ def u_rest(tau: float, kappa: float) -> float:
 def u_rest_derivative(tau: float, kappa: float) -> float:
     """du/dtau for the rest-start solution: u'(tau) = sqrt(kappa) M'(tau; 2 - kappa).
 
-    With eps != 0 the derivative scales by (1 - eps).  Mathematically
+    With eps != 0 the derivative scales by (1 - eps).  Computed as
     u' = sqrt(kappa) Im{sqrt(alpha) Vi(alpha tau)} / Im{alpha} > 0;
     continuous at tau = 0 with u'(0) = 1.
     """
@@ -149,30 +147,23 @@ def monotone_kernel_M(t: float, b: float) -> float:
 def monotone_kernel_samples(times, b, A, t0: float):
     """(A M(t + t0), A M'(t + t0)) at a time or an array of times: the one evaluator of (M, M').
 
-    M(t) = [sqrt(beta) Vi(alpha t) - sqrt(alpha) Vi(beta t)] / (alpha - beta).
-    By d/dz Vi(z) = Vi(z) - 1/sqrt(pi z) the 1/sqrt(pi t) parts cancel, as
-    alpha sqrt(beta) = sqrt(alpha) for alpha beta = 1, leaving M'(t) =
-    [alpha sqrt(beta) Vi(alpha t) - beta sqrt(alpha) Vi(beta t)] / (alpha - beta),
-    finite at t = 0 with M'(0) = 1/(sqrt(alpha) + sqrt(beta)).
-
-    One Villat call: Vi(beta t) is taken as conj(Vi(alpha t)), which is what
-    evaluating it returns, bit for bit, since beta = conj(alpha); so m and dm
-    are real to the bit and their real parts are returned.  A float time
-    takes the Python complex path.  Array times take one array Villat call,
-    b and A may be (k, 1) columns (one row per damping value), and each entry
-    equals the scalar value up to the last bits.
+    M = [sqrt(beta) Vi(alpha t) - sqrt(alpha) Vi(beta t)] / (alpha - beta) and
+    M' = [alpha sqrt(beta) Vi(alpha t) - beta sqrt(alpha) Vi(beta t)] / (alpha - beta)
+    are, for beta = conj(alpha) and |alpha| = 1, the quotients
+    M = Im{conj(sqrt(alpha)) Vi} / Im alpha and M' = Im{sqrt(alpha) Vi} / Im alpha
+    of Vi = Vi(alpha t) = w(i sqrt(alpha) sqrt(t)): one Faddeeva call at an
+    argument of imaginary part Re sqrt(alpha) sqrt(t) >= 0, so no reflection
+    and no branch cut for any t >= 0.  A float time takes the Python complex
+    path; array times broadcast against (k, 1) columns b and A, each entry
+    the scalar value up to the last bits.
     """
     t = np.add(times, t0)
     _require(t >= 0.0, t, "t must be >= 0, got {}")
     _require(t < math.inf, t, "t must be finite, got {}")
-    alpha, beta = _roots_from_damping(b)
-    va = villat(alpha * t)
-    vb = va.conjugate()
-    sqrt = np.sqrt if isinstance(alpha, np.ndarray) else cmath.sqrt
-    sa, sb = sqrt(alpha), sqrt(beta)
-    m = (sb * va - sa * vb) / (alpha - beta)
-    dm = (alpha * sb * va - beta * sa * vb) / (alpha - beta)
-    return A * m.real, A * dm.real
+    alpha, sqrt_alpha = _roots_from_damping(b)
+    va = faddeeva(1j * sqrt_alpha * np.sqrt(t))
+    return (A * ((sqrt_alpha.conjugate() * va).imag / alpha.imag),
+            A * ((sqrt_alpha * va).imag / alpha.imag))
 
 
 def general_state(t, b: float, A: float, t0: float, v0: float, v0_prime: float):
@@ -191,7 +182,8 @@ def general_state(t, b: float, A: float, t0: float, v0: float, v0_prime: float):
     _require(t < math.inf, t, "t must be finite, got {}")
     ic = monotone_initial_conditions(b, A, t0)
     w0, w0_prime = v0 - ic.v0, v0_prime - ic.v0_prime
-    alpha, beta = _roots_from_damping(b)
+    alpha = _roots_from_damping(b)[0]
+    beta = alpha.conjugate()
     c1 = (beta * w0 - w0_prime) / (beta - alpha)
     am, adm = monotone_kernel_samples(t, b, A, t0)
     with np.errstate(over="raise"):  # a mode too large for a double raises, never returns inf

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
+from .special import SQRT_PI
 from .trajectory import Trajectory, uniform_grid
 
 __all__ = [
@@ -124,7 +125,7 @@ def solve_oscillator(prob: OscillatorProblem, h: float, T: float) -> Trajectory:
     last = n
     for k0 in range(start, n, _BLOCK_STEPS):
         k1 = min(k0 + _BLOCK_STEPS, n)
-        f = -A / np.sqrt(np.pi * (np.arange(2 * k0, 2 * k1 + 1) * (0.5 * h) + t0))  # at t_k, t_k + h/2
+        f = -A / (SQRT_PI * np.sqrt(np.arange(2 * k0, 2 * k1 + 1) * (0.5 * h) + t0))  # at t_k, t_k + h/2
         gx = q0[0] * f[:-1:2] + qh[0] * f[1::2]
         gy = q0[1] * f[:-1:2] + qh[1] * f[1::2] + (h / 6.0) * f[2::2]
         x, y = float(v[k0]), float(dv[k0])

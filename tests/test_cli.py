@@ -41,6 +41,15 @@ def test_trajectory_closed_form_monotone_and_near_terminal(tmp_path):
     assert abs(u[-1] - 1.0) <= 0.2
 
 
+def test_trajectory_at_subnormal_times(tmp_path):
+    # kappa = 0.2: alpha t rounds onto the negative real axis at t = 5e-324.
+    out = tmp_path / "sub.csv"
+    assert main(["trajectory", "--kappa", "0.2", "--h", "5e-324", "--T", "1e-323",
+                 "--out", str(out)]) == 0
+    header, rows = _read_csv(out)
+    assert rows.shape == (3, 3) and np.all(np.isfinite(rows))
+
+
 def test_trajectory_is_byte_identical_across_runs(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["trajectory", "--kappa", "1.5", "--solver", "ide",

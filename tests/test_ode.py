@@ -1,6 +1,7 @@
 """Tests for the oscillator integrator and stability classifier."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,19 @@ def test_monotone_run_matches_the_closed_form_at_every_t0(b, A, t0, h):
     ref, _ = analytic.monotone_kernel_samples(traj.times, b, A, t0)
     assert not traj.meta["diverged"]
     assert np.max(np.abs(traj.values - ref)) <= 1e-6 * (abs(A) + np.max(np.abs(traj.values)))
+
+
+def test_forcing_near_the_largest_double_does_not_overflow():
+    # pi (t + t0) overflows past t + t0 of about 5.7e307; sqrt(pi) sqrt(t + t0) does not.
+    b, A, t0 = 1.5695228564229238, 1e-12, 1.7e308
+    ic = analytic.monotone_initial_conditions(b, A, t0)
+    prob = OscillatorProblem(b=b, A=A, t0=t0, v0=ic.v0, v0_prime=ic.v0_prime)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = solve_oscillator(prob, 1.0, 20200.0)
+    ref, _ = analytic.monotone_kernel_samples(traj.times, b, A, t0)
+    assert len(traj.times) == 20201 and not traj.meta["diverged"]
+    assert np.all(np.abs(traj.values - ref) <= 1e-12 * np.abs(ref))
 
 
 def test_fourth_order_convergence_on_smooth_problem():
