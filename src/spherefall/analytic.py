@@ -1,15 +1,13 @@
 """Closed-form transient solutions built on the Villat function.
 
-Covers the characteristic roots of m^2 + (2-kappa)m + 1, the monotone
-kernel M(t) of the damped oscillator with 1/sqrt(pi(t+t0)) forcing,
-the sphere released with u(0) = eps, which is that oscillator:
-u(tau) = 1 + (1 - eps) sqrt(kappa) M(tau; b = 2 - kappa) (``_sphere``
-alone maps kappa to (b, A) and checks kappa in (0, 4)), the general
-solution from any initial state, and the unique initial conditions
-whose trajectory stays monotone despite an unstable homogeneous
-problem.  Every closed-form value comes from one evaluator of (M, M'),
-one Faddeeva evaluation: the roots are a conjugate pair, so M and M'
-are imaginary parts over Im alpha.
+Covers the characteristic roots of m^2 + (2-kappa)m + 1, the monotone kernel M(t) of the
+damped oscillator with 1/sqrt(pi(t+t0)) forcing, the sphere released with u(0) = eps,
+which is that oscillator: u(tau) = 1 + (1 - eps) sqrt(kappa) M(tau; b = 2 - kappa)
+(``_sphere`` alone maps kappa to (b, A) and checks kappa in (0, 4) and a finite A), the
+general solution from any initial state, and the unique initial conditions whose
+trajectory stays monotone despite an unstable homogeneous problem.  Every closed-form
+value comes from one evaluator of (M, M'), one Faddeeva evaluation: the roots are a
+conjugate pair, so M and M' are imaginary parts over Im alpha.
 """
 
 from __future__ import annotations
@@ -99,14 +97,20 @@ def char_roots(kappa: float) -> CharRoots:
 def _sphere(kappa, eps=0.0):
     """(b, A) of the sphere released with u(0) = eps: v'' + b v' + v = -A/sqrt(pi t) for v = u - 1.
 
-    b = 2 - kappa and A = (1 - eps) sqrt(2 - b): sqrt(kappa) from the rounded b keeps
-    u(0) = eps and u'(0) = 1 - eps for tiny kappa.  kappa is a float or a (k, 1) column.
+    b = 2 - kappa and a finite A = (1 - eps) sqrt(2 - b): sqrt(kappa) from the rounded b
+    keeps u(0) = eps and u'(0) = 1 - eps for tiny kappa.  kappa is a float or a (k, 1) column.
     """
     _require((0.0 < kappa) & (kappa < 4.0), kappa, "kappa must lie in (0, 4), got {}")
     b = 2.0 - kappa
     _require(b != 2.0, kappa, "kappa={} is too small: b = 2 - kappa rounds to 2")
-    sqrt = np.sqrt if isinstance(b, np.ndarray) else math.sqrt
-    return b, (1.0 - eps) * sqrt(2.0 - b)
+    if isinstance(b, np.ndarray):
+        with np.errstate(over="ignore"):  # an amplitude past the largest double is named below
+            A = (1.0 - eps) * np.sqrt(2.0 - b)
+    else:
+        A = (1.0 - eps) * math.sqrt(2.0 - b)
+    _require(abs(A) < math.inf, (eps, kappa),  # a NaN fails too
+             "eps={} puts the amplitude (1 - eps) sqrt(kappa) outside the double range at kappa={}")
+    return b, A
 
 
 def _sphere_samples(t, kappa, eps=0.0):

@@ -165,17 +165,13 @@ def _solve_oscillator(solver: str, prob: ode.OscillatorProblem, h: float, T: flo
 
 
 def _sphere_trajectory(solver: str, kappa: float, eps: float, h: float, T: float) -> Trajectory:
-    """The sphere released with u(0) = eps: solve_ide, _sphere_samples, or RK4 on v = u - 1."""
+    """The sphere released with u(0) = eps: solve_ide, or its oscillator v = u - 1 shifted to u."""
     if solver == "ide":
         return ide.solve_ide(kappa, eps, h, T)
-    if solver == "closed-form":
-        times = uniform_grid(h, T)
-        values, derivs = analytic._sphere_samples(times, kappa, eps)
-        meta = {"solver": solver, "kappa": kappa, "eps": eps, "h": h, "T": (len(times) - 1) * h}
-        return Trajectory(times=times, values=values, derivatives=derivs, meta=meta)
-    v = ode.solve_oscillator(ode.OscillatorProblem.sphere(kappa, eps), h, T)
-    meta = {**v.meta, "kappa": kappa, "eps": eps, "variable": "u"}
-    return dataclasses.replace(v, values=v.values + 1.0, meta=meta)
+    traj = _solve_oscillator(solver, ode.OscillatorProblem.sphere(kappa, eps), h, T)
+    traj.values += 1.0
+    traj.meta.update(kappa=kappa, eps=eps, variable="u")
+    return traj
 
 
 # ----------------------------------------------------------------------
@@ -203,6 +199,7 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
         traj = _solve_oscillator(args.solver, prob, args.h, args.T)
     _write_trajectory(args.output, traj, args.out)
     if traj.meta.get("diverged"):
+        print(f"numerical failure: RK4 diverged after t={traj.meta['T']:g}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

@@ -151,16 +151,16 @@ def solve_ide(kappa: float, u0: float, h: float, T: float) -> Trajectory:
     times = uniform_grid(h, T)
     n = len(times) - 1
     c = math.sqrt(kappa / math.pi)
-    a, first = _abel_kernel(n, h)
     d0 = 1.0 - u0  # prescribed by the equation at tau = 0
     # Step k reads d_k + u_k + c * history_k = 1 with the trapezoidal
     # u_k = u0 + h d0/2 + h (d_1 + .. + d_{k-1}) + h d_k/2.  Moving the
     # known d_0 to the right-hand side leaves the Toeplitz system
     # t[0] d_k + sum_{j<k} t[k-j] d_j = rhs_k in d_1..d_n.
-    t = c * a + h
-    t[0] = 1.0 + 0.5 * h + c * a[0]
-    rhs = d0 * (1.0 - 0.5 * h - c * first[1:])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        a, first = _abel_kernel(n, h)  # a large h overflows the weights themselves
+        t = c * a + h
+        t[0] = 1.0 + 0.5 * h + c * a[0]
+        rhs = d0 * (1.0 - 0.5 * h - c * first[1:])
         d = np.concatenate(([d0], _causal_product(_reciprocal(t, n), rhs, n)))
         u = np.cumsum(np.concatenate(([u0], 0.5 * h * (d[:-1] + d[1:]))))
     if not np.isfinite(u).all():  # u_k is not finite where d_k is not

@@ -57,7 +57,7 @@ class OscillatorProblem:
         """The sphere released with u(0) = eps, as the oscillator for v = u - 1.
 
         (b, A) = (2 - kappa, (1 - eps) sqrt(kappa)) from :func:`spherefall.analytic._sphere`,
-        kappa in (0, 4); t0 = 0 and the monotone state v0 = eps - 1, v0' = 1 - eps.
+        kappa in (0, 4) and A finite; t0 = 0 and the monotone state v0 = eps - 1, v0' = 1 - eps.
         """
         b, A = analytic._sphere(kappa, eps)
         return cls(b=b, A=A, t0=0.0, v0=eps - 1.0, v0_prime=1.0 - eps)

@@ -11,7 +11,8 @@ dispersion) function w(z) = exp(-z^2) erfc(-iz) via the identity
     Vi(z) = w(i * sqrt(z)),
 
 which, with the principal square root, always lands in the closed upper
-half plane where w is bounded by 1.
+half plane where w is bounded by 1; on the negative real axis the sign of
+z's imaginary zero picks the side of the cut, as in ``cmath.sqrt``.
 
 ``faddeeva`` is one formula on the closed upper half plane, Weideman's
 48-term rational approximation (SIAM J. Numer. Anal. 31, 1994, 1497; the
@@ -25,10 +26,10 @@ numpy array.  The kernel is plain arithmetic shared by both: a scalar runs
 on Python complex arithmetic, an array runs element-wise in numpy and
 returns an array of its shape.  The reflection is written once, for
 arrays: a scalar below the real axis goes through it as a 0-d array.  The
-checks are element-wise: one non-finite element, or one on villat's
-branch cut, raises ValueError for the whole array.  numpy rounds complex
-products and quotients differently from CPython, so an array result
-agrees with the scalar calls to about 1e-15 relative, not bit for bit.
+checks are element-wise: one non-finite element raises ValueError for
+the whole array.  numpy rounds complex products and quotients
+differently from CPython, so an array result agrees with the scalar
+calls to about 1e-15 relative, not bit for bit.
 
 The two integral-representation quadratures are independent oracles used
 by the verification suite to referee the fast path: 32-point
@@ -111,7 +112,7 @@ def _weideman_coefficients(n: int) -> tuple[float, list[float]]:
     a = np.real(np.fft.fft(np.fft.fftshift(f))) / (2 * m)
     coef = a[1 : n + 1][::-1].tolist()
     # At z = 0 the kernel has Z = 1, where Horner's rule is the running sum
-    # of the coefficients; set the constant one so that w(0) = 1 exactly.
+    # of the coefficients; set the constant one so that a scalar w(0) = 1 exactly.
     head = 0.0
     for c in coef[:-1]:
         head += c
@@ -156,12 +157,12 @@ def faddeeva(z):
 
     One formula, Weideman's 48-term rational approximation, on the closed
     upper half plane: relative error (in modulus) below 2e-15 against a
-    50-digit reference for |z| from 1e-12 to 1e7, finite up to
-    |z| of about 1.7e308, and w(0) = 1 exactly.  The lower half plane uses
-    w(z) = 2 exp(-z^2) - conj(w(conj(z))), where the exp(-z^2) growth is
-    genuine and may overflow.  An array returns an array of its shape; it
-    agrees with the element-wise scalar calls to about 1e-15 relative, not
-    bit for bit.
+    50-digit reference for |z| from 1e-12 to 1e7, finite up to |z| of about
+    1.7e308.  The lower half plane uses w(z) = 2 exp(-z^2) - conj(w(conj(z))),
+    where the exp(-z^2) growth is genuine and may overflow.  An array returns
+    an array of its shape; it agrees with the element-wise scalar calls to
+    about 1e-15 relative, not bit for bit: w(0) is 1 exactly, but 1 + 2.2e-16
+    in an array, as numpy divides by a complex through its rounded reciprocal.
     """
     z = _check_finite(z, "faddeeva")
     if isinstance(z, np.ndarray):
@@ -179,12 +180,11 @@ def villat(z):
     Computed as w(i*sqrt(z)) by the Faddeeva kernel, never as a product of
     exp and erfc: i*sqrt(z) lies in the closed upper half plane, where the
     kernel needs no reflection, so the result stays bounded along all rays
-    |arg z| < pi even where exp(z) would overflow.  Any element on the
-    negative real axis is a ValueError.
+    |arg z| < pi even where exp(z) would overflow.  On the negative real axis
+    the sign of the imaginary zero picks the side of the cut (W. Kahan, 1987):
+    Vi(-x + 0j) = exp(-x) erfc(i sqrt(x)) and Vi(-x - 0j) is its conjugate.
     """
     z = _check_finite(z, "villat")
-    _require((z.imag != 0.0) | (z.real >= 0.0), z,
-             "villat: branch cut (z on the negative real axis)")
     if isinstance(z, np.ndarray):
         return np.asarray(_w_rational(1j * np.sqrt(z)))  # the kernel gives 0-d a numpy scalar
     return _w_rational(1j * cmath.sqrt(z))
@@ -344,11 +344,9 @@ def naive_villat(z: complex) -> complex:
     erfc comes from the Maclaurin series of erf, so for large |z| the
     alternating terms overwhelm the result and the returned value is
     numerically unreliable (documented, not masked).  Overflow of either
-    factor raises OverflowError.
+    factor raises OverflowError.  On the cut, ``cmath.sqrt`` takes villat's side.
     """
     z = _check_finite(z, "naive_villat")
-    if z.imag == 0.0 and z.real < 0.0:
-        raise ValueError("naive_villat: branch cut (z on the negative real axis)")
     growth = cmath.exp(z)  # OverflowError for Re z > ~709: reported, not masked
     erfc_value = 1.0 - _erf_maclaurin(cmath.sqrt(z))
     result = growth * erfc_value

@@ -201,6 +201,12 @@ def test_imag_sqrt_alpha_positive_and_consistent_with_derivative():
             assert abs(up - analytic.u_rest_derivative(float(t), float(kappa))) <= 1e-12
 
 
+def test_imag_sqrt_alpha_at_a_subnormal_time():
+    # alpha t rounds onto the negative real axis (+0j): villat takes that side of its cut.
+    value = imag_sqrt_alpha_villat(5e-324, 0.2)
+    assert abs(value - imag_sqrt_alpha_villat(1e-300, 0.2)) <= 1e-15
+
+
 @pytest.mark.parametrize("t", [-1.0, 0.0, math.nan, np.array([1.0, math.nan, -1.0])])
 def test_imag_sqrt_alpha_rejects_every_t_outside_its_domain(t):
     with pytest.raises(ValueError, match="^t must be > 0, got nan$" if np.ndim(t) else

@@ -244,6 +244,23 @@ def test_sphere_map_of_a_column_names_the_first_bad_kappa(bad, message):
         _sphere(np.array([[1.0], [bad], [2.0], [bad + 1.0]]))
 
 
+@pytest.mark.parametrize("kappa, eps, at", [
+    (3.9, -1.7e308, 3.9),
+    (3.9, 1e308, 3.9),
+    (1.0, math.nan, 1.0),
+    (np.array([[1.0], [3.9], [3.999999]]), 1e308, 3.9),
+])
+def test_sphere_map_rejects_an_amplitude_outside_the_double_range(kappa, eps, at):
+    # One message naming eps, not the oscillator's "A must be finite" for a flag never passed.
+    message = (rf"^eps={re.escape(str(eps))} puts the amplitude \(1 - eps\) sqrt\(kappa\) "
+               rf"outside the double range at kappa={at}$")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            _sphere(kappa, eps)
+    assert np.all(np.isfinite(_sphere(kappa, -1e307)[1]))  # just inside the range
+
+
 # ----------------------------------------------------------------------
 # General initial velocity
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,10 +9,12 @@ import re
 import stat
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import spherefall
 from direct_oracle import abel_history_direct
@@ -437,13 +441,19 @@ def test_trajectory_rejects_the_other_modes_flags(tmp_path, capsys, argv, messag
     assert os.listdir(tmp_path) == []
 
 
-def test_numerical_failure_exit_three(tmp_path):
+def test_numerical_failure_exit_three(tmp_path, capsys):
+    # A diverging RK4 trajectory, sphere or oscillator, writes its rows up to the divergence,
+    # as compare and sweep write theirs, and names that time on stderr.
     out = tmp_path / "div.csv"
-    code = main([
-        "trajectory", "--b", "-1.9", "--A", "1", "--t0", "1",
-        "--solver", "ode", "--T", "800", "--h", "0.05", "--out", str(out),
-    ])
-    assert code == 3
+    for argv, rows_written in ((["--kappa", "3.9"], 13979),
+                               (["--b", "-1.9", "--A", "1", "--t0", "1"], 14017)):
+        assert main(["trajectory", *argv, "--solver", "ode", "--T", "800", "--h", "0.05",
+                     "--out", str(out)]) == 3
+        _, rows = _read_csv(out)
+        assert len(rows) == rows_written and np.all(np.isfinite(rows))
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"numerical failure: RK4 diverged after t={rows[-1, 0]:g}\n"
 
 
 def test_compare_reports_an_rk4_divergence_with_exit_three(tmp_path, capsys):
@@ -476,15 +486,70 @@ def test_sweep_reports_an_rk4_divergence_with_exit_three(tmp_path, capsys):
     ["trajectory", "--kappa", "2", "--solver", "ide", "--eps", "1e308", "--T", "1", "--h", "0.01"],
     ["sweep", "--solver", "ide", "--kappas", "1,2", "--eps", "1e308", "--T", "1", "--h", "0.01"],
     ["drag", "--rho-s", "1190", *_DRAG_ARGS, "--eps", "1e308"],
-], ids=["trajectory", "sweep", "drag"])
+    # The dimensionless step h B overflows the Abel weights themselves.
+    ["drag", "--rho-s", "-0.0", "--rho", "1e-300", "--mu", "9.0000001", "--radius", "100",
+     "--g", "2.5", "--h", "0.1", "--T", "0.5"],
+], ids=["trajectory", "sweep", "drag", "drag-weights"])
 def test_an_overflowing_ide_solve_exits_three_and_writes_nothing(tmp_path, capsys, argv):
     out = tmp_path / "out"
-    assert main([*argv, "--out", str(out)]) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", str(out)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.fullmatch(r"numerical failure: solve_ide: the solution is not finite at kappa=\S+\n",
                         captured.err), captured.err
     assert os.listdir(tmp_path) == []
+
+
+def _parsed_cells(path):
+    """Every number a CSV or JSON output file holds, as floats."""
+    with open(path) as fh:
+        if path.endswith(".json"):
+            doc = json.load(fh)
+            return [float(c) for v in doc.values() if isinstance(v, list) for c in v]
+        next(fh)
+        return [float(c) for line in fh for c in line.rstrip("\n").split(",")]
+
+
+@given(command=st.sampled_from(["trajectory", "compare"]),
+       kappa=st.sampled_from([1e-16, 0.2, 2.0, 3.9, 3.999999]),
+       eps=st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308, 1.7e308, -1.7e308]),
+       solver=st.sampled_from(["closed-form", "ode", "ide"]),
+       output=st.sampled_from(["csv", "json"]),
+       grid=st.sampled_from([(0.1, 1.0), (0.01, 20.0), (0.05, 100.0), (0.5, 800.0)]))
+@example(command="trajectory", kappa=3.9, eps=-1.7e308, solver="closed-form", output="csv",
+         grid=(0.1, 1.0))  # wrote -inf cells and exited 0
+@example(command="trajectory", kappa=3.9, eps=0.0, solver="ode", output="csv",
+         grid=(0.05, 800.0))  # exited 3 with nothing on stderr
+@settings(max_examples=60, deadline=None)
+def test_the_sphere_keeps_the_cli_contract(command, kappa, eps, solver, output, grid):
+    # Exit 0 writes finite cells that parse; exit 1 writes nothing and says one error line;
+    # exit 3 says one numerical failure line; nothing warns.
+    h, T = grid
+    argv = [command, "--kappa", repr(kappa), "--eps=" + repr(eps), "--h", repr(h), "--T", repr(T),
+            "--output", output]
+    if command == "trajectory":
+        argv += ["--solver", solver]
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--out", os.path.join(tmp, "out." + output)])
+        written = [os.path.join(tmp, f) for f in sorted(os.listdir(tmp))]
+        cells = [c for path in written for c in _parsed_cells(path)]
+    err = stderr.getvalue().splitlines()
+    assert stdout.getvalue() == ""
+    assert code in (0, 1, 3), err
+    if code == 1:
+        assert written == [] and len(err) == 1 and err[0].startswith("error: "), err
+        return
+    assert all(math.isfinite(c) for c in cells)  # also the rows a diverged RK4 run keeps
+    if code == 0:
+        assert written and cells
+    else:
+        failures = [line for line in err if line.startswith("numerical failure: ")]
+        assert len(failures) == 1 and len(err) <= 2, err  # compare adds its sup-norm line
 
 
 @pytest.mark.parametrize("solver", ["closed-form", "ide", "ode"])

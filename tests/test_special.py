@@ -38,6 +38,12 @@ def test_faddeeva_at_zero_is_one():
     assert faddeeva(0.0) == 1.0 + 0.0j
 
 
+def test_array_faddeeva_at_zero_is_one_ulp_above_one():
+    # numpy divides by a complex as a product with its rounded reciprocal, CPython divides once.
+    w = faddeeva(np.zeros(3, complex))
+    assert np.all(w == 1.0 + 2.0**-52)
+
+
 def test_faddeeva_matches_quadrature_oracles_at_sample_point():
     w = faddeeva(complex(-0.5, 0.8))
     assert abs(w.real - faddeeva_re_quadrature(-0.5, 0.8)) < 1e-10
@@ -199,11 +205,26 @@ def test_array_with_one_nonfinite_element_raises(bad):
             f(z)
 
 
-def test_villat_array_with_one_branch_cut_element_raises():
-    with pytest.raises(ValueError, match="branch cut"):
-        villat(np.array([1.0, 2.0 + 1.0j, -3.0, 4.0]))
-    with pytest.raises(ValueError, match="branch cut"):
-        villat(np.array([[0.5j, complex(-1.0, -0.0)]]))
+# Points -x of the negative real axis: each decade from 1e-300 to 1e4, and a few between.
+_ON_THE_CUT = [10.0**k for k in range(-300, 5)] + [0.3, 2.5, 7.0, 55.0, 700.0]
+
+
+def test_villat_on_the_cut_takes_the_side_of_the_imaginary_zero():
+    # As cmath.sqrt and np.sqrt do (Kahan 1987): -x + 0j is the upper side, mpmath's
+    # principal value, and -x - 0j the lower side, its conjugate.
+    for x in _ON_THE_CUT:
+        upper = villat_mp(-x)
+        for z, ref in ((complex(-x, 0.0), upper), (complex(-x, -0.0), upper.conjugate())):
+            got = villat(z)
+            assert abs(got - ref) <= 1e-15 * abs(ref), (z, got, ref)
+
+
+def test_villat_array_on_the_cut_is_the_scalar_value():
+    z = np.array([[complex(-x, 0.0), complex(-x, -0.0)] for x in _ON_THE_CUT])
+    got = villat(z)
+    ref = _scalar_map(villat, z)
+    assert np.all(np.abs(got - ref) <= ARRAY_RTOL * np.abs(ref))
+    assert np.all(got[:, 1] == got[:, 0].conj())
 
 
 def test_array_faddeeva_overflow_below_the_real_axis_raises_like_the_scalar():
@@ -266,9 +287,10 @@ def test_villat_conjugate_symmetry(re, im):
     assert _bits(villat(zs.conj())) == _bits(villat(zs).conj())
 
 
-def test_villat_rejects_branch_cut():
-    with pytest.raises(ValueError):
-        villat(-3.0)
+def test_naive_villat_on_the_cut_takes_the_same_side():
+    for x in (0.3, 2.5, 7.0):
+        for z in (complex(-x, 0.0), complex(-x, -0.0)):
+            assert abs(naive_villat(z) - villat(z)) <= 1e-14 * abs(villat(z))
 
 
 def test_villat_matches_multiprecision_on_rays():
