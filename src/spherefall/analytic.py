@@ -105,12 +105,15 @@ def _sphere(kappa, eps=0.0):
     _require(b != 2.0, kappa, "kappa={} is too small: b = 2 - kappa rounds to 2")
     if isinstance(b, np.ndarray):
         with np.errstate(over="ignore"):  # an amplitude past the largest double is named below
-            A = (1.0 - eps) * np.sqrt(2.0 - b)
-    else:
-        A = (1.0 - eps) * math.sqrt(2.0 - b)
+            return b, _amplitude((1.0 - eps) * np.sqrt(2.0 - b), eps, kappa)
+    return b, _amplitude((1.0 - eps) * math.sqrt(2.0 - b), eps, kappa)
+
+
+def _amplitude(A, eps, kappa):
+    """A = (1 - eps) sqrt(kappa), the amplitude of every sphere solver, if it is a double."""
     _require(abs(A) < math.inf, (eps, kappa),  # a NaN fails too
              "eps={} puts the amplitude (1 - eps) sqrt(kappa) outside the double range at kappa={}")
-    return b, A
+    return A
 
 
 def _sphere_samples(t, kappa, eps=0.0):
@@ -161,7 +164,8 @@ def monotone_kernel_samples(times, b, A, t0: float):
     path; array times broadcast against (k, 1) columns b and A, each entry
     the scalar value up to the last bits.
     """
-    t = np.add(times, t0)
+    with np.errstate(over="ignore"):  # a t + t0 past the largest double is named below
+        t = np.add(times, t0)
     _require(t >= 0.0, t, "t must be >= 0, got {}")
     _require(t < math.inf, t, "t must be finite, got {}")
     alpha, sqrt_alpha = _roots_from_damping(b)

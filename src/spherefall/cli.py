@@ -291,7 +291,13 @@ def _cmd_drag(args: argparse.Namespace) -> int:
     # h and T arrive in seconds; the solver works in viscous-time units.
     traj = ide.solve_ide(group.kappa, args.eps, args.h * group.B, args.T * group.B)
     dim = physical.dimensional_trajectory(group, traj)
-    columns = [dim.times, dim.values, dim.derivatives, *physical.drag_forces(p, dim)]
+    with np.errstate(over="ignore", invalid="ignore"):  # a force past the double range fails below
+        forces = physical.drag_forces(p, dim)
+    worst, bound = np.max(np.abs(forces.residual)), 1e-9 * abs(forces.buoyancy[0])
+    if not worst <= bound:  # the balance of a solve closes to rounding; a NaN fails too
+        raise ArithmeticError(f"drag: max|residual| = {worst:.3g} N > 1e-9 |F_buoyancy| = "
+                              f"{bound:.3g} N at the step h B = {traj.meta['h']:.3g} viscous times")
+    columns = [dim.times, dim.values, dim.derivatives, *forces]
     header = ["t", "U", "dU", "F_stokes", "F_added_mass", "F_basset", "F_buoyancy",
               "residual"]
     if args.output == "json":

@@ -10,12 +10,13 @@ with u'(0) = 1 - u(0) forced by the equation itself at tau = 0.
 The weakly singular memory integral is discretized by product
 integration on a uniform grid: u' is reconstructed piecewise linearly
 and the Abel kernel (tau - s)^{-1/2} is integrated exactly against that
-basis, cell by cell.  The diagonal weight ~ (4/3) sqrt(h) multiplies the
+basis, cell by cell.  The diagonal weight (4/3) sqrt(h) multiplies the
 unknown u'(t_n), so each step solves one scalar linear equation
 (implicit treatment; an explicit one is unstable near tau = 0).
 
 The weights depend only on the lag n - j, so the history sum is a
-Toeplitz convolution built from one lag kernel.  Reading the history
+Toeplitz convolution built from one lag kernel, :func:`_abel_kernel`,
+whose weights hold a few ulps at every lag.  Reading the history
 back at every grid point is one FFT convolution, O(n log n)
 (:func:`abel_history`).  The causal solve is a power-series quotient:
 the lower-triangular Toeplitz system t(z) d(z) = rhs(z) gives
@@ -30,48 +31,32 @@ import math
 
 import numpy as np
 
+from .analytic import _amplitude
 from .trajectory import Trajectory, uniform_grid
 
 __all__ = ["abel_history", "solve_ide"]
 
 
-def _cell_weights(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Left/right node weights of integral_a^b f(s)/sqrt(t_n - s) ds per cell.
-
-    For the cell whose far edge is m = 1..n steps back from t_n
-    (a = (m-1)h, b = mh in the distance variable), with f linear on the
-    cell.  Differences of square roots are formed in cancellation-safe
-    quotient form so the weights stay accurate for large m.
-    """
-    m = np.arange(1, n + 1, dtype=float)
-    b = m * h
-    a = b - h
-    sq_b = np.sqrt(b)
-    sq_a = np.sqrt(a)
-    d_sqrt = h / (sq_b + sq_a)  # sqrt(b) - sqrt(a)
-    d_32 = h * (b + sq_a * sq_b + a) / (sq_b + sq_a)  # b^{3/2} - a^{3/2}
-    left = ((2.0 / 3.0) * d_32 - 2.0 * a * d_sqrt) / h
-    right = (2.0 * b * d_sqrt - (2.0 / 3.0) * d_32) / h
-    return left, right
-
-
 def _abel_kernel(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Lag coefficients of the Abel quadrature on the uniform grid, lags 0..n.
 
-    The quadrature at t_k is sum_{j=1..k} a[k-j] f_j + first[k] f_0.  A
-    node m >= 1 steps back is the near node of cell m+1 and the far node
-    of cell m, so a[m] = left[m-1] + right[m] and a[0] = right[0]; the
-    grid's first node only closes cell k and keeps first[k] = left[k-1]
-    (first[0] = 0).  The weights depend on the lag alone, which makes the
-    history sum a Toeplitz convolution.
+    The quadrature at t_k is sum_{j=1..k} a[k-j] f_j + first[k] f_0.  The cell m
+    steps back spans the distances r^2 = (m-1)h to s^2 = mh; its far and near nodes
+    weigh (2h/3)(s + 2r)/(s + r)^2 and (2h/3)(2s + r)/(s + r)^2, the integrals of
+    their hat functions against the kernel with the differences of square roots
+    divided out: sums of positive terms, accurate to a few ulps at any lag.  A step
+    too large for a double overflows (2/3) h (...) to inf before the division.  A
+    node m >= 1 steps back is the near node of cell m+1 and the far node of cell m,
+    so a[m] = far_m + near_{m+1} and a[0] = near_1; the grid's first node only
+    closes cell k, first[k] = far_k (first[0] = 0).
     """
-    left, right = _cell_weights(n + 1, h)
-    a = np.empty(n + 1)
-    a[0] = right[0]
-    a[1:] = left[:n] + right[1:]
-    first = np.zeros(n + 1)
-    first[1:] = left[:n]
-    return a, first
+    root = np.sqrt(np.arange(n + 2) * h)
+    s, r = root[1:], root[:-1]  # the cells 1..n+1
+    square = (s + r) ** 2
+    far = (2.0 / 3.0) * h * (s + 2.0 * r) / square
+    near = (2.0 / 3.0) * h * (2.0 * s + r) / square
+    first = np.concatenate(([0.0], far[:n]))
+    return near + first, first
 
 
 def _causal_product(a: np.ndarray, f: np.ndarray, m: int, size: int | None = None) -> np.ndarray:
@@ -104,11 +89,8 @@ def abel_history(samples: np.ndarray, h: float) -> np.ndarray:
         raise ValueError(f"abel_history: h must be finite and > 0, got {h}")
     n = len(f) - 1
     a, first = _abel_kernel(n, h)
-    g = f.copy()
-    g[0] = 0.0  # the first node enters through first[k] alone
-    out = _causal_product(a, g, n + 1)
-    out += first * f[0]
-    out[0] = 0.0
+    out = np.zeros(n + 1)
+    out[1:] = _causal_product(a[:n], f[1:], n) + first[1:] * f[0]
     return out
 
 
@@ -142,12 +124,13 @@ def solve_ide(kappa: float, u0: float, h: float, T: float) -> Trajectory:
     Toeplitz system, solved as the power-series quotient rhs * (1/t)
     through :func:`_reciprocal` in O(n log n) time and O(n) memory.  The
     empirical convergence against the closed form is order ~1.5 in sup norm.
-    A solve that overflows raises ArithmeticError.
+    An amplitude (1 - u0) sqrt(kappa) outside the double range is the
+    ValueError of the other sphere solvers, which names u0 as eps; a solve
+    that overflows raises ArithmeticError.
     """
     if not 0.0 < kappa <= 9.0:
         raise ValueError(f"kappa must lie in (0, 9], got {kappa}")
-    if not math.isfinite(u0):
-        raise ValueError(f"u0 must be finite, got {u0}")
+    _amplitude((1.0 - u0) * math.sqrt(kappa), u0, kappa)
     times = uniform_grid(h, T)
     n = len(times) - 1
     c = math.sqrt(kappa / math.pi)

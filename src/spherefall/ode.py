@@ -117,30 +117,32 @@ def solve_oscillator(prob: OscillatorProblem, h: float, T: float) -> Trajectory:
     v[1 : start + 1], dv[1 : start + 1] = analytic.general_state(
         np.arange(1, start + 1) * h, b, A, t0, prob.v0, prob.v0_prime)
 
-    Z = h * np.array([[0.0, 1.0], [-1.0, -b]])
-    Z2 = Z @ Z
-    (e00, e01), (e10, e11) = (Z + Z2 / 2.0 + Z2 @ Z / 6.0 + Z2 @ Z2 / 24.0).tolist()
-    q0 = (h / 6.0) * (np.eye(2) + Z + Z2 / 2.0 + Z2 @ Z / 4.0)[:, 1]
-    qh = (h / 6.0) * (4.0 * np.eye(2) + 2.0 * Z + Z2 / 2.0)[:, 1]
-    last = n
-    for k0 in range(start, n, _BLOCK_STEPS):
-        k1 = min(k0 + _BLOCK_STEPS, n)
-        f = -A / (SQRT_PI * np.sqrt(np.arange(2 * k0, 2 * k1 + 1) * (0.5 * h) + t0))  # at t_k, t_k + h/2
-        gx = q0[0] * f[:-1:2] + qh[0] * f[1::2]
-        gy = q0[1] * f[:-1:2] + qh[1] * f[1::2] + (h / 6.0) * f[2::2]
-        x, y = float(v[k0]), float(dv[k0])
-        xs, ys = [], []
-        # Increment form: a step with I + E rounds E to eps, eps/h relative per increment.
-        for cx, cy in zip(gx.tolist(), gy.tolist()):
-            x, y = x + (e00 * x + e01 * y + cx), y + (e10 * x + e11 * y + cy)
-            xs.append(x)
-            ys.append(y)
-        block = np.array([xs, ys])
-        v[k0 + 1 : k1 + 1], dv[k0 + 1 : k1 + 1] = block
-        ok = np.max(np.abs(block), axis=0) <= _OVERFLOW_GUARD  # NaN and inf fail too
-        if not ok.all():
-            last = k0 + int(np.argmin(ok))
-            break
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN states fail the guard
+        Z = h * np.array([[0.0, 1.0], [-1.0, -b]])
+        Z2 = Z @ Z
+        (e00, e01), (e10, e11) = (Z + Z2 / 2.0 + Z2 @ Z / 6.0 + Z2 @ Z2 / 24.0).tolist()
+        q0 = (h / 6.0) * (np.eye(2) + Z + Z2 / 2.0 + Z2 @ Z / 4.0)[:, 1]
+        qh = (h / 6.0) * (4.0 * np.eye(2) + 2.0 * Z + Z2 / 2.0)[:, 1]
+        last = n
+        for k0 in range(start, n, _BLOCK_STEPS):
+            k1 = min(k0 + _BLOCK_STEPS, n)
+            # t_k and t_k + h/2, rounded once: (k + 1/2) h > 0 for a subnormal h too.
+            f = -A / (SQRT_PI * np.sqrt(np.arange(2 * k0, 2 * k1 + 1) / 2 * h + t0))
+            gx = q0[0] * f[:-1:2] + qh[0] * f[1::2]
+            gy = q0[1] * f[:-1:2] + qh[1] * f[1::2] + (h / 6.0) * f[2::2]
+            x, y = float(v[k0]), float(dv[k0])
+            xs, ys = [], []
+            # Increment form: a step with I + E rounds E to eps, eps/h relative per increment.
+            for cx, cy in zip(gx.tolist(), gy.tolist()):
+                x, y = x + (e00 * x + e01 * y + cx), y + (e10 * x + e11 * y + cy)
+                xs.append(x)
+                ys.append(y)
+            block = np.array([xs, ys])
+            v[k0 + 1 : k1 + 1], dv[k0 + 1 : k1 + 1] = block
+            ok = np.max(np.abs(block), axis=0) <= _OVERFLOW_GUARD  # NaN and inf fail too
+            if not ok.all():
+                last = k0 + int(np.argmin(ok))
+                break
 
     meta = {"solver": "rk4", "b": b, "A": A, "t0": t0, "h": h, "T": last * h,
             "bootstrap_steps": start, "diverged": last < n}

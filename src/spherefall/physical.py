@@ -152,13 +152,14 @@ def drag_forces(p: PhysicalParams, traj: Trajectory) -> DragForces:
 def dimensional_trajectory(g: DimensionlessGroup, traj: Trajectory) -> Trajectory:
     """Map a rescaled trajectory (tau, u, u') to laboratory units (t, U, U').
 
-    t = tau / B, U = u * U0, U' = u' * U0 * B.  Rejected for the neutrally
-    buoyant sphere (U0 = 0), whose rescaling is undefined.
+    t = tau / B, U = u * U0, U' = u' * U0 * B, and the meta's step h and
+    horizon T in seconds too.  Rejected for the neutrally buoyant sphere
+    (U0 = 0), whose rescaling is undefined.
     """
     if g.U0 == 0.0:
         raise ValueError("dimensional_trajectory: U0 = 0 (neutrally buoyant sphere)")
-    meta = dict(traj.meta)
-    meta.update({"units": "SI", "B": g.B, "U0": g.U0})
+    meta = dict(traj.meta, units="SI", B=g.B, U0=g.U0)
+    meta.update({key: meta[key] / g.B for key in ("h", "T") if key in meta})
     return Trajectory(
         times=traj.times / g.B,
         values=traj.values * g.U0,

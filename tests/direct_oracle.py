@@ -12,14 +12,24 @@ import math
 
 import numpy as np
 
-from spherefall.ide import _cell_weights
+from spherefall.ide import _abel_kernel
+
+
+def _left_right(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Far (left) and near (right) node weights of the cells 1..n steps back, from the kernel.
+
+    a[m] = left_m + right_{m+1} and first[m] = left_m, so left = first[1:] and
+    right = a[:-1] - first[:-1].
+    """
+    a, first = _abel_kernel(n, h)
+    return first[1:], a[:-1] - first[:-1]
 
 
 def solve_ide_direct(kappa: float, u0: float, h: float, T: float) -> tuple[np.ndarray, np.ndarray]:
     """u and u' on the grid, one scalar implicit step at a time."""
     n = max(1, int(round(T / h)))
     c = math.sqrt(kappa / math.pi)
-    left, right = _cell_weights(n, h)
+    left, right = _left_right(n, h)
     u = np.empty(n + 1)
     d = np.empty(n + 1)
     u[0] = u0
@@ -39,7 +49,7 @@ def solve_ide_direct(kappa: float, u0: float, h: float, T: float) -> tuple[np.nd
 def abel_history_direct(samples: np.ndarray, h: float) -> np.ndarray:
     """Abel quadrature of the samples at every grid point, one dot product per point."""
     n = len(samples) - 1
-    left, right = _cell_weights(max(n, 1), h)
+    left, right = _left_right(max(n, 1), h)
     out = np.zeros(n + 1)
     for k in range(1, n + 1):
         out[k] = right[0:k] @ samples[k:0:-1] + left[0:k] @ samples[k - 1 :: -1]

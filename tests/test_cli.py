@@ -502,41 +502,73 @@ def test_an_overflowing_ide_solve_exits_three_and_writes_nothing(tmp_path, capsy
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["trajectory", "--kappa", "3.9", "--solver", "ide", "--T", "1", "--h", "0.01"],
+    ["sweep", "--solver", "ide", "--kappas", "2,3.9", "--T", "1", "--h", "0.01"],
+    ["drag", "--rho-s", "1190", *_DRAG_ARGS],
+], ids=["trajectory", "sweep", "drag"])
+def test_the_ide_rejects_an_amplitude_outside_the_double_range(tmp_path, capsys, argv):
+    # (1 - eps) sqrt(kappa) overflows: the closed form's and RK4's usage error, not a
+    # numerical failure of the solve.
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--eps=-1.7e308", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: eps=-1\.7e\+308 puts the amplitude \(1 - eps\) sqrt\(kappa\) "
+                        r"outside the double range at kappa=\S+\n", captured.err), captured.err
+    assert os.listdir(tmp_path) == []
+
+
+def test_drag_refuses_a_force_balance_that_does_not_close(tmp_path, capsys):
+    # At R = 1e-7 the default step is h B = 2.7e6 viscous times: U flips sign every
+    # row and the residual is 0.4 of the buoyancy.  Nothing may be written.
+    out = tmp_path / "drag.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["drag", "--rho-s", "1190", "--rho", "1000", "--mu", "0.1",
+                     "--radius", "1e-7", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"numerical failure: drag: max\|residual\| = \S+ N > 1e-9 \|F_buoyancy\| "
+                        r"= \S+ N at the step h B = 2\.66e\+06 viscous times\n", captured.err), \
+        captured.err
+    assert os.listdir(tmp_path) == []
+
+
+def _numbers(doc):
+    """Every number in a parsed JSON document, depth first, as floats (flags excluded)."""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [c for value in doc for c in _numbers(value)]
+    return [float(doc)] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
+
+
 def _parsed_cells(path):
-    """Every number a CSV or JSON output file holds, as floats."""
+    """Every number an output file holds, as floats."""
     with open(path) as fh:
         if path.endswith(".json"):
-            doc = json.load(fh)
-            return [float(c) for v in doc.values() if isinstance(v, list) for c in v]
-        next(fh)
-        return [float(c) for line in fh for c in line.rstrip("\n").split(",")]
+            return _numbers(json.load(fh))
+        header = next(fh).rstrip("\n").split(",")
+        width = 2 if header[-1] == "file" else len(header)  # a sweep summary ends in a flag, a name
+        return [float(c) for line in fh for c in line.rstrip("\n").split(",")[:width]]
 
 
-@given(command=st.sampled_from(["trajectory", "compare"]),
-       kappa=st.sampled_from([1e-16, 0.2, 2.0, 3.9, 3.999999]),
-       eps=st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308, 1.7e308, -1.7e308]),
-       solver=st.sampled_from(["closed-form", "ode", "ide"]),
-       output=st.sampled_from(["csv", "json"]),
-       grid=st.sampled_from([(0.1, 1.0), (0.01, 20.0), (0.05, 100.0), (0.5, 800.0)]))
-@example(command="trajectory", kappa=3.9, eps=-1.7e308, solver="closed-form", output="csv",
-         grid=(0.1, 1.0))  # wrote -inf cells and exited 0
-@example(command="trajectory", kappa=3.9, eps=0.0, solver="ode", output="csv",
-         grid=(0.05, 800.0))  # exited 3 with nothing on stderr
-@settings(max_examples=60, deadline=None)
-def test_the_sphere_keeps_the_cli_contract(command, kappa, eps, solver, output, grid):
-    # Exit 0 writes finite cells that parse; exit 1 writes nothing and says one error line;
-    # exit 3 says one numerical failure line; nothing warns.
-    h, T = grid
-    argv = [command, "--kappa", repr(kappa), "--eps=" + repr(eps), "--h", repr(h), "--T", repr(T),
-            "--output", output]
-    if command == "trajectory":
-        argv += ["--solver", solver]
+def _keeps_the_cli_contract(argv, out, max_failures=1):
+    """Run argv with --out in a fresh directory and hold the run to the CLI contract.
+
+    Exit 0 writes finite cells that parse; exit 1 writes nothing and says one error line;
+    exit 3 says one numerical failure line (sweep one per diverged kappa, up to
+    max_failures); nothing warns.
+    """
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([*argv, "--out", os.path.join(tmp, "out." + output)])
-        written = [os.path.join(tmp, f) for f in sorted(os.listdir(tmp))]
+            code = main([*argv, "--out", os.path.join(tmp, out)])
+        written = [os.path.join(root, f) for root, _, files in os.walk(tmp) for f in sorted(files)]
         cells = [c for path in written for c in _parsed_cells(path)]
     err = stderr.getvalue().splitlines()
     assert stdout.getvalue() == ""
@@ -549,7 +581,83 @@ def test_the_sphere_keeps_the_cli_contract(command, kappa, eps, solver, output, 
         assert written and cells
     else:
         failures = [line for line in err if line.startswith("numerical failure: ")]
-        assert len(failures) == 1 and len(err) <= 2, err  # compare adds its sup-norm line
+        assert 1 <= len(failures) <= max_failures, err
+        assert len(err) <= len(failures) + 1, err  # compare adds its sup-norm line
+
+
+# The extremes of the CLI grammar; every grid has at most 2000 steps.
+_EPS = st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308, 1.7e308, -1.7e308])
+_GRIDS = st.sampled_from([(0.1, 1.0), (0.01, 20.0), (0.05, 100.0), (0.5, 800.0), (1e180, 5e180),
+                          (5e-324, 5e-321)])
+_OUTPUTS = st.sampled_from(["csv", "json"])
+
+
+@given(command=st.sampled_from(["trajectory", "compare"]),
+       kappa=st.sampled_from([1e-300, 1e-16, 0.2, 2.0, 3.9, 3.999999, 4.0, 9.0, 9.0000001]),
+       eps=_EPS, solver=st.sampled_from(["closed-form", "ode", "ide"]), output=_OUTPUTS,
+       grid=_GRIDS)
+@example(command="trajectory", kappa=3.9, eps=-1.7e308, solver="closed-form", output="csv",
+         grid=(0.1, 1.0))  # wrote -inf cells and exited 0
+@example(command="trajectory", kappa=3.9, eps=0.0, solver="ode", output="csv",
+         grid=(0.05, 800.0))  # exited 3 with nothing on stderr
+@settings(max_examples=60, deadline=None)
+def test_the_sphere_keeps_the_cli_contract(command, kappa, eps, solver, output, grid):
+    h, T = grid
+    argv = [command, "--kappa", repr(kappa), "--eps=" + repr(eps), "--h", repr(h), "--T", repr(T),
+            "--output", output]
+    if command == "trajectory":
+        argv += ["--solver", solver]
+    _keeps_the_cli_contract(argv, "out." + output)
+
+
+@given(kappas=st.lists(st.sampled_from([1e-16, 0.2, 2.0, 3.9, 3.999999, 4.0, 9.0, 9.0000001]),
+                       min_size=1, max_size=2),
+       eps=_EPS, solver=st.sampled_from(["closed-form", "ode", "ide"]), output=_OUTPUTS,
+       grid=_GRIDS)
+@settings(max_examples=40, deadline=None)
+def test_sweep_keeps_the_cli_contract(kappas, eps, solver, output, grid):
+    h, T = grid
+    _keeps_the_cli_contract(["sweep", "--kappas", ",".join(map(repr, kappas)), "--eps=" + repr(eps),
+                             "--solver", solver, "--h", repr(h), "--T", repr(T),
+                             "--output", output], "sweep", max_failures=len(kappas))
+
+
+@given(b=st.sampled_from([-2.0, -1.9999999, -1.0, -0.0, 1.5695228564229238, 1.9999999, 2.0]),
+       A=st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1.0, -1e308, 1.7e308]),
+       t0=st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1.7e308]),
+       solver=st.sampled_from(["closed-form", "ode"]), output=_OUTPUTS, grid=_GRIDS)
+@example(b=-0.0, A=1.0, t0=0.0, solver="ode", output="csv",
+         grid=(1e180, 5e180))  # the RK4 constants overflowed with a warning
+@example(b=-1.9999999, A=0.0, t0=0.0, solver="ode", output="csv",
+         grid=(5e-324, 5e-321))  # 0 / 0: the midpoint times (k + 1/2) h rounded to 0
+@example(b=-1.9999999, A=1.7e308, t0=0.0, solver="ode", output="csv",
+         grid=(5e-324, 5e-321))  # A / 0 warned, then the forcing overflowed with a warning
+@example(b=0.0, A=1.0, t0=8.98846567431158e307, solver="closed-form", output="csv",
+         grid=(8.988465674311579e307, 8.988465674311579e307))  # t + t0 overflowed with a warning
+@settings(max_examples=60, deadline=None)
+def test_the_oscillator_keeps_the_cli_contract(b, A, t0, solver, output, grid):
+    h, T = grid
+    _keeps_the_cli_contract(["trajectory", "--b", repr(b), "--A", repr(A), "--t0", repr(t0),
+                             "--solver", solver, "--h", repr(h), "--T", repr(T),
+                             "--output", output], "out." + output)
+
+
+@given(rho_s=st.sampled_from([0.0, -0.0, 5e-324, 1000.0, 1190.0, 1e300]),
+       rho=st.sampled_from([1000.0, 1e-300, 1e-180, 5e-324, 1.7e308]),
+       mu=st.sampled_from([0.1, 1e-300, 1.0, 9.0000001, 1.7e308]),
+       radius=st.sampled_from([1e-3, 1e-5, 1e-6, 1e-7, 1.0, 100.0, 1e-300]),
+       g=st.sampled_from([9.8, 5e-324, 1.7e308]), eps=_EPS, output=_OUTPUTS,
+       grid=st.sampled_from([(1e-4, 0.1), (1e-5, 0.01), (0.1, 0.5), (1e-3, 2.0), (10.0, 100.0),
+                             (1e290, 1e291), (5e-324, 5e-321)]))
+@example(rho_s=1190.0, rho=1000.0, mu=1e-300, radius=1.0, g=9.8, eps=0.0, output="csv",
+         grid=(1e290, 1e291))  # the Basset column overflowed with warnings, then exit 0 with NaN
+@settings(max_examples=60, deadline=None)
+def test_drag_keeps_the_cli_contract(rho_s, rho, mu, radius, g, eps, output, grid):
+    h, T = grid
+    _keeps_the_cli_contract(["drag", "--rho-s", repr(rho_s), "--rho", repr(rho), "--mu", repr(mu),
+                             "--radius", repr(radius), "--g", repr(g), "--eps=" + repr(eps),
+                             "--h", repr(h), "--T", repr(T), "--output", output],
+                            "out." + output)
 
 
 @pytest.mark.parametrize("solver", ["closed-form", "ide", "ode"])

@@ -1,6 +1,7 @@
 """Tests for the product-integration solver of the memory equation."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from direct_oracle import abel_history_direct, solve_ide_direct
+from mp_oracle import abel_cell_mp
 from spherefall import analytic
 from spherefall.ide import _abel_kernel, _causal_product, _reciprocal, abel_history, solve_ide
 from spherefall.trajectory import Trajectory, uniform_grid
@@ -59,6 +61,23 @@ def test_uniform_grid_rounds_the_horizon_to_whole_steps():
 # ----------------------------------------------------------------------
 # Abel quadrature weights, applied through the history read-back
 # ----------------------------------------------------------------------
+
+# Every lag to 100, then about 60 more spread geometrically up to 1e5.
+_KERNEL_LAGS = sorted(set(range(101)) | set(np.geomspace(100, 1e5, 60).astype(int)))
+
+
+@pytest.mark.parametrize("h", [1e-5, 1e-3, 0.05, 10.0])
+def test_kernel_coefficients_hold_a_few_ulps_at_every_lag(h):
+    # a[m] = far weight of cell m + near weight of cell m + 1, first[m] = far weight of
+    # cell m.  A difference of square roots would lose about log10(m) digits here.
+    n = _KERNEL_LAGS[-1]
+    a, first = _abel_kernel(n, h)
+    for m in _KERNEL_LAGS:
+        far = abel_cell_mp(m, h)[0] if m else 0
+        exact = far + abel_cell_mp(m + 1, h)[1]
+        assert abs(a[m] - exact) <= 2e-15 * exact, (m, a[m], exact)
+        assert abs(first[m] - far) <= 2e-15 * far, (m, first[m], far)
+
 
 def test_weights_constant_integrand_single_cell():
     hist = abel_history(np.ones(2), 0.25)
@@ -175,9 +194,13 @@ def test_solver_argument_validation():
         solve_ide(2.0, 0.0, -1e-2, 1.0)
     with pytest.raises(ValueError):
         solve_ide(2.0, 0.0, 1e-2, 1e-3)
-    for u0 in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="u0 must be finite"):
-            solve_ide(2.0, u0, 1e-2, 0.1)
+    # u0 is the sphere's eps: a non-finite one, or an amplitude (1 - u0) sqrt(kappa)
+    # past the largest double, fails as it does for the other sphere solvers.
+    for u0, kappa in ((math.nan, 2.0), (math.inf, 2.0), (-math.inf, 2.0), (-1.7e308, 3.9),
+                      (-1e308, 9.0)):
+        message = rf"^eps={re.escape(str(u0))} puts the amplitude .* at kappa={kappa}$"
+        with pytest.raises(ValueError, match=message):
+            solve_ide(kappa, u0, 1e-2, 0.1)
 
 
 def test_solve_ide_raises_where_the_solution_overflows():

@@ -218,6 +218,19 @@ def test_dimensional_trajectory_round_trip():
     assert np.max(np.abs(back_derivs - traj.derivatives)) <= 1e-12
 
 
+def test_dimensional_trajectory_reports_its_step_and_horizon_in_seconds():
+    # Solved with h = 1e-4 s to T = 0.01 s, as drag does: the SI meta must say so,
+    # not hold the viscous-time values h B and T B.
+    group = nondimensionalize(P_REF)
+    dim = dimensional_trajectory(group, ide.solve_ide(group.kappa, 0.0, 1e-4 * group.B,
+                                                      0.01 * group.B))
+    assert dim.meta["units"] == "SI"
+    assert abs(dim.meta["h"] - dim.step()) <= 1e-12 * dim.step()
+    assert abs(dim.meta["h"] - 1e-4) <= 1e-12 * 1e-4
+    assert abs(dim.meta["T"] - dim.times[-1]) <= 1e-12 * dim.times[-1]
+    assert abs(dim.meta["T"] - 0.01) <= 1e-12 * 0.01
+
+
 def test_dimensional_trajectory_approaches_terminal_velocity():
     group = nondimensionalize(P_REF)
     traj = ide.solve_ide(group.kappa, 0.0, 1e-2, 50.0)
