@@ -33,13 +33,9 @@ EXIT_VERIFICATION = 2
 EXIT_NUMERICAL = 3
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse default exits with code 2
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _finite_float(text: str) -> float:
@@ -175,23 +171,23 @@ def _sphere_trajectory(solver: str, kappa: float, eps: float, h: float, T: float
 
 
 # ----------------------------------------------------------------------
-# Commands: each reads its parsed arguments and returns the exit status
+# Commands: each reads its parsed arguments and returns 0 (or verify's 2); failures raise
 # ----------------------------------------------------------------------
 
 def _cmd_trajectory(args: argparse.Namespace) -> int:
     if args.b is None and args.kappa is None:
-        raise _UsageError("trajectory: provide --kappa (sphere) or --b (oscillator)")
+        raise ValueError("trajectory: provide --kappa (sphere) or --b (oscillator)")
     if args.b is not None and args.kappa is not None:
-        raise _UsageError("trajectory: --kappa and --b are mutually exclusive")
+        raise ValueError("trajectory: --kappa and --b are mutually exclusive")
     if args.b is None:
         if args.A is not None or args.t0 is not None:
-            raise _UsageError("trajectory: --A and --t0 apply to the oscillator (--b) only")
+            raise ValueError("trajectory: --A and --t0 apply to the oscillator (--b) only")
         eps = 0.0 if args.eps is None else args.eps
         traj = _sphere_trajectory(args.solver, args.kappa, eps, args.h, args.T)
     elif args.eps is not None:
-        raise _UsageError("trajectory: --eps applies to the sphere (--kappa) only")
+        raise ValueError("trajectory: --eps applies to the sphere (--kappa) only")
     elif args.solver == "ide":
-        raise _UsageError("the ide solver applies to the sphere problem only")
+        raise ValueError("the ide solver applies to the sphere problem only")
     else:
         A, t0 = 1.0 if args.A is None else args.A, 0.0 if args.t0 is None else args.t0
         ic = analytic.monotone_initial_conditions(args.b, A, t0)
@@ -199,8 +195,7 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
         traj = _solve_oscillator(args.solver, prob, args.h, args.T)
     _write_trajectory(args.output, traj, args.out)
     if traj.meta.get("diverged"):
-        print(f"numerical failure: RK4 diverged after t={traj.meta['T']:g}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise ArithmeticError(f"RK4 diverged after t={traj.meta['T']:g}")
     return EXIT_OK
 
 
@@ -223,17 +218,17 @@ def _sweep_one(args: argparse.Namespace, kappa: float, traj: Trajectory) -> dict
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.out == "-":
-        raise _UsageError("sweep: --out names the output directory; '-' (stdout) is not one")
+        raise ValueError("sweep: --out names the output directory; '-' (stdout) is not one")
     try:
         kappas = [float(s) for s in args.kappas.split(",") if s.strip()]
     except ValueError as exc:
-        raise _UsageError(f"sweep: bad --kappas list: {exc}") from exc
+        raise ValueError(f"sweep: bad --kappas list: {exc}") from exc
     if not kappas:
-        raise _UsageError("sweep: --kappas list is empty")
+        raise ValueError("sweep: --kappas list is empty")
     files = [_sweep_file(k, args.output) for k in kappas]
     clash = next((f for f in files if files.count(f) > 1), None)
     if clash is not None:
-        raise _UsageError(f"sweep: two kappas share the output file {clash}")
+        raise ValueError(f"sweep: two kappas share the output file {clash}")
     # Every kappa is solved before the directory is made, so a bad one leaves no output.
     solved = [(k, _sphere_trajectory(args.solver, k, args.eps, args.h, args.T)) for k in kappas]
     os.makedirs(args.out, exist_ok=True)
@@ -246,11 +241,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"{r['kappa']!r},{r['terminal_error']!r},{str(r['monotone']).lower()},{r['file']}"
             for r in results]
         _atomic_write(summary_path, ("\n".join(lines) + "\n").encode("ascii"))
-    diverged = [(k, traj) for k, traj in solved if traj.meta.get("diverged")]
-    for k, traj in diverged:
-        print(f"numerical failure: RK4 diverged at kappa={k:g} after t={traj.meta['T']:g}",
-              file=sys.stderr)
-    return EXIT_NUMERICAL if diverged else EXIT_OK
+    diverged = [f"RK4 diverged at kappa={k:g} after t={traj.meta['T']:g}"
+                for k, traj in solved if traj.meta.get("diverged")]
+    if diverged:
+        raise ArithmeticError("\n".join(diverged))
+    return EXIT_OK
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -267,8 +262,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         _atomic_write(args.out + ".summary.json", _json_text(sup_norm=sup))
     print(f"sup-norm ide={sup['ide']:.6g} ode={sup['ode']:.6g}", file=sys.stderr)
     if ode_traj.meta["diverged"]:
-        print(f"numerical failure: RK4 diverged after t={ode_traj.meta['T']:g}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise ArithmeticError(f"RK4 diverged after t={ode_traj.meta['T']:g}")
     return EXIT_OK
 
 
@@ -375,11 +369,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.handler(args)
-    except (_UsageError, ValueError, OSError, MemoryError) as exc:  # unwritable; unallocatable
+    except (ValueError, OSError, MemoryError) as exc:  # unwritable; unallocatable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:  # includes OverflowError and AccuracyError
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        for line in str(exc).split("\n"):  # a sweep names each diverged kappa on its own line
+            print(f"numerical failure: {line}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

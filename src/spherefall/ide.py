@@ -80,7 +80,8 @@ def abel_history(samples: np.ndarray, h: float) -> np.ndarray:
     uniform grid, applied at every k at once as one causal FFT
     convolution: O(n log n) for n + 1 samples.  Entry 0 is 0.  This is
     the library's only read-back of the memory integral: the Basset
-    force and the Abel inversion check both go through it.
+    force and the Abel inversion check both go through it.  A history
+    that is not finite raises ArithmeticError, as an overflowing solve does.
     """
     f = np.asarray(samples, dtype=float)
     if f.ndim != 1 or len(f) == 0:
@@ -88,9 +89,12 @@ def abel_history(samples: np.ndarray, h: float) -> np.ndarray:
     if not 0.0 < h < math.inf:
         raise ValueError(f"abel_history: h must be finite and > 0, got {h}")
     n = len(f) - 1
-    a, first = _abel_kernel(n, h)
     out = np.zeros(n + 1)
-    out[1:] = _causal_product(a[:n], f[1:], n) + first[1:] * f[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        a, first = _abel_kernel(n, h)
+        out[1:] = _causal_product(a[:n], f[1:], n) + first[1:] * f[0]
+    if not np.isfinite(out).all():
+        raise ArithmeticError(f"abel_history: the history is not finite at h={h:g}")
     return out
 
 

@@ -468,18 +468,20 @@ def test_compare_reports_an_rk4_divergence_with_exit_three(tmp_path, capsys):
 
 
 def test_sweep_reports_an_rk4_divergence_with_exit_three(tmp_path, capsys):
-    # Every file is written; only the diverged kappa is named, once.
+    # Every file is written; each diverged kappa is named once, in the order given.
     out = tmp_path / "sweep"
-    code = main(["sweep", "--solver", "ode", "--kappas", "3.9,1", "--T", "800", "--h", "0.05",
+    code = main(["sweep", "--solver", "ode", "--kappas", "3.9,1,3.8", "--T", "800", "--h", "0.05",
                  "--out", str(out)])
     assert code == 3
     _, rows = _read_csv(out / "trajectory_kappa_3.9.csv")
-    assert 1 < len(rows) < 16001
+    _, rows_38 = _read_csv(out / "trajectory_kappa_3.8.csv")
+    assert 1 < len(rows) < len(rows_38) < 16001
     _, full = _read_csv(out / "trajectory_kappa_1.csv")
     assert len(full) == 16001
-    assert len((out / "sweep_summary.csv").read_text().splitlines()) == 3
+    assert len((out / "sweep_summary.csv").read_text().splitlines()) == 4
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"numerical failure: RK4 diverged at kappa=3.9 after t={rows[-1, 0]:g}"]
+    assert err == [f"numerical failure: RK4 diverged at kappa=3.9 after t={rows[-1, 0]:g}",
+                   f"numerical failure: RK4 diverged at kappa=3.8 after t={rows_38[-1, 0]:g}"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -546,43 +548,77 @@ def _numbers(doc):
     return [float(doc)] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
 
 
-def _parsed_cells(path):
+def _parsed_cells(name, text):
     """Every number an output file holds, as floats."""
-    with open(path) as fh:
-        if path.endswith(".json"):
-            return _numbers(json.load(fh))
-        header = next(fh).rstrip("\n").split(",")
-        width = 2 if header[-1] == "file" else len(header)  # a sweep summary ends in a flag, a name
-        return [float(c) for line in fh for c in line.rstrip("\n").split(",")[:width]]
+    if name.endswith(".json"):
+        return _numbers(json.loads(text))
+    header, *rows = text.splitlines()
+    # A sweep summary ends in a flag and a file name.
+    width = 2 if header.endswith(",file") else header.count(",") + 1
+    return [float(c) for row in rows for c in row.split(",")[:width]]
 
 
-def _keeps_the_cli_contract(argv, out, max_failures=1):
-    """Run argv with --out in a fresh directory and hold the run to the CLI contract.
+def _last_time(name, text):
+    """The final time of a trajectory or compare file, CSV or JSON."""
+    if name.endswith(".json"):
+        return json.loads(text)["t"][-1]
+    return float(text.splitlines()[-1].split(",")[0])
 
-    Exit 0 writes finite cells that parse; exit 1 writes nothing and says one error line;
-    exit 3 says one numerical failure line (sweep one per diverged kappa, up to
-    max_failures); nothing warns.
+
+def _run_in_a_fresh_directory(argv, out):
+    """Run argv with --out in a fresh directory, every warning raised as an error.
+
+    Returns the exit code, stdout, the stderr lines and the text of each written file,
+    keyed by its path in the directory.
     """
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main([*argv, "--out", os.path.join(tmp, out)])
-        written = [os.path.join(root, f) for root, _, files in os.walk(tmp) for f in sorted(files)]
-        cells = [c for path in written for c in _parsed_cells(path)]
-    err = stderr.getvalue().splitlines()
-    assert stdout.getvalue() == ""
+        written = {}
+        for root, _, files in os.walk(tmp):
+            for f in files:
+                with open(os.path.join(root, f)) as fh:
+                    written[os.path.relpath(fh.name, tmp)] = fh.read()
+    return code, stdout.getvalue(), stderr.getvalue().splitlines(), written
+
+
+_RK4_DIVERGED = re.compile(r"numerical failure: RK4 diverged (?:at kappa=(\S+) )?after t=(\S+)")
+
+
+def _keeps_the_cli_contract(argv, out, kept=()):
+    """Run argv with --out in a fresh directory and hold the run to the CLI contract.
+
+    Nothing warns.  Exit 0 writes finite cells that parse; exit 1 writes nothing and says
+    one error line.  Exit 3 says one numerical failure line and writes nothing, unless RK4
+    diverged: then it says one line per diverged run (in a sweep, per diverged kappa),
+    writes exactly the files kept, with finite cells, and each diverged run's file ends
+    at the time its line names.
+    """
+    code, stdout, err, written = _run_in_a_fresh_directory(argv, out)
+    assert stdout == ""
     assert code in (0, 1, 3), err
     if code == 1:
-        assert written == [] and len(err) == 1 and err[0].startswith("error: "), err
+        assert written == {} and len(err) == 1 and err[0].startswith("error: "), err
         return
+    cells = [c for name, text in written.items() for c in _parsed_cells(name, text)]
     assert all(math.isfinite(c) for c in cells)  # also the rows a diverged RK4 run keeps
     if code == 0:
         assert written and cells
-    else:
-        failures = [line for line in err if line.startswith("numerical failure: ")]
-        assert 1 <= len(failures) <= max_failures, err
-        assert len(err) <= len(failures) + 1, err  # compare adds its sup-norm line
+        return
+    failures = [line for line in err if line.startswith("numerical failure: ")]
+    assert failures and len(err) <= len(failures) + 1, err  # compare adds its sup-norm line
+    diverged = [_RK4_DIVERGED.fullmatch(line) for line in failures]
+    if not any(diverged):  # an IDE overflow, drag's balance check, the Abel read-back
+        assert written == {} and len(failures) == 1, (err, list(written))
+        return
+    assert all(diverged) and sorted(written) == sorted(kept), (err, list(written))
+    for match in diverged:
+        kappa, t = match.groups()
+        name = out if kappa is None else next(
+            n for n in written if os.path.basename(n).startswith(f"trajectory_kappa_{kappa}."))
+        assert f"{_last_time(name, written[name]):g}" == t, (name, err)
 
 
 # The extremes of the CLI grammar; every grid has at most 2000 steps.
@@ -600,26 +636,35 @@ _OUTPUTS = st.sampled_from(["csv", "json"])
          grid=(0.1, 1.0))  # wrote -inf cells and exited 0
 @example(command="trajectory", kappa=3.9, eps=0.0, solver="ode", output="csv",
          grid=(0.05, 800.0))  # exited 3 with nothing on stderr
+@example(command="compare", kappa=3.9, eps=0.0, solver="ode", output="csv",
+         grid=(0.05, 800.0))  # RK4 diverges: the columns and the summary are kept
 @settings(max_examples=60, deadline=None)
 def test_the_sphere_keeps_the_cli_contract(command, kappa, eps, solver, output, grid):
     h, T = grid
     argv = [command, "--kappa", repr(kappa), "--eps=" + repr(eps), "--h", repr(h), "--T", repr(T),
             "--output", output]
+    out, kept = "out." + output, ["out." + output]
     if command == "trajectory":
         argv += ["--solver", solver]
-    _keeps_the_cli_contract(argv, "out." + output)
+    elif output == "csv":
+        kept.append(out + ".summary.json")
+    _keeps_the_cli_contract(argv, out, kept)
 
 
 @given(kappas=st.lists(st.sampled_from([1e-16, 0.2, 2.0, 3.9, 3.999999, 4.0, 9.0, 9.0000001]),
                        min_size=1, max_size=2),
        eps=_EPS, solver=st.sampled_from(["closed-form", "ode", "ide"]), output=_OUTPUTS,
        grid=_GRIDS)
+@example(kappas=[3.9, 2.0], eps=0.0, solver="ode", output="json",
+         grid=(0.05, 800.0))  # RK4 diverges at 3.9: every file and the summary are kept
 @settings(max_examples=40, deadline=None)
 def test_sweep_keeps_the_cli_contract(kappas, eps, solver, output, grid):
     h, T = grid
+    kept = [os.path.join("sweep", name) for name in
+            [cli._sweep_file(k, output) for k in kappas] + [f"sweep_summary.{output}"]]
     _keeps_the_cli_contract(["sweep", "--kappas", ",".join(map(repr, kappas)), "--eps=" + repr(eps),
                              "--solver", solver, "--h", repr(h), "--T", repr(T),
-                             "--output", output], "sweep", max_failures=len(kappas))
+                             "--output", output], "sweep", kept)
 
 
 @given(b=st.sampled_from([-2.0, -1.9999999, -1.0, -0.0, 1.5695228564229238, 1.9999999, 2.0]),
@@ -639,7 +684,7 @@ def test_the_oscillator_keeps_the_cli_contract(b, A, t0, solver, output, grid):
     h, T = grid
     _keeps_the_cli_contract(["trajectory", "--b", repr(b), "--A", repr(A), "--t0", repr(t0),
                              "--solver", solver, "--h", repr(h), "--T", repr(T),
-                             "--output", output], "out." + output)
+                             "--output", output], "out." + output, ["out." + output])
 
 
 @given(rho_s=st.sampled_from([0.0, -0.0, 5e-324, 1000.0, 1190.0, 1e300]),
@@ -658,6 +703,26 @@ def test_drag_keeps_the_cli_contract(rho_s, rho, mu, radius, g, eps, output, gri
                              "--radius", repr(radius), "--g", repr(g), "--eps=" + repr(eps),
                              "--h", repr(h), "--T", repr(T), "--output", output],
                             "out." + output)
+
+
+@given(h=st.sampled_from([1e-3, 0.01, 0.1, 0.5, 1.0, 10.0, 1e180, 5e-324, 0.0, -1.0]),
+       points=st.sampled_from([-1, 0, 1, 2, 20]))
+@example(h=-1.0, points=2)  # a TypeError traceback: the tolerance took a complex power of h
+@settings(max_examples=30, deadline=None)
+def test_verify_keeps_the_cli_contract(h, points):
+    # Exit 2 writes its report as exit 0 does; both print one PASS or FAIL line per report.
+    code, stdout, err, written = _run_in_a_fresh_directory(
+        ["verify", "--h=" + repr(h), "--points=" + repr(points)], "verify.json")
+    assert code in (0, 1, 2), err
+    if code == 1:
+        assert (stdout, written, len(err)) == ("", {}, 1) and err[0].startswith("error: "), err
+        return
+    assert err == [] and list(written) == ["verify.json"]
+    report = json.loads(written["verify.json"])
+    assert report["passed"] is (code == 0)
+    verdicts = ["PASS" if r["passed"] else "FAIL" for r in report["reports"]]
+    assert [line.split(" ", 1)[0] for line in stdout.splitlines()] == verdicts
+    assert code == 0 or "FAIL" in verdicts
 
 
 @pytest.mark.parametrize("solver", ["closed-form", "ide", "ode"])

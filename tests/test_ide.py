@@ -240,6 +240,21 @@ def test_abel_history_single_sample_and_validation():
             abel_history(np.ones(5), h)
 
 
+def test_abel_history_raises_where_the_history_is_not_finite():
+    # The weights overflow at h = 1e300 and the products at samples of 1e308: an
+    # ArithmeticError naming h, as an overflowing solve raises, and no numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for samples, h in ((np.ones(5), 1e300), (np.full(5, 1e308), 1.0)):
+            with pytest.raises(ArithmeticError,
+                               match=re.escape(f"abel_history: the history is not finite at h={h:g}")):
+                abel_history(samples, h)
+        # A step whose history stays finite reads back as before, bit for bit.
+        assert abel_history(np.ones(5), 1e200).tolist() == [
+            0.0, 2.0000000000000004e+100, 2.82842712474619e+100, 3.4641016151377543e+100,
+            3.999999999999999e+100]
+
+
 # ----------------------------------------------------------------------
 # Basset history integral of a velocity record
 # ----------------------------------------------------------------------
