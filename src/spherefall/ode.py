@@ -31,7 +31,9 @@ __all__ = [
 
 _OVERFLOW_GUARD = 1e280
 _BOOTSTRAP_STEPS = 32  # closed-form grid states that start every run, at any t0
-_BLOCK_STEPS = 1024  # steps per block of forcing samples and states, to keep memory flat
+_BLOCK_STEPS = 16384  # steps per segment of forcing samples and scan temporaries, to keep memory flat
+_SCAN_STEPS = 1024  # most steps in one block of the prefix scan; divides _BLOCK_STEPS
+_POWER_BOUND = 4.0  # largest entry of P^j - I that a scan block may use; see _step_powers
 
 
 @dataclass(frozen=True)
@@ -90,14 +92,71 @@ def classify_homogeneous(b: float) -> StabilityClass:
     return StabilityClass(root_kind=kind, re_sign=sign)
 
 
+def _step_powers(E: np.ndarray) -> np.ndarray:
+    """E_j = P^j - I for j = 1, ..., L as an (L, 2, 2) array, P = I + E.
+
+    Doubled in increment form, E_{m+j} = (E_m + E_j) + E_m E_j: a rounded
+    P = I + E would lose E's low bits.  L is the largest power of two up to
+    ``_SCAN_STEPS`` whose powers all stay within ``_POWER_BOUND`` (1 if E
+    itself does not).  The bound keeps a block's start state s from
+    cancelling in s + E_j s by more than a few ulps of s (the bounded run of
+    an unstable oscillator is such a cancellation), and every power far from
+    overflow, where a power times a zero state would give inf * 0 = NaN.
+    """
+    powers = E[None]
+    while len(powers) < _SCAN_STEPS:
+        more = (powers[-1] + powers) + powers[-1] @ powers
+        if not np.max(np.abs(more)) <= _POWER_BOUND:  # a NaN power stops too
+            break
+        powers = np.concatenate([powers, more])
+    return powers
+
+
+def _scan(gx: np.ndarray, gy: np.ndarray, x: float, y: float, powers: np.ndarray) -> np.ndarray:
+    """The states x_1, ..., x_m of x_{k+1} = P x_k + g_k from x_0 = (x, y), as a (2, m) array.
+
+    A blocked prefix scan over blocks of L = len(powers) steps.  Within all
+    blocks at once, log2 L doubling passes u[d:] += P^d u[:-d] turn the
+    forcing into each block's response from rest, u_j = sum_i P^(j-i) g_i
+    (each term meets at most log2 L rounded P^d, so these need no increment
+    form).  One 2x2 step per block carries its start state s, and the
+    states are x = s + (E_j s + u_j).  L = 1 is the fused step itself.
+    """
+    L, m = len(powers), len(gx)
+    blocks = -(-m // L)
+    u, w = np.zeros((2, blocks * L))
+    u[:m], w[:m] = gx, gy
+    u, w = u.reshape(blocks, L), w.reshape(blocks, L)
+    d = 1
+    while d < L:
+        (e00, e01), (e10, e11) = powers[d - 1].tolist()
+        pu, pw = u[:, :-d], w[:, :-d]
+        du, dw = (1.0 + e00) * pu + e01 * pw, e10 * pu + (1.0 + e11) * pw
+        u[:, d:] += du
+        w[:, d:] += dw
+        d *= 2
+    (e00, e01), (e10, e11) = powers[-1].tolist()
+    starts = []
+    for cu, cw in zip(u[:, -1].tolist(), w[:, -1].tolist()):
+        starts.append((x, y))
+        x, y = x + (e00 * x + e01 * y + cu), y + (e10 * x + e11 * y + cw)
+    sx, sy = np.array(starts).T[:, :, None]
+    (e00, e01), (e10, e11) = powers.transpose(1, 2, 0)
+    states = np.array([sx + (e00 * sx + e01 * sy + u), sy + (e10 * sx + e11 * sy + w)])
+    return states.reshape(2, -1)[:, :m]
+
+
 def solve_oscillator(prob: OscillatorProblem, h: float, T: float) -> Trajectory:
     """Integrate the forced oscillator to the horizon T with fixed step h.
 
     RK4 on x' = Mx + F(t), M = [[0, 1], [-1, -b]], F = (0, -G), is exactly
-    x_{k+1} = x_k + (E x_k + Q0 F(t_k) + Qh F(t_k + h/2) + Q1 F(t_{k+1})) with
-    Z = hM, E = Z + Z^2/2 + Z^3/6 + Z^4/24 (the stability function minus I),
+    x_{k+1} = x_k + (E x_k + g_k), g_k = Q0 F(t_k) + Qh F(t_k + h/2) + Q1 F(t_{k+1}),
+    with Z = hM, E = Z + Z^2/2 + Z^3/6 + Z^4/24 (the stability function minus I),
     Q0 = (h/6)(I + Z + Z^2/2 + Z^3/4), Qh = (h/6)(4I + 2Z + Z^2/2), Q1 = (h/6)I.
-    The forcing is sampled in numpy blocks; a step is four multiply-adds.
+    The forcing is sampled in numpy segments of ``_BLOCK_STEPS`` steps, and
+    each segment is one blocked prefix scan (``_scan``) of the affine step
+    x_{k+1} = P x_k + g_k, P = I + E, with no Python loop per step; its
+    powers P^j - I and block length come from ``_step_powers``.
 
     The k-th forcing derivative grows like (t + t0)^(-k-1/2), too fast near
     t + t0 = 0 for a one-step method to hold its order, so at every t0 the
@@ -120,7 +179,7 @@ def solve_oscillator(prob: OscillatorProblem, h: float, T: float) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN states fail the guard
         Z = h * np.array([[0.0, 1.0], [-1.0, -b]])
         Z2 = Z @ Z
-        (e00, e01), (e10, e11) = (Z + Z2 / 2.0 + Z2 @ Z / 6.0 + Z2 @ Z2 / 24.0).tolist()
+        powers = _step_powers(Z + Z2 / 2.0 + Z2 @ Z / 6.0 + Z2 @ Z2 / 24.0)
         q0 = (h / 6.0) * (np.eye(2) + Z + Z2 / 2.0 + Z2 @ Z / 4.0)[:, 1]
         qh = (h / 6.0) * (4.0 * np.eye(2) + 2.0 * Z + Z2 / 2.0)[:, 1]
         last = n
@@ -130,14 +189,7 @@ def solve_oscillator(prob: OscillatorProblem, h: float, T: float) -> Trajectory:
             f = -A / (SQRT_PI * np.sqrt(np.arange(2 * k0, 2 * k1 + 1) / 2 * h + t0))
             gx = q0[0] * f[:-1:2] + qh[0] * f[1::2]
             gy = q0[1] * f[:-1:2] + qh[1] * f[1::2] + (h / 6.0) * f[2::2]
-            x, y = float(v[k0]), float(dv[k0])
-            xs, ys = [], []
-            # Increment form: a step with I + E rounds E to eps, eps/h relative per increment.
-            for cx, cy in zip(gx.tolist(), gy.tolist()):
-                x, y = x + (e00 * x + e01 * y + cx), y + (e10 * x + e11 * y + cy)
-                xs.append(x)
-                ys.append(y)
-            block = np.array([xs, ys])
+            block = _scan(gx, gy, float(v[k0]), float(dv[k0]), powers)
             v[k0 + 1 : k1 + 1], dv[k0 + 1 : k1 + 1] = block
             ok = np.max(np.abs(block), axis=0) <= _OVERFLOW_GUARD  # NaN and inf fail too
             if not ok.all():

@@ -2,10 +2,14 @@
 
 This is the straightforward loop: four right-hand-side evaluations per
 step on the first-order system x' = y, y' = -x - b y - G(t).  The
-library takes the same steps as one fused linear update, which groups
-the floating-point operations differently, so the tests compare the
-two to a tolerance.  The closed-form bootstrap of the first grid states,
-taken at every t0, and the overflow guard are the library's own.
+library takes the same steps as a blocked prefix scan of the fused
+affine step x_{k+1} = P x_k + g_k: doubling passes within blocks of up
+to 1024 steps, a carry of each block's start state, and the powers
+P^j - I doubled in increment form.  That groups the floating-point
+operations differently, so the tests compare the two to a tolerance,
+and the row where a diverging run is cut exactly.  The closed-form
+bootstrap of the first grid states, taken at every t0, and the overflow
+guard are the library's own.
 """
 
 from __future__ import annotations

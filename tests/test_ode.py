@@ -1,15 +1,20 @@
 """Tests for the oscillator integrator and stability classifier."""
 
 import math
+import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spherefall import analytic
 from spherefall.ode import (
+    _POWER_BOUND,
+    _SCAN_STEPS,
     OscillatorProblem,
+    _step_powers,
     classify_homogeneous,
     solve_oscillator,
 )
@@ -213,6 +218,93 @@ def test_diverging_sphere_stops_at_the_same_row_as_the_loop():
     assert traj.meta["diverged"] is True
     assert len(traj.values) == len(v) == 13979  # of 16001 grid points
     assert np.all(np.isfinite(traj.values))
+
+
+def test_zero_problem_stays_zero_where_the_step_powers_grow_fast():
+    # |P| is 2e3 here and |P^8| 5e22, so P^1024 overflows: a scan block that
+    # used it would turn the zero state into inf * 0 = NaN and flag a false
+    # divergence.  The block length stops where the powers pass their bound.
+    prob = OscillatorProblem(b=-1.9, A=0.0, t0=1.0, v0=0.0, v0_prime=0.0)
+    traj = solve_oscillator(prob, 10.0, 20000.0)
+    assert traj.meta["diverged"] is False
+    assert len(traj.values) == 2001
+    assert np.all(traj.values == 0.0) and np.all(traj.derivatives == 0.0)
+
+
+def _rk4_increment(b, h):
+    Z = h * np.array([[0.0, 1.0], [-1.0, -b]])
+    Z2 = Z @ Z
+    return Z + Z2 / 2.0 + Z2 @ Z / 6.0 + Z2 @ Z2 / 24.0
+
+
+@pytest.mark.parametrize("b, h, L", [(-1.0, 1e-3, 1024), (-1.0, 1e-2, 128),
+                                     (0.5, 0.1, 1024), (-2.0, 0.05, 16), (-1.9, 10.0, 1)])
+def test_step_powers_stay_within_their_bound_and_match_the_exact_powers(b, h, L):
+    # E_j = P^j - I, P = I + E, doubled in increment form: within a few ulps
+    # of |P^j| of the exact powers of the double E, at every j up to L.
+    E = _rk4_increment(b, h)
+    powers = _step_powers(E)
+    assert len(powers) == L <= _SCAN_STEPS
+    assert L == 1 or np.max(np.abs(powers)) <= _POWER_BOUND
+    with mpmath.workdps(40):
+        P = mpmath.eye(2) + mpmath.matrix(E.tolist())
+        Pj = mpmath.eye(2)
+        for j in range(L):
+            Pj = Pj * P
+            exact = np.array((Pj - mpmath.eye(2)).tolist(), dtype=float)
+            scale = max(1.0, float(max(abs(x) for x in Pj)))
+            assert np.max(np.abs(powers[j] - exact)) <= 8 * np.finfo(float).eps * scale
+
+
+def test_unstable_sphere_matches_the_four_stage_loop():
+    # kappa = 2.5 grows like exp(t/4): the scan and the loop group their
+    # roundings differently, and the increment-form powers keep them 8e-14
+    # apart over 20000 steps.  Powers formed from a rounded P = I + E drift
+    # by eps/h relative per step instead.
+    prob = OscillatorProblem.sphere(2.5, 0.0)
+    traj = solve_oscillator(prob, 1e-3, 20.0)
+    v, dv = solve_oscillator_loop(prob, 1e-3, 20.0)
+    assert len(traj.values) == len(v) == 20001 and not traj.meta["diverged"]
+    assert np.max(np.abs(traj.values - v)) <= 5e-13
+    assert np.max(np.abs(traj.derivatives - dv)) <= 5e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    b=st.floats(-1.99, -0.1),
+    A=st.floats(-2.0, 2.0),
+    t0=st.floats(0.1, 10.0),
+    h=st.floats(1e-2, 3.0),
+    v0=st.floats(-1.0, 1.0),
+    v0_prime=st.floats(-1.0, 1.0),
+)
+def test_unstable_run_stops_at_the_same_row_as_the_loop(b, A, t0, h, v0, v0_prime):
+    # The run is cut before the first state past the overflow guard, or NaN:
+    # the scan and the four-stage loop agree on that row, and on whether it exists.
+    prob = OscillatorProblem(b=b, A=A, t0=t0, v0=v0, v0_prime=v0_prime)
+    traj = solve_oscillator(prob, h, 3000 * h)
+    v, _ = solve_oscillator_loop(prob, h, 3000 * h)
+    assert len(traj.values) == len(v)
+    assert traj.meta["diverged"] is (len(v) < 3001)
+    assert np.all(np.isfinite(traj.values)) and np.all(np.isfinite(traj.derivatives))
+
+
+def test_memory_stays_flat_at_large_n():
+    # The forcing and the scan's temporaries live one segment of
+    # _BLOCK_STEPS steps at a time: at n = 2e5 the peak is 1.4 times the
+    # returned arrays (times, v, v'), which the grid's own construction sets.
+    # A scan over the whole grid at once peaks at 4.7 times.
+    prob = OscillatorProblem.sphere(2.5, 0.0)
+    solve_oscillator(prob, 1e-3, 1.0)
+    tracemalloc.start()
+    try:
+        traj = solve_oscillator(prob, 1e-3, 200.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) == 200001
+    out = traj.times.nbytes + traj.values.nbytes + traj.derivatives.nbytes
+    assert peak <= 2.0 * out
 
 
 def test_solver_argument_validation():
