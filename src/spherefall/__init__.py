@@ -16,7 +16,6 @@ from .analytic import (
     CharRoots,
     MonotoneIC,
     char_roots,
-    general_state,
     monotone_initial_conditions,
     monotone_kernel_M,
     u_rest,

@@ -3,11 +3,11 @@
 Covers the characteristic roots of m^2 + (2-kappa)m + 1, the monotone kernel M(t) of the
 damped oscillator with 1/sqrt(pi(t+t0)) forcing, the sphere released with u(0) = eps,
 which is that oscillator: u(tau) = 1 + (1 - eps) sqrt(kappa) M(tau; b = 2 - kappa)
-(``_sphere`` alone maps kappa to (b, A) and checks kappa in (0, 4) and a finite A), the
-general solution from any initial state, and the unique initial conditions whose
-trajectory stays monotone despite an unstable homogeneous problem.  Every closed-form
-value comes from one evaluator of (M, M'), one Faddeeva evaluation: the roots are a
-conjugate pair, so M and M' are imaginary parts over Im alpha.
+(``_sphere`` alone maps kappa to (b, A) and checks kappa in (0, 4) and a finite A), and
+the unique initial conditions whose trajectory stays monotone despite an unstable
+homogeneous problem.  Every closed-form value comes from one evaluator of (M, M'), one
+Faddeeva evaluation: the roots are a conjugate pair, so M and M' are imaginary parts
+over Im alpha.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "u_rest_derivative",
     "monotone_kernel_M",
     "monotone_kernel_samples",
-    "general_state",
     "monotone_initial_conditions",
 ]
 
@@ -172,31 +171,6 @@ def monotone_kernel_samples(times, b, A, t0: float):
     va = faddeeva(1j * sqrt_alpha * np.sqrt(t))
     return (A * ((sqrt_alpha.conjugate() * va).imag / alpha.imag),
             A * ((sqrt_alpha * va).imag / alpha.imag))
-
-
-def general_state(t, b: float, A: float, t0: float, v0: float, v0_prime: float):
-    """Value and derivative at t >= 0, a float or an array, of the solution with v(0)=v0, v'(0)=v0'.
-
-    Decomposed against the bounded particular solution A*M(t+t0): the
-    coefficients of exp(alpha t) and exp(beta t) match the initial-condition
-    mismatch (v0 - A M(t0), v0' - A M'(t0)), so the monotone initial
-    conditions yield exactly v(t) = A M(t+t0) with no cancellation of
-    exponentially large terms.  The coefficient of exp(beta t) is the
-    conjugate of c1, so the two modes sum to 2 Re(c1 exp(alpha t)).  An
-    array of times gives arrays of its shape, equal to the element-wise
-    calls up to the last bits.
-    """
-    _require(t >= 0.0, t, "t must be >= 0, got {}")
-    _require(t < math.inf, t, "t must be finite, got {}")
-    ic = monotone_initial_conditions(b, A, t0)
-    w0, w0_prime = v0 - ic.v0, v0_prime - ic.v0_prime
-    alpha = _roots_from_damping(b)[0]
-    beta = alpha.conjugate()
-    c1 = (beta * w0 - w0_prime) / (beta - alpha)
-    am, adm = monotone_kernel_samples(t, b, A, t0)
-    with np.errstate(over="raise"):  # a mode too large for a double raises, never returns inf
-        ea = np.exp(alpha * t)
-        return 2.0 * (c1 * ea).real + am, 2.0 * (c1 * alpha * ea).real + adm
 
 
 def monotone_initial_conditions(b: float, A: float, t0: float) -> MonotoneIC:

@@ -5,10 +5,10 @@ The initial value problem is
     v'' + b v' + v = -A / sqrt(pi (t + t0)),    t >= 0,
 
 integrated as the first-order system x' = y, y' = -x - b y - G(t) with
-classical fourth-order Runge-Kutta at a fixed step.  Every run takes
-its first few grid states from the closed-form solution (the library
-owns it) before the integrator takes over; see ``solve_oscillator``.
-The sphere is one member of the family; see ``OscillatorProblem.sphere``.
+classical fourth-order Runge-Kutta at a fixed step, started across the
+forcing's singularity by its own Taylor series in sqrt(t + t0); see
+``solve_oscillator``.  The sphere is one member of the family; see
+``OscillatorProblem.sphere``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ __all__ = [
 ]
 
 _OVERFLOW_GUARD = 1e280
-_BOOTSTRAP_STEPS = 32  # closed-form grid states that start every run, at any t0
+_SERIES_END = 1.0  # the series start covers the nodes with t + t0 <= _SERIES_END
+_SERIES_TERMS = 128  # most Taylor terms of the series start; one that needs more flags the run
 _BLOCK_STEPS = 16384  # steps per segment of forcing samples and scan temporaries, to keep memory flat
 _SCAN_STEPS = 1024  # most steps in one block of the prefix scan; divides _BLOCK_STEPS
 _POWER_BOUND = 4.0  # largest entry of P^j - I that a scan block may use; see _step_powers
@@ -146,6 +147,48 @@ def _scan(gx: np.ndarray, gy: np.ndarray, x: float, y: float, powers: np.ndarray
     return states.reshape(2, -1)[:, :m]
 
 
+def _series_start(prob: OscillatorProblem, times: np.ndarray, x: np.ndarray) -> tuple[int, bool]:
+    """(m, ok): fill x[:, 1 : m + 1] from x[:, 0] at the m nodes with t + t0 <= ``_SERIES_END``.
+
+    In s = sqrt(t + t0), dv/ds = 2 s v' and dv'/ds = -2 s (v + b v') - 2A/sqrt(pi): v and v'
+    are entire in s.  Their Taylor coefficients in sigma = s - s0, s0 = sqrt(t0), follow from
+    j c_j = 2 (s0 y_{j-1} + y_{j-2}), j y_j = -2 (s0 (c_{j-1} + b y_{j-1}) + c_{j-2} + b y_{j-2}),
+    less 2A/sqrt(pi) at j = 1.  Horner in sigma_k = t_k / (s_k + s0) (no cancellation) sums
+    them until two terms in a row, at the last node, are below half an ulp of the largest.
+    Node 1 is a series node at least; none is from t0 on.  ok is False past ``_SERIES_TERMS``
+    terms, where a term or a state overflows, or where the terms outgrow the states 2^26-fold.
+    """
+    b, t0 = prob.b, prob.t0
+    if not t0 < _SERIES_END:
+        return 0, True
+    m = min(len(times) - 1, max(1, int(np.searchsorted(times, _SERIES_END - t0, "right")) - 1))
+    s0, t = math.sqrt(t0), times[1 : m + 1]
+    sigma = t + t0
+    np.sqrt(sigma, out=sigma)
+    sigma += s0
+    np.divide(t, sigma, out=sigma)
+    c, y = [0.0, prob.v0], [0.0, prob.v0_prime]  # from j = -1, whose coefficients are zero
+    force, reach, power = 2.0 * prob.A / SQRT_PI, float(sigma[-1]), 1.0
+    term = largest = max(abs(prob.v0), abs(prob.v0_prime))
+    for j in range(1, _SERIES_TERMS):
+        c.append(2.0 * (s0 * y[j] + y[j - 1]) / j)
+        y.append(-(2.0 * (s0 * (c[j] + b * y[j]) + c[j - 1] + b * y[j - 1]) + force) / j)
+        force, power = 0.0, power * reach
+        previous, term = term, max(abs(c[-1]), abs(y[-1])) * power
+        largest = max(largest, term)
+        if max(previous, term) <= 2.0**-53 * largest:
+            break
+    else:
+        return m, False
+    states = x[:, 1 : m + 1]
+    states[:] = [[c[-1]], [y[-1]]]
+    for cj, yj in zip(c[-2:0:-1], y[-2:0:-1]):
+        states *= sigma
+        states += [[cj], [yj]]
+    bound = max(np.max(x[:, : m + 1]), -np.min(x[:, : m + 1]))  # NaN from a NaN term or state
+    return m, bound <= _OVERFLOW_GUARD and largest <= 2.0**26 * bound
+
+
 def solve_oscillator(prob: OscillatorProblem, h: float, T: float) -> Trajectory:
     """Integrate the forced oscillator to the horizon T with fixed step h.
 
@@ -159,43 +202,42 @@ def solve_oscillator(prob: OscillatorProblem, h: float, T: float) -> Trajectory:
     powers P^j - I and block length come from ``_step_powers``.
 
     The k-th forcing derivative grows like (t + t0)^(-k-1/2), too fast near
-    t + t0 = 0 for a one-step method to hold its order, so at every t0 the
-    first ``_BOOTSTRAP_STEPS`` grid states (or all, if fewer) are one array
-    call of the closed form (:func:`spherefall.analytic.general_state`,
-    b in (-2, 2); it raises where a homogeneous mode overflows a double).
+    t + t0 = 0 for a one-step method to hold its order, so the states up to
+    t + t0 = 1 (``meta['series_steps']``) come from ``_series_start``: the
+    run converges at order 4 in h at every t0 >= 0, for b in (-2, 2).
     A diverging trajectory is truncated and flagged in ``meta['diverged']``
-    rather than raised: the divergence is the object under study.
+    rather than raised: the divergence is the object under study; a failed
+    series start (a step h far past 1) flags it at t = 0.
     """
     times = uniform_grid(h, T)
     n = len(times) - 1
     b, A, t0 = prob.b, prob.A, prob.t0
+    if not -2.0 < b < 2.0:
+        raise ValueError(f"damping coefficient must lie in (-2, 2), got {b}")
 
-    v, dv = np.empty((2, n + 1))
-    v[0], dv[0] = prob.v0, prob.v0_prime
-    start = min(_BOOTSTRAP_STEPS, n)
-    v[1 : start + 1], dv[1 : start + 1] = analytic.general_state(
-        np.arange(1, start + 1) * h, b, A, t0, prob.v0, prob.v0_prime)
-
+    x = np.empty((2, n + 1))
+    x[:, 0] = prob.v0, prob.v0_prime
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN states fail the guard
+        start, started = _series_start(prob, times, x)
+        last = n if started else 0
         Z = h * np.array([[0.0, 1.0], [-1.0, -b]])
         Z2 = Z @ Z
         powers = _step_powers(Z + Z2 / 2.0 + Z2 @ Z / 6.0 + Z2 @ Z2 / 24.0)
         q0 = (h / 6.0) * (np.eye(2) + Z + Z2 / 2.0 + Z2 @ Z / 4.0)[:, 1]
         qh = (h / 6.0) * (4.0 * np.eye(2) + 2.0 * Z + Z2 / 2.0)[:, 1]
-        last = n
-        for k0 in range(start, n, _BLOCK_STEPS):
+        for k0 in range(start, last, _BLOCK_STEPS):
             k1 = min(k0 + _BLOCK_STEPS, n)
             # t_k and t_k + h/2, rounded once: (k + 1/2) h > 0 for a subnormal h too.
             f = -A / (SQRT_PI * np.sqrt(np.arange(2 * k0, 2 * k1 + 1) / 2 * h + t0))
             gx = q0[0] * f[:-1:2] + qh[0] * f[1::2]
             gy = q0[1] * f[:-1:2] + qh[1] * f[1::2] + (h / 6.0) * f[2::2]
-            block = _scan(gx, gy, float(v[k0]), float(dv[k0]), powers)
-            v[k0 + 1 : k1 + 1], dv[k0 + 1 : k1 + 1] = block
+            block = _scan(gx, gy, float(x[0, k0]), float(x[1, k0]), powers)
+            x[:, k0 + 1 : k1 + 1] = block
             ok = np.max(np.abs(block), axis=0) <= _OVERFLOW_GUARD  # NaN and inf fail too
             if not ok.all():
                 last = k0 + int(np.argmin(ok))
                 break
 
     meta = {"solver": "rk4", "b": b, "A": A, "t0": t0, "h": h, "T": last * h,
-            "bootstrap_steps": start, "diverged": last < n}
-    return Trajectory(times=times[: last + 1], values=v[: last + 1], derivatives=dv[: last + 1], meta=meta)
+            "series_steps": start, "diverged": last < n}
+    return Trajectory(times[: last + 1], *x[:, : last + 1], meta=meta)  # x's rows are v and v'

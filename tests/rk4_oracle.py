@@ -7,9 +7,9 @@ affine step x_{k+1} = P x_k + g_k: doubling passes within blocks of up
 to 1024 steps, a carry of each block's start state, and the powers
 P^j - I doubled in increment form.  That groups the floating-point
 operations differently, so the tests compare the two to a tolerance,
-and the row where a diverging run is cut exactly.  The closed-form
-bootstrap of the first grid states, taken at every t0, and the overflow
-guard are the library's own.
+and the row where a diverging run is cut exactly.  The series start
+(the states up to t + t0 = 1, summed from a Taylor series in
+sqrt(t + t0)) and the overflow guard are the library's own.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import math
 
 import numpy as np
 
-from spherefall import analytic
-from spherefall.ode import _BOOTSTRAP_STEPS, _OVERFLOW_GUARD, OscillatorProblem
+from spherefall.ode import _OVERFLOW_GUARD, OscillatorProblem, _series_start
 
 
 def _rhs(t: float, x: float, y: float, b: float, A: float, t0: float) -> tuple[float, float]:
@@ -30,12 +29,13 @@ def solve_oscillator_loop(prob: OscillatorProblem, h: float, T: float) -> tuple[
     """v and v' on the grid t_k = k h, one four-stage step at a time, cut before the first overflow."""
     n = max(1, int(round(T / h)))
     b, A, t0 = prob.b, prob.A, prob.t0
-    v = np.empty(n + 1)
-    dv = np.empty(n + 1)
-    v[0], dv[0] = prob.v0, prob.v0_prime
-    start = min(_BOOTSTRAP_STEPS, n)
-    v[1 : start + 1], dv[1 : start + 1] = analytic.general_state(
-        np.arange(1, start + 1) * h, b, A, t0, prob.v0, prob.v0_prime)
+    states = np.empty((2, n + 1))
+    states[:, 0] = prob.v0, prob.v0_prime
+    v, dv = states
+    with np.errstate(over="ignore", invalid="ignore"):
+        start, started = _series_start(prob, np.arange(n + 1) * h, states)
+    if not started:
+        return v[:1], dv[:1]
     for k in range(start, n):
         t = k * h
         x, y = v[k], dv[k]

@@ -445,8 +445,8 @@ def test_numerical_failure_exit_three(tmp_path, capsys):
     # A diverging RK4 trajectory, sphere or oscillator, writes its rows up to the divergence,
     # as compare and sweep write theirs, and names that time on stderr.
     out = tmp_path / "div.csv"
-    for argv, rows_written in ((["--kappa", "3.9"], 13979),
-                               (["--b", "-1.9", "--A", "1", "--t0", "1"], 14017)):
+    for argv, rows_written in ((["--kappa", "3.9"], 13946),
+                               (["--b", "-1.9", "--A", "1", "--t0", "1"], 13940)):
         assert main(["trajectory", *argv, "--solver", "ode", "--T", "800", "--h", "0.05",
                      "--out", str(out)]) == 3
         _, rows = _read_csv(out)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spherefall import analytic
+from spherefall import analytic, special
 from spherefall.ode import (
     _POWER_BOUND,
     _SCAN_STEPS,
@@ -50,10 +50,11 @@ def test_classify_boundaries():
 
 
 def test_zero_problem_stays_zero():
-    prob = OscillatorProblem(b=-1.0, A=0.0, t0=1.0, v0=0.0, v0_prime=0.0)
-    traj = solve_oscillator(prob, 1e-2, 5.0)
-    assert np.max(np.abs(traj.values)) == 0.0
-    assert np.max(np.abs(traj.derivatives)) == 0.0
+    for t0, h in ((1.0, 1e-2), (0.0, 100.0)):  # the scan alone; a series node past its reach
+        prob = OscillatorProblem(b=-1.0, A=0.0, t0=t0, v0=0.0, v0_prime=0.0)
+        traj = solve_oscillator(prob, h, 500 * h)
+        assert np.max(np.abs(traj.values)) == 0.0 and not traj.meta["diverged"]
+        assert np.max(np.abs(traj.derivatives)) == 0.0
 
 
 def test_monotone_ic_trajectory_matches_kernel_translate():
@@ -76,7 +77,7 @@ def test_monotone_ic_trajectory_holds_the_increment_form_accuracy():
     assert np.max(np.abs(traj.values - ref)) <= 1e-10
 
 
-def test_sphere_case_bootstrap_matches_closed_form():
+def test_sphere_case_matches_closed_form():
     kappa = 2.5
     prob = OscillatorProblem(
         b=2.0 - kappa, A=math.sqrt(kappa), t0=0.0, v0=-1.0, v0_prime=1.0
@@ -86,18 +87,83 @@ def test_sphere_case_bootstrap_matches_closed_form():
     assert np.max(np.abs(traj.values[1:] - ref[1:])) <= 1e-5
 
 
-def test_singular_start_requires_bootstrap():
-    # At every t0 the first 32 states (or the whole grid, if shorter) are
-    # one array call of the closed form; RK4 takes over from there.
-    for t0 in (0.0, 1.0):
+def test_series_start_covers_the_nodes_up_to_t_plus_t0_of_one():
+    # The nodes with t + t0 <= 1 (node 1 at least, none from t0 = 1 on) are summed
+    # from the series in sqrt(t + t0); the scan takes over from there.
+    for t0, T, h, steps in ((0.0, 2.0, 1e-3, 1000), (0.0, 0.01, 1e-3, 10), (0.25, 2.0, 1e-3, 750),
+                            (0.999, 1.0, 0.01, 1), (0.5, 15.0, 5.0, 1), (1.0, 1.0, 1e-3, 0),
+                            (2.0, 1.0, 1e-3, 0)):
         prob = OscillatorProblem(b=0.5, A=1.0, t0=t0, v0=-1.0, v0_prime=1.0)
-        for T, start in ((1.0, 32), (0.01, 10)):
-            traj = solve_oscillator(prob, 1e-3, T)
-            assert traj.meta["bootstrap_steps"] == start
-            v, dv = analytic.general_state(np.arange(1, start + 1) * 1e-3,
-                                           0.5, 1.0, t0, -1.0, 1.0)
-            assert traj.values[1 : start + 1].tobytes() == v.tobytes()
-            assert traj.derivatives[1 : start + 1].tobytes() == dv.tobytes()
+        traj = solve_oscillator(prob, h, T)
+        assert traj.meta["series_steps"] == steps and not traj.meta["diverged"]
+
+
+def _monotone_problem(b, A, t0):
+    ic = analytic.monotone_initial_conditions(b, A, t0)
+    return OscillatorProblem(b=b, A=A, t0=t0, v0=ic.v0, v0_prime=ic.v0_prime)
+
+
+@pytest.mark.parametrize("t0", [0.0, 5e-324, 1e-9, 0.5])
+def test_series_states_match_the_closed_form_up_to_t_plus_t0_of_one(t0):
+    # The series is summed to half an ulp of its largest term: at every series
+    # node it lies within 1e-14 of the scale of the monotone closed form (5.2e-15 seen).
+    for b in np.linspace(-1.99, 1.99, 21):
+        for A in (1.0, -0.7):
+            prob = _monotone_problem(b, A, t0)
+            for h in (1e-3, 0.05, 0.3, 1.0):
+                traj = solve_oscillator(prob, h, 1.0)
+                m = traj.meta["series_steps"]
+                assert m == max(1, int((1.0 - t0) / h + 1e-9))
+                ref, dref = analytic.monotone_kernel_samples(traj.times, b, A, t0)
+                scale = max(np.max(np.abs(ref)), np.max(np.abs(dref)))
+                assert np.max(np.abs(traj.values[: m + 1] - ref[: m + 1])) <= 1e-14 * scale
+                assert np.max(np.abs(traj.derivatives[: m + 1] - dref[: m + 1])) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("make", [
+    lambda: OscillatorProblem.sphere(0.5, 0.0),
+    lambda: OscillatorProblem.sphere(2.0, 0.0),
+    lambda: OscillatorProblem.sphere(3.9, 0.0),
+    lambda: _monotone_problem(0.5, 1.0, 1e-2),
+], ids=["kappa 0.5", "kappa 2", "kappa 3.9", "t0 1e-2"])
+def test_rk4_converges_at_order_four_from_the_singular_start(make):
+    # A start that ends after a fixed number of steps, not at a fixed time,
+    # leaves the order at 0.5; the series start to t + t0 = 1 restores 4
+    # (3.97 to 4.01 seen).  Below h = 2.5e-3 the kappa 0.5 error nears rounding.
+    prob, errors = make(), []
+    for h in (2e-2, 1e-2, 5e-3, 2.5e-3):
+        traj = solve_oscillator(prob, h, 10.0)
+        ref, _ = analytic.monotone_kernel_samples(traj.times, prob.b, prob.A, prob.t0)
+        errors.append(np.max(np.abs(traj.values - ref)))
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(orders >= 3.5), orders
+
+
+@pytest.mark.parametrize("t0", [0.0, 1e-2, 1.0])
+def test_rk4_reads_no_closed_form(monkeypatch, t0):
+    def closed_form(*args):
+        raise AssertionError("RK4 called the closed form")
+    for name in ("faddeeva", "villat"):
+        monkeypatch.setattr(special, name, closed_form)
+        monkeypatch.setattr(analytic, name, closed_form, raising=False)
+    monkeypatch.setattr(analytic, "monotone_kernel_samples", closed_form)
+    prob = OscillatorProblem(b=-0.5, A=1.0, t0=t0, v0=-1.0, v0_prime=1.0)
+    traj = solve_oscillator(prob, 1e-2, 5.0)
+    assert len(traj.values) == 501 and np.all(np.isfinite(traj.values))
+
+
+@pytest.mark.parametrize("b, v0, h", [(0.0, -1.0, 100.0), (0.0, -1.0, 1e180), (1.99, 0.0, 17.0)])
+def test_a_series_start_past_its_reach_flags_the_run_at_t_zero(b, v0, h):
+    # At h = 100 the series needs more terms than its cap, and at 1e180 its terms
+    # overflow.  From rest at b = 1.99, h = 17 it converges, but its largest term is
+    # 1.6e8 times the states, past 2^26 (at h = 16, 5.9e7, it runs and keeps 6.5e-9
+    # relative against a 60-digit sum).  Nothing is written past t = 0, and nothing warns.
+    prob = OscillatorProblem(b=b, A=1.0, t0=0.0, v0=v0, v0_prime=-v0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = solve_oscillator(prob, h, 2 * h)
+    assert traj.meta["diverged"] is True and traj.meta["T"] == 0.0
+    assert traj.values.tolist() == [v0] and traj.derivatives.tolist() == [-v0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,14 +175,16 @@ def test_singular_start_requires_bootstrap():
 )
 def test_monotone_run_matches_the_closed_form_at_every_t0(b, A, t0, h):
     # Forcing derivatives grow like (t + t0)^(-9/2) for small t + t0, so a
-    # bare RK4 start there is off by up to 1e4; the closed-form start keeps
-    # the run within 3e-8 of the scale over this domain.
+    # bare RK4 start there is off by up to 1e4; the series start keeps the
+    # run within 3.6e-9 of the scale over this domain (the worst of a dense
+    # scan, at b = -1.9, t0 = 1, h = 1e-2, where the scan starts at node 0),
+    # and this bound leaves a factor 2.8.
     ic = analytic.monotone_initial_conditions(b, A, t0)
     prob = OscillatorProblem(b=b, A=A, t0=t0, v0=ic.v0, v0_prime=ic.v0_prime)
     traj = solve_oscillator(prob, h, 5.0)
     ref, _ = analytic.monotone_kernel_samples(traj.times, b, A, t0)
     assert not traj.meta["diverged"]
-    assert np.max(np.abs(traj.values - ref)) <= 1e-6 * (abs(A) + np.max(np.abs(traj.values)))
+    assert np.max(np.abs(traj.values - ref)) <= 1e-8 * (abs(A) + np.max(np.abs(traj.values)))
 
 
 def test_forcing_near_the_largest_double_does_not_overflow():
@@ -135,17 +203,15 @@ def test_forcing_near_the_largest_double_does_not_overflow():
 def test_fourth_order_convergence_on_smooth_problem():
     b, A, t0 = 0.5, 1.0, 1.0
     ic = analytic.monotone_initial_conditions(b, A, t0)
-    v0, v0p = ic.v0 + 0.2, ic.v0_prime  # generic (non-monotone) start
+    prob = OscillatorProblem(b=b, A=A, t0=t0, v0=ic.v0 + 0.2, v0_prime=ic.v0_prime)  # generic start
+    runs = [solve_oscillator(prob, h, 5.0).values for h in (2e-2, 1e-2, 5e-3)]
 
-    def sup_err(h):
-        prob = OscillatorProblem(b=b, A=A, t0=t0, v0=v0, v0_prime=v0p)
-        traj = solve_oscillator(prob, h, 5.0)
-        ref = np.array(
-            [analytic.general_state(t, b, A, t0, v0, v0p)[0] for t in traj.times]
-        )
-        return np.max(np.abs(traj.values - ref))
+    def sup_step_halving(coarse, fine):
+        # The gap between a run and one at half the step, on the coarse grid:
+        # 15/16 of the coarse run's error for a fourth-order method.
+        return np.max(np.abs(coarse - fine[::2]))
 
-    e1, e2 = sup_err(2e-2), sup_err(1e-2)
+    e1, e2 = sup_step_halving(*runs[:2]), sup_step_halving(*runs[1:])
     assert 10.0 <= e1 / e2 <= 30.0  # ~16 for a fourth-order method
 
 
@@ -216,7 +282,7 @@ def test_diverging_sphere_stops_at_the_same_row_as_the_loop():
     traj = solve_oscillator(prob, 0.05, 800.0)
     v, _ = solve_oscillator_loop(prob, 0.05, 800.0)
     assert traj.meta["diverged"] is True
-    assert len(traj.values) == len(v) == 13979  # of 16001 grid points
+    assert len(traj.values) == len(v) == 13946  # of 16001 grid points
     assert np.all(np.isfinite(traj.values))
 
 
@@ -313,6 +379,10 @@ def test_solver_argument_validation():
         solve_oscillator(prob, 0.0, 1.0)
     with pytest.raises(ValueError):
         solve_oscillator(prob, 1e-2, 1e-3)
+    for b in (2.0, -2.0, 2.5):  # the series start and the scan hold for any b; the domain is (-2, 2)
+        bad_b = OscillatorProblem(b=b, A=1.0, t0=1.0, v0=0.0, v0_prime=0.0)
+        with pytest.raises(ValueError, match=rf"^damping coefficient must lie in \(-2, 2\), got {b}$"):
+            solve_oscillator(bad_b, 1e-2, 1.0)
     for t0 in (-1.0, math.nan):  # a NaN t0 is rejected, not run as an RK4 divergence
         with pytest.raises(ValueError, match="^t0 must be >= 0, got "):
             OscillatorProblem(b=0.0, A=1.0, t0=t0, v0=0.0, v0_prime=0.0)
