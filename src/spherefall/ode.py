@@ -35,6 +35,7 @@ _SERIES_TERMS = 128  # most Taylor terms of the series start; one that needs mor
 _BLOCK_STEPS = 16384  # steps per segment of forcing samples and scan temporaries, to keep memory flat
 _SCAN_STEPS = 1024  # most steps in one block of the prefix scan; divides _BLOCK_STEPS
 _POWER_BOUND = 4.0  # largest entry of P^j - I that a scan block may use; see _step_powers
+_STABLE_STEP = 2.6  # RK4 is stable below it for all b >= 0 (the least bound is 2.616, at b = 1.06)
 
 
 @dataclass(frozen=True)
@@ -207,7 +208,8 @@ def solve_oscillator(prob: OscillatorProblem, h: float, T: float) -> Trajectory:
     run converges at order 4 in h at every t0 >= 0, for b in (-2, 2).
     A diverging trajectory is truncated and flagged in ``meta['diverged']``
     rather than raised: the divergence is the object under study; a failed
-    series start (a step h far past 1) flags it at t = 0.
+    series start (a step h far past 1) flags it at t = 0, as does a step past RK4's stability
+    interval where b >= 0: |R(h m)| > 1 at a root m of m^2 + b m + 1 (Hairer-Wanner II, IV.2).
     """
     times = uniform_grid(h, T)
     n = len(times) - 1
@@ -219,10 +221,14 @@ def solve_oscillator(prob: OscillatorProblem, h: float, T: float) -> Trajectory:
     x[:, 0] = prob.v0, prob.v0_prime
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN states fail the guard
         start, started = _series_start(prob, times, x)
-        last = n if started else 0
         Z = h * np.array([[0.0, 1.0], [-1.0, -b]])
         Z2 = Z @ Z
-        powers = _step_powers(Z + Z2 / 2.0 + Z2 @ Z / 6.0 + Z2 @ Z2 / 24.0)
+        E = Z + Z2 / 2.0 + Z2 @ Z / 6.0 + Z2 @ Z2 / 24.0
+        # tr E + det E = |R(h m)|^2 - 1; it can round up past 0 at b = 0 for h < 1, not past 2.6.
+        (e00, e01), (e10, e11) = E.tolist()
+        stable = b < 0.0 or h <= _STABLE_STEP or e00 + e11 + e00 * e11 - e01 * e10 <= 0.0
+        last = n if started and stable else 0
+        powers = _step_powers(E)
         q0 = (h / 6.0) * (np.eye(2) + Z + Z2 / 2.0 + Z2 @ Z / 4.0)[:, 1]
         qh = (h / 6.0) * (4.0 * np.eye(2) + 2.0 * Z + Z2 / 2.0)[:, 1]
         for k0 in range(start, last, _BLOCK_STEPS):

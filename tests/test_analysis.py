@@ -65,25 +65,39 @@ def test_check_monotone_closed_form_at_high_kappa():
         values=vals,
         derivatives=np.zeros(len(taus)),
     )
-    rep = check_monotone(traj, tol=1e-12)
+    rep = check_monotone(traj)
     assert rep.passed
 
 
 def test_check_monotone_flags_decreasing_step():
     vals = np.sin(np.linspace(0.0, 3.0 * math.pi, 100))
-    rep = check_monotone(_uniform_traj(vals), tol=1e-12)
+    rep = check_monotone(_uniform_traj(vals))
     assert not rep.passed
     assert rep.worst_violation > 0.01
 
 
 def test_check_monotone_reports_the_first_largest_drop():
-    rep = check_monotone(_uniform_traj([0.0, 1.0, 0.5, 1.0, 0.5]), tol=0.1)
-    assert (rep.worst_violation, rep.location) == (0.5, "t=0.02")
+    rep = check_monotone(_uniform_traj([0.0, 1.0, 0.5, 1.0, 0.5]))
+    assert (rep.passed, rep.worst_violation, rep.location) == (False, 0.5, "t=0.02")
     rep = check_monotone(_uniform_traj([1.0], derivatives=[0.0]))
     assert (rep.passed, rep.worst_violation, rep.location) == (True, 0.0, "--")
     # Nothing decreases: the floor of 0 at no location, as in the suite's reducer.
     rep = check_monotone(_uniform_traj([0.0, 1.0, 1.0, 2.0]))
     assert (rep.passed, rep.worst_violation, rep.location) == (True, 0.0, "--")
+
+
+def test_the_default_suite_solves_the_memory_equation_once(monkeypatch):
+    # One solve at kappa = 2.5 feeds ide_vs_closed_form, ide_monotone, ode_residual
+    # and abel_identity.
+    calls = []
+    solve = ide.solve_ide
+    monkeypatch.setattr(ide, "solve_ide", lambda *args: calls.append(args) or solve(*args))
+    reports = {r.check_id: r for r in run_default_suite(h=0.01, points=20)}
+    assert calls == [(2.5, 0.0, 0.01, 10.0)]
+    assert reports["ide_vs_closed_form"].location == "kappa=2.5, [0,10]"
+    for check_id in ("ide_vs_closed_form", "ide_monotone", "ode_residual", "abel_identity"):
+        assert reports[check_id].passed, reports[check_id]
+    assert reports["ide_monotone"].tolerance == reports["oscillator_monotone"].tolerance == 1e-12
 
 
 def test_suite_reducer_rules():

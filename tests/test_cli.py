@@ -371,7 +371,7 @@ _VERIFY_LOCATIONS = {
     "decoupling_v0": rf"kappa={_NUM}",
     "proof_integral_negative": rf"t={_NUM}, theta={_NUM}",
     "imag_sqrt_alpha_positive": "--",
-    "ide_vs_closed_form": re.escape("kappa=2, [0,10]"),
+    "ide_vs_closed_form": re.escape("kappa=2.5, [0,10]"),
     "ide_monotone": "--",
     "ode_residual": _T,
     "abel_identity": _T,
@@ -454,6 +454,39 @@ def test_numerical_failure_exit_three(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"numerical failure: RK4 diverged after t={rows[-1, 0]:g}\n"
+
+
+def test_an_rk4_step_past_its_stability_interval_exits_three_at_t_zero(tmp_path, capsys):
+    # At kappa = 2 (b = 0) the step h = 5 amplifies 21.5-fold per step; h = 2.5 is inside.
+    out = tmp_path / "t.csv"
+    argv = ["trajectory", "--kappa", "2", "--solver", "ode", "--T", "50", "--out", str(out)]
+    assert main([*argv, "--h", "5"]) == 3
+    assert out.read_text() == "t,u,du\n0.0,0.0,1.0\n"
+    assert capsys.readouterr().err == "numerical failure: RK4 diverged after t=0\n"
+    assert main([*argv, "--h", "2.5"]) == 0
+    _, rows = _read_csv(out)
+    assert len(rows) == 21 and abs(rows[-1, 1] - 0.887) < 1e-3
+
+
+@pytest.mark.parametrize("solver, kappas, h, T, monotone", [
+    ("ide", "0.5,6", "3", "60", ["false", "false"]),
+    ("ode", "0.5,2,3.9", "0.05", "20", ["true", "true", "false"]),
+    ("closed-form", "0.5,2,3.9", "0.05", "20", ["true", "true", "true"]),
+])
+def test_the_sweep_holds_every_solver_to_one_monotone_bound(tmp_path, solver, kappas, h, T,
+                                                          monotone):
+    # No step of u may fall by more than 1e-12, whatever the solver and h.  The IDE at
+    # h = 3 falls by 0.30-0.38 and RK4 at kappa 3.9, h = 0.05 by 0.06; a bound of 10 h
+    # wrote true for both.  The column is no exit condition.
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--solver", solver, "--kappas", kappas, "--h", h, "--T", T,
+                 "--out", str(out)]) == 0
+    summary = (out / "sweep_summary.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[2] for line in summary] == monotone
+    for line, flag in zip(summary, monotone):
+        _, rows = _read_csv(out / line.split(",")[3])
+        drop = np.max(rows[:-1, 1] - rows[1:, 1])
+        assert (drop > 0.05) if flag == "false" else (drop <= 0.0), (line, drop)
 
 
 def test_compare_reports_an_rk4_divergence_with_exit_three(tmp_path, capsys):

@@ -91,7 +91,7 @@ def test_series_start_covers_the_nodes_up_to_t_plus_t0_of_one():
     # The nodes with t + t0 <= 1 (node 1 at least, none from t0 = 1 on) are summed
     # from the series in sqrt(t + t0); the scan takes over from there.
     for t0, T, h, steps in ((0.0, 2.0, 1e-3, 1000), (0.0, 0.01, 1e-3, 10), (0.25, 2.0, 1e-3, 750),
-                            (0.999, 1.0, 0.01, 1), (0.5, 15.0, 5.0, 1), (1.0, 1.0, 1e-3, 0),
+                            (0.999, 1.0, 0.01, 1), (0.5, 15.0, 2.5, 1), (1.0, 1.0, 1e-3, 0),
                             (2.0, 1.0, 1e-3, 0)):
         prob = OscillatorProblem(b=0.5, A=1.0, t0=t0, v0=-1.0, v0_prime=1.0)
         traj = solve_oscillator(prob, h, T)
@@ -164,6 +164,36 @@ def test_a_series_start_past_its_reach_flags_the_run_at_t_zero(b, v0, h):
         traj = solve_oscillator(prob, h, 2 * h)
     assert traj.meta["diverged"] is True and traj.meta["T"] == 0.0
     assert traj.values.tolist() == [v0] and traj.derivatives.tolist() == [-v0]
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5, 1.0, 1.5, 1.99])
+@pytest.mark.parametrize("h", [1e-6, 1e-3, 0.1, 1.0, 2.5])
+def test_a_step_inside_the_rk4_stability_interval_is_not_flagged(b, h):
+    # For b >= 0, |R(h m)| <= 1 below h = 2.616 (its least bound, at b = 1.06).
+    prob = OscillatorProblem(b=b, A=1.0, t0=0.0, v0=-1.0, v0_prime=1.0)
+    traj = solve_oscillator(prob, h, 3 * h)
+    assert not traj.meta["diverged"] and len(traj.times) == 4
+
+
+def test_an_amplification_rounded_past_one_is_not_flagged():
+    # At b = 0, |R(i h)|^2 = 1 - h^6/72 + h^8/576 < 1 below h = sqrt(8), but rounded,
+    # |R| - 1 (3 of these h) and tr E + det E (50 of them, h < 1e-3) come out positive.
+    prob = OscillatorProblem(b=0.0, A=1.0, t0=0.0, v0=-1.0, v0_prime=1.0)
+    for h in np.geomspace(1e-6, 2.8, 400):
+        assert not solve_oscillator(prob, h, 2 * h).meta["diverged"], h
+
+
+@pytest.mark.parametrize("b, t0, h", [(0.0, 0.0, 5.0), (1.0, 0.0, 2.7), (0.0, 1.0, 1e180)])
+def test_a_step_past_the_rk4_stability_interval_flags_the_run_at_t_zero(b, t0, h):
+    # Where b >= 0 the problem does not grow, so a step with |R(h m)| > 1 (21.5 at
+    # b = 0, h = 5) only amplifies the step's error.  From t0 = 1 on there is no series
+    # start, so at h = 1e180 the inf step matrix alone flags the run.  Nothing warns.
+    prob = OscillatorProblem(b=b, A=1.0, t0=t0, v0=-1.0, v0_prime=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = solve_oscillator(prob, h, 10 * h)
+    assert traj.meta["diverged"] is True and traj.meta["T"] == 0.0
+    assert traj.values.tolist() == [-1.0] and traj.derivatives.tolist() == [1.0]
 
 
 @settings(max_examples=40, deadline=None)
