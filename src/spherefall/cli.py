@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -98,17 +98,15 @@ def _json_array(cells: np.ndarray) -> bytes:
 def _atomic_write(path: str, data: bytes) -> None:
     """Write data to path through a temporary file in its directory, then rename it into place.
 
-    The file gets the mode ``open`` gives a new file, 0o666 less the umask,
-    not the 0o600 of the temporary file.
+    ``open`` creates the temporary file, so the file takes the mode ``open`` gives a new
+    file, 0o666 less the umask, with neither the umask nor the mode set here.
     """
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-        with os.fdopen(fd, "wb") as fh:
+        name = os.path.join(os.path.dirname(os.path.abspath(path)), f"{os.urandom(8).hex()}.tmp")
+        with open(name, "xb") as fh:
+            tmp = name
             fh.write(data)
-        umask = os.umask(0)  # reading the umask means setting it; put it straight back
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except OSError as exc:  # name the requested path, not the temporary file
         raise OSError(exc.errno, exc.strerror, path) from None
@@ -303,6 +301,7 @@ def _cmd_drag(args: argparse.Namespace) -> int:
 # Argument parsing
 # ----------------------------------------------------------------------
 
+@functools.cache  # built on the first main call, then reused: parse_args keeps no state
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="spherefall",

@@ -232,55 +232,60 @@ def test_cli_runs_without_scipy(tmp_path):
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):
-    assert main(["trajectory"]) == 1  # neither --kappa nor --b
-    assert main(["trajectory", "--kappa", "12", "--T", "1", "--h", "0.01"]) == 1
-    assert main(["sweep", "--kappas", "abc"]) == 1
+    def refused(argv):
+        """Run argv: exit 1, nothing on stdout, one "error: " line on stderr, which is returned."""
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and re.fullmatch(r"error: .*\n", captured.err), captured
+        return captured.err
+
+    refused(["trajectory"])  # neither --kappa nor --b
+    refused(["trajectory", "--kappa", "12", "--T", "1", "--h", "0.01"])
+    refused(["sweep", "--kappas", "abc"])
     # A kappa out of the solver's domain stops the sweep before any file is written.
     sweep_dir = tmp_path / "d"
-    assert main(["sweep", "--kappas", "1,5", "--T", "1", "--h", "0.01",
-                 "--out", str(sweep_dir)]) == 1
+    refused(["sweep", "--kappas", "1,5", "--T", "1", "--h", "0.01", "--out", str(sweep_dir)])
     assert not sweep_dir.exists()
     # Two kappas whose file names round alike would overwrite one another.
-    assert main(["sweep", "--kappas", "0.1234567,0.1234568", "--T", "1", "--h", "0.01",
-                 "--out", str(sweep_dir)]) == 1
+    refused(["sweep", "--kappas", "0.1234567,0.1234568", "--T", "1", "--h", "0.01",
+             "--out", str(sweep_dir)])
     assert not sweep_dir.exists()
-    assert main(["nosuchcommand"]) == 1
-    # The closed form checks its grid like the ide and ode solvers do.
+    refused(["nosuchcommand"])
+    # The closed form checks its grid like the ide and ode solvers do, to a file or to stdout.
     out = tmp_path / "traj.csv"
     for solver in ("closed-form", "ide", "ode"):
-        base = ["trajectory", "--kappa", "2", "--solver", solver, "--out", str(out)]
-        assert main(base + ["--h", "0"]) == 1
-        assert main(base + ["--T", "-1", "--h", "0.1"]) == 1
-        # An infinite horizon is a usage error, not a numerical failure, and
-        # so is a finite one that is an infinite number of steps.
-        assert main(base + ["--T", "inf"]) == 1
-        assert main(base + ["--T", "1e300", "--h", "1e-300"]) == 1
+        for to in (["--out", str(out)], []):
+            base = ["trajectory", "--kappa", "2", "--solver", solver, *to]
+            refused(base + ["--h", "0"])
+            refused(base + ["--T", "-1", "--h", "0.1"])
+            # An infinite horizon is a usage error, not a numerical failure, and
+            # so is a finite one that is an infinite number of steps.
+            refused(base + ["--T", "inf"])
+            refused(base + ["--T", "1e300", "--h", "1e-300"])
     assert not out.exists()
     # Every real-valued flag is finite, not only the grid.
-    assert main(["trajectory", "--kappa", "2", "--solver", "ide", "--eps", "nan",
-                 "--T", "1", "--h", "0.01", "--out", str(out)]) == 1
-    assert main(["compare", "--kappa", "2", "--eps", "inf", "--T", "1", "--h", "0.01",
-                 "--out", str(out)]) == 1
-    assert main(["drag", "--rho-s", "1190", *_DRAG_ARGS, "--g", "nan", "--out", str(out)]) == 1
+    nan_eps = ["trajectory", "--kappa", "2", "--solver", "ide", "--eps", "nan", "--T", "1",
+               "--h", "0.01"]
+    refused(nan_eps + ["--out", str(out)])
+    refused(nan_eps)
+    refused(["compare", "--kappa", "2", "--eps", "inf", "--T", "1", "--h", "0.01",
+             "--out", str(out)])
+    refused(["drag", "--rho-s", "1190", *_DRAG_ARGS, "--g", "nan", "--out", str(out)])
     assert not out.exists()
     # An output that cannot be written is reported, not raised.
-    capsys.readouterr()
     missing = tmp_path / "nodir" / "x.csv"
-    assert main(["trajectory", "--kappa", "2", "--T", "1", "--h", "0.01",
-                 "--out", str(missing)]) == 1
-    err = capsys.readouterr().err
+    err = refused(["trajectory", "--kappa", "2", "--T", "1", "--h", "0.01", "--out", str(missing)])
     assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
     existing = tmp_path / "file.txt"
     existing.write_text("kept\n")
-    assert main(["sweep", "--kappas", "1", "--T", "1", "--h", "0.01",
-                 "--out", str(existing)]) == 1
-    assert capsys.readouterr().err.startswith("error: [Errno 17] File exists: ")
+    err = refused(["sweep", "--kappas", "1", "--T", "1", "--h", "0.01", "--out", str(existing)])
+    assert err.startswith("error: [Errno 17] File exists: ")
     assert existing.read_text() == "kept\n"
     # A failed replace leaves no temporary file behind (it is made next to the target).
     (tmp_path / "outdir").mkdir()
-    assert main(["trajectory", "--kappa", "2", "--T", "1", "--h", "0.01",
-                 "--out", str(tmp_path / "outdir")]) == 1
-    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory: ")
+    err = refused(["trajectory", "--kappa", "2", "--T", "1", "--h", "0.01",
+                   "--out", str(tmp_path / "outdir")])
+    assert err.startswith("error: [Errno 21] Is a directory: ")
     assert not list(tmp_path.glob("*.tmp"))
 
 
@@ -458,12 +463,16 @@ def test_numerical_failure_exit_three(tmp_path, capsys):
 
 def test_an_rk4_step_past_its_stability_interval_exits_three_at_t_zero(tmp_path, capsys):
     # At kappa = 2 (b = 0) the step h = 5 amplifies 21.5-fold per step; h = 2.5 is inside.
+    # At h = 100 the series start is past its reach as well.  Nothing warns.
     out = tmp_path / "t.csv"
-    argv = ["trajectory", "--kappa", "2", "--solver", "ode", "--T", "50", "--out", str(out)]
-    assert main([*argv, "--h", "5"]) == 3
-    assert out.read_text() == "t,u,du\n0.0,0.0,1.0\n"
-    assert capsys.readouterr().err == "numerical failure: RK4 diverged after t=0\n"
-    assert main([*argv, "--h", "2.5"]) == 0
+    argv = ["trajectory", "--kappa", "2", "--solver", "ode", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h, T in (("5", "50"), ("100", "200")):
+            assert main([*argv, "--h", h, "--T", T]) == 3
+            assert out.read_text() == "t,u,du\n0.0,0.0,1.0\n"
+            assert capsys.readouterr().err == "numerical failure: RK4 diverged after t=0\n"
+        assert main([*argv, "--h", "2.5", "--T", "50"]) == 0
     _, rows = _read_csv(out)
     assert len(rows) == 21 and abs(rows[-1, 1] - 0.887) < 1e-3
 
@@ -509,6 +518,7 @@ def test_sweep_reports_an_rk4_divergence_with_exit_three(tmp_path, capsys):
     _, rows = _read_csv(out / "trajectory_kappa_3.9.csv")
     _, rows_38 = _read_csv(out / "trajectory_kappa_3.8.csv")
     assert 1 < len(rows) < len(rows_38) < 16001
+    assert (len(rows), len(rows_38)) == (13946, 14730)  # after t = 697.25 and 736.45
     _, full = _read_csv(out / "trajectory_kappa_1.csv")
     assert len(full) == 16001
     assert len((out / "sweep_summary.csv").read_text().splitlines()) == 4
@@ -541,7 +551,9 @@ def test_an_overflowing_ide_solve_exits_three_and_writes_nothing(tmp_path, capsy
     ["trajectory", "--kappa", "3.9", "--solver", "ide", "--T", "1", "--h", "0.01"],
     ["sweep", "--solver", "ide", "--kappas", "2,3.9", "--T", "1", "--h", "0.01"],
     ["drag", "--rho-s", "1190", *_DRAG_ARGS],
-], ids=["trajectory", "sweep", "drag"])
+    ["trajectory", "--kappa", "3.9", "--solver", "closed-form"],
+    ["trajectory", "--kappa", "3.9", "--solver", "ode"],
+], ids=["trajectory", "sweep", "drag", "closed-form", "ode"])
 def test_the_ide_rejects_an_amplitude_outside_the_double_range(tmp_path, capsys, argv):
     # (1 - eps) sqrt(kappa) overflows: the closed form's and RK4's usage error, not a
     # numerical failure of the solve.
@@ -569,6 +581,16 @@ def test_drag_refuses_a_force_balance_that_does_not_close(tmp_path, capsys):
     assert re.fullmatch(r"numerical failure: drag: max\|residual\| = \S+ N > 1e-9 \|F_buoyancy\| "
                         r"= \S+ N at the step h B = 2\.66e\+06 viscous times\n", captured.err), \
         captured.err
+    assert os.listdir(tmp_path) == []
+    # A Basset history past the double range fails in the read-back, before the balance.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["drag", "--rho-s", "1190", "--rho", "1000", "--mu", "1e-300", "--radius", "1",
+                     "--g", "9.8", "--h", "1e290", "--T", "1e291", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"numerical failure: abel_history: the history is not finite at h=\S+\n",
+                        captured.err), captured.err
     assert os.listdir(tmp_path) == []
 
 
@@ -817,3 +839,30 @@ def test_output_files_take_the_mode_open_gives_under_the_umask(tmp_path, umask, 
     assert code == 0
     assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
     assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+
+
+def test_an_output_file_is_written_without_setting_the_umask_or_a_mode(tmp_path, monkeypatch):
+    # Reading the umask means setting it, and while it is 0 a file that another thread
+    # creates is world-writable.
+    def forbidden(*args):
+        raise AssertionError("the atomic write set the umask or a mode")
+
+    monkeypatch.setattr(os, "umask", forbidden)
+    monkeypatch.setattr(os, "chmod", forbidden)
+    out = tmp_path / "a.csv"
+    assert main(["trajectory", "--kappa", "2", "--T", "1", "--h", "0.1", "--out", str(out)]) == 0
+    assert out.read_text().startswith("t,u,du\n")
+    assert os.listdir(tmp_path) == ["a.csv"]
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    parsers = []
+    parse_args = cli._Parser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recording)
+    assert main(["trajectory"]) == main(["trajectory"]) == 1
+    assert len(parsers) == 2 and parsers[0] is parsers[1]

@@ -63,7 +63,9 @@ def test_multipliers_bracket_the_powers_of_ten():
     ["sweep", "--solver", "closed-form", "--kappas", "0.5,3.95", "--T", "20", "--h", "0.005"],
     ["drag", "--rho-s", "1190", "--rho", "1000", "--mu", "0.1", "--radius", "0.001",
      "--g", "9.8", "--T", "0.005", "--h", "0.0001"],
-], ids=["trajectory", "oscillator", "compare", "sweep", "drag"])
+    # u and du are all -0.0 and 0.0: the formatter's zero rows.
+    ["trajectory", "--b", "0", "--A", "0", "--T", "1", "--h", "0.1"],
+], ids=["trajectory", "oscillator", "compare", "sweep", "drag", "zeros"])
 def test_cli_csv_files_equal_the_oracle_text(tmp_path, monkeypatch, argv):
     expected = []
     write = cli._csv_text

@@ -76,7 +76,14 @@ _DRAG = ["drag", "--rho-s", "1190", "--rho", "1000", "--mu", "0.1", "--radius", 
     ["sweep", "--solver", "closed-form", "--kappas", "0.5,3.95", "--T", "20", "--h", "0.005"],
     ["verify", "--h", "0.01", "--points", "20"],
     _DRAG,
-], ids=["trajectory", "oscillator", "compare", "sweep", "verify", "drag"])
+    # Columns and a drag table longer than one formatter block (8192 cells).
+    ["trajectory", "--kappa", "2.5", "--T", "20", "--h", "0.001"],
+    ["compare", "--kappa", "3", "--eps", "0.5", "--T", "20", "--h", "0.001"],
+    ["sweep", "--solver", "closed-form", "--kappas", "0.5,3.95", "--T", "100", "--h", "0.005"],
+    ["drag", "--rho-s", "1190", "--rho", "1000", "--mu", "0.1", "--radius", "0.001",
+     "--g", "9.8", "--T", "0.05", "--h", "0.00001"],
+], ids=["trajectory", "oscillator", "compare", "sweep", "verify", "drag", "trajectory-blocks",
+        "compare-blocks", "sweep-blocks", "drag-blocks"])
 def test_cli_json_files_equal_the_oracle_text(tmp_path, monkeypatch, argv):
     expected = []
     write = cli._json_text

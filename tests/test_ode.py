@@ -68,13 +68,16 @@ def test_monotone_ic_trajectory_matches_kernel_translate():
 
 def test_monotone_ic_trajectory_holds_the_increment_form_accuracy():
     # Stepping with P = I + E instead of adding the increment rounds E to
-    # eps absolute and lands at 1.7e-10 here; the increment form at 1.4e-11.
-    b, A, t0 = -1.0, 1.0, 1.0
-    ic = analytic.monotone_initial_conditions(b, A, t0)
-    prob = OscillatorProblem(b=b, A=A, t0=t0, v0=ic.v0, v0_prime=ic.v0_prime)
-    traj = solve_oscillator(prob, 1e-3, 20.0)
-    ref, _ = analytic.monotone_kernel_samples(traj.times, b, A, t0)
-    assert np.max(np.abs(traj.values - ref)) <= 1e-10
+    # eps absolute and lands at 1.7e-10 at t0 = 1; the increment form at 1.4e-11.
+    # From t0 = 1e-9 the series start holds 1.2e-13 to T = 10 (the CLI's default
+    # grid); ending it at t + t0 = 0.1 instead of 1 gives 1.5e-10.
+    b, A = -1.0, 1.0
+    for t0, T in ((1.0, 20.0), (1e-9, 10.0)):
+        ic = analytic.monotone_initial_conditions(b, A, t0)
+        prob = OscillatorProblem(b=b, A=A, t0=t0, v0=ic.v0, v0_prime=ic.v0_prime)
+        traj = solve_oscillator(prob, 1e-3, T)
+        ref, _ = analytic.monotone_kernel_samples(traj.times, b, A, t0)
+        assert np.max(np.abs(traj.values - ref)) <= 1e-10, t0
 
 
 def test_sphere_case_matches_closed_form():
