@@ -19,10 +19,13 @@ Toeplitz convolution built from one lag kernel, :func:`_abel_kernel`,
 whose weights hold a few ulps at every lag.  Reading the history
 back at every grid point is one FFT convolution, O(n log n)
 (:func:`abel_history`).  The causal solve is a power-series quotient:
-the lower-triangular Toeplitz system t(z) d(z) = rhs(z) gives
-d = rhs * (1/t), and 1/t comes from Newton's iteration (Kung, Numer.
-Math. 22, 1974, 341) on the same causal FFT product, O(n log n) time
-and O(n) memory.  Both match the direct sums to rounding.
+the lower-triangular Toeplitz system t(z) d(z) = rhs(z) is divided once,
+with Newton's iteration (Kung, Numer. Math. 22, 1974, 341) building 1/t
+only to ceil(n/2) coefficients and one step of Karp and Markstein (ACM
+TOMS 23, 1997, 561) giving d from it, O(n log n) time and O(n) memory
+(:func:`_quotient`).  Every FFT runs on the smallest 2^a 3^b 5^c length
+that holds its product (:func:`_fft_size`).  Both match the direct sums
+to rounding.
 """
 
 from __future__ import annotations
@@ -59,18 +62,36 @@ def _abel_kernel(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return near + first, first
 
 
-def _causal_product(a: np.ndarray, f: np.ndarray, m: int, size: int | None = None) -> np.ndarray:
+def _fft_size(m: int) -> int:
+    """Smallest 2^a 3^b 5^c >= m (1 for m <= 1): a length numpy's FFT transforms fast."""
+    best = 1 << max(m - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two >= ceil(m / p35)
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _cyclic(spectrum: np.ndarray, f: np.ndarray, size: int) -> np.ndarray:
+    """The cyclic product of the given size of f and the series whose rfft is spectrum.
+
+    Each coefficient j >= size of the full product adds onto j - size.
+    """
+    return np.fft.irfft(spectrum * np.fft.rfft(f, size), size)
+
+
+def _causal_product(a: np.ndarray, f: np.ndarray, m: int) -> np.ndarray:
     """First m coefficients of the power-series product a(z) f(z).
 
-    One rfft/irfft product of the given size.  The default is the power of
-    two above the top degree len(a) + len(f) - 2, so no coefficient wraps
-    around; a smaller size adds each coefficient j >= size onto j - size.
+    One rfft/irfft product on the smallest fast length above the top degree
+    len(a) + len(f) - 2, so no coefficient wraps around.
     """
-    if size is None:
-        size = 1 << (len(a) + len(f) - 2).bit_length()
-    spectrum = np.fft.rfft(a, size)
-    spectrum *= np.fft.rfft(f, size)
-    return np.fft.irfft(spectrum, size)[:m]
+    size = _fft_size(len(a) + len(f) - 1)
+    return _cyclic(np.fft.rfft(a, size), f, size)[:m]
 
 
 def abel_history(samples: np.ndarray, h: float) -> np.ndarray:
@@ -104,17 +125,39 @@ def _reciprocal(t: np.ndarray, n: int) -> np.ndarray:
     Newton's iteration g <- g + g (1 - t g) (Kung, Numer. Math. 22, 1974,
     341).  When g holds the first k coefficients, t g = 1 + z^k r(z), so
     one pass needs only the coefficients k..m-1 of t g and appends those
-    of -g r, doubling the length up to m = min(2k, n): O(n log n).  A cyclic
-    product of size >= m gives them exactly, as every wrapped term lands below k.
+    of -g r, doubling the length up to m = min(2k, n): O(n log n).  Both
+    products of a pass share g's spectrum on one cyclic length >= m: every
+    wrapped term of t g lands below k, and g r has degree below m.
     """
     g = np.array([1.0 / t[0]])
     k = 1
     while k < n:
         m = min(2 * k, n)
-        r = _causal_product(t[:m], g, m, 1 << (m - 1).bit_length())[k:]
-        g = np.concatenate((g, -_causal_product(g, r, m - k)))
+        size = _fft_size(m)
+        spectrum = np.fft.rfft(g, size)
+        r = _cyclic(spectrum, t[:m], size)[k:m]
+        g = np.concatenate((g, -_cyclic(spectrum, r, size)[:m - k]))
         k = m
     return g
+
+
+def _quotient(t: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """First n = len(rhs) coefficients of the power series rhs(z) / t(z), t[0] != 0.
+
+    Newton's reciprocal g = 1/t only to k = ceil(n/2) coefficients, then one
+    step of Karp and Markstein (ACM TOMS 23, 1997, 561): q = g rhs mod z^k
+    solves the first k equations, the remaining ones leave the residual
+    rhs - t q = z^k e + O(z^n), and since n - k <= k, d = q + z^k (g e) mod z^n.
+    Every product runs on one cyclic length >= n, which also reads the
+    coefficients k..n-1 of t q exactly, as every wrapped term lands below k.
+    """
+    n = len(rhs)
+    k = (n + 1) // 2
+    size = _fft_size(n)
+    spectrum = np.fft.rfft(_reciprocal(t, k), size)
+    q = _cyclic(spectrum, rhs[:k], size)[:k]
+    e = rhs[k:] - _cyclic(np.fft.rfft(t[:n], size), q, size)[k:n]
+    return np.concatenate((q, _cyclic(spectrum, e, size)[:n - k]))
 
 
 def solve_ide(kappa: float, u0: float, h: float, T: float) -> Trajectory:
@@ -125,8 +168,11 @@ def solve_ide(kappa: float, u0: float, h: float, T: float) -> Trajectory:
     equation for u'(t_n) that the product-integration discretization
     produces (trapezoidal update for u, implicit diagonal Abel weight for
     the memory term).  All n steps together form one lower-triangular
-    Toeplitz system, solved as the power-series quotient rhs * (1/t)
-    through :func:`_reciprocal` in O(n log n) time and O(n) memory.  The
+    Toeplitz system, solved as the power-series quotient rhs / t in
+    O(n log n) time and O(n) memory: Newton's reciprocal of t to ceil(n/2)
+    coefficients (Kung, Numer. Math. 22, 1974, 341), then one Karp–Markstein
+    step (ACM TOMS 23, 1997, 561) for all n, every FFT on the smallest
+    2^a 3^b 5^c length that holds its product (:func:`_quotient`).  The
     empirical convergence against the closed form is order ~1.5 in sup norm.
     An amplitude (1 - u0) sqrt(kappa) outside the double range is the
     ValueError of the other sphere solvers, which names u0 as eps; a solve
@@ -148,7 +194,7 @@ def solve_ide(kappa: float, u0: float, h: float, T: float) -> Trajectory:
         t = c * a + h
         t[0] = 1.0 + 0.5 * h + c * a[0]
         rhs = d0 * (1.0 - 0.5 * h - c * first[1:])
-        d = np.concatenate(([d0], _causal_product(_reciprocal(t, n), rhs, n)))
+        d = np.concatenate(([d0], _quotient(t, rhs)))
         u = np.cumsum(np.concatenate(([u0], 0.5 * h * (d[:-1] + d[1:]))))
     if not np.isfinite(u).all():  # u_k is not finite where d_k is not
         raise ArithmeticError(f"solve_ide: the solution is not finite at kappa={kappa:g}")

@@ -402,21 +402,19 @@ def test_verify_report_pins_check_order_and_location_formats(tmp_path, capsys):
                         f"tol={rep['tolerance']:.3e} at {rep['location']}")
 
 
-def test_sphere_ode_rejects_kappa_outside_oscillator_range(capsys):
-    code = main(["trajectory", "--kappa", "4.5", "--solver", "ode", "--T", "1", "--h", "0.01"])
-    assert code == 1
-    assert "kappa" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv, bad", [
     (["trajectory", "--kappa", "4.5", "--solver", "closed-form"], "4.5"),
     (["trajectory", "--kappa", "4.5", "--solver", "ode"], "4.5"),
     (["compare", "--kappa", "9", "--T", "1", "--h", "0.1"], "9.0"),
     (["sweep", "--kappas", "1,4.5"], "4.5"),
+    (["trajectory", "--kappa", "4.5", "--solver", "ode", "--T", "1", "--h", "0.01", "--out", "-"],
+     "4.5"),
 ])
 def test_sphere_commands_share_one_domain_message_and_write_nothing(tmp_path, capsys, argv, bad):
-    out = tmp_path / "out"
-    assert main([*argv, "--out", str(out)]) == 1
+    # Without its own --out a command writes to a file in tmp_path.
+    if "--out" not in argv:
+        argv = [*argv, "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: kappa must lie in (0, 4), got {bad}\n"

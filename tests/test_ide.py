@@ -11,12 +11,12 @@ from hypothesis import example, given, settings, strategies as st
 from direct_oracle import abel_history_direct, solve_ide_direct
 from mp_oracle import abel_cell_mp
 from spherefall import analytic
-from spherefall.ide import _abel_kernel, _causal_product, _reciprocal, abel_history, solve_ide
+from spherefall.ide import _abel_kernel, _fft_size, _quotient, abel_history, solve_ide
 from spherefall.trajectory import Trajectory, uniform_grid
 
 # Grid lengths at and next to powers of two, where the last Newton pass of
-# the reciprocal is full or partial, plus ones that are not powers of two
-# and span several doublings.
+# the half-length reciprocal is full or partial, plus ones that are not
+# powers of two and span several doublings.
 _EDGE_STEPS = [1, 2, 3, 4, 5, 63, 64, 65, 337, 1024, 1025, 2049, 3001]
 _steps = st.one_of(st.sampled_from(_EDGE_STEPS), st.integers(min_value=1, max_value=512))
 _kappas = st.floats(min_value=0.0, max_value=9.0, exclude_min=True, exclude_max=True)
@@ -151,13 +151,16 @@ def test_discrete_monotonicity_preserved_at_coarse_step(kappa):
     assert np.max(traj.values[:-1] - traj.values[1:]) <= 1e-12
 
 
-def test_discrete_residual_closes_at_every_grid_point():
-    kappa, h = 1.5, 1e-2
+@pytest.mark.parametrize("kappa", [0.01, 1.5, 3.9, 9.0])
+def test_discrete_residual_closes_at_every_grid_point(kappa):
+    # The solve and the read-back share one quadrature, so the discrete
+    # equation closes to rounding: about 1e-15 here, about 1e-14 at n = 30000.
+    h = 1e-2
     traj = solve_ide(kappa, 0.0, h, 5.0)
     c = math.sqrt(kappa / math.pi)
     history = abel_history(traj.derivatives, h)
     resid = traj.derivatives + traj.values + c * history - 1.0
-    assert np.max(np.abs(resid[1:])) <= 10.0 * h
+    assert np.max(np.abs(resid[1:])) <= 1e-13
 
 
 @given(_kappas, st.floats(min_value=0.0, max_value=1.0), _hs, _steps)
@@ -172,17 +175,33 @@ def test_solver_matches_direct_step_loop(kappa, u0, h, n):
 
 
 @pytest.mark.parametrize("kappa", [0.5, 2.9, 9.0])
-@pytest.mark.parametrize("n", [1, 1024, 1025])
-def test_reciprocal_inverts_the_solver_column(kappa, n):
-    # The Toeplitz column t of solve_ide; t * (1/t) must be e_0.
+@pytest.mark.parametrize("n", [1, 2, 3, 1024, 1025, 10001])
+def test_quotient_solves_the_solver_system(kappa, n):
+    # The Toeplitz column t and right-hand side of solve_ide: the product
+    # t * d, summed directly, gives rhs back to rounding.
     h = 1e-3
-    a, _ = _abel_kernel(n, h)
+    a, first = _abel_kernel(n, h)
     c = math.sqrt(kappa / math.pi)
     t = c * a + h
     t[0] = 1.0 + 0.5 * h + c * a[0]
-    e0 = np.zeros(n)
-    e0[0] = 1.0
-    assert np.max(np.abs(_causal_product(t[:n], _reciprocal(t, n), n) - e0)) <= 1e-14
+    rhs = 1.0 - 0.5 * h - c * first[1:]
+    d = _quotient(t, rhs)
+    assert len(d) == n
+    assert np.max(np.abs(np.convolve(t[:n], d)[:n] - rhs)) <= 1e-14 * np.max(np.abs(rhs))
+
+
+def test_fft_size_is_the_smallest_5_smooth_length():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for m in range(1, 5001):
+        size = m
+        while not smooth(size):
+            size += 1
+        assert _fft_size(m) == size
 
 
 def test_solver_argument_validation():
