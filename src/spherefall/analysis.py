@@ -276,6 +276,9 @@ def run_default_suite(h: float = 1e-3, points: int = 400) -> list[VerificationRe
     # against the closed form and its own residuals.  The 1e-4 budget is stated for h = 1e-3;
     # larger steps scale it by the scheme's observed order ~1.5, once the solve has checked h > 0.
     traj = ide.solve_ide(2.5, 0.0, h, 10.0)
+    if len(traj) < STARTUP_STEPS + 2:  # ode_residual needs an interior node past the window
+        raise ValueError(f"h must be below 10/{STARTUP_STEPS + 0.5:g} for the memory-equation "
+                         f"checks ({STARTUP_STEPS + 1} steps to T = 10), got {h}")
     ide_tol = max(1e-4, 1e-4 * (h / 1e-3) ** 1.5)
     sup = float(np.max(np.abs(traj.values - _sphere_samples(traj.times, 2.5)[0])))
     reports.append(VerificationReport.from_violation(

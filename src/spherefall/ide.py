@@ -17,15 +17,12 @@ unknown u'(t_n), so each step solves one scalar linear equation
 The weights depend only on the lag n - j, so the history sum is a
 Toeplitz convolution built from one lag kernel, :func:`_abel_kernel`,
 whose weights hold a few ulps at every lag.  Reading the history
-back at every grid point is one FFT convolution, O(n log n)
-(:func:`abel_history`).  The causal solve is a power-series quotient:
-the lower-triangular Toeplitz system t(z) d(z) = rhs(z) is divided once,
-with Newton's iteration (Kung, Numer. Math. 22, 1974, 341) building 1/t
-only to ceil(n/2) coefficients and one step of Karp and Markstein (ACM
-TOMS 23, 1997, 561) giving d from it, O(n log n) time and O(n) memory
-(:func:`_quotient`).  Every FFT runs on the smallest 2^a 3^b 5^c length
-that holds its product (:func:`_fft_size`).  Both match the direct sums
-to rounding.
+back at every grid point is one FFT convolution (:func:`abel_history`),
+and the causal solve divides the lower-triangular Toeplitz system
+t(z) d(z) = rhs(z) once, as a power series (:func:`_quotient`): both
+take O(n log n) time and O(n) memory, on FFT lengths of the form
+2^a 3^b 5^c (:func:`_fft_size`), and both match the direct sums to
+rounding.
 """
 
 from __future__ import annotations
@@ -167,13 +164,10 @@ def solve_ide(kappa: float, u0: float, h: float, T: float) -> Trajectory:
     the massless sphere (rho_s = 0).  Each step n is the scalar linear
     equation for u'(t_n) that the product-integration discretization
     produces (trapezoidal update for u, implicit diagonal Abel weight for
-    the memory term).  All n steps together form one lower-triangular
-    Toeplitz system, solved as the power-series quotient rhs / t in
-    O(n log n) time and O(n) memory: Newton's reciprocal of t to ceil(n/2)
-    coefficients (Kung, Numer. Math. 22, 1974, 341), then one Karp–Markstein
-    step (ACM TOMS 23, 1997, 561) for all n, every FFT on the smallest
-    2^a 3^b 5^c length that holds its product (:func:`_quotient`).  The
-    empirical convergence against the closed form is order ~1.5 in sup norm.
+    the memory term).  All n steps together are one lower-triangular
+    Toeplitz system, solved by :func:`_quotient` in O(n log n) time and
+    O(n) memory.  The empirical convergence against the closed form is
+    order ~1.5 in sup norm.
     An amplitude (1 - u0) sqrt(kappa) outside the double range is the
     ValueError of the other sphere solvers, which names u0 as eps; a solve
     that overflows raises ArithmeticError.

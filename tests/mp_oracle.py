@@ -49,11 +49,6 @@ def villat_mp(z) -> complex:
     return complex(mpmath.e**z * mpmath.erfc(mpmath.sqrt(z)))
 
 
-def villat_abs_mp(z) -> float:
-    z = mpmath.mpc(z)
-    return float(abs(mpmath.e**z * mpmath.erfc(mpmath.sqrt(z))))
-
-
 def _roots_mp(kappa):
     kappa = mpmath.mpf(kappa)
     alpha = ((kappa - 2) + mpmath.sqrt(mpmath.mpc((kappa - 2) ** 2 - 4))) / 2

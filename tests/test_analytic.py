@@ -24,15 +24,13 @@ from spherefall.analytic import (
 )
 
 from closed_form_oracle import u_rest_derivative_reference, u_rest_reference
-from mp_oracle import kernel_M_mp, u_rest_mp, vp_mp
+from mp_oracle import kernel_M_mp, u_rest_mp
 from spherefall.ode import OscillatorProblem, solve_oscillator
 
 # 50-digit oracle values (mp_oracle.py)
 U_REST_1_1 = 0.40676120086217601189
 U_REST_100_3 = 0.90276792330343871134
 M_1_NEG1 = -0.39141572894080029095
-VP_2 = -1.3552014844887057794
-VP_HALF = -0.076492140232478052569
 
 FD_STEP = 2.2e-16 ** (1.0 / 3.0)
 
@@ -264,18 +262,18 @@ def test_sphere_map_rejects_an_amplitude_outside_the_double_range(kappa, eps, at
 # General initial velocity
 # ----------------------------------------------------------------------
 
-def test_u_general_eps_one_is_constant():
+def test_eps_closed_form_at_eps_one_is_constant():
     u, du = _sphere_samples(np.array([0.0, 0.5, 3.0, 20.0]), 2.0, 1.0)
     assert np.all(u == 1.0) and np.all(du == 0.0)
 
 
-def test_u_general_eps_zero_is_u_rest():
+def test_eps_closed_form_at_eps_zero_is_u_rest():
     times = [0.0, 0.7, 5.0]
     u, _ = _sphere_samples(np.array(times), 1.5, 0.0)
     assert np.all(np.abs(u - [u_rest(t, 1.5) for t in times]) <= ARRAY_ATOL)
 
 
-def test_u_general_matches_ide_solver():
+def test_eps_closed_form_matches_the_ide_solver():
     traj = ide.solve_ide(2.0, 0.5, 1e-3, 10.0)
     ref, _ = _sphere_samples(traj.times, 2.0, 0.5)
     assert np.max(np.abs(traj.values - ref)) <= 1e-4
@@ -521,86 +519,6 @@ def test_kernel_domain_errors():
         monotone_kernel_samples(np.ones(3), np.array([[0.5], [2.0], [-1.0]]), 1.0, 0.0)
 
 
-# ----------------------------------------------------------------------
-# Variation of parameters and the general solution, through RK4
-# ----------------------------------------------------------------------
-
-def _run(b, A, t0, v0, v0p, T, h=1e-3):
-    return solve_oscillator(OscillatorProblem(b=b, A=A, t0=t0, v0=v0, v0_prime=v0p), h, T)
-
-
-def _vp(t, b, A, t0):
-    # The oscillator started at rest is the variation-of-parameters solution;
-    # RK4 at h = 1e-3 holds it within 6e-15 of the erfc-difference oracle.
-    k = round(t / 1e-3)
-    return _run(b, A, t0, 0.0, 0.0, max(k, 1) * 1e-3).values[k]
-
-
-def test_vp_starts_at_zero():
-    assert abs(_vp(0.0, -1.0, 1.0, 1.0)) < 1e-14
-
-
-def test_vp_against_erfc_difference_oracle():
-    assert abs(_vp(2.0, -1.0, 1.0, 1.0) - VP_2) < 1e-12
-    assert abs(_vp(0.5, -1.0, 1.0, 1.0) - VP_HALF) < 1e-13
-    for t, b, a, t0 in ((1.0, 0.5, 2.0, 0.5), (3.0, -0.3, 0.7, 2.0)):
-        assert abs(_vp(t, b, a, t0) - vp_mp(t, b, a, t0)) < 1e-11
-
-
-def test_vp_linear_in_amplitude_and_zero_at_zero_amplitude():
-    assert _vp(1.3, -1.0, 0.0, 1.0) == 0.0
-
-
-def test_vp_satisfies_the_oscillator_equation():
-    b, A, t0 = -1.0, 1.0, 1.0
-    h = 1e-4
-    v = _run(b, A, t0, 0.0, 0.0, 4.0 + h, h).values
-    for t in (0.5, 1.0, 4.0):
-        k = round(t / h)
-        vm, v0, vp_ = v[k - 1 : k + 2]
-        second = (vp_ - 2.0 * v0 + vm) / (h * h)
-        first = (vp_ - vm) / (2.0 * h)
-        resid = second + b * first + v0 + A / math.sqrt(math.pi * (t + t0))
-        assert abs(resid) <= 1e-6
-
-
-def test_vp_domain_errors():
-    with pytest.raises(ValueError):
-        _vp(0.0, -1.0, 1.0, -1.0)
-    for bad in (-1.0, math.nan):
-        with pytest.raises(ValueError, match=r"^t0 must be >= 0, got "):
-            _vp(1.0, -1.0, 1.0, bad)
-        with pytest.raises(ValueError, match=r"^t0 must be >= 0, got "):
-            monotone_initial_conditions(-1.0, 1.0, bad)
-
-
-def test_general_solution_with_monotone_ics_is_the_kernel_translate():
-    b, A, t0 = -1.0, 1.0, 1.0
-    ic = monotone_initial_conditions(b, A, t0)
-    traj = _run(b, A, t0, ic.v0, ic.v0_prime, 20.0)
-    ref = np.array([A * monotone_kernel_M(float(t) + t0, b) for t in traj.times[::1000]])
-    assert np.max(np.abs(traj.values[::1000] - ref)) <= 1e-9
-
-
-def test_general_solution_zero_problem_is_zero():
-    assert np.all(_run(-1.0, 0.0, 1.0, 0.0, 0.0, 7.0).values == 0.0)
-
-
-def test_general_solution_perturbed_ic_diverges():
-    b, A, t0 = -1.0, 1.0, 1.0
-    ic = monotone_initial_conditions(b, A, t0)
-    v40 = _run(b, A, t0, ic.v0 + 1e-3, ic.v0_prime, 40.0).values[-1]
-    assert abs(v40) > 10.0 * abs(ic.v0)
-    # growth-factor scale: e^{0.5 t} amplification of the 1e-3 perturbation
-    assert abs(v40) > 1e4
-
-
-def test_first_step_reproduces_initial_conditions():
-    traj = _run(0.5, 2.0, 3.0, 0.7, -0.2, 1e-12, 1e-12)
-    assert abs(traj.values[1] - 0.7) < 1e-10
-    assert abs(traj.derivatives[1] + 0.2) < 1e-10
-
-
 @pytest.mark.parametrize("call", [
     lambda t: u_rest(t, 2.0),
     lambda t: u_rest_derivative(t, 2.0),
@@ -615,42 +533,21 @@ def test_an_infinite_time_is_a_domain_error(call, t):
             call(t)
 
 
+# ----------------------------------------------------------------------
+# Initial-condition maps
+# ----------------------------------------------------------------------
+
+def test_monotone_ic_rejects_a_negative_or_nan_t0():
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match=r"^t0 must be >= 0, got "):
+            monotone_initial_conditions(-1.0, 1.0, bad)
+
+
 def test_an_infinite_forcing_offset_is_a_domain_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^t0 must be finite, got inf$"):
             monotone_initial_conditions(-1.0, 1.0, math.inf)
-
-
-# ----------------------------------------------------------------------
-# Initial-condition maps
-# ----------------------------------------------------------------------
-
-def test_coefficients_from_ic_zero_maps_to_zero():
-    traj = _run(0.3, 0.0, 0.0, 0.0, 0.0, 2.0, 0.5)  # two series nodes, then the scan
-    assert traj.meta["series_steps"] == 2
-    assert np.all(traj.values == 0.0) and np.all(traj.derivatives == 0.0)
-
-
-def test_coefficients_from_ic_hand_value():
-    # b = 0, A = 0: v = cos t from v(0) = 1, v'(0) = 0; t = 1 is the series node t + t0 = 1.
-    traj = _run(0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0)
-    assert traj.meta["series_steps"] == 1
-    assert abs(traj.values[1] - math.cos(1.0)) < 1e-15
-    assert abs(traj.derivatives[1] + math.sin(1.0)) < 1e-15
-
-
-@given(
-    st.floats(min_value=-1.9, max_value=1.9, allow_nan=False),
-    st.floats(min_value=-10, max_value=10, allow_nan=False),
-    st.floats(min_value=-10, max_value=10, allow_nan=False),
-)
-@settings(max_examples=100, deadline=None)
-def test_coefficients_reconstruction_identity(b, w0, w0p):
-    # The series start reproduces the initial state as t -> 0: v' moves like sqrt(t) there.
-    traj = _run(b, 0.5, 0.0, w0, w0p, 1e-30, 1e-30)
-    assert abs(traj.values[1] - w0) <= 1e-12 * (1.0 + abs(w0))
-    assert abs(traj.derivatives[1] - w0p) <= 1e-12 * (1.0 + abs(w0p))
 
 
 @pytest.mark.parametrize("kappa", np.linspace(0.1, 3.9, 20).tolist())
@@ -668,30 +565,21 @@ def test_monotone_ic_scales_linearly_to_zero():
     assert ic0.v0 == 0.0 and ic0.v0_prime == 0.0
 
 
+def test_monotone_ic_map_linear_in_amplitude():
+    ic1 = monotone_initial_conditions(-0.5, 2.0, 1.0)
+    ic2 = monotone_initial_conditions(-0.5, 1.0, 1.0)
+    assert ic1.v0 == 2.0 * ic2.v0
+    assert ic1.v0_prime == 2.0 * ic2.v0_prime
+
+
 def test_monotone_ic_zeroes_homogeneous_modes_against_kernel():
     # A homogeneous mode C e^{alpha t} left over grows like e^{t/2} at b = -1;
     # at t = 40 any |C| > 1e-10 would show.
     b, A, t0, t = -1.0, 1.0, 1.0, 40.0
     ic = monotone_initial_conditions(b, A, t0)
-    traj = _run(b, A, t0, ic.v0, ic.v0_prime, t)
+    traj = solve_oscillator(OscillatorProblem(b=b, A=A, t0=t0, v0=ic.v0, v0_prime=ic.v0_prime),
+                            1e-3, t)
     v, dv = traj.values[-1], traj.derivatives[-1]
     growth = math.exp(0.5 * t)
     assert abs(v - A * monotone_kernel_M(t + t0, b)) <= 1e-10 * growth
     assert abs(dv - A * _kernel_derivative(t + t0, b)) <= 1e-10 * growth
-
-
-def test_general_solution_monotone_sweep():
-    # The monotone trajectory A M(t + t0) rises, and RK4 from the monotone state
-    # follows it: a leftover homogeneous mode C e^{-b t/2} would show above
-    # |C| = 1e-10 (the worst seen is 2.4e-12).
-    for b in (-1.5, -1.0, -0.5, 0.5, 1.5):
-        for A in (0.5, 1.0, 2.0):
-            for t0 in (0.1, 1.0, 10.0):
-                ic = monotone_initial_conditions(b, A, t0)
-                ts = np.linspace(0.0, 50.0, 101)
-                vals = monotone_kernel_samples(ts, b, A, t0)[0]
-                assert np.max(vals[:-1] - vals[1:]) <= 1e-12, (b, A, t0)
-                traj = _run(b, A, t0, ic.v0, ic.v0_prime, 50.0, 5e-3)
-                ref = monotone_kernel_samples(traj.times, b, A, t0)[0]
-                growth = np.maximum(1.0, np.exp(-b / 2.0 * traj.times))
-                assert np.max(np.abs(traj.values - ref) / growth) <= 1e-10, (b, A, t0)

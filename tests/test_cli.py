@@ -251,6 +251,12 @@ def test_usage_errors_exit_one(tmp_path, capsys):
              "--out", str(sweep_dir)])
     assert not sweep_dir.exists()
     refused(["nosuchcommand"])
+    # A step that leaves the memory-equation checks no node past their startup window.
+    verify_out = tmp_path / "verify.json"
+    err = refused(["verify", "--h", "1", "--out", str(verify_out)])
+    assert err == ("error: h must be below 10/10.5 for the memory-equation checks "
+                   "(11 steps to T = 10), got 1.0\n")
+    assert not verify_out.exists()
     # The closed form checks its grid like the ide and ode solvers do, to a file or to stdout.
     out = tmp_path / "traj.csv"
     for solver in ("closed-form", "ide", "ode"):

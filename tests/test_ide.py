@@ -275,14 +275,14 @@ def test_abel_history_raises_where_the_history_is_not_finite():
 
 
 # ----------------------------------------------------------------------
-# Basset history integral of a velocity record
+# Abel history of a velocity record
 # ----------------------------------------------------------------------
 
-def test_basset_zero_history():
+def test_abel_history_of_zero_is_zero():
     assert np.array_equal(abel_history(np.zeros(51), 0.1), np.zeros(51))
 
 
-def test_basset_constant_derivative():
+def test_abel_history_of_a_constant_at_three_rows():
     n, h = 64, 0.05
     hist = abel_history(np.ones(n + 1), h)
     for i in (1, 13, n):
@@ -290,7 +290,7 @@ def test_basset_constant_derivative():
         assert abs(hist[i] - exact) <= 1e-13 * exact
 
 
-def test_basset_matches_closed_form_identity():
+def test_abel_history_of_the_rest_start_matches_its_closed_form():
     # integral_0^t u'/sqrt(t-s) ds = sqrt(pi/kappa) (1 - u - u') for the
     # rest-start solution.
     kappa, h = 2.0, 1e-3

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -18,7 +19,28 @@ from spherefall.ode import (
     classify_homogeneous,
     solve_oscillator,
 )
+from mp_oracle import vp_mp
 from rk4_oracle import solve_oscillator_loop
+
+# 50-digit oracle values of the run from rest at b = -1, A = 1, t0 = 1 (mp_oracle.py)
+VP_2 = -1.3552014844887057794
+VP_HALF = -0.076492140232478052569
+
+
+def _monotone_problem(b, A, t0):
+    ic = analytic.monotone_initial_conditions(b, A, t0)
+    return OscillatorProblem(b=b, A=A, t0=t0, v0=ic.v0, v0_prime=ic.v0_prime)
+
+
+def _run(b, A, t0, v0, v0p, T, h=1e-3):
+    return solve_oscillator(OscillatorProblem(b=b, A=A, t0=t0, v0=v0, v0_prime=v0p), h, T)
+
+
+def _vp(t, b, A, t0):
+    # The oscillator started at rest is the variation-of-parameters solution;
+    # RK4 at h = 1e-3 holds it within 6e-15 of the erfc-difference oracle.
+    k = round(t / 1e-3)
+    return _run(b, A, t0, 0.0, 0.0, max(k, 1) * 1e-3).values[k]
 
 
 def test_classify_stable_falling_sphere():
@@ -51,19 +73,27 @@ def test_classify_boundaries():
 
 def test_zero_problem_stays_zero():
     for t0, h in ((1.0, 1e-2), (0.0, 100.0)):  # the scan alone; a series node past its reach
-        prob = OscillatorProblem(b=-1.0, A=0.0, t0=t0, v0=0.0, v0_prime=0.0)
-        traj = solve_oscillator(prob, h, 500 * h)
+        traj = _run(-1.0, 0.0, t0, 0.0, 0.0, 500 * h, h)
         assert np.max(np.abs(traj.values)) == 0.0 and not traj.meta["diverged"]
         assert np.max(np.abs(traj.derivatives)) == 0.0
 
 
+def test_zero_problem_over_7_time_units_is_zero():
+    assert np.all(_run(-1.0, 0.0, 1.0, 0.0, 0.0, 7.0).values == 0.0)
+
+
 def test_monotone_ic_trajectory_matches_kernel_translate():
     b, A, t0 = -1.0, 1.0, 1.0
-    ic = analytic.monotone_initial_conditions(b, A, t0)
-    prob = OscillatorProblem(b=b, A=A, t0=t0, v0=ic.v0, v0_prime=ic.v0_prime)
-    traj = solve_oscillator(prob, 1e-3, 20.0)
+    traj = solve_oscillator(_monotone_problem(b, A, t0), 1e-3, 20.0)
     ref = np.array([A * analytic.monotone_kernel_M(t + t0, b) for t in traj.times])
     assert np.max(np.abs(traj.values - ref)) <= 1e-6
+
+
+def test_monotone_run_is_the_kernel_translate_at_every_1000th_node():
+    b, A, t0 = -1.0, 1.0, 1.0
+    traj = solve_oscillator(_monotone_problem(b, A, t0), 1e-3, 20.0)
+    ref = np.array([A * analytic.monotone_kernel_M(float(t) + t0, b) for t in traj.times[::1000]])
+    assert np.max(np.abs(traj.values[::1000] - ref)) <= 1e-9
 
 
 def test_monotone_ic_trajectory_holds_the_increment_form_accuracy():
@@ -73,9 +103,7 @@ def test_monotone_ic_trajectory_holds_the_increment_form_accuracy():
     # grid); ending it at t + t0 = 0.1 instead of 1 gives 1.5e-10.
     b, A = -1.0, 1.0
     for t0, T in ((1.0, 20.0), (1e-9, 10.0)):
-        ic = analytic.monotone_initial_conditions(b, A, t0)
-        prob = OscillatorProblem(b=b, A=A, t0=t0, v0=ic.v0, v0_prime=ic.v0_prime)
-        traj = solve_oscillator(prob, 1e-3, T)
+        traj = solve_oscillator(_monotone_problem(b, A, t0), 1e-3, T)
         ref, _ = analytic.monotone_kernel_samples(traj.times, b, A, t0)
         assert np.max(np.abs(traj.values - ref)) <= 1e-10, t0
 
@@ -90,6 +118,67 @@ def test_sphere_case_matches_closed_form():
     assert np.max(np.abs(traj.values[1:] - ref[1:])) <= 1e-5
 
 
+def test_run_from_rest_starts_at_zero():
+    assert abs(_vp(0.0, -1.0, 1.0, 1.0)) < 1e-14
+
+
+def test_run_from_rest_is_zero_at_zero_amplitude():
+    assert _vp(1.3, -1.0, 0.0, 1.0) == 0.0
+
+
+def test_run_from_rest_matches_the_erfc_difference_oracle():
+    assert abs(_vp(2.0, -1.0, 1.0, 1.0) - VP_2) < 1e-12
+    assert abs(_vp(0.5, -1.0, 1.0, 1.0) - VP_HALF) < 1e-13
+    for t, b, a, t0 in ((1.0, 0.5, 2.0, 0.5), (3.0, -0.3, 0.7, 2.0)):
+        assert abs(_vp(t, b, a, t0) - vp_mp(t, b, a, t0)) < 1e-11
+
+
+def test_run_from_rest_satisfies_the_oscillator_equation():
+    b, A, t0 = -1.0, 1.0, 1.0
+    h = 1e-4
+    v = _run(b, A, t0, 0.0, 0.0, 4.0 + h, h).values
+    for t in (0.5, 1.0, 4.0):
+        k = round(t / h)
+        vm, v0, vp_ = v[k - 1 : k + 2]
+        second = (vp_ - 2.0 * v0 + vm) / (h * h)
+        first = (vp_ - vm) / (2.0 * h)
+        resid = second + b * first + v0 + A / math.sqrt(math.pi * (t + t0))
+        assert abs(resid) <= 1e-6
+
+
+def test_a_first_step_of_1e_12_keeps_the_initial_state():
+    traj = _run(0.5, 2.0, 3.0, 0.7, -0.2, 1e-12, 1e-12)
+    assert abs(traj.values[1] - 0.7) < 1e-10
+    assert abs(traj.derivatives[1] + 0.2) < 1e-10
+
+
+def test_series_start_keeps_the_zero_state():
+    traj = _run(0.3, 0.0, 0.0, 0.0, 0.0, 2.0, 0.5)  # two series nodes, then the scan
+    assert traj.meta["series_steps"] == 2
+    assert np.all(traj.values == 0.0) and np.all(traj.derivatives == 0.0)
+
+
+def test_series_start_gives_cos_t_without_damping_or_forcing():
+    # b = 0, A = 0: v = cos t from v(0) = 1, v'(0) = 0; t = 1 is the series node t + t0 = 1.
+    traj = _run(0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0)
+    assert traj.meta["series_steps"] == 1
+    assert abs(traj.values[1] - math.cos(1.0)) < 1e-15
+    assert abs(traj.derivatives[1] + math.sin(1.0)) < 1e-15
+
+
+@given(
+    st.floats(min_value=-1.9, max_value=1.9, allow_nan=False),
+    st.floats(min_value=-10, max_value=10, allow_nan=False),
+    st.floats(min_value=-10, max_value=10, allow_nan=False),
+)
+@settings(max_examples=100, deadline=None)
+def test_series_start_reproduces_the_initial_state(b, w0, w0p):
+    # The series start reproduces the initial state as t -> 0: v' moves like sqrt(t) there.
+    traj = _run(b, 0.5, 0.0, w0, w0p, 1e-30, 1e-30)
+    assert abs(traj.values[1] - w0) <= 1e-12 * (1.0 + abs(w0))
+    assert abs(traj.derivatives[1] - w0p) <= 1e-12 * (1.0 + abs(w0p))
+
+
 def test_series_start_covers_the_nodes_up_to_t_plus_t0_of_one():
     # The nodes with t + t0 <= 1 (node 1 at least, none from t0 = 1 on) are summed
     # from the series in sqrt(t + t0); the scan takes over from there.
@@ -99,11 +188,6 @@ def test_series_start_covers_the_nodes_up_to_t_plus_t0_of_one():
         prob = OscillatorProblem(b=0.5, A=1.0, t0=t0, v0=-1.0, v0_prime=1.0)
         traj = solve_oscillator(prob, h, T)
         assert traj.meta["series_steps"] == steps and not traj.meta["diverged"]
-
-
-def _monotone_problem(b, A, t0):
-    ic = analytic.monotone_initial_conditions(b, A, t0)
-    return OscillatorProblem(b=b, A=A, t0=t0, v0=ic.v0, v0_prime=ic.v0_prime)
 
 
 @pytest.mark.parametrize("t0", [0.0, 5e-324, 1e-9, 0.5])
@@ -206,31 +290,42 @@ def test_monotone_run_matches_the_closed_form_at_every_t0(b, A, t0, h):
     # run within 3.6e-9 of the scale over this domain (the worst of a dense
     # scan, at b = -1.9, t0 = 1, h = 1e-2, where the scan starts at node 0),
     # and this bound leaves a factor 2.8.
-    ic = analytic.monotone_initial_conditions(b, A, t0)
-    prob = OscillatorProblem(b=b, A=A, t0=t0, v0=ic.v0, v0_prime=ic.v0_prime)
-    traj = solve_oscillator(prob, h, 5.0)
+    traj = solve_oscillator(_monotone_problem(b, A, t0), h, 5.0)
     ref, _ = analytic.monotone_kernel_samples(traj.times, b, A, t0)
     assert not traj.meta["diverged"]
     assert np.max(np.abs(traj.values - ref)) <= 1e-8 * (abs(A) + np.max(np.abs(traj.values)))
 
 
+def test_monotone_run_follows_the_kernel_over_a_sweep():
+    # The monotone trajectory A M(t + t0) rises, and RK4 from the monotone state
+    # follows it: a leftover homogeneous mode C e^{-b t/2} would show above
+    # |C| = 1e-10 (the worst seen is 2.4e-12).
+    ts = np.linspace(0.0, 50.0, 101)
+    for b in (-1.5, -1.0, -0.5, 0.5, 1.5):
+        for A in (0.5, 1.0, 2.0):
+            for t0 in (0.1, 1.0, 10.0):
+                vals = analytic.monotone_kernel_samples(ts, b, A, t0)[0]
+                assert np.max(vals[:-1] - vals[1:]) <= 1e-12, (b, A, t0)
+                traj = solve_oscillator(_monotone_problem(b, A, t0), 5e-3, 50.0)
+                ref = analytic.monotone_kernel_samples(traj.times, b, A, t0)[0]
+                growth = np.maximum(1.0, np.exp(-b / 2.0 * traj.times))
+                assert np.max(np.abs(traj.values - ref) / growth) <= 1e-10, (b, A, t0)
+
+
 def test_forcing_near_the_largest_double_does_not_overflow():
     # pi (t + t0) overflows past t + t0 of about 5.7e307; sqrt(pi) sqrt(t + t0) does not.
     b, A, t0 = 1.5695228564229238, 1e-12, 1.7e308
-    ic = analytic.monotone_initial_conditions(b, A, t0)
-    prob = OscillatorProblem(b=b, A=A, t0=t0, v0=ic.v0, v0_prime=ic.v0_prime)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        traj = solve_oscillator(prob, 1.0, 20200.0)
+        traj = solve_oscillator(_monotone_problem(b, A, t0), 1.0, 20200.0)
     ref, _ = analytic.monotone_kernel_samples(traj.times, b, A, t0)
     assert len(traj.times) == 20201 and not traj.meta["diverged"]
     assert np.all(np.abs(traj.values - ref) <= 1e-12 * np.abs(ref))
 
 
 def test_fourth_order_convergence_on_smooth_problem():
-    b, A, t0 = 0.5, 1.0, 1.0
-    ic = analytic.monotone_initial_conditions(b, A, t0)
-    prob = OscillatorProblem(b=b, A=A, t0=t0, v0=ic.v0 + 0.2, v0_prime=ic.v0_prime)  # generic start
+    monotone = _monotone_problem(0.5, 1.0, 1.0)
+    prob = replace(monotone, v0=monotone.v0 + 0.2)  # a generic start
     runs = [solve_oscillator(prob, h, 5.0).values for h in (2e-2, 1e-2, 5e-3)]
 
     def sup_step_halving(coarse, fine):
@@ -243,20 +338,21 @@ def test_fourth_order_convergence_on_smooth_problem():
 
 
 def test_unstable_damping_contrast_bounded_vs_perturbed():
-    b, A, t0 = -1.0, 1.0, 1.0
-    ic = analytic.monotone_initial_conditions(b, A, t0)
-    h, T = 1e-3, 50.0
-
-    prob = OscillatorProblem(b=b, A=A, t0=t0, v0=ic.v0, v0_prime=ic.v0_prime)
+    prob, h, T = _monotone_problem(-1.0, 1.0, 1.0), 1e-3, 50.0
     bounded = solve_oscillator(prob, h, T)
-    assert np.max(np.abs(bounded.values)) <= abs(ic.v0) + abs(A)
+    assert np.max(np.abs(bounded.values)) <= abs(prob.v0) + abs(prob.A)
 
     for sign in (+1.0, -1.0):
-        prob_p = OscillatorProblem(
-            b=b, A=A, t0=t0, v0=ic.v0 + sign * 1e-3, v0_prime=ic.v0_prime
-        )
-        perturbed = solve_oscillator(prob_p, h, T)
-        assert np.max(np.abs(perturbed.values)) > 10.0 * abs(ic.v0)
+        perturbed = solve_oscillator(replace(prob, v0=prob.v0 + sign * 1e-3), h, T)
+        assert np.max(np.abs(perturbed.values)) > 10.0 * abs(prob.v0)
+
+
+def test_perturbed_monotone_run_grows_past_1e4_by_t_40():
+    prob = _monotone_problem(-1.0, 1.0, 1.0)
+    v40 = solve_oscillator(replace(prob, v0=prob.v0 + 1e-3), 1e-3, 40.0).values[-1]
+    assert abs(v40) > 10.0 * abs(prob.v0)
+    # growth-factor scale: e^{0.5 t} amplification of the 1e-3 perturbation
+    assert abs(v40) > 1e4
 
 
 def test_positive_damping_converges():
@@ -264,13 +360,6 @@ def test_positive_damping_converges():
     prob = OscillatorProblem(b=1.0, A=1.0, t0=1e4, v0=0.5, v0_prime=0.0)
     traj = solve_oscillator(prob, 1e-2, 50.0)
     assert abs(traj.values[-1]) <= 1e-2 * (1.0 + abs(prob.v0))
-
-
-def test_monotone_ic_map_linear_in_amplitude():
-    ic1 = analytic.monotone_initial_conditions(-0.5, 2.0, 1.0)
-    ic2 = analytic.monotone_initial_conditions(-0.5, 1.0, 1.0)
-    assert ic1.v0 == 2.0 * ic2.v0
-    assert ic1.v0_prime == 2.0 * ic2.v0_prime
 
 
 def test_divergent_trajectory_flagged_not_raised():

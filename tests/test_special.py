@@ -19,7 +19,7 @@ from spherefall.special import (
     villat_asymptotic,
 )
 
-from mp_oracle import erfc_taylor, faddeeva_mp, villat_abs_mp, villat_mp
+from mp_oracle import erfc_taylor, faddeeva_mp, villat_mp
 
 SQRT_PI = math.sqrt(math.pi)
 
