@@ -109,3 +109,35 @@ def abel_cell_mp(m: int, h: float) -> tuple:
     a, b = (m - 1) * h, m * h
     d_sqrt, d_32 = mpmath.sqrt(b) - mpmath.sqrt(a), b * mpmath.sqrt(b) - a * mpmath.sqrt(a)
     return (2 * d_32 / 3 - 2 * a * d_sqrt) / h, (2 * b * d_sqrt - 2 * d_32 / 3) / h
+
+
+def u_laplace_mp(t, kappa) -> float:
+    """u(t) of the sphere released from rest, for any kappa > 0, from its Laplace form.
+
+    u(t) = 1 - (1/pi) integral_0^inf 2 sqrt(kappa) exp(-x^2 t) / (x^4 + (kappa - 2) x^2 + 1) dx:
+    the transform of u' is 1/(s + sqrt(kappa s) + 1), and folding the inversion contour
+    onto the cut s = -x^2 < 0 leaves a positive weight, also past kappa = 4, where the
+    closed form's roots are real.  At 25 digits.
+    """
+    with mpmath.workdps(25):
+        k, t = mpmath.mpf(kappa), mpmath.mpf(t)
+        weight = lambda x: 2 * mpmath.sqrt(k) * mpmath.exp(-x * x * t) / (x**4 + (k - 2) * x**2 + 1)
+        return float(1 - mpmath.quad(weight, [0, 1, mpmath.inf]) / mpmath.pi)
+
+
+def sqrt_errors_mp(ks, n_weights: int):
+    """The Abel and trapezoidal rules' errors on sqrt(t) at t_k = k (h = 1), at 40 digits.
+
+    eps_k = (pi/2) k - sum_{j=1..k} a[k-j] sqrt(j), with the weights a of the cells
+    from :func:`abel_cell_mp`, and tau_k = (2/3) k^(3/2) - (sum_{j<=k} sqrt(j) - sqrt(k)/2).
+    n_weights is at least max(ks).
+    """
+    with mpmath.workdps(40):
+        cells = [abel_cell_mp(m, 1) for m in range(1, n_weights + 2)]
+        a = [cells[0][1]] + [cells[m - 1][0] + cells[m][1] for m in range(1, n_weights + 1)]
+        roots = [mpmath.sqrt(j) for j in range(max(ks) + 1)]
+        eps = [mpmath.pi / 2 * k - mpmath.fsum(a[k - j] * roots[j] for j in range(1, k + 1))
+               for k in ks]
+        tau = [mpmath.mpf(2) / 3 * k * roots[k] - (mpmath.fsum(roots[: k + 1]) - roots[k] / 2)
+               for k in ks]
+        return [float(e) for e in eps], [float(x) for x in tau]

@@ -386,6 +386,21 @@ def test_residuals_reject_trajectories_inside_the_startup_window(check, name):
 # Full suite
 # ----------------------------------------------------------------------
 
+@pytest.mark.parametrize("h, ide_tol, ode_tol", [(1e-3, 1e-4, 0.1),
+                                                  (0.01, 0.0031622776601683794, 1.0)])
+def test_the_default_suite_pins_every_tolerance(h, ide_tol, ode_tol):
+    # The verify report carries these: the IDE budget scales as h^1.5 from 1e-4 at
+    # h = 1e-3, and ode_residual allows 100 h.
+    assert [(r.check_id, r.tolerance) for r in run_default_suite(h=h, points=20)] == [
+        ("closed_form_monotone", 1e-12), ("closed_form_derivative_positive", 0.0),
+        ("terminal_approach", 0.05), ("root_identities", 1e-13), ("decoupling_v0", 1e-12),
+        ("proof_integral_negative", 0.0), ("imag_sqrt_alpha_positive", 0.0),
+        ("ide_vs_closed_form", ide_tol), ("ide_monotone", 1e-12), ("ode_residual", ode_tol),
+        ("abel_identity", 1e-2), ("oscillator_monotone_ic", 1e-6), ("oscillator_monotone", 1e-12),
+        ("faddeeva_vs_quadrature", 1e-10), ("villat_derivative_identity", 1e-6),
+        ("villat_asymptotic_match", 1e-6), ("naive_villat_blowup", 0.0)]
+
+
 def test_default_suite_all_green():
     reports = run_default_suite(h=2e-3, points=150)
     failed = [r for r in reports if not r.passed]

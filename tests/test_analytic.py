@@ -306,6 +306,13 @@ def test_kernel_M_increases_to_zero():
     vals = [monotone_kernel_M(float(t), -1.0) for t in ts]
     assert all(v < 0.0 for v in vals)
     assert all(b > a for a, b in zip(vals, vals[1:]))
+    # The monotone trajectory A M(t + t0) rises over a sweep of (b, A, t0).
+    ts = np.linspace(0.0, 50.0, 101)
+    for b in (-1.5, -1.0, -0.5, 0.5, 1.5):
+        for A in (0.5, 1.0, 2.0):
+            for t0 in (0.1, 1.0, 10.0):
+                vals = monotone_kernel_samples(ts, b, A, t0)[0]
+                assert np.max(vals[:-1] - vals[1:]) <= 1e-12, (b, A, t0)
 
 
 def test_kernel_M_derivative_positive_and_matches_fd():

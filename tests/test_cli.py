@@ -482,15 +482,17 @@ def test_an_rk4_step_past_its_stability_interval_exits_three_at_t_zero(tmp_path,
 
 
 @pytest.mark.parametrize("solver, kappas, h, T, monotone", [
-    ("ide", "0.5,6", "3", "60", ["false", "false"]),
+    ("ide", "0.5,6", "3", "60", ["true", "false"]),
     ("ode", "0.5,2,3.9", "0.05", "20", ["true", "true", "false"]),
     ("closed-form", "0.5,2,3.9", "0.05", "20", ["true", "true", "true"]),
 ])
 def test_the_sweep_holds_every_solver_to_one_monotone_bound(tmp_path, solver, kappas, h, T,
                                                           monotone):
     # No step of u may fall by more than 1e-12, whatever the solver and h.  The IDE at
-    # h = 3 falls by 0.30-0.38 and RK4 at kappa 3.9, h = 0.05 by 0.06; a bound of 10 h
-    # wrote true for both.  The column is no exit condition.
+    # h = 3 falls by 2.5e-3 at kappa 6 (and is monotone at kappa 0.5), and RK4 at
+    # kappa 3.9, h = 0.05 by 0.06; a bound of 10 h wrote true for both.  The column is
+    # no exit condition.
+    least_drop = 2e-3 if solver == "ide" else 0.05
     out = tmp_path / "sweep"
     assert main(["sweep", "--solver", solver, "--kappas", kappas, "--h", h, "--T", T,
                  "--out", str(out)]) == 0
@@ -499,7 +501,7 @@ def test_the_sweep_holds_every_solver_to_one_monotone_bound(tmp_path, solver, ka
     for line, flag in zip(summary, monotone):
         _, rows = _read_csv(out / line.split(",")[3])
         drop = np.max(rows[:-1, 1] - rows[1:, 1])
-        assert (drop > 0.05) if flag == "false" else (drop <= 0.0), (line, drop)
+        assert (drop > least_drop) if flag == "false" else (drop <= 0.0), (line, drop)
 
 
 def test_compare_reports_an_rk4_divergence_with_exit_three(tmp_path, capsys):

@@ -4,14 +4,15 @@ import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from direct_oracle import abel_history_direct, solve_ide_direct
-from mp_oracle import abel_cell_mp
-from spherefall import analytic
-from spherefall.ide import _abel_kernel, _fft_size, _quotient, abel_history, solve_ide
+from mp_oracle import abel_cell_mp, sqrt_errors_mp, u_laplace_mp
+from spherefall import analytic, ide
+from spherefall.ide import _abel_kernel, _fft_size, _quotient, _sqrt_errors, abel_history, solve_ide
 from spherefall.trajectory import Trajectory, uniform_grid
 
 # Grid lengths at and next to powers of two, where the last Newton pass of
@@ -110,6 +111,83 @@ def test_weights_second_order_for_quadratic():
 
     e1, e2 = err(1e-2), err(5e-3)
     assert 3.0 <= e1 / e2 <= 5.0
+
+
+# ----------------------------------------------------------------------
+# The sqrt(t) starting correction
+# ----------------------------------------------------------------------
+
+_SQRT_ERROR_KS = list(range(200)) + [255, 1000, 3001]
+
+
+def test_sqrt_errors_match_40_digit_sums():
+    # Below k = 128 they are summed, and round with the sums they are differences
+    # of, which grow like k and k^(3/2); from there on the expansions hold 3e-17.
+    eps, tau = _sqrt_errors(3001)
+    ref_eps, ref_tau = sqrt_errors_mp(_SQRT_ERROR_KS, 3001)
+    for k, e, t in zip(_SQRT_ERROR_KS, ref_eps, ref_tau):
+        summed = k < ide._TAIL_FROM
+        assert abs(eps[k] - e) <= (1e-15 * k if summed else 5e-17), (k, eps[k], e)
+        assert abs(tau[k] - t) <= (1e-15 * k**1.5 if summed else 5e-17), (k, tau[k], t)
+
+
+def test_sqrt_error_expansions_are_their_zeta_values():
+    # Abel: K_i M_i + f_{i+1} N_{i+1} (see ide._ABEL_TAIL); trapezoid: the Euler-Maclaurin
+    # terms f_p (-zeta(-p)) of the sum of sqrt(j), and the limit -zeta(-1/2).
+    half = mpmath.mpf(1) / 2
+    binom = mpmath.binomial
+
+    def M(i):
+        return -mpmath.fsum(2 * binom(i + 2, 2 * r + 2) / ((i + 1) * (i + 2))
+                            * mpmath.zeta(2 * r - i - half) for r in range(i // 2 + 1))
+
+    def N(p):
+        return -mpmath.mpf(4) / 3 * mpmath.fsum(2 * binom(p, r) * mpmath.zeta(r - p - 3 * half)
+                                                for r in range(2, p + 1, 2))
+
+    def f(p):  # the Taylor coefficient of sqrt(k - y) at y = 0, over k^(1/2 - p)
+        return (-1) ** p * binom(half, p)
+
+    abel = [(-1) ** i * binom(-half, i) * M(i) + (f(i + 1) * N(i + 1) if i else 0)
+            for i in range(len(ide._ABEL_TAIL))]
+    trap = [-f(2 * i + 1) * mpmath.zeta(-(2 * i + 1)) for i in range(len(ide._TRAP_TAIL))]
+    assert np.allclose(ide._ABEL_TAIL, [float(x) for x in abel], rtol=1e-15, atol=0.0)
+    assert np.allclose(ide._TRAP_TAIL, [float(x) for x in trap], rtol=1e-15, atol=0.0)
+    assert ide._TRAP_LIMIT == float(-mpmath.zeta(-half))
+
+
+@given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), _hs,
+       _steps.filter(lambda n: n >= 2))
+@settings(max_examples=40, deadline=None)
+def test_abel_history_is_exact_on_a_line_plus_a_square_root(a, b, c, h, n):
+    # The plain rule is off by 2.4e-4 on sqrt(t) at h = 1e-3.  An FFT product rounds
+    # relative to its largest entry, so the bound is too.
+    t = np.arange(n + 1) * h
+    root = np.sqrt(t)
+    parts = np.array([2.0 * a * root, (4.0 / 3.0) * b * t * root, c * (math.pi / 2.0) * t])
+    hist = abel_history(a + b * t + c * root, h)
+    assert np.max(np.abs(hist - parts.sum(axis=0))) <= 1e-13 * np.abs(parts).sum(axis=0).max()
+
+
+def test_laplace_oracle_matches_the_closed_form_below_kappa_4():
+    for t in (0.02, 0.4, 5.0):
+        assert abs(u_laplace_mp(t, 2.5) - analytic.u_rest(t, 2.5)) <= 1e-15
+
+
+@pytest.mark.parametrize("kappa", [0.5, 2.5, 6.0, 9.0])
+def test_the_solver_converges_at_order_1_7_or_more(kappa):
+    # The error peaks near t = 0.1-0.5, and the 40 nodes t = 0.02 j common to both
+    # grids span it.  The reference is the closed form below kappa = 4 and the Laplace
+    # integral above it.  Measured orders: 1.90, 1.94, 1.82 and 1.77.
+    times = 0.02 * np.arange(1, 41)
+    if kappa < 4.0:
+        ref = np.array([analytic.u_rest(t, kappa) for t in times])
+    else:
+        ref = np.array([u_laplace_mp(t, kappa) for t in times])
+    sups = [np.max(np.abs(solve_ide(kappa, 0.0, h, 0.8).values[np.rint(times / h).astype(int)]
+                          - ref)) for h in (2e-3, 1e-3)]
+    assert sups[1] <= 1.2e-7
+    assert math.log2(sups[0] / sups[1]) >= 1.7, sups
 
 
 # ----------------------------------------------------------------------

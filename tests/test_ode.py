@@ -297,15 +297,11 @@ def test_monotone_run_matches_the_closed_form_at_every_t0(b, A, t0, h):
 
 
 def test_monotone_run_follows_the_kernel_over_a_sweep():
-    # The monotone trajectory A M(t + t0) rises, and RK4 from the monotone state
-    # follows it: a leftover homogeneous mode C e^{-b t/2} would show above
-    # |C| = 1e-10 (the worst seen is 2.4e-12).
-    ts = np.linspace(0.0, 50.0, 101)
+    # RK4 from the monotone state follows A M(t + t0): a leftover homogeneous
+    # mode C e^{-b t/2} would show above |C| = 1e-10 (the worst seen is 2.4e-12).
     for b in (-1.5, -1.0, -0.5, 0.5, 1.5):
         for A in (0.5, 1.0, 2.0):
             for t0 in (0.1, 1.0, 10.0):
-                vals = analytic.monotone_kernel_samples(ts, b, A, t0)[0]
-                assert np.max(vals[:-1] - vals[1:]) <= 1e-12, (b, A, t0)
                 traj = solve_oscillator(_monotone_problem(b, A, t0), 5e-3, 50.0)
                 ref = analytic.monotone_kernel_samples(traj.times, b, A, t0)[0]
                 growth = np.maximum(1.0, np.exp(-b / 2.0 * traj.times))
