@@ -14,13 +14,13 @@ mixing in a signed array promotes to float64.
 
 k, the shift h and g(k) depend only on the biased exponent and on
 whether the fraction is zero (a power of two), so one table row per
-pair holds them.  g(k) is a big-integer quotient, so a row gets it only
-when a block first holds a cell of that row.  For a normal double the
-digits have 16 or 17 digits; they are padded to seventeen and split
-into a first digit and four groups of four, which give both the text
-and, through a 10^4-entry table, the count of digits before the
-trailing zeros.  A zero's row has g = 0, so the same search gives it
-the digits 0, at decimal exponent 0.
+pair holds them.  The table, g(k) for all 617 values of k included, is
+built once at import and only read after that.  For a normal double the
+digits have 16 or 17 digits; they are padded to seventeen and split into
+a first digit and four groups of four, which give both the text and,
+through a 10^4-entry table, the count of digits before the trailing
+zeros.  A zero's row has g = 0, so the same search gives it the digits
+0, at decimal exponent 0.
 
 Each cell is then laid out as ``repr`` does (positional iff the decimal
 exponent lies in [-4, 16), with ``.0`` on integers, otherwise
@@ -85,11 +85,10 @@ def _exponent_table() -> dict[str, np.ndarray]:
     decimal exponent of the first of 17 digits; 16 digits take one less); the
     shift h; the left end's distance from v in units of the half step (1 at a
     power of two, where the double below is half as far as the one above,
-    otherwise 2); k; g(k) as (g >> 63, g mod 2^63), with a mask of the rows
-    that have it; and whether the row is a subnormal, infinite or NaN one.
-    Those rows, and the two zero rows, repeat the nearest normal row, so the
-    kernel runs on every cell, but a zero row has g = 0 and decimal exponent
-    0, and the others' output is replaced.
+    otherwise 2); g(k) as (g >> 63, g mod 2^63); and whether the row is a
+    subnormal, infinite or NaN one.  Those rows, and the two zero rows, repeat
+    the nearest normal row, so the kernel runs on every cell, but a zero row
+    has g = 0 and decimal exponent 0, and the others' output is replaced.
     """
     row = np.arange(1 << 13)
     sign, biased = row >> 12, (row >> 1) & 0x7FF
@@ -99,38 +98,21 @@ def _exponent_table() -> dict[str, np.ndarray]:
     power_of_two = (row & 1 == 1) & (nearest > 1)
     q = nearest - 1075
     k = np.where(power_of_two, _floor_log10_three_quarters_pow2(q), _floor_log10_pow2(q))
+    g = np.array([_multiplier(j) for j in range(k.min(), k.max() + 1)], dtype=np.uint64)
+    g = g[k - k.min()]
+    g[zero] = 0
     return {
         # A zero's digits, 0, count as 16 digits, so its 1 gives decimal exponent 0.
         "e": (np.where(zero, 1, k + 16) - _E_MIN + _E_SPAN * sign).astype(np.intp),
         "h": (q + _floor_log2_pow10(-k) + 2).astype(np.uint64),
         "left": np.where(power_of_two, 1, 2).astype(np.uint64),
-        "k": k,
-        # g(k), 0 until _fill_rows computes it; a zero row's g stays 0.
-        "g1": np.zeros(len(row), dtype=np.uint64),
-        "g0": np.zeros(len(row), dtype=np.uint64),
-        "ready": zero,
+        "g1": g[:, 0],
+        "g0": g[:, 1],
         "outside": (nearest != biased) & ~zero,
     }
 
 
 _ROWS = _exponent_table()
-
-
-def _fill_rows(row: np.ndarray) -> None:
-    """Give g(k) to every row that shares its k with one of the given rows and has none yet."""
-    pending = row[~_ROWS["ready"][row]]
-    if not len(pending):
-        return
-    k = _ROWS["k"]
-    lo = int(k.min())
-    needed = np.zeros(int(k.max()) - lo + 1, dtype=bool)
-    needed[k[pending] - lo] = True
-    g = np.zeros((len(needed), 2), dtype=np.uint64)
-    for j in np.flatnonzero(needed).tolist():
-        g[j] = _multiplier(j + lo)
-    rows = needed[k - lo] & ~_ROWS["ready"]
-    _ROWS["g1"][rows], _ROWS["g0"][rows] = g[k[rows] - lo].T
-    _ROWS["ready"] |= rows
 
 
 def _mul_high(a_lo: np.ndarray, a_hi: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray) -> np.ndarray:
@@ -160,7 +142,6 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     those of a normal double with the same fraction.
     """
     row = ((bits >> _U(52) << _U(1)) | (bits << _U(12) == _U(0))).view(np.int64)
-    _fill_rows(row)
     g1, g0 = _ROWS["g1"][row], _ROWS["g0"][row]
     g = (g1, g1 & _M32, g1 >> _U(32), g0 & _M32, g0 >> _U(32))
     h = _ROWS["h"][row]

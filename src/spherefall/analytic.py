@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import _require, faddeeva
+from .special import _require, _w_rational
 
 __all__ = [
     "CharRoots",
@@ -157,18 +157,20 @@ def monotone_kernel_samples(times, b, A, t0: float):
     M' = [alpha sqrt(beta) Vi(alpha t) - beta sqrt(alpha) Vi(beta t)] / (alpha - beta)
     are, for beta = conj(alpha) and |alpha| = 1, the quotients
     M = Im{conj(sqrt(alpha)) Vi} / Im alpha and M' = Im{sqrt(alpha) Vi} / Im alpha
-    of Vi = Vi(alpha t) = w(i sqrt(alpha) sqrt(t)): one Faddeeva call at an
-    argument of imaginary part Re sqrt(alpha) sqrt(t) >= 0, so no reflection
-    and no branch cut for any t >= 0.  A float time takes the Python complex
-    path; array times broadcast against (k, 1) columns b and A, each entry
-    the scalar value up to the last bits.
+    of Vi = Vi(alpha t) = w(i sqrt(alpha) sqrt(t)): one call of the Faddeeva
+    kernel, as in ``villat``, at an argument of imaginary part
+    Re sqrt(alpha) sqrt(t) >= 0, so no reflection and no branch cut for any
+    t >= 0.  A float time takes the Python complex path; array times
+    broadcast against (k, 1) columns b and A, each entry the scalar value up
+    to the last bits.
     """
     with np.errstate(over="ignore"):  # a t + t0 past the largest double is named below
         t = np.add(times, t0)
     _require(t >= 0.0, t, "t must be >= 0, got {}")
     _require(t < math.inf, t, "t must be finite, got {}")
     alpha, sqrt_alpha = _roots_from_damping(b)
-    va = faddeeva(1j * sqrt_alpha * np.sqrt(t))
+    z = 1j * sqrt_alpha * np.sqrt(t)
+    va = _w_rational(z if isinstance(z, np.ndarray) else complex(z))
     return (A * ((sqrt_alpha.conjugate() * va).imag / alpha.imag),
             A * ((sqrt_alpha * va).imag / alpha.imag))
 

@@ -469,17 +469,18 @@ def test_kernel_quotient_matches_the_two_call_form_everywhere(b, t, t0):
     (np.linspace(0.0, 9.0, 10), np.array([[0.5], [-1.0], [1.9]])),
 ], ids=["scalar", "array"])
 def test_kernel_samples_call_faddeeva_once(monkeypatch, times, b):
-    shapes, faddeeva = [], analytic.faddeeva
+    # Once through the Faddeeva kernel itself: its argument never needs the reflection.
+    shapes, kernel = [], analytic._w_rational
 
     def counting(z):
         assert np.all(np.imag(z) >= 0.0)  # never reflected
         shapes.append(np.shape(z))
-        return faddeeva(z)
+        return kernel(z)
 
     def refused(z):
         raise AssertionError("villat called")
 
-    monkeypatch.setattr(analytic, "faddeeva", counting)
+    monkeypatch.setattr(analytic, "_w_rational", counting)
     monkeypatch.setattr(special, "villat", refused)
     assert not hasattr(analytic, "villat")
     monotone_kernel_samples(times, b, 1.0, 0.0)

@@ -82,12 +82,45 @@ def test_cli_csv_files_equal_the_oracle_text(tmp_path, monkeypatch, argv):
     assert sorted(p.read_text() for p in paths) == sorted(expected)
 
 
-def test_importing_the_cli_loads_no_formatter():
-    code = "import sys, spherefall.cli; print('spherefall._shortest' in sys.modules)"
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports the spherefall under test."""
     src = os.path.dirname(os.path.dirname(spherefall.__file__))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
+
+
+def test_importing_the_cli_loads_no_formatter():
+    done = _fresh_python("import sys, spherefall.cli; print('spherefall._shortest' in sys.modules)")
     assert done.stdout.strip() == "False", done.stderr
+
+
+_TABLE_AT_IMPORT = """
+import numpy as np
+from spherefall import _shortest as s
+
+rows = s._ROWS
+before = {name: column.copy() for name, column in rows.items()}
+at = np.arange(1 << 13)
+k = rows["e"] - 16 + s._E_MIN - (at >> 12) * s._E_SPAN
+zero = at & 0xFFF == 1
+for r in at.tolist():
+    g = (0, 0) if zero[r] else s._multiplier(int(k[r]))
+    assert (int(rows["g1"][r]), int(rows["g0"][r])) == g, r
+# One cell per row: every sign and biased exponent, with a zero and a nonzero fraction.
+bits = (at.astype(np.uint64) >> np.uint64(1) << np.uint64(52)) | (~at & 1).astype(np.uint64)
+values = bits.view(np.float64)
+assert s.cells_text(values[:, None], b" ").decode().split() == [repr(v) for v in values.tolist()]
+assert rows.keys() == before.keys()
+for name, column in rows.items():
+    assert column.dtype == before[name].dtype and np.array_equal(column, before[name]), name
+print("ok")
+"""
+
+
+def test_exponent_table_is_whole_at_import_and_formatting_leaves_it_unchanged():
+    # A new interpreter, so no earlier formatting in this process can have touched the table.
+    done = _fresh_python(_TABLE_AT_IMPORT)
+    assert done.stdout.strip() == "ok", done.stderr
 
 
 def _table_rows():
