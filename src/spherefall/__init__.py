@@ -8,7 +8,8 @@ evaluation of the Villat and Faddeeva functions
 oscillator machinery (:mod:`spherefall.analytic`), a product-integration
 solver for the memory equation and its Abel history read-back
 (:mod:`spherefall.ide`), a fixed-step integrator for the forced
-oscillator (:mod:`spherefall.ode`), a verification engine
+oscillator and the one entry point to every solver, :func:`sphere_trajectory` and
+:func:`monotone_trajectory` (:mod:`spherefall.ode`), a verification engine
 (:mod:`spherefall.analysis`), and a CLI (:mod:`spherefall.cli`).
 """
 
@@ -35,7 +36,9 @@ from .ode import (
     OscillatorProblem,
     StabilityClass,
     classify_homogeneous,
+    monotone_trajectory,
     solve_oscillator,
+    sphere_trajectory,
 )
 from .physical import (
     DimensionlessGroup,

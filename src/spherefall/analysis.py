@@ -46,7 +46,7 @@ __all__ = [
 # Central differences of u' cannot resolve its sqrt(t) start, where the ODE's
 # forcing is singular; residual checks skip this many steps.
 STARTUP_STEPS = 10
-MONOTONE_TOL = 1e-12  # the largest step down of a monotone trajectory, for every solver and h
+MONOTONE_TOL = 1e-12  # the largest step against the approach, for every solver and h
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -103,9 +103,16 @@ def _reduce_after_startup(
 
 
 def check_monotone(traj: Trajectory) -> VerificationReport:
-    """Pass iff no step falls by more than MONOTONE_TOL: correct runs of every solver never fall."""
+    """Pass iff no step moves against the approach by more than MONOTONE_TOL.
+
+    The direction comes from the problem, never from the data: v = A M(t + t0) rises iff
+    A > 0 (meta "A", closed form and RK4, sphere or oscillator), and the memory-equation
+    sphere rises iff u0 < 1 (meta "u0"); with neither key the trajectory must rise.
+    """
     v, t = traj.values, traj.times
-    return _reduce("monotone", MONOTONE_TOL, v[:-1] - v[1:], lambda i: f"t={t[i + 1]:.6g}")
+    falls = traj.meta.get("A", 1.0 - traj.meta.get("u0", 0.0)) < 0.0
+    drops = v[1:] - v[:-1] if falls else v[:-1] - v[1:]
+    return _reduce("monotone", MONOTONE_TOL, drops, lambda i: f"t={t[i + 1]:.6g}")
 
 
 # ----------------------------------------------------------------------
@@ -279,7 +286,7 @@ def run_default_suite(h: float = 1e-3, points: int = 400) -> list[VerificationRe
     # against the closed form and its own residuals.  The 1e-4 budget is stated for h = 1e-3;
     # larger steps scale it by h^1.5, below the scheme's order ~2 (it reads 1.7e-8 at
     # h = 1e-3), once the solve has checked h > 0.
-    traj = ide.solve_ide(2.5, 0.0, h, 10.0)
+    traj = ode.sphere_trajectory("ide", 2.5, 0.0, h, 10.0)
     if len(traj) < STARTUP_STEPS + 2:  # ode_residual needs an interior node past the window
         raise ValueError(f"h must be below 10/{STARTUP_STEPS + 0.5:g} for the memory-equation "
                          f"checks ({STARTUP_STEPS + 1} steps to T = 10), got {h}")
@@ -292,9 +299,7 @@ def run_default_suite(h: float = 1e-3, points: int = 400) -> list[VerificationRe
     reports.append(abel_identity_residual(traj))
 
     # Unique monotone oscillator trajectory.
-    ic = analytic.monotone_initial_conditions(-1.0, 1.0, 1.0)
-    prob = ode.OscillatorProblem(b=-1.0, A=1.0, t0=1.0, v0=ic.v0, v0_prime=ic.v0_prime)
-    osc = ode.solve_oscillator(prob, h, 20.0)
+    osc = ode.monotone_trajectory("ode", -1.0, 1.0, 1.0, h, 20.0)
     target, _ = analytic.monotone_kernel_samples(osc.times, -1.0, 1.0, 1.0)
     sup = float(np.max(np.abs(osc.values - target)))
     reports.append(VerificationReport.from_violation(

@@ -58,15 +58,15 @@ def _roots_from_damping(b):
     """(alpha, sqrt(alpha)): alpha = -b/2 + i sqrt((2 - b)(2 + b))/2, a root of m^2 + b m + 1.
 
     The other root is conj(alpha).  sqrt(alpha) = (sqrt(2 - b) + i sqrt(2 + b))/2
-    takes real square roots only.  b lies in (-2, 2).  An array b gives
-    complex arrays of its shape, each element the bits of the scalar values
-    (Python complex); an error names the first element outside the
-    interval, NaN included.
+    takes real square roots only.  b lies in (-2, 2).  A b of one or more
+    dimensions gives complex arrays of its shape, each element the bits of
+    the scalar values (Python complex, as for a float or 0-d b); an error
+    names the first element outside the interval, NaN included.
     """
     _require((-2.0 < b) & (b < 2.0), b, "damping coefficient must lie in (-2, 2), got {}")
     re, im = -b / 2.0, np.sqrt((2.0 - b) * (2.0 + b)) / 2.0
     sre, sim = np.sqrt(2.0 - b) / 2.0, np.sqrt(2.0 + b) / 2.0
-    if not isinstance(b, np.ndarray):
+    if np.ndim(b) == 0:
         return complex(re, im), complex(sre, sim)
     alpha, sqrt_alpha = re.astype(complex), sre.astype(complex)
     alpha.imag, sqrt_alpha.imag = im, sim

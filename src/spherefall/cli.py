@@ -20,8 +20,8 @@ import sys
 
 import numpy as np
 
-from . import analysis, analytic, ide, ode, physical
-from .trajectory import Trajectory, uniform_grid
+from . import analysis, ode, physical
+from .trajectory import Trajectory
 
 __all__ = ["main"]
 
@@ -144,31 +144,6 @@ def _write_trajectory(output: str, traj: Trajectory, path: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# Solvers behind the `trajectory`/`compare` commands
-# ----------------------------------------------------------------------
-
-def _solve_oscillator(solver: str, prob: ode.OscillatorProblem, h: float, T: float) -> Trajectory:
-    """The monotone trajectory of prob in closed form, or prob integrated by RK4."""
-    if solver == "ode":
-        return ode.solve_oscillator(prob, h, T)
-    times = uniform_grid(h, T)
-    values, derivs = analytic.monotone_kernel_samples(times, prob.b, prob.A, prob.t0)
-    meta = {"solver": "closed-form", "b": prob.b, "A": prob.A, "t0": prob.t0,
-            "h": h, "T": (len(times) - 1) * h, "variable": "v"}
-    return Trajectory(times=times, values=values, derivatives=derivs, meta=meta)
-
-
-def _sphere_trajectory(solver: str, kappa: float, eps: float, h: float, T: float) -> Trajectory:
-    """The sphere released with u(0) = eps: solve_ide, or its oscillator v = u - 1 shifted to u."""
-    if solver == "ide":
-        return ide.solve_ide(kappa, eps, h, T)
-    traj = _solve_oscillator(solver, ode.OscillatorProblem.sphere(kappa, eps), h, T)
-    traj.values += 1.0
-    traj.meta.update(kappa=kappa, eps=eps, variable="u")
-    return traj
-
-
-# ----------------------------------------------------------------------
 # Commands: each reads its parsed arguments and returns 0 (or verify's 2); failures raise
 # ----------------------------------------------------------------------
 
@@ -181,16 +156,12 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
         if args.A is not None or args.t0 is not None:
             raise ValueError("trajectory: --A and --t0 apply to the oscillator (--b) only")
         eps = 0.0 if args.eps is None else args.eps
-        traj = _sphere_trajectory(args.solver, args.kappa, eps, args.h, args.T)
+        traj = ode.sphere_trajectory(args.solver, args.kappa, eps, args.h, args.T)
     elif args.eps is not None:
         raise ValueError("trajectory: --eps applies to the sphere (--kappa) only")
-    elif args.solver == "ide":
-        raise ValueError("the ide solver applies to the sphere problem only")
     else:
         A, t0 = 1.0 if args.A is None else args.A, 0.0 if args.t0 is None else args.t0
-        ic = analytic.monotone_initial_conditions(args.b, A, t0)
-        prob = ode.OscillatorProblem(b=args.b, A=A, t0=t0, v0=ic.v0, v0_prime=ic.v0_prime)
-        traj = _solve_oscillator(args.solver, prob, args.h, args.T)
+        traj = ode.monotone_trajectory(args.solver, args.b, A, t0, args.h, args.T)
     _write_trajectory(args.output, traj, args.out)
     if traj.meta.get("diverged"):
         raise ArithmeticError(f"RK4 diverged after t={traj.meta['T']:g}")
@@ -226,7 +197,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if clash is not None:
         raise ValueError(f"sweep: two kappas share the output file {clash}")
     # Every kappa is solved before the directory is made, so a bad one leaves no output.
-    solved = [(k, _sphere_trajectory(args.solver, k, args.eps, args.h, args.T)) for k in kappas]
+    solved = [(k, ode.sphere_trajectory(args.solver, k, args.eps, args.h, args.T)) for k in kappas]
     os.makedirs(args.out, exist_ok=True)
     results = sorted((_sweep_one(args, k, traj) for k, traj in solved), key=lambda r: r["kappa"])
     summary_path = os.path.join(args.out, f"sweep_summary.{args.output}")
@@ -245,7 +216,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    closed, ide_traj, ode_traj = (_sphere_trajectory(s, args.kappa, args.eps, args.h, args.T)
+    closed, ide_traj, ode_traj = (ode.sphere_trajectory(s, args.kappa, args.eps, args.h, args.T)
                                   for s in ("closed-form", "ide", "ode"))
     n = min(len(closed), len(ide_traj), len(ode_traj))
     u_closed, u_ide, u_ode = closed.values[:n], ide_traj.values[:n], ode_traj.values[:n]
@@ -279,7 +250,7 @@ def _cmd_drag(args: argparse.Namespace) -> int:
                                 g=args.g)
     group = physical.nondimensionalize(p)
     # h and T arrive in seconds; the solver works in viscous-time units.
-    traj = ide.solve_ide(group.kappa, args.eps, args.h * group.B, args.T * group.B)
+    traj = ode.sphere_trajectory("ide", group.kappa, args.eps, args.h * group.B, args.T * group.B)
     dim = physical.dimensional_trajectory(group, traj)
     with np.errstate(over="ignore", invalid="ignore"):  # a force past the double range fails below
         forces = physical.drag_forces(p, dim)

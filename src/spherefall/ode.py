@@ -7,8 +7,8 @@ The initial value problem is
 integrated as the first-order system x' = y, y' = -x - b y - G(t) with
 classical fourth-order Runge-Kutta at a fixed step, started across the
 forcing's singularity by its own Taylor series in sqrt(t + t0); see
-``solve_oscillator``.  The sphere is one member of the family; see
-``OscillatorProblem.sphere``.
+``solve_oscillator``.  The sphere is one member of the family (``OscillatorProblem.sphere``);
+``sphere_trajectory`` and ``monotone_trajectory`` are the one entry point to every solver.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytic
+from . import analytic, ide
 from .special import SQRT_PI
 from .trajectory import Trajectory, uniform_grid
 
@@ -26,7 +26,9 @@ __all__ = [
     "OscillatorProblem",
     "StabilityClass",
     "classify_homogeneous",
+    "monotone_trajectory",
     "solve_oscillator",
+    "sphere_trajectory",
 ]
 
 _OVERFLOW_GUARD = 1e280
@@ -247,3 +249,35 @@ def solve_oscillator(prob: OscillatorProblem, h: float, T: float) -> Trajectory:
     meta = {"solver": "rk4", "b": b, "A": A, "t0": t0, "h": h, "T": last * h,
             "series_steps": start, "diverged": last < n}
     return Trajectory(times[: last + 1], *x[:, : last + 1], meta=meta)  # x's rows are v and v'
+
+
+def _solve(solver: str, prob: OscillatorProblem, h: float, T: float) -> Trajectory:
+    """The monotone trajectory of prob in closed form, or prob integrated by RK4."""
+    if solver == "ode":
+        return solve_oscillator(prob, h, T)
+    if solver != "closed-form":
+        raise ValueError(f"unknown solver {solver!r}")
+    times = uniform_grid(h, T)
+    values, derivs = analytic.monotone_kernel_samples(times, prob.b, prob.A, prob.t0)
+    meta = {"solver": "closed-form", "b": prob.b, "A": prob.A, "t0": prob.t0,
+            "h": h, "T": (len(times) - 1) * h, "variable": "v"}
+    return Trajectory(times=times, values=values, derivatives=derivs, meta=meta)
+
+
+def monotone_trajectory(solver: str, b: float, A: float, t0: float, h: float,
+                        T: float) -> Trajectory:
+    """v = A M(t + t0) on the grid of step h to T: "closed-form", or "ode" (RK4) from its start."""
+    if solver == "ide":
+        raise ValueError("the ide solver applies to the sphere problem only")
+    ic = analytic.monotone_initial_conditions(b, A, t0)
+    return _solve(solver, OscillatorProblem(b=b, A=A, t0=t0, v0=ic.v0, v0_prime=ic.v0_prime), h, T)
+
+
+def sphere_trajectory(solver: str, kappa: float, eps: float, h: float, T: float) -> Trajectory:
+    """The sphere released with u(0) = eps: solve_ide, or its oscillator v = u - 1 shifted to u."""
+    if solver == "ide":
+        return ide.solve_ide(kappa, eps, h, T)
+    traj = _solve(solver, OscillatorProblem.sphere(kappa, eps), h, T)
+    traj.values += 1.0
+    traj.meta.update(kappa=kappa, eps=eps, variable="u")
+    return traj

@@ -86,6 +86,23 @@ def test_check_monotone_reports_the_first_largest_drop():
     assert (rep.passed, rep.worst_violation, rep.location) == (True, 0.0, "--")
 
 
+@pytest.mark.parametrize("meta, values", [
+    ({"A": 1.0}, [0.0, -0.5, -1.0]),  # closed form or RK4, v = A M rises
+    ({"A": -1.0}, [0.0, 0.5, 1.0]),  # falls
+    ({"u0": 0.5}, [0.5, 0.0, -0.5]),  # the memory equation from below: rises
+    ({"u0": 3.0}, [3.0, 3.5, 4.0]),  # from above: falls
+    ({}, [1.0, 0.5, 0.0]),  # no problem in meta: rises
+], ids=["A>0", "A<0", "u0<1", "u0>1", "no-meta"])
+def test_check_monotone_reads_the_direction_from_the_problem_not_the_data(meta, values):
+    wrong_way = _uniform_traj(values)
+    wrong_way.meta.update(meta)
+    rep = check_monotone(wrong_way)
+    assert (rep.passed, rep.worst_violation, rep.location) == (False, 0.5, "t=0.01")
+    right_way = _uniform_traj(values[::-1])
+    right_way.meta.update(meta)
+    assert check_monotone(right_way).passed
+
+
 def test_the_default_suite_solves_the_memory_equation_once(monkeypatch):
     # One solve at kappa = 2.5 feeds ide_vs_closed_form, ide_monotone, ode_residual
     # and abel_identity.

@@ -376,6 +376,11 @@ def test_kernel_samples_match_scalar_kernel():
         for t, vi, dvi in zip(times.tolist(), v, dv):
             assert abs(vi - A * monotone_kernel_M(t + t0, b)) <= ARRAY_ATOL
             assert abs(dvi - A * _kernel_derivative(t + t0, b)) <= ARRAY_ATOL
+    # A 0-d damping value is the float, bit for bit, at a time and on the grid.
+    for t in (1.0, times):
+        for got, want in zip(monotone_kernel_samples(t, np.array(0.5), 1.3, 1.0),
+                             monotone_kernel_samples(t, 0.5, 1.3, 1.0)):
+            assert type(got) is type(want) and np.array_equal(got, want)
     # A column of damping values broadcasts against the row of times.
     bs = np.array([[-1.0], [0.5], [1.9], [2.0 - 3.95]])
     amps = np.array([[1.3], [-2.0], [0.7], [math.sqrt(3.95)]])

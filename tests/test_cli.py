@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import spherefall
 from direct_oracle import abel_history_direct
-from spherefall import cli, ide, ode
+from spherefall import analytic, cli, ide, ode
 from spherefall.cli import main
 from spherefall.physical import PhysicalParams
 from spherefall.trajectory import Trajectory
@@ -106,6 +106,16 @@ def test_sweep_writes_files_and_summary(tmp_path):
         fields = line.split(",")
         assert fields[2] == "true"
         assert float(fields[1]) < 0.5
+
+
+@pytest.mark.parametrize("solver", ["closed-form", "ide", "ode"])
+def test_sweep_from_above_terminal_velocity_is_monotone(tmp_path, solver):
+    # u(0) = eps = 3 > 1: every solver's u falls to 1 (largest rise -1.6e-5 at h = 1e-3).
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--kappas", "0.5,2.5,3.9", "--eps", "3", "--solver", solver,
+                 "--T", "10", "--out", str(out)]) == 0
+    summary = (out / "sweep_summary.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[2] for line in summary] == ["true"] * 3
 
 
 def test_compare_acceptance_grade_deviation(tmp_path):
@@ -361,6 +371,53 @@ def test_drag_massless_sphere_closes_the_force_balance(tmp_path):
     assert len(rows) == 51
     f_buoy = rows[0, 6]
     assert np.max(np.abs(rows[:, 7])) <= 1e-9 * abs(f_buoy)
+
+
+_SOLVERS = [(ide, "solve_ide"), (ode, "solve_oscillator"), (analytic, "monotone_kernel_samples")]
+_SHORT = ["--T", "0.1", "--h", "0.01"]
+
+
+@pytest.mark.parametrize("argv, entries", [
+    (["trajectory", "--kappa", "2.5", "--solver", "closed-form", *_SHORT], ["sphere closed-form"]),
+    (["trajectory", "--kappa", "2.5", "--solver", "ide", *_SHORT], ["sphere ide"]),
+    (["trajectory", "--kappa", "2.5", "--solver", "ode", *_SHORT], ["sphere ode"]),
+    (["trajectory", "--b", "-1", "--solver", "closed-form", *_SHORT], ["monotone closed-form"]),
+    (["trajectory", "--b", "-1", "--solver", "ode", *_SHORT], ["monotone ode"]),
+    (["sweep", "--kappas", "1,2", "--solver", "ode", *_SHORT], ["sphere ode"] * 2),
+    (["compare", "--kappa", "2", *_SHORT], ["sphere closed-form", "sphere ide", "sphere ode"]),
+    (["drag", "--rho-s", "1190", *_DRAG_ARGS], ["sphere ide"]),
+    (["verify", "--h", "0.01", "--points", "20"], ["sphere ide", "monotone ode"]),
+], ids=["sphere-closed-form", "sphere-ide", "sphere-ode", "oscillator-closed-form",
+        "oscillator-ode", "sweep", "compare", "drag", "verify"])
+def test_every_command_reaches_the_solvers_only_through_the_entry_points(
+        tmp_path, monkeypatch, argv, entries):
+    calls, inside = [], []
+
+    def entry(name):
+        real = getattr(ode, f"{name}_trajectory")
+
+        def wrapped(solver, *args):
+            calls.append(f"{name} {solver}")
+            inside.append(solver)
+            try:
+                return real(solver, *args)
+            finally:
+                inside.pop()
+        return wrapped
+
+    def guarded(real):
+        def wrapped(*args):
+            assert inside, f"{real.__name__} called outside the entry points"
+            return real(*args)
+        return wrapped
+
+    for name in ("sphere", "monotone"):
+        monkeypatch.setattr(ode, f"{name}_trajectory", entry(name))
+    # verify's closed-form referee samples the kernel itself; its solvers still go through them.
+    for module, name in _SOLVERS[:2] if argv[0] == "verify" else _SOLVERS:
+        monkeypatch.setattr(module, name, guarded(getattr(module, name)))
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert calls == entries
 
 
 @pytest.mark.parametrize("points", ["0", "1"])
@@ -796,7 +853,7 @@ def test_a_grid_too_large_to_allocate_is_one_usage_error(tmp_path, monkeypatch, 
     def no_memory(*args):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli, "uniform_grid", no_memory)
+    monkeypatch.setattr(ode, "uniform_grid", no_memory)
     monkeypatch.setattr(ide, "solve_ide", no_memory)
     monkeypatch.setattr(ode, "solve_oscillator", no_memory)
     out = ["--out", str(tmp_path / "traj.csv")] if to_file else []

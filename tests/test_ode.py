@@ -17,7 +17,9 @@ from spherefall.ode import (
     OscillatorProblem,
     _step_powers,
     classify_homogeneous,
+    monotone_trajectory,
     solve_oscillator,
+    sphere_trajectory,
 )
 from mp_oracle import vp_mp
 from rk4_oracle import solve_oscillator_loop
@@ -506,4 +508,12 @@ def test_solver_argument_validation():
                 continue  # the check above
             with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
                 OscillatorProblem(**{**finite, name: bad})
+    # The entry points name a solver they do not know, as a domain error.
+    for solver in ("rk4", "Closed-Form", ""):
+        with pytest.raises(ValueError, match=f"^unknown solver {solver!r}$"):
+            sphere_trajectory(solver, 2.0, 0.0, 1e-2, 1.0)
+        with pytest.raises(ValueError, match=f"^unknown solver {solver!r}$"):
+            monotone_trajectory(solver, 0.0, 1.0, 1.0, 1e-2, 1.0)
+    with pytest.raises(ValueError, match="^the ide solver applies to the sphere problem only$"):
+        monotone_trajectory("ide", 0.0, 1.0, 1.0, 1e-2, 1.0)
 
