@@ -14,13 +14,11 @@ mixing in a signed array promotes to float64.
 
 k, the shift h and g(k) depend only on the biased exponent and on
 whether the fraction is zero (a power of two), so one table row per
-pair holds them.  The table, g(k) for all 617 values of k included, is
-built once at import and only read after that.  For a normal double the
-digits have 16 or 17 digits; they are padded to seventeen and split into
-a first digit and four groups of four, which give both the text and,
-through a 10^4-entry table, the count of digits before the trailing
-zeros.  A zero's row has g = 0, so the same search gives it the digits
-0, at decimal exponent 0.
+pair holds them.  For a normal double the digits have 16 or 17 digits;
+they are padded to seventeen and split into a first digit and four
+groups of four, which give both the text and, through a 10^4-entry
+table, the count of digits before the trailing zeros.  A zero's row has
+g = 0, so the same search gives it the digits 0, at decimal exponent 0.
 
 Each cell is then laid out as ``repr`` does (positional iff the decimal
 exponent lies in [-4, 16), with ``.0`` on integers, otherwise
@@ -30,9 +28,19 @@ fills the slot after the exponent, and one ``bytes.translate`` per block
 of rows deletes the zero bytes.  A subnormal or non-finite cell prints
 the marker byte 1 instead, and the block's text is split at the markers
 to put ``repr`` of those cells in their place.
+
+The tables, g(k) for all 617 values of k included, are constants: the
+module reads them at import from ``_shortest_tables.bin`` beside it
+(514 KB), as read-only views of one buffer, and ``_LAYOUT`` gives each
+one's place, dtype and shape.  ``tests/shortest_tables.py`` derives
+every table from its definition, the tests hold the file to it byte for
+byte, and ``python tests/shortest_tables.py`` writes the file anew.
 """
 
 from __future__ import annotations
+
+import math
+import os
 
 import numpy as np
 
@@ -48,71 +56,71 @@ _TEN = _U(10)
 _TEN4, _TEN8, _TEN16 = _U(10**4), _U(10**8), _U(10**16)
 
 
-def _floor_log10_pow2(e):
-    return (e * 661_971_961_083) >> 41
-
-
-def _floor_log10_three_quarters_pow2(e):
-    return (e * 661_971_961_083 - 274_743_187_321) >> 41
-
-
-def _floor_log2_pow10(e):
-    return (e * 913_124_641_741) >> 38
-
-
-def _multiplier(k: int) -> tuple[int, int]:
-    """g(k) = floor(10^-k 2^(125 - floor(log2 10^-k))) + 1 in [2^125, 2^126), as (g >> 63, g mod 2^63)."""
-    e2 = 125 - _floor_log2_pow10(-k)
-    if k > 0:
-        g = (1 << e2) // 10**k
-    elif e2 >= 0:
-        g = 10**-k << e2
-    else:
-        g = 10**-k >> -e2
-    g += 1
-    return g >> 63, g & ((1 << 63) - 1)
-
-
 # The decimal exponent e of a normal double's first digit lies in [-308, 308]; the
 # tables over e index it, with the sign, as _E_SPAN * sign + e - _E_MIN.
 _E_MIN, _E_SPAN = -309, 620
+# The tables in the file's order, each C-ordered: name -> (little-endian dtype, shape).
+#
+# The first six are the columns of the kernel's table, _ROWS, by row
+# 2 (bits >> 52) + (fraction == 0): e, the index over the sign and exponent
+# tables of k + 16 (the decimal exponent of the first of 17 digits; 16 digits
+# take one less); the shift h; the left end's distance from v in units of the
+# half step (1 at a power of two, where the double below is half as far as the
+# one above, otherwise 2); g(k) as (g >> 63, g mod 2^63); and whether the row is
+# a subnormal, infinite or NaN one.  Those rows, and the two zero rows, repeat
+# the nearest normal row, so the kernel runs on every cell, but a zero row has
+# g = 0 and decimal exponent 0 (its digits, 0, count as 16), and the others'
+# output is replaced.
+#
+# A cell is laid out in byte slots, little-endian uint64 words, in output order:
+#   word 0: '-', '0', '.', '0', '0', '0', d1, '.'
+#   words 1-4: d2 '.' d3 '.' ... d17 '.', four digits to a word
+#   word 5: 'e', exponent sign, three exponent digits, the separator, two zeros
+# where d1..d17 are the digits padded with zeros to seventeen.  The tables give
+# the words by value, and the mask of the slots repr prints, as 0xFF bytes, by
+# layout code (negative * 22 + class) * 18 + n for n digits: exponents -4..15
+# are classes 0..19, and scientific ones 20 or 21, with two or three exponent
+# digits.  The mask's last row prints slot 0 only.
+_LAYOUT = {
+    "e": ("<i8", (1 << 13,)),
+    "h": ("<u8", (1 << 13,)),
+    "left": ("<u8", (1 << 13,)),
+    "g1": ("<u8", (1 << 13,)),
+    "g0": ("<u8", (1 << 13,)),
+    "outside": ("|b1", (1 << 13,)),
+    "lead": ("<u8", (10,)),  # word 0, by first digit
+    "groups": ("<u8", (10**4,)),  # words 1-4, by the value of a group of four digits
+    "exponent": ("<u8", (2 * _E_SPAN,)),  # word 5, by sign and e
+    "e_code": ("<i8", (2 * _E_SPAN,)),  # the layout code with n = 0, by sign and e
+    "mask": ("<u8", (2 * 22 * 18 + 1, 6)),
+    # The digit count up to the last nonzero digit of group j = 0..3, or 1 if the group is zero.
+    "digit_count": ("|u1", (4, 10**4)),
+}
 
 
-def _exponent_table() -> dict[str, np.ndarray]:
-    """The kernel's per-cell constants, by row 2 (bits >> 52) + (fraction == 0).
+def _load(path: str) -> dict[str, np.ndarray]:
+    """The tables of the file at path, as read-only views of one buffer.
 
-    Columns: e, the index over the sign and exponent tables of k + 16 (the
-    decimal exponent of the first of 17 digits; 16 digits take one less); the
-    shift h; the left end's distance from v in units of the half step (1 at a
-    power of two, where the double below is half as far as the one above,
-    otherwise 2); g(k) as (g >> 63, g mod 2^63); and whether the row is a
-    subnormal, infinite or NaN one.  Those rows, and the two zero rows, repeat
-    the nearest normal row, so the kernel runs on every cell, but a zero row
-    has g = 0 and decimal exponent 0, and the others' output is replaced.
+    A file whose size is not the layout's raises ValueError.
     """
-    row = np.arange(1 << 13)
-    sign, biased = row >> 12, (row >> 1) & 0x7FF
-    nearest = np.clip(biased, 1, 0x7FE)
-    zero = (biased == 0) & (row & 1 == 1)
-    # The smallest normal exponent has subnormals below it, as evenly spaced.
-    power_of_two = (row & 1 == 1) & (nearest > 1)
-    q = nearest - 1075
-    k = np.where(power_of_two, _floor_log10_three_quarters_pow2(q), _floor_log10_pow2(q))
-    g = np.array([_multiplier(j) for j in range(k.min(), k.max() + 1)], dtype=np.uint64)
-    g = g[k - k.min()]
-    g[zero] = 0
-    return {
-        # A zero's digits, 0, count as 16 digits, so its 1 gives decimal exponent 0.
-        "e": (np.where(zero, 1, k + 16) - _E_MIN + _E_SPAN * sign).astype(np.intp),
-        "h": (q + _floor_log2_pow10(-k) + 2).astype(np.uint64),
-        "left": np.where(power_of_two, 1, 2).astype(np.uint64),
-        "g1": g[:, 0],
-        "g0": g[:, 1],
-        "outside": (nearest != biased) & ~zero,
-    }
+    sizes = [np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in _LAYOUT.values()]
+    raw = np.fromfile(path, dtype=np.uint8)
+    if raw.size != sum(sizes):
+        raise ValueError(f"{path}: {raw.size} bytes, but the formatter's table layout "
+                         f"needs {sum(sizes)}")
+    raw.flags.writeable = False
+    tables, start = {}, 0
+    for (name, (dtype, shape)), size in zip(_LAYOUT.items(), sizes):
+        tables[name] = raw[start : start + size].view(dtype).reshape(shape)
+        start += size
+    return tables
 
 
-_ROWS = _exponent_table()
+_TABLES = _load(os.path.join(os.path.dirname(__file__), "_shortest_tables.bin"))
+_ROWS = {name: _TABLES[name] for name in ("e", "h", "left", "g1", "g0", "outside")}
+_LEAD, _GROUPS, _EXPONENT, _E_CODE, _MASK, _DIGIT_COUNT = (
+    _TABLES[name] for name in ("lead", "groups", "exponent", "e_code", "mask", "digit_count"))
+_MARK = len(_MASK) - 1  # the layout of a cell that repr prints: the marker byte 1 in slot 0
 
 
 def _mul_high(a_lo: np.ndarray, a_hi: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray) -> np.ndarray:
@@ -168,67 +176,6 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     longer = s + ((win & ~uin) | (t_closer & (uin == win)))
     shorter = sp10 + wpin * _TEN
     return longer + (upin != wpin) * (shorter - longer), row
-
-
-def _layout_code(negative: np.ndarray, e: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """The row of _MASK for a cell's sign, decimal exponent e and digit count n.
-
-    Exponents -4..15 each have their own layout; scientific ones differ only
-    in having two or three exponent digits.
-    """
-    exponent_class = np.where((e < -4) | (e >= 16), 20 + (np.abs(e) >= 100), e + 4)
-    return (negative * 22 + exponent_class) * 18 + n
-
-
-# A cell is laid out in byte slots, little-endian uint64 words, in output order:
-#   word 0: '-', '0', '.', '0', '0', '0', d1, '.'
-#   words 1-4: d2 '.' d3 '.' ... d17 '.', four digits to a word
-#   word 5: 'e', exponent sign, three exponent digits, the separator, two zeros
-# where d1..d17 are the digits padded with zeros to seventeen.  The tables give
-# the words by value, and the mask of the slots repr prints by layout code.
-_LEAD = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), dtype="<u8")
-_GROUP_DIGITS = np.indices((10,) * 4).reshape(4, -1)  # the digits of 0..9999, by place
-_GROUPS = np.full((10**4, 8), ord("."), dtype=np.uint8)
-_GROUPS[:, ::2] = _GROUP_DIGITS.T + ord("0")
-_GROUPS = _GROUPS.view("<u8")[:, 0]
-# The digit count up to the last nonzero digit of group j = 0..3, or 1 if the group is zero.
-_LAST_NONZERO = np.max((_GROUP_DIGITS != 0) * np.arange(1, 5)[:, None], axis=0)
-_DIGIT_COUNT = np.where(_LAST_NONZERO > 0, _LAST_NONZERO + 4 * np.arange(4)[:, None] + 1,
-                        1).astype(np.uint8)
-_E = np.arange(_E_SPAN) + _E_MIN
-_EXPONENT = np.zeros((2 * _E_SPAN, 8), dtype=np.uint8)  # 'e', sign, three digits, by sign and e
-_EXPONENT[:, 0] = ord("e")
-_EXPONENT[:, 1] = np.where(np.tile(_E, 2) < 0, ord("-"), ord("+"))
-_EXPONENT[:, 2:5] = np.abs(np.tile(_E, 2))[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
-_EXPONENT = _EXPONENT.view("<u8")[:, 0]
-_E_CODE = _layout_code(np.repeat([0, 1], _E_SPAN), np.tile(_E, 2), 0)  # with n = 0
-
-
-def _mask_table() -> np.ndarray:
-    """The slots each layout prints, as 0xFF bytes of six words; the last row prints slot 0 only."""
-    grid = np.meshgrid([0, 1], np.r_[-4:17, 100], np.arange(18), indexing="ij")
-    negative, e, n = (a.ravel() for a in grid)
-    small = (e < 0) & (e >= -4)
-    scientific = (e < -4) | (e >= 16)
-    keep = np.zeros((len(e), 48), dtype=bool)
-    keep[:, 0] = negative == 1
-    keep[:, 1] = keep[:, 2] = small
-    keep[:, 3:6] = np.arange(1, 4) <= np.where(small, -e - 1, 0)[:, None]
-    # Positional from 10^0 up: the digits to the point, then at least one after it.
-    shown = np.where(small | scientific, n, np.maximum(n, e + 2))
-    keep[:, 6:40:2] = np.arange(1, 18) <= shown[:, None]
-    point = np.where(scientific, n > 1, np.where(small, 0, e + 1))
-    keep[:, 7:40:2] = np.arange(1, 18) == point[:, None]
-    keep[:, 40:45] = scientific[:, None]
-    keep[:, 42] &= np.abs(e) >= 100
-    table = np.zeros((len(e) + 1, 48), dtype=np.uint8)
-    table[_layout_code(negative, e, n)] = keep * 0xFF
-    table[-1, 0] = 0xFF
-    return table.view("<u8")
-
-
-_MASK = _mask_table()
-_MARK = len(_MASK) - 1  # the layout of a cell that repr prints: the marker byte 1 in slot 0
 
 
 def _block(x: np.ndarray, sep: np.ndarray, text: np.ndarray) -> bytes:

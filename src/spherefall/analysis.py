@@ -255,11 +255,13 @@ def run_default_suite(h: float = 1e-3, points: int = 400) -> list[VerificationRe
     imag_kappas = np.linspace(0.3, 3.7, 6)
 
     reports = [
-        # Monotone approach of the closed form, and positivity of u'.
+        # Monotone approach of the closed form; u' positive and falling.
         _reduce("closed_form_monotone", MONOTONE_TOL, u[:, :-1] - u[:, 1:],
                 lambda i, j: f"kappa={_KAPPA_SET[i]}, t={times[j + 1]:.6g}"),
         _reduce("closed_form_derivative_positive", 0.0, -du,
                 lambda i, j: f"kappa={_KAPPA_SET[i]}, t={times[j]:.6g}"),
+        _reduce("closed_form_derivative_decreasing", 0.0, du[:, 1:] - du[:, :-1],
+                lambda i, j: f"kappa={_KAPPA_SET[i]}, t={times[j + 1]:.6g}"),
         # Leading-order terminal approach: u(100) - 1 ~ -sqrt(kappa/(100 pi)).
         _reduce("terminal_approach", 0.05,
                 np.abs(_sphere_samples(np.array([100.0]), kappas)[0] - 1.0 + lead) / lead,

@@ -410,7 +410,7 @@ def test_the_default_suite_pins_every_tolerance(h, ide_tol, ode_tol):
     # h = 1e-3, and ode_residual allows 100 h.
     assert [(r.check_id, r.tolerance) for r in run_default_suite(h=h, points=20)] == [
         ("closed_form_monotone", 1e-12), ("closed_form_derivative_positive", 0.0),
-        ("terminal_approach", 0.05), ("root_identities", 1e-13), ("decoupling_v0", 1e-12),
+        ("closed_form_derivative_decreasing", 0.0), ("terminal_approach", 0.05), ("root_identities", 1e-13), ("decoupling_v0", 1e-12),
         ("proof_integral_negative", 0.0), ("imag_sqrt_alpha_positive", 0.0),
         ("ide_vs_closed_form", ide_tol), ("ide_monotone", 1e-12), ("ode_residual", ode_tol),
         ("abel_identity", 1e-2), ("oscillator_monotone_ic", 1e-6), ("oscillator_monotone", 1e-12),

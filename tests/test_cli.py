@@ -434,6 +434,7 @@ _VERIFY_LOCATIONS = {
     # A passing sign or monotonicity check has nothing above the floor, so no location.
     "closed_form_monotone": "--",
     "closed_form_derivative_positive": "--",
+    "closed_form_derivative_decreasing": "--",
     "terminal_approach": rf"kappa={_NUM}",
     "root_identities": rf"kappa={_NUM}",
     "decoupling_v0": rf"kappa={_NUM}",

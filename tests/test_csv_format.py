@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import shortest_tables
 import spherefall
 from csv_oracle import csv_text_loop
 from spherefall import _shortest, cli
@@ -48,9 +49,9 @@ def test_one_call_over_many_blocks_prints_as_repr():
 def test_multipliers_bracket_the_powers_of_ten():
     # (g - 1) 2^r <= 10^-k < g 2^r with 2^125 <= g < 2^126, over every k a normal double needs.
     for k in range(-324, 293):
-        g1, g0 = _shortest._multiplier(k)
+        g1, g0 = shortest_tables.multiplier(k)
         g = g1 << 63 | g0
-        scale = Fraction(2) ** (_shortest._floor_log2_pow10(-k) - 125)
+        scale = Fraction(2) ** (shortest_tables.floor_log2_pow10(-k) - 125)
         assert 1 << 125 <= g < 1 << 126
         assert (g - 1) * scale <= Fraction(10) ** -k < g * scale
 
@@ -82,10 +83,10 @@ def test_cli_csv_files_equal_the_oracle_text(tmp_path, monkeypatch, argv):
     assert sorted(p.read_text() for p in paths) == sorted(expected)
 
 
-def _fresh_python(code: str) -> subprocess.CompletedProcess:
-    """Run code in a new interpreter that imports the spherefall under test."""
+def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code, with args as sys.argv[1:], in a new interpreter that imports the spherefall under test."""
     src = os.path.dirname(os.path.dirname(spherefall.__file__))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
 
 
@@ -95,8 +96,11 @@ def test_importing_the_cli_loads_no_formatter():
 
 
 _TABLE_AT_IMPORT = """
+import sys
 import numpy as np
 from spherefall import _shortest as s
+sys.path.insert(0, sys.argv[1])
+from shortest_tables import multiplier
 
 rows = s._ROWS
 before = {name: column.copy() for name, column in rows.items()}
@@ -104,7 +108,7 @@ at = np.arange(1 << 13)
 k = rows["e"] - 16 + s._E_MIN - (at >> 12) * s._E_SPAN
 zero = at & 0xFFF == 1
 for r in at.tolist():
-    g = (0, 0) if zero[r] else s._multiplier(int(k[r]))
+    g = (0, 0) if zero[r] else multiplier(int(k[r]))
     assert (int(rows["g1"][r]), int(rows["g0"][r])) == g, r
 # One cell per row: every sign and biased exponent, with a zero and a nonzero fraction.
 bits = (at.astype(np.uint64) >> np.uint64(1) << np.uint64(52)) | (~at & 1).astype(np.uint64)
@@ -119,7 +123,7 @@ print("ok")
 
 def test_exponent_table_is_whole_at_import_and_formatting_leaves_it_unchanged():
     # A new interpreter, so no earlier formatting in this process can have touched the table.
-    done = _fresh_python(_TABLE_AT_IMPORT)
+    done = _fresh_python(_TABLE_AT_IMPORT, os.path.dirname(__file__))
     assert done.stdout.strip() == "ok", done.stderr
 
 
@@ -134,9 +138,9 @@ def test_exponent_table_rows_follow_the_floor_logs_and_multipliers():
     rows = _shortest._ROWS
     for b, f, r in zip(*_table_rows()):
         q, irregular = int(b) - 1075, bool(f) and b > 1
-        k = (_shortest._floor_log10_three_quarters_pow2(q) if irregular
-             else _shortest._floor_log10_pow2(q))
-        h = q + _shortest._floor_log2_pow10(-k) + 2
+        k = (shortest_tables.floor_log10_three_quarters_pow2(q) if irregular
+             else shortest_tables.floor_log10_pow2(q))
+        h = q + shortest_tables.floor_log2_pow10(-k) + 2
         for sign in (0, 1):
             at = r + sign * 4096
             assert rows["e"][at] - 16 + _shortest._E_MIN - sign * _shortest._E_SPAN == k
@@ -144,7 +148,7 @@ def test_exponent_table_rows_follow_the_floor_logs_and_multipliers():
             # The carry-free _mul_high bound needs h <= 5.
             assert 2 <= h <= 5
             assert rows["left"][at] == (1 if irregular else 2)
-            assert (int(rows["g1"][at]), int(rows["g0"][at])) == _shortest._multiplier(k)
+            assert (int(rows["g1"][at]), int(rows["g0"][at])) == shortest_tables.multiplier(k)
             assert not rows["outside"][at]
     subnormal_and_top = np.array([0, 4094, 4095])
     assert rows["outside"][np.r_[subnormal_and_top, subnormal_and_top + 4096]].all()
@@ -153,6 +157,31 @@ def test_exponent_table_rows_follow_the_floor_logs_and_multipliers():
         assert not rows["outside"][at] and rows["g1"][at] == rows["g0"][at] == 0
         assert rows["e"][at] - 1 + _shortest._E_MIN - (at >> 12) * _shortest._E_SPAN == 0
         assert 2 <= rows["h"][at] <= 5
+
+
+_TABLE_FILE = os.path.join(os.path.dirname(_shortest.__file__), "_shortest_tables.bin")
+
+
+def test_table_file_holds_the_reference_tables_byte_for_byte():
+    # `python tests/shortest_tables.py` writes the file; this fails until it is run after a change.
+    built = shortest_tables.tables()
+    assert [(name, (t.dtype.str, t.shape)) for name, t in built.items()] == list(
+        _shortest._LAYOUT.items())
+    with open(_TABLE_FILE, "rb") as f:
+        assert f.read() == shortest_tables.table_bytes()
+    for name, table in _shortest._TABLES.items():
+        assert not table.flags.writeable, name
+    with pytest.raises(ValueError, match="read-only"):
+        _shortest._ROWS["g1"][0] = 0
+
+
+def test_a_table_file_of_the_wrong_size_fails_loudly(tmp_path):
+    size = os.path.getsize(_TABLE_FILE)
+    short = tmp_path / "short.bin"
+    with open(_TABLE_FILE, "rb") as f:
+        short.write_bytes(f.read(size - 8))
+    with pytest.raises(ValueError, match=f"short.bin: {size - 8} bytes, .* needs {size}$"):
+        _shortest._load(str(short))
 
 
 def test_kernel_digits_have_sixteen_or_seventeen_digits():
