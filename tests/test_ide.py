@@ -206,18 +206,6 @@ def test_initial_derivative_prescribed_by_initial_value():
         assert abs(traj.derivatives[0] - (1.0 - u0)) <= 1e-12
 
 
-def test_converges_to_closed_form_and_improves_with_h():
-    traj = solve_ide(2.0, 0.0, 1e-3, 2.0)
-    ref = np.array([analytic.u_rest(t, 2.0) for t in traj.times])
-    sup1 = np.max(np.abs(traj.values - ref))
-    assert sup1 <= 1e-4
-
-    traj2 = solve_ide(2.0, 0.0, 5e-4, 2.0)
-    ref2 = np.array([analytic.u_rest(t, 2.0) for t in traj2.times])
-    sup2 = np.max(np.abs(traj2.values - ref2))
-    assert sup1 / sup2 >= 1.8
-
-
 def test_discrete_solution_monotone_at_unstable_kappa():
     traj = solve_ide(2.9, 0.0, 1e-3, 10.0)
     assert np.max(traj.values[:-1] - traj.values[1:]) <= 1e-12
