@@ -90,6 +90,11 @@ def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
                           env={**os.environ, "PYTHONPATH": src})
 
 
+def test_importing_the_cli_loads_no_formatter():
+    done = _fresh_python("import sys, spherefall.cli; print('spherefall._shortest' in sys.modules)")
+    assert done.stdout.strip() == "False", done.stderr
+
+
 _TABLE_AT_IMPORT = """
 import sys
 import numpy as np

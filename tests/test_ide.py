@@ -156,8 +156,14 @@ def test_sqrt_error_expansions_are_their_zeta_values():
     assert ide._TRAP_LIMIT == float(-mpmath.zeta(-half))
 
 
-@given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), _hs,
-       _steps.filter(lambda n: n >= 2))
+# 0 or at least 1e-280 in magnitude, so that every part, and 1e-13 of it, stays a
+# normal float.  Below that the input, the reference and the bound round to the
+# subnormal spacing 5e-324: at c = 5e-324, c sqrt(t) is 0 or 5e-324, and the bound
+# is 0 against an error of one spacing.
+_coefficients = st.one_of(st.just(0.0), st.floats(1e-280, 1.0), st.floats(-1.0, -1e-280))
+
+
+@given(_coefficients, _coefficients, _coefficients, _hs, _steps.filter(lambda n: n >= 2))
 @settings(max_examples=40, deadline=None)
 def test_abel_history_is_exact_on_a_line_plus_a_square_root(a, b, c, h, n):
     # The plain rule is off by 2.4e-4 on sqrt(t) at h = 1e-3.  An FFT product rounds
