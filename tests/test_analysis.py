@@ -82,8 +82,9 @@ def test_check_monotone_reports_the_first_largest_drop():
     rep = check_monotone(_uniform_traj([1.0], derivatives=[0.0]))
     assert (rep.passed, rep.worst_violation, rep.location) == (True, 0.0, "--")
     # Nothing decreases: the floor of 0 at no location, as in the suite's reducer.
-    rep = check_monotone(_uniform_traj([0.0, 1.0, 1.0, 2.0]))
-    assert (rep.passed, rep.worst_violation, rep.location) == (True, 0.0, "--")
+    for values in ([0.0, 1.0, 1.0, 2.0], np.ones(20)):
+        rep = check_monotone(_uniform_traj(values))
+        assert (rep.passed, rep.worst_violation, rep.location) == (True, 0.0, "--")
 
 
 @pytest.mark.parametrize("meta, values", [

@@ -183,7 +183,8 @@ def test_small_kappa_sphere_keeps_its_initial_state(kappa):
 
 def test_sphere_initial_state_is_exact_down_to_the_resolution_of_b():
     # Im alpha = sqrt((2 - b)(2 + b))/2 keeps the kappa^2 term that 4 - b*b drops.
-    for kappa in np.logspace(math.log10(1.3e-16), math.log10(3.999), 4000).tolist():
+    kappas = [1e-15, 1e-12, 1e-10, 1e-8, 1e-5, 0.5, 1.0, 2.0, 2.9, 3.5, 3.9]
+    for kappa in np.logspace(math.log10(1.3e-16), math.log10(3.999), 4000).tolist() + kappas:
         assert abs(u_rest(0.0, kappa)) <= 1e-15, kappa
         assert abs(u_rest_derivative(0.0, kappa) - 1.0) <= 1e-15, kappa
 
@@ -408,6 +409,8 @@ def test_kernel_samples_reject_a_negative_time():
         monotone_kernel_samples(np.array([0.0, math.nan, -0.5]), 0.5, 1.0, 0.0)
     with pytest.raises(ValueError, match="^t must be >= 0, got nan$"):
         u_rest(math.nan, 1.0)
+    with pytest.raises(ValueError, match=r"^t must be >= 0, got -1\.0$"):
+        u_rest(-1.0, 2.0)
 
 
 def _two_call_samples(times, b, A, t0):
@@ -559,6 +562,9 @@ def test_monotone_ic_rejects_a_negative_or_nan_t0():
 def test_an_infinite_forcing_offset_is_a_domain_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match=r"^t0 must be >= 0, got "):
+                monotone_initial_conditions(-1.0, 1.0, bad)
         with pytest.raises(ValueError, match="^t0 must be finite, got inf$"):
             monotone_initial_conditions(-1.0, 1.0, math.inf)
 
@@ -570,12 +576,13 @@ def test_monotone_ic_sphere_case_value_is_minus_one(kappa):
 
 
 def test_monotone_ic_scales_linearly_to_zero():
-    ic1 = monotone_initial_conditions(-1.0, 1.0, 2.0)
-    ic_half = monotone_initial_conditions(-1.0, 0.5, 2.0)
-    assert ic_half.v0 == 0.5 * ic1.v0
-    assert ic_half.v0_prime == 0.5 * ic1.v0_prime
-    ic0 = monotone_initial_conditions(-1.0, 0.0, 2.0)
-    assert ic0.v0 == 0.0 and ic0.v0_prime == 0.0
+    for b, t0 in ((-1.0, 2.0), (-0.5, 1.0)):
+        ic1 = monotone_initial_conditions(b, 1.0, t0)
+        for A in (0.5, 2.0):
+            ic = monotone_initial_conditions(b, A, t0)
+            assert (ic.v0, ic.v0_prime) == (A * ic1.v0, A * ic1.v0_prime), (b, t0, A)
+        ic0 = monotone_initial_conditions(b, 0.0, t0)
+        assert ic0.v0 == 0.0 and ic0.v0_prime == 0.0
 
 
 def test_monotone_ic_map_linear_in_amplitude():

@@ -456,8 +456,11 @@ _VERIFY_LOCATIONS = {
 def test_verify_report_pins_check_order_and_location_formats(tmp_path, capsys):
     out = tmp_path / "verify.json"
     assert main(["verify", "--h", "0.01", "--points", "20", "--out", str(out)]) == 0
-    reports = json.loads(out.read_text())["reports"]
+    payload = json.loads(out.read_text())
+    assert payload["schema"] == 1 and payload["passed"] is True
+    reports = payload["reports"]
     assert [r["check_id"] for r in reports] == list(_VERIFY_LOCATIONS)
+    assert all(r["passed"] for r in reports)
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(reports)
     for rep, line in zip(reports, lines):

@@ -156,23 +156,20 @@ def test_sqrt_error_expansions_are_their_zeta_values():
     assert ide._TRAP_LIMIT == float(-mpmath.zeta(-half))
 
 
-# 0 or at least 1e-280 in magnitude, so that every part, and 1e-13 of it, stays a
-# normal float.  Below that the input, the reference and the bound round to the
-# subnormal spacing 5e-324: at c = 5e-324, c sqrt(t) is 0 or 5e-324, and the bound
-# is 0 against an error of one spacing.
-_coefficients = st.one_of(st.just(0.0), st.floats(1e-280, 1.0), st.floats(-1.0, -1e-280))
-
-
-@given(_coefficients, _coefficients, _coefficients, _hs, _steps.filter(lambda n: n >= 2))
+@given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), _hs,
+       _steps.filter(lambda n: n >= 2))
 @settings(max_examples=40, deadline=None)
 def test_abel_history_is_exact_on_a_line_plus_a_square_root(a, b, c, h, n):
     # The plain rule is off by 2.4e-4 on sqrt(t) at h = 1e-3.  An FFT product rounds
-    # relative to its largest entry, so the bound is too.
+    # relative to its largest entry, so the bound is too.  Below the normal floats an
+    # operation rounds to the absolute spacing 2**-1074 instead, and the error grows
+    # with the steps (0.7 spacings a step at most over 6000 tiny draws): four a step.
     t = np.arange(n + 1) * h
     root = np.sqrt(t)
     parts = np.array([2.0 * a * root, (4.0 / 3.0) * b * t * root, c * (math.pi / 2.0) * t])
     hist = abel_history(a + b * t + c * root, h)
-    assert np.max(np.abs(hist - parts.sum(axis=0))) <= 1e-13 * np.abs(parts).sum(axis=0).max()
+    bound = 1e-13 * np.abs(parts).sum(axis=0).max() + 4 * n * 2.0**-1074
+    assert np.max(np.abs(hist - parts.sum(axis=0))) <= bound
 
 
 def test_laplace_oracle_matches_the_closed_form_below_kappa_4():

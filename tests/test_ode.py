@@ -74,8 +74,9 @@ def test_classify_boundaries():
 
 
 def test_zero_problem_stays_zero():
-    for t0, h in ((1.0, 1e-2), (0.0, 100.0)):  # the scan alone; a series node past its reach
-        traj = _run(-1.0, 0.0, t0, 0.0, 0.0, 500 * h, h)
+    # The scan alone, over 500 and 7000 steps; a series node past its reach.
+    for t0, h, T in ((1.0, 1e-2, 5.0), (1.0, 1e-3, 7.0), (0.0, 100.0, 5e4)):
+        traj = _run(-1.0, 0.0, t0, 0.0, 0.0, T, h)
         assert np.max(np.abs(traj.values)) == 0.0 and not traj.meta["diverged"]
         assert np.max(np.abs(traj.derivatives)) == 0.0
 
@@ -343,6 +344,8 @@ def test_unstable_damping_contrast_bounded_vs_perturbed():
     for sign in (+1.0, -1.0):
         perturbed = solve_oscillator(replace(prob, v0=prob.v0 + sign * 1e-3), h, T)
         assert np.max(np.abs(perturbed.values)) > 10.0 * abs(prob.v0)
+        # By t = 40 (node 40000) e^{0.5 t} has amplified the 1e-3 perturbation past 1e4.
+        assert abs(perturbed.values[40000]) > 1e4
 
 
 def test_perturbed_monotone_run_grows_past_1e4_by_t_40():

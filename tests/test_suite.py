@@ -6,24 +6,16 @@ import glob
 import os
 
 
-def _top_level_names(tree: ast.Module):
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            yield from ((alias.asname or alias.name).split(".")[0] for alias in node.names)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            yield from (t.id for t in targets if isinstance(t, ast.Name))
-
-
-def test_no_module_defines_a_top_level_name_twice():
+def test_no_module_defines_a_function_or_class_twice():
     # Python keeps only the last `def test_x` of a module, and pytest never reports the
     # first, so a second definition would drop a test without a failure.
     twice = {}
     for path in sorted(glob.glob(os.path.join(os.path.dirname(__file__), "*.py"))):
         with open(path, encoding="utf-8") as f:
-            names = collections.Counter(_top_level_names(ast.parse(f.read(), path)))
+            tree = ast.parse(f.read(), path)
+        names = collections.Counter(
+            node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
         repeated = [name for name, count in names.items() if count > 1]
         if repeated:
             twice[os.path.basename(path)] = repeated
