@@ -404,11 +404,10 @@ def test_residuals_reject_trajectories_inside_the_startup_window(check, name):
 # Full suite
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("h, ide_tol, ode_tol", [(1e-3, 1e-4, 0.1),
-                                                  (0.01, 0.0031622776601683794, 1.0)])
+@pytest.mark.parametrize("h, ide_tol, ode_tol", [(1e-3, 1e-7, 0.1), (0.01, 1e-5, 1.0)])
 def test_the_default_suite_pins_every_tolerance(h, ide_tol, ode_tol):
-    # The verify report carries these: the IDE budget scales as h^1.5 from 1e-4 at
-    # h = 1e-3, and ode_residual allows 100 h.
+    # The verify report carries these: the IDE budget is 0.1 h^2, floored at 1e-7, and
+    # ode_residual allows 100 h.
     assert [(r.check_id, r.tolerance) for r in run_default_suite(h=h, points=20)] == [
         ("closed_form_monotone", 1e-12), ("closed_form_derivative_positive", 0.0),
         ("closed_form_derivative_decreasing", 0.0), ("terminal_approach", 0.05), ("root_identities", 1e-13), ("decoupling_v0", 1e-12),

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import contextlib
+import ctypes
 import io
 import json
 import math
@@ -225,6 +226,13 @@ def test_json_and_csv_outputs_carry_the_same_numbers(tmp_path, argv, keys):
     assert cells == [[repr(v) for v in row] for row in got.tolist()]
 
 
+def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code, with args as sys.argv[1:], in a new interpreter importing this spherefall."""
+    src = os.path.dirname(os.path.dirname(spherefall.__file__))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
 def test_cli_runs_without_scipy(tmp_path):
     # Neither the import nor a verify run (which calls both quadrature oracles) loads scipy.
     report = tmp_path / "verify.json"
@@ -234,11 +242,73 @@ def test_cli_runs_without_scipy(tmp_path):
             "at_import = loaded()\n"
             f"main(['verify', '--h', '0.01', '--points', '20', '--out', {str(report)!r}])\n"
             "print(at_import, loaded())\n")
-    src = os.path.dirname(os.path.dirname(spherefall.__file__))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
+    done = _fresh_python(code)
     assert done.stdout.splitlines()[-1] == "[] []", done.stderr
     assert json.loads(report.read_text())["schema"] == 1
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_a_second_command_reuses_the_freed_heap(tmp_path):
+    # glibc's default thresholds unmap or trim the freed numpy temporaries, and the second
+    # run faults them back in: about 300 minor faults here without main's allocator setting.
+    code = ("import resource, sys\n"
+            "from spherefall.cli import main\n"
+            "argv = ['verify', '--h', '0.01', '--points', '20', '--out', sys.argv[1]]\n"
+            "assert main(argv) == 0\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "assert main(argv) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    done = _fresh_python(code, str(tmp_path / "verify.json"))
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout.splitlines()[-1]) < 64
+
+
+def test_only_main_sets_the_allocator(tmp_path):
+    # Every C library lookup is recorded: importing the package makes none, main makes one.
+    code = ("import ctypes, sys\n"
+            "import numpy\n"
+            "calls = []\n"
+            "class Recording(ctypes.CDLL):\n"
+            "    def __init__(self, name, *args, **kwargs):\n"
+            "        calls.append(name)\n"
+            "        super().__init__(name, *args, **kwargs)\n"
+            "ctypes.CDLL = Recording\n"
+            "import spherefall, spherefall.cli\n"
+            "at_import = list(calls)\n"
+            "argv = ['trajectory', '--kappa', '2', '--T', '0.1', '--h', '0.01',\n"
+            "        '--out', sys.argv[1]]\n"
+            "assert spherefall.cli.main(argv) == 0\n"
+            "assert spherefall.cli.main(argv) == 0\n"
+            "print(at_import, calls)\n")
+    done = _fresh_python(code, str(tmp_path / "traj.csv"))
+    assert done.stdout.splitlines()[-1] == "[] [None]", done.stderr
+
+
+def test_a_c_library_without_mallopt_changes_no_output(tmp_path, monkeypatch):
+    argv = ["trajectory", "--kappa", "2.5", "--solver", "ide", "--T", "2", "--h", "0.01",
+            "--out"]
+    assert main([*argv, str(tmp_path / "a.csv")]) == 0
+    lookups = []
+
+    def no_library(name, *args, **kwargs):
+        lookups.append(name)
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    cli._keep_freed_heap.cache_clear()  # so this process looks the library up again
+    try:
+        assert main([*argv, str(tmp_path / "b.csv")]) == 0
+    finally:
+        cli._keep_freed_heap.cache_clear()
+    assert lookups == [None]
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):
