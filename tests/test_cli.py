@@ -331,12 +331,15 @@ def test_usage_errors_exit_one(tmp_path, capsys):
              "--out", str(sweep_dir)])
     assert not sweep_dir.exists()
     refused(["nosuchcommand"])
-    # A step that leaves the memory-equation checks no node past their startup window.
+    # A step past the memory equation's horizon T = 10 is refused; any step up to it runs
+    # the suite, which at h = 1 fails and writes its report.
     verify_out = tmp_path / "verify.json"
-    err = refused(["verify", "--h", "1", "--out", str(verify_out)])
-    assert err == ("error: h must be below 10/10.5 for the memory-equation checks "
-                   "(11 steps to T = 10), got 1.0\n")
+    err = refused(["verify", "--h", "10.5", "--out", str(verify_out)])
+    assert err == "error: horizon T=10.0 must be at least one step h=10.5\n"
     assert not verify_out.exists()
+    assert main(["verify", "--h", "1", "--out", str(verify_out)]) == 2
+    assert json.loads(verify_out.read_text())["passed"] is False
+    capsys.readouterr()
     # The closed form checks its grid like the ide and ode solvers do, to a file or to stdout.
     out = tmp_path / "traj.csv"
     for solver in ("closed-form", "ide", "ode"):
