@@ -90,16 +90,6 @@ def _cyclic(spectrum: np.ndarray, f: np.ndarray, size: int) -> np.ndarray:
     return np.fft.irfft(spectrum * np.fft.rfft(f, size), size)
 
 
-def _causal_product(a: np.ndarray, f: np.ndarray, m: int) -> np.ndarray:
-    """First m coefficients of the power-series product a(z) f(z).
-
-    One rfft/irfft product on the smallest fast length above the top degree
-    len(a) + len(f) - 2, so no coefficient wraps around.
-    """
-    size = _fft_size(len(a) + len(f) - 1)
-    return _cyclic(np.fft.rfft(a, size), f, size)[:m]
-
-
 # The second difference sqrt(0) - 2 sqrt(1) + sqrt(2) of sqrt(k): times sqrt(h), that of
 # sqrt(t) on the first three grid nodes.
 _ROOT_SECOND_DIFFERENCE = math.sqrt(2.0) - 2.0
@@ -170,26 +160,47 @@ def abel_history(samples: np.ndarray, h: float) -> np.ndarray:
     start of every solution of the memory equation; below three samples it is
     the plain rule.  One causal FFT convolution at every k at once: O(n log n)
     for n + 1 samples.  Entry 0 is 0.  This is the library's only read-back of
-    the memory integral: the Basset force and the Abel inversion check both go
-    through it.  A history that is not finite raises ArithmeticError, as an
-    overflowing solve does.
+    the memory integral: the Basset force goes through it, and the Abel
+    inversion check through its operator (:func:`_abel_operator`), built once
+    for both of its layers.  A history that is not finite raises
+    ArithmeticError, as an overflowing solve does.
     """
     f = np.asarray(samples, dtype=float)
     if f.ndim != 1 or len(f) == 0:
         raise ValueError("abel_history: samples must be a nonempty 1-d array")
     if not 0.0 < h < math.inf:
         raise ValueError(f"abel_history: h must be finite and > 0, got {h}")
-    n = len(f) - 1
-    out = np.zeros(n + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+    return _abel_operator(len(f) - 1, h)(f)
+
+
+def _abel_operator(n: int, h: float):
+    """:func:`abel_history` on n + 1 samples at step h, as a function of the samples.
+
+    What depends on (n, h) alone is built once: the first node's weights,
+    the spectrum of the lag weights on the smallest fast FFT length above
+    the product's top degree 2n - 2 (so no coefficient wraps around), and
+    the rule's errors on sqrt(t).  Each application is then one rfft/irfft
+    pair and the starting correction.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised when applied
         a, first = _abel_kernel(n, h)
-        out[1:] = _causal_product(a[:n], f[1:], n) + first[1:] * f[0]
-        if n >= 2:
-            beta = (f[0] - 2.0 * f[1] + f[2]) / (math.sqrt(h) * _ROOT_SECOND_DIFFERENCE)
-            out[1:] += beta * h * _sqrt_errors(n)[0][1:]
-    if not np.isfinite(out).all():
-        raise ArithmeticError(f"abel_history: the history is not finite at h={h:g}")
-    return out
+        size = _fft_size(2 * n - 1)
+        spectrum = np.fft.rfft(a[:n], size)
+        first = first[1:]
+        eps = _sqrt_errors(n)[0][1:] if n >= 2 else None
+
+    def apply(f: np.ndarray) -> np.ndarray:
+        out = np.zeros(n + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[1:] = _cyclic(spectrum, f[1:], size)[:n] + first * f[0]
+            if n >= 2:
+                beta = (f[0] - 2.0 * f[1] + f[2]) / (math.sqrt(h) * _ROOT_SECOND_DIFFERENCE)
+                out[1:] += beta * h * eps
+        if not np.isfinite(out).all():
+            raise ArithmeticError(f"abel_history: the history is not finite at h={h:g}")
+        return out
+
+    return apply
 
 
 def _reciprocal(t: np.ndarray, n: int) -> np.ndarray:

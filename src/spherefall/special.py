@@ -22,14 +22,19 @@ relative error (in modulus) below 2e-15 against a 50-digit reference for
 reflection w(z) = 2 exp(-z^2) - conj(w(conj(z))).
 
 ``faddeeva``, ``villat`` and ``villat_asymptotic`` take a scalar or a
-numpy array.  The kernel is plain arithmetic shared by both: a scalar runs
-on Python complex arithmetic, an array runs element-wise in numpy and
-returns an array of its shape.  The reflection is written once, for
+numpy array, and an array returns an array of its shape.  The kernel
+evaluates the same rational function two ways.  A scalar runs Horner's
+rule on Python complex arithmetic.  An array (0-d included) runs
+Paterson and Stockmeyer's baby and giant steps in chunks of a few
+thousand points: the powers Z^0..Z^7 in one table, the polynomial's six
+blocks of eight coefficients as one real matrix product with it, and
+Horner's rule in Z^8 over the six sums.  Every element of an array gets
+the bits it would get alone.  The reflection is written once, for
 arrays: a scalar below the real axis goes through it as a 0-d array.  The
 checks are element-wise: one non-finite element raises ValueError for
-the whole array.  numpy rounds complex products and quotients
-differently from CPython, so an array result agrees with the scalar
-calls to about 1e-15 relative, not bit for bit.
+the whole array.  The two evaluations round differently, so an array
+result agrees with the scalar calls to about 1e-15 relative, not bit for
+bit: w(0) is 1 exactly as a scalar and 1 + 2^-51 in an array.
 
 The two integral-representation quadratures are independent oracles used
 by the verification suite to referee the fast path: 32-point
@@ -121,21 +126,61 @@ def _weideman_coefficients(n: int) -> tuple[float, list[float]]:
 
 
 _W_L, _W_COEF = _weideman_coefficients(_WEIDEMAN_TERMS)
+# The polynomial's coefficients in ascending order as six blocks of eight, so that
+# p(Z) = sum_j (_W_BLOCKS[j] . (Z^0, ..., Z^7)) (Z^8)^j.
+_W_BLOCKS = np.array(_W_COEF[::-1]).reshape(-1, 8)
+_W_CHUNK = 4096  # points per pass of the array kernel; its (8, chunk) power table stays small
 
 
 def _w_rational(z):
     """w(z) for Im z >= 0: 2 p(Z)/(L - iz)^2 + 1/(sqrt(pi) (L - iz)), Z = (L + iz)/(L - iz).
 
     Both quotients are taken one factor of L - iz at a time, so nothing
-    overflows before |z| reaches the largest double.
+    overflows before |z| reaches the largest double.  A scalar runs Horner's
+    rule; an array (0-d included) runs :func:`_w_blocks`.
     """
+    if isinstance(z, np.ndarray):
+        return _w_blocks(z)
     den = _W_L - 1j * z
     big_z = 2.0 * _W_L / den - 1.0
     p = 0.0j * big_z + _W_COEF[0]
-    for a in _W_COEF[1:]:  # Horner in place: an array p takes no temporary per term
+    for a in _W_COEF[1:]:
         p *= big_z
         p += a
     return (2.0 * p / den + 1.0 / SQRT_PI) / den
+
+
+def _w_blocks(z: np.ndarray) -> np.ndarray:
+    """The array kernel: p(Z) by Paterson and Stockmeyer's baby and giant steps.
+
+    Per chunk of ``_W_CHUNK`` points: inv = 1/(L - iz) once, the powers
+    Z^0..Z^7 in one (8, m) complex table, the six block sums as one real
+    matrix product of ``_W_BLOCKS`` with the table's float view, and Horner's
+    rule in Z^8 over the six sums (SIAM J. Comput. 2, 1973, 60).  |Z| <= 1,
+    so no power grows.  No operation writes in place: numpy rounds an
+    in-place complex product on a 1-element array differently, and every
+    element's bits are those it has alone.
+    """
+    flat = z.ravel()
+    w = np.empty(flat.shape, complex)
+    for k in range(0, len(flat), _W_CHUNK):
+        inv = 1.0 / (_W_L - 1j * flat[k : k + _W_CHUNK])
+        powers = np.empty((8, len(inv)), complex)
+        powers[0] = 1.0
+        np.subtract(2.0 * _W_L * inv, 1.0, out=powers[1])
+        np.multiply(powers[1], powers[1], out=powers[2])
+        np.multiply(powers[2], powers[1], out=powers[3])
+        np.multiply(powers[2], powers[2], out=powers[4])
+        np.multiply(powers[4], powers[1], out=powers[5])
+        np.multiply(powers[3], powers[3], out=powers[6])
+        np.multiply(powers[4], powers[3], out=powers[7])
+        giant = powers[4] * powers[4]
+        sums = (_W_BLOCKS @ powers.view(float)).view(complex)
+        p = sums[-1]
+        for block in sums[-2::-1]:
+            p = p * giant + block
+        w[k : k + _W_CHUNK] = (p * (2.0 * inv) + 1.0 / SQRT_PI) * inv
+    return w.reshape(z.shape)
 
 
 def _faddeeva_array(z: np.ndarray) -> np.ndarray:
@@ -161,8 +206,9 @@ def faddeeva(z):
     1.7e308.  The lower half plane uses w(z) = 2 exp(-z^2) - conj(w(conj(z))),
     where the exp(-z^2) growth is genuine and may overflow.  An array returns
     an array of its shape; it agrees with the element-wise scalar calls to
-    about 1e-15 relative, not bit for bit: w(0) is 1 exactly, but 1 + 2.2e-16
-    in an array, as numpy divides by a complex through its rounded reciprocal.
+    about 1e-15 relative, not bit for bit.  A scalar sums the polynomial by
+    Horner's rule, and w(0) is 1 exactly; an array sums it in blocks of eight
+    coefficients as one matrix product (``_w_blocks``), and w(0) is 1 + 2^-51.
     """
     z = _check_finite(z, "faddeeva")
     if isinstance(z, np.ndarray):
@@ -186,7 +232,7 @@ def villat(z):
     """
     z = _check_finite(z, "villat")
     if isinstance(z, np.ndarray):
-        return np.asarray(_w_rational(1j * np.sqrt(z)))  # the kernel gives 0-d a numpy scalar
+        return _w_rational(np.asarray(1j * np.sqrt(z)))  # numpy makes 0-d a scalar
     return _w_rational(1j * cmath.sqrt(z))
 
 

@@ -4,7 +4,7 @@ This is the straightforward loop: four right-hand-side evaluations per
 step on the first-order system x' = y, y' = -x - b y - G(t).  The
 library takes the same steps as a blocked prefix scan of the fused
 affine step x_{k+1} = P x_k + g_k: doubling passes within blocks of up
-to 1024 steps, a carry of each block's start state, and the powers
+to 64 steps, a carry of each block's start state, and the powers
 P^j - I doubled in increment form.  That groups the floating-point
 operations differently, so the tests compare the two to a tolerance,
 and the row where a diverging run is cut exactly.  The series start

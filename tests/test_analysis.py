@@ -423,11 +423,11 @@ def test_residuals_fail_without_the_sqrt_start(monkeypatch, h):
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("h, ide_tol, ode_tol, abel_tol, osc_tol", [
-    (1e-3, 1e-7, 2e-6, 2e-6, 1e-9), (0.01, 1e-5, 2e-4, 2e-4, 1e-6),
-    (0.5, 0.025, 0.5, 1e-2, 1e-6)])
+    (1e-4, 1e-9, 2e-8, 2e-8, 1e-9), (1e-3, 1e-7, 2e-6, 2e-6, 1e-9),
+    (0.01, 1e-5, 2e-4, 2e-4, 1e-6), (0.5, 0.025, 0.5, 1e-2, 1e-6)])
 def test_the_default_suite_pins_every_tolerance(h, ide_tol, ode_tol, abel_tol, osc_tol):
     # The verify report carries these, each following its scheme's order: the IDE budget
-    # is 0.1 h^2, floored at 1e-7, ode_residual allows 2 h^2, abel_identity min(1e-2, 2 h^2)
+    # is 0.1 h^2, floored at 1e-12, ode_residual allows 2 h^2, abel_identity min(1e-2, 2 h^2)
     # and oscillator_monotone_ic min(1e-6, max(1e-9, 100 h^4)).
     assert [(r.check_id, r.tolerance) for r in run_default_suite(h=h, points=20)] == [
         ("closed_form_monotone", 1e-12), ("closed_form_derivative_positive", 0.0),

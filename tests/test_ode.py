@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spherefall import analytic, special
+from spherefall import analytic, ode, special
 from spherefall.ode import (
     _POWER_BOUND,
     _SCAN_STEPS,
@@ -404,9 +404,9 @@ def test_diverging_sphere_stops_at_the_same_row_as_the_loop():
 
 
 def test_zero_problem_stays_zero_where_the_step_powers_grow_fast():
-    # |P| is 2e3 here and |P^8| 5e22, so P^1024 overflows: a scan block that
-    # used it would turn the zero state into inf * 0 = NaN and flag a false
-    # divergence.  The block length stops where the powers pass their bound.
+    # |P| is 2e3 here and |P^8| 5e22: a scan block whose powers overflow would
+    # turn the zero state into inf * 0 = NaN and flag a false divergence.  The
+    # block length stops where the powers pass their bound.
     prob = OscillatorProblem(b=-1.9, A=0.0, t0=1.0, v0=0.0, v0_prime=0.0)
     traj = solve_oscillator(prob, 10.0, 20000.0)
     assert traj.meta["diverged"] is False
@@ -420,14 +420,18 @@ def _rk4_increment(b, h):
     return Z + Z2 / 2.0 + Z2 @ Z / 6.0 + Z2 @ Z2 / 24.0
 
 
-@pytest.mark.parametrize("b, h, L", [(-1.0, 1e-3, 1024), (-1.0, 1e-2, 128),
-                                     (0.5, 0.1, 1024), (-2.0, 0.05, 16), (-1.9, 10.0, 1)])
-def test_step_powers_stay_within_their_bound_and_match_the_exact_powers(b, h, L):
+@pytest.mark.parametrize("b, h, reach", [(-1.0, 1e-3, 2048), (-1.0, 1e-2, 128),
+                                         (0.5, 0.1, math.inf), (-2.0, 0.05, 16),
+                                         (-1.9, 10.0, 1)])
+def test_step_powers_stay_within_their_bound_and_match_the_exact_powers(b, h, reach):
     # E_j = P^j - I, P = I + E, doubled in increment form: within a few ulps
-    # of |P^j| of the exact powers of the double E, at every j up to L.
+    # of |P^j| of the exact powers of the double E, at every j up to L.  The
+    # doubling stops at _SCAN_STEPS, or before the first power of two past reach,
+    # where a power leaves _POWER_BOUND (a stable b never does).
     E = _rk4_increment(b, h)
     powers = _step_powers(E)
-    assert len(powers) == L <= _SCAN_STEPS
+    L = min(reach, _SCAN_STEPS)
+    assert len(powers) == L
     assert L == 1 or np.max(np.abs(powers)) <= _POWER_BOUND
     with mpmath.workdps(40):
         P = mpmath.eye(2) + mpmath.matrix(E.tolist())
@@ -470,6 +474,38 @@ def test_unstable_run_stops_at_the_same_row_as_the_loop(b, A, t0, h, v0, v0_prim
     assert len(traj.values) == len(v)
     assert traj.meta["diverged"] is (len(v) < 3001)
     assert np.all(np.isfinite(traj.values)) and np.all(np.isfinite(traj.derivatives))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an 80-bit long double")
+@pytest.mark.parametrize("b, h", [(-1.9, 0.1), (-0.102, 0.388), (-1.0, 0.01), (-0.332, 0.041),
+                                  (0.5, 0.3), (0.9, 0.02)])
+def test_scan_matches_a_long_double_run_of_the_same_fused_steps(monkeypatch, b, h):
+    # The scan's own rounding, measured against the recursion x_{k+1} = x_k + (E x_k + g_k)
+    # run step by step in 80-bit arithmetic on the very E and g_k the scan received.  Read
+    # here: 6.6e-13, 1.8e-13, 4.8e-15, 1.2e-14 (growing) and 4.6e-16, 3.4e-16 (stable).
+    # Relative to the running maximum, a growing run accumulates rounding like n eps, and a
+    # stable one stays within a few ulps of its largest state.
+    bound = (4 * 3000 if b < 0 else 8) * np.finfo(float).eps
+    seen, scan = [], ode._scan
+
+    def spy(gx, gy, x, y, powers):
+        seen.append((gx, gy, x, y, powers[0]))
+        return scan(gx, gy, x, y, powers)
+
+    monkeypatch.setattr(ode, "_scan", spy)
+    prob = OscillatorProblem(b=b, A=1.0, t0=1.0, v0=0.3, v0_prime=-0.7)  # t0 = 1: no series start
+    traj = solve_oscillator(prob, h, 3000 * h)
+    (gx, gy, x, y, E), = seen
+    (e00, e01), (e10, e11) = E.astype(np.longdouble)
+    x, y = np.longdouble(x), np.longdouble(y)
+    ref = np.empty((2, len(gx)), np.longdouble)
+    for k, (cx, cy) in enumerate(zip(gx.astype(np.longdouble), gy.astype(np.longdouble))):
+        x, y = x + (e00 * x + e01 * y + cx), y + (e10 * x + e11 * y + cy)
+        ref[:, k] = x, y
+    got = np.array([traj.values[1:], traj.derivatives[1:]], np.longdouble)
+    running_max = np.maximum.accumulate(np.max(np.abs(ref), axis=0))
+    assert not traj.meta["diverged"] and len(traj.values) == 3001
+    assert np.max(np.max(np.abs(got - ref), axis=0) / running_max) <= bound
 
 
 def test_memory_stays_flat_at_large_n():

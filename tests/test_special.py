@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -39,10 +40,56 @@ def test_faddeeva_at_zero_is_one():
     assert faddeeva(0.0) == 1.0 + 0.0j
 
 
-def test_array_faddeeva_at_zero_is_one_ulp_above_one():
-    # numpy divides by a complex as a product with its rounded reciprocal, CPython divides once.
+def test_array_faddeeva_at_zero_is_two_ulps_above_one():
+    # The array kernel takes Z = 2L inv - 1 from the rounded inv = 1/L and sums the polynomial
+    # in blocks; the scalar one runs Horner's rule, whose constant makes w(0) = 1 exactly.
     w = faddeeva(np.zeros(3, complex))
-    assert np.all(w == 1.0 + 2.0**-52)
+    assert np.all(w == 1.0 + 2.0**-51)
+
+
+# Points on the closed upper half plane, |z| log-uniform over [1e-3, 1e4], three chunks
+# of the array kernel long, and the value of each computed alone in a 1-element array.
+_CHUNK = special._W_CHUNK
+_RNG = np.random.default_rng(42)
+_POOL = 10.0 ** _RNG.uniform(-3.0, 4.0, 3 * _CHUNK)
+_POOL = _POOL * np.exp(1j * _RNG.uniform(0.0, math.pi, 3 * _CHUNK))
+_ALONE = np.array([faddeeva(_POOL[i : i + 1])[0] for i in range(len(_POOL))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(length=st.sampled_from([1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK - 1,
+                                2 * _CHUNK, 2 * _CHUNK + 1]) | st.integers(1, 2 * _CHUNK + 8),
+       offset=st.integers(0, _CHUNK + 8))
+def test_array_faddeeva_of_an_element_does_not_depend_on_its_place(length, offset):
+    # The kernel runs in chunks of _W_CHUNK points through one matrix product each, and
+    # no step of it writes in place: every element has the bits it has alone.
+    got = faddeeva(_POOL[offset : offset + length])
+    assert got.tobytes() == _ALONE[offset : offset + length].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (2, 0)])
+def test_array_faddeeva_keeps_an_empty_or_0d_shape(shape):
+    z = np.full(shape, 0.5 + 0.25j)
+    for f in (faddeeva, villat):
+        w = f(z)
+        assert isinstance(w, np.ndarray) and w.shape == shape and w.dtype == complex
+    if shape == ():
+        assert abs(faddeeva(z) - faddeeva_mp(0.5 + 0.25j)) <= 1e-15
+
+
+def test_array_kernel_memory_stays_flat():
+    # One (8, _W_CHUNK) power table and a few chunk-long temporaries live at a time: the
+    # kernel's peak stays within 2.5 MB of the array it returns (1.6 MB here), where one
+    # table for all 2e5 points would take 25.6 MB.
+    z = _POOL[:1000].repeat(200)
+    special._w_blocks(z[:10])
+    tracemalloc.start()
+    try:
+        w = special._w_blocks(z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= w.nbytes + 2.5e6
 
 
 def test_faddeeva_matches_quadrature_oracles_at_sample_point():
