@@ -80,8 +80,8 @@ class AsymptoticValue(NamedTuple):
 
 
 def _check_finite(z, name: str):
-    """z as a complex (or complex array), after checking that every element is finite."""
-    z = z.astype(complex) if isinstance(z, np.ndarray) else complex(z)
+    """z as a complex, or a complex array (not copied if it is one), after checking it is finite."""
+    z = z.astype(complex, copy=False) if isinstance(z, np.ndarray) else complex(z)
     _require(np.isfinite(z), z, name + ": argument must be finite, got {}")
     return z
 
@@ -184,16 +184,20 @@ def _w_blocks(z: np.ndarray) -> np.ndarray:
 
 
 def _faddeeva_array(z: np.ndarray) -> np.ndarray:
-    """w over a finite complex array: the kernel on the reflected points, then the reflection."""
+    """w over a finite complex array: the kernel on the reflected points, then the reflection.
+
+    Without a point below the real axis the kernel reads the array itself, and nothing is copied.
+    """
     flat = z.ravel()
     lower = flat.imag < 0.0
+    if not lower.any():
+        return _w_rational(flat).reshape(z.shape)
     w = _w_rational(np.where(lower, flat.conj(), flat))
-    if lower.any():
-        zl = flat[lower]
-        with np.errstate(over="ignore", invalid="ignore"):
-            wl = 2.0 * np.exp(-zl * zl) - w[lower].conj()
-        _require(np.isfinite(wl), zl, "faddeeva: exp(-z^2) overflows at z={}", OverflowError)
-        w[lower] = wl
+    zl = flat[lower]
+    with np.errstate(over="ignore", invalid="ignore"):
+        wl = 2.0 * np.exp(-zl * zl) - w[lower].conj()
+    _require(np.isfinite(wl), zl, "faddeeva: exp(-z^2) overflows at z={}", OverflowError)
+    w[lower] = wl
     return w.reshape(z.shape)
 
 
@@ -229,10 +233,16 @@ def villat(z):
     |arg z| < pi even where exp(z) would overflow.  On the negative real axis
     the sign of the imaginary zero picks the side of the cut (W. Kahan, 1987):
     Vi(-x + 0j) = exp(-x) erfc(i sqrt(x)) and Vi(-x - 0j) is its conjugate.
+    A scalar below the axis, or on it with a negative zero, is taken as the
+    conjugate of its mirror image, so that Vi(conj z) = conj(Vi(z)) bit for
+    bit: Python's complex division rounds an exactly cancelled real part to a
+    zero whose sign depends on the side (-0.0 at -2522.5 - 1e-12j, +0.0 at its mirror).
     """
     z = _check_finite(z, "villat")
     if isinstance(z, np.ndarray):
         return _w_rational(np.asarray(1j * np.sqrt(z)))  # numpy makes 0-d a scalar
+    if math.copysign(1.0, z.imag) < 0.0:
+        return _w_rational(1j * cmath.sqrt(z.conjugate())).conjugate()
     return _w_rational(1j * cmath.sqrt(z))
 
 

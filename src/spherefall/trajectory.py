@@ -36,12 +36,22 @@ class Trajectory:
         return len(self.times)
 
     def step(self) -> float:
-        """Uniform grid spacing; raises if the grid is not uniform."""
+        """Uniform grid spacing, the first step h; raises if the grid is not uniform.
+
+        Every step lies within 1e-9 h plus four spacings of the last time of h.
+        The grid t_k = k h rounds each node by at most half a spacing of the
+        last time, so a step by at most one spacing: 1.6e-9 h at h = 1e-3 over
+        1e7 steps.  A grid divided by B, as in ``dimensional_trajectory``,
+        carries that rounding, at most one spacing of its own last time, and
+        rounds each node once more by half of one: a step moves by up to three
+        spacings and h itself by half of one, 3.5 in all.
+        """
         if len(self.times) < 2:
             raise ValueError("Trajectory: need at least two points for a step size")
         steps = np.diff(self.times)
         h = steps[0]
-        if not np.allclose(steps, h, rtol=1e-9, atol=0.0):
+        slack = 1e-9 * h + 4.0 * np.spacing(self.times[-1])
+        if not max(steps.max() - h, h - steps.min()) <= slack:  # a NaN slack fails too
             raise ValueError("Trajectory: grid is not uniform")
         return float(h)
 

@@ -8,8 +8,6 @@ import math
 import os
 import re
 import stat
-import subprocess
-import sys
 import tempfile
 import warnings
 
@@ -17,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import spherefall
 from direct_oracle import abel_history_direct
+from fresh_interpreter import fresh_python
 from spherefall import analytic, cli, ide, ode
 from spherefall.cli import main
 from spherefall.physical import PhysicalParams
@@ -146,19 +144,6 @@ def test_compare_rk4_sphere_honours_initial_velocity(tmp_path, kappa, eps):
     assert summary["sup_norm"]["ode"] <= 1e-5
 
 
-def test_verify_passes_and_writes_reports(tmp_path):
-    out = tmp_path / "verify.json"
-    code = main(["verify", "--h", "0.005", "--points", "80", "--out", str(out)])
-    assert code == 0
-    payload = json.loads(out.read_text())
-    assert payload["schema"] == 1
-    assert payload["passed"] is True
-    assert all(r["passed"] for r in payload["reports"])
-    assert {r["check_id"] for r in payload["reports"]} >= {
-        "closed_form_monotone", "root_identities", "naive_villat_blowup",
-    }
-
-
 def test_drag_force_decomposition(tmp_path):
     out = tmp_path / "drag.csv"
     code = main([
@@ -226,13 +211,6 @@ def test_json_and_csv_outputs_carry_the_same_numbers(tmp_path, argv, keys):
     assert cells == [[repr(v) for v in row] for row in got.tolist()]
 
 
-def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run code, with args as sys.argv[1:], in a new interpreter importing this spherefall."""
-    src = os.path.dirname(os.path.dirname(spherefall.__file__))
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
-
-
 def test_cli_runs_without_scipy(tmp_path):
     # Neither the import nor a verify run (which calls both quadrature oracles) loads scipy.
     report = tmp_path / "verify.json"
@@ -242,7 +220,7 @@ def test_cli_runs_without_scipy(tmp_path):
             "at_import = loaded()\n"
             f"main(['verify', '--h', '0.01', '--points', '20', '--out', {str(report)!r}])\n"
             "print(at_import, loaded())\n")
-    done = _fresh_python(code)
+    done = fresh_python(code)
     assert done.stdout.splitlines()[-1] == "[] []", done.stderr
     assert json.loads(report.read_text())["schema"] == 1
 
@@ -265,7 +243,7 @@ def test_a_second_command_reuses_the_freed_heap(tmp_path):
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
             "assert main(argv) == 0\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
-    done = _fresh_python(code, str(tmp_path / "verify.json"))
+    done = fresh_python(code, str(tmp_path / "verify.json"))
     assert done.returncode == 0, done.stderr
     assert int(done.stdout.splitlines()[-1]) < 64
 
@@ -287,7 +265,7 @@ def test_only_main_sets_the_allocator(tmp_path):
             "assert spherefall.cli.main(argv) == 0\n"
             "assert spherefall.cli.main(argv) == 0\n"
             "print(at_import, calls)\n")
-    done = _fresh_python(code, str(tmp_path / "traj.csv"))
+    done = fresh_python(code, str(tmp_path / "traj.csv"))
     assert done.stdout.splitlines()[-1] == "[] [None]", done.stderr
 
 

@@ -1,8 +1,6 @@
 """The CLI's CSV cells against the per-cell ``repr`` oracle, byte for byte."""
 
 import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shortest_tables
-import spherefall
 from csv_oracle import csv_text_loop
+from fresh_interpreter import fresh_python
 from spherefall import _shortest, cli
 
 
@@ -83,18 +81,6 @@ def test_cli_csv_files_equal_the_oracle_text(tmp_path, monkeypatch, argv):
     assert sorted(p.read_text() for p in paths) == sorted(expected)
 
 
-def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run code, with args as sys.argv[1:], in a new interpreter that imports the spherefall under test."""
-    src = os.path.dirname(os.path.dirname(spherefall.__file__))
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
-
-
-def test_importing_the_cli_loads_no_formatter():
-    done = _fresh_python("import sys, spherefall.cli; print('spherefall._shortest' in sys.modules)")
-    assert done.stdout.strip() == "False", done.stderr
-
-
 _TABLE_AT_IMPORT = """
 import sys
 import numpy as np
@@ -123,7 +109,7 @@ print("ok")
 
 def test_exponent_table_is_whole_at_import_and_formatting_leaves_it_unchanged():
     # A new interpreter, so no earlier formatting in this process can have touched the table.
-    done = _fresh_python(_TABLE_AT_IMPORT, os.path.dirname(__file__))
+    done = fresh_python(_TABLE_AT_IMPORT, os.path.dirname(__file__))
     assert done.stdout.strip() == "ok", done.stderr
 
 

