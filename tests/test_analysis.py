@@ -52,6 +52,11 @@ def _uniform_traj(values, h=1e-2, derivatives=None):
 # Monotonicity check
 # ----------------------------------------------------------------------
 
+def test_check_monotone_constant_passes():
+    rep = check_monotone(_uniform_traj(np.ones(20)))
+    assert rep.passed and rep.worst_violation == 0.0
+
+
 def test_check_monotone_closed_form_at_high_kappa():
     taus = np.concatenate(([0.0], np.logspace(-3, 3, 500)))
     vals = [analytic.u_rest(t, 2.9) for t in taus]
@@ -208,6 +213,12 @@ def test_proof_integral_raises_where_its_sign_is_unresolved(t):
         proof_integral(t, 1.0)
 
 
+@pytest.mark.parametrize("t", [0.1, 1.0, 10.0, 100.0])
+@pytest.mark.parametrize("theta", [math.pi / 6.0, math.pi / 2.0, 5.0 * math.pi / 6.0])
+def test_proof_integral_negative_on_grid(t, theta):
+    assert proof_integral(t, theta) < 0.0
+
+
 # ----------------------------------------------------------------------
 # Sign of u' through the Villat function
 # ----------------------------------------------------------------------
@@ -329,6 +340,11 @@ def test_abel_identity_trivial_for_constant():
     assert rep.passed and rep.worst_violation == 0.0
 
 
+def test_abel_identity_on_solver_output():
+    traj = ide.solve_ide(2.0, 0.0, 1e-3, 5.0)
+    assert abel_identity_residual(traj).passed
+
+
 def test_ode_residual_closed_form():
     h = 1e-3
     times = np.arange(0, 3001) * h
@@ -346,6 +362,12 @@ def test_ode_residual_steady_state_is_zero():
     traj = Trajectory(times=times, values=np.ones(301), derivatives=np.zeros(301))
     rep = ode_residual(traj, 2.0, 1.0)
     assert rep.passed and rep.worst_violation <= 1e-14
+
+
+def test_ode_residual_on_solver_output():
+    traj = ide.solve_ide(2.5, 0.0, 1e-3, 5.0)
+    rep = ode_residual(traj, 2.5, 0.0)
+    assert rep.passed
 
 
 def test_residuals_hold_from_t_zero():

@@ -114,6 +114,11 @@ def test_root_identities(kappa):
 # Rest-start solution
 # ----------------------------------------------------------------------
 
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0, 2.9, 3.9])
+def test_u_rest_starts_at_zero(kappa):
+    assert abs(u_rest(0.0, kappa)) < 1e-15
+
+
 def test_u_rest_against_multiprecision_oracle():
     assert abs(u_rest(1.0, 1.0) - U_REST_1_1) < 1e-13
     assert 0.0 < U_REST_1_1 < 1.0
@@ -130,6 +135,11 @@ def test_u_rest_asymptotic_tail_at_kappa_three():
 def test_u_rest_live_oracle_spot_checks():
     for tau, kappa in ((0.25, 0.5), (3.0, 2.5), (40.0, 3.5)):
         assert abs(u_rest(tau, kappa) - u_rest_mp(tau, kappa)) < 1e-13
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0, 2.9])
+def test_u_rest_derivative_is_one_at_zero(kappa):
+    assert abs(u_rest_derivative(0.0, kappa) - 1.0) < 1e-13
 
 
 def test_u_rest_derivative_positive_everywhere_sampled():
@@ -149,6 +159,15 @@ def test_u_rest_limit_envelope():
     for kappa in (0.5, 2.0, 3.9):
         for tau in (10.0, 100.0, 1e3, 1e5):
             assert abs(u_rest(tau, kappa) - 1.0) <= 2.0 * math.sqrt(kappa / (math.pi * tau))
+
+
+def test_u_rest_domain_errors():
+    with pytest.raises(ValueError):
+        u_rest(-1.0, 2.0)
+    with pytest.raises(ValueError, match="kappa"):
+        u_rest(1.0, 4.5)
+    with pytest.raises(ValueError, match="kappa"):
+        u_rest_derivative(1.0, 0.0)
 
 
 @pytest.mark.parametrize("kappa", [1e-15, 1e-12, 1e-10, 1e-8, 1e-5])
@@ -272,10 +291,29 @@ def test_kernel_M_at_zero_equals_minus_inverse_root_sum():
         assert abs(monotone_kernel_M(0.0, b) - expected) < 1e-14
 
 
+@pytest.mark.parametrize("kappa", np.linspace(0.1, 3.9, 20).tolist())
+def test_sphere_decoupling_identity(kappa):
+    assert abs(math.sqrt(kappa) * monotone_kernel_M(0.0, 2.0 - kappa) + 1.0) <= 1e-12
+
+
 def test_kernel_M_against_multiprecision():
     assert abs(monotone_kernel_M(1.0, -1.0) - M_1_NEG1) < 1e-14
     for t, b in ((0.3, -1.5), (5.0, 0.8), (40.0, -0.2)):
         assert abs(monotone_kernel_M(t, b) - kernel_M_mp(t, b)) < 1e-13
+
+
+def test_kernel_M_increases_to_zero():
+    ts = np.linspace(0.0, 60.0, 241)
+    vals = [monotone_kernel_M(float(t), -1.0) for t in ts]
+    assert all(v < 0.0 for v in vals)
+    assert all(b > a for a, b in zip(vals, vals[1:]))
+    # The monotone trajectory A M(t + t0) rises over a sweep of (b, A, t0).
+    ts = np.linspace(0.0, 50.0, 101)
+    for b in (-1.5, -1.0, -0.5, 0.5, 1.5):
+        for A in (0.5, 1.0, 2.0):
+            for t0 in (0.1, 1.0, 10.0):
+                vals = monotone_kernel_samples(ts, b, A, t0)[0]
+                assert np.max(vals[:-1] - vals[1:]) <= 1e-12, (b, A, t0)
 
 
 def test_kernel_M_derivative_positive_and_matches_fd():
@@ -285,6 +323,23 @@ def test_kernel_M_derivative_positive_and_matches_fd():
         h = FD_STEP * max(1.0, t)
         fd = (monotone_kernel_M(t + h, -1.0) - monotone_kernel_M(t - h, -1.0)) / (2.0 * h)
         assert abs(fd - d) <= 1e-6 * abs(d)
+
+
+def test_kernel_M_derivative_finite_at_zero():
+    # M'(0) = 1/(sqrt(alpha)+sqrt(beta)); in the sphere configuration
+    # A*M'(0) = 1, matching u'(0) = 1.
+    for kappa in (0.5, 2.0, 3.5):
+        v = math.sqrt(kappa) * _kernel_derivative(0.0, 2.0 - kappa)
+        assert abs(v - 1.0) < 1e-13
+
+
+def test_bridge_between_formulations():
+    # u(tau) - 1 = sqrt(kappa) M(tau) with b = 2 - kappa.
+    for kappa in (0.5, 1.0, 2.5, 3.9):
+        for tau in (0.0, 0.2, 1.0, 10.0, 200.0):
+            lhs = u_rest(tau, kappa) - 1.0
+            rhs = math.sqrt(kappa) * monotone_kernel_M(tau, 2.0 - kappa)
+            assert abs(lhs - rhs) <= 1e-12
 
 
 @given(
@@ -450,6 +505,11 @@ def test_kernel_at_subnormal_times_is_its_start(b, t):
         assert abs(got - start) <= 1e-15 * abs(start)
 
 
+def test_kernel_derivative_bridges_to_u_rest_derivative():
+    got = math.sqrt(2.0) * _kernel_derivative(1.0, 0.0)
+    assert abs(got - u_rest_derivative(1.0, 2.0)) <= 1e-10
+
+
 def test_array_roots_are_the_scalar_roots_bit_for_bit():
     # The broadcast kernel must see the same alpha (Im > 0) and sqrt(alpha) as a scalar call.
     b = np.concatenate((np.linspace(-1.999, 1.999, 401), [0.0, 2.0 - 1e-15, 2.0 - 3.95]))
@@ -493,6 +553,12 @@ def test_an_infinite_time_is_a_domain_error(call, t):
 # Initial-condition maps
 # ----------------------------------------------------------------------
 
+def test_monotone_ic_rejects_a_negative_or_nan_t0():
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match=r"^t0 must be >= 0, got "):
+            monotone_initial_conditions(-1.0, 1.0, bad)
+
+
 def test_an_infinite_forcing_offset_is_a_domain_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -503,6 +569,12 @@ def test_an_infinite_forcing_offset_is_a_domain_error():
             monotone_initial_conditions(-1.0, 1.0, math.inf)
 
 
+@pytest.mark.parametrize("kappa", np.linspace(0.1, 3.9, 20).tolist())
+def test_monotone_ic_sphere_case_value_is_minus_one(kappa):
+    ic = monotone_initial_conditions(2.0 - kappa, math.sqrt(kappa), 0.0)
+    assert abs(ic.v0 + 1.0) <= 1e-12
+
+
 def test_monotone_ic_scales_linearly_to_zero():
     for b, t0 in ((-1.0, 2.0), (-0.5, 1.0)):
         ic1 = monotone_initial_conditions(b, 1.0, t0)
@@ -511,6 +583,13 @@ def test_monotone_ic_scales_linearly_to_zero():
             assert (ic.v0, ic.v0_prime) == (A * ic1.v0, A * ic1.v0_prime), (b, t0, A)
         ic0 = monotone_initial_conditions(b, 0.0, t0)
         assert ic0.v0 == 0.0 and ic0.v0_prime == 0.0
+
+
+def test_monotone_ic_map_linear_in_amplitude():
+    ic1 = monotone_initial_conditions(-0.5, 2.0, 1.0)
+    ic2 = monotone_initial_conditions(-0.5, 1.0, 1.0)
+    assert ic1.v0 == 2.0 * ic2.v0
+    assert ic1.v0_prime == 2.0 * ic2.v0_prime
 
 
 def test_monotone_ic_zeroes_homogeneous_modes_against_kernel():

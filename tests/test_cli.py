@@ -144,6 +144,19 @@ def test_compare_rk4_sphere_honours_initial_velocity(tmp_path, kappa, eps):
     assert summary["sup_norm"]["ode"] <= 1e-5
 
 
+def test_verify_passes_and_writes_reports(tmp_path):
+    out = tmp_path / "verify.json"
+    code = main(["verify", "--h", "0.005", "--points", "80", "--out", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["schema"] == 1
+    assert payload["passed"] is True
+    assert all(r["passed"] for r in payload["reports"])
+    assert {r["check_id"] for r in payload["reports"]} >= {
+        "closed_form_monotone", "root_identities", "naive_villat_blowup",
+    }
+
+
 def test_drag_force_decomposition(tmp_path):
     out = tmp_path / "drag.csv"
     code = main([

@@ -81,6 +81,11 @@ def test_cli_csv_files_equal_the_oracle_text(tmp_path, monkeypatch, argv):
     assert sorted(p.read_text() for p in paths) == sorted(expected)
 
 
+def test_importing_the_cli_loads_no_formatter():
+    done = fresh_python("import sys, spherefall.cli; print('spherefall._shortest' in sys.modules)")
+    assert done.stdout.strip() == "False", done.stderr
+
+
 _TABLE_AT_IMPORT = """
 import sys
 import numpy as np

@@ -67,12 +67,36 @@ def test_classify_rejects_nan():
         classify_homogeneous(math.nan)
 
 
+def test_classify_boundaries():
+    assert classify_homogeneous(2.0).root_kind == "real-double"  # kappa = 0
+    assert classify_homogeneous(-2.0).root_kind == "real-double"  # kappa = 4
+    assert classify_homogeneous(0.0).re_sign == "zero"  # kappa = 2
+
+
 def test_zero_problem_stays_zero():
     # The scan alone, over 500 and 7000 steps; a series node past its reach.
     for t0, h, T in ((1.0, 1e-2, 5.0), (1.0, 1e-3, 7.0), (0.0, 100.0, 5e4)):
         traj = _run(-1.0, 0.0, t0, 0.0, 0.0, T, h)
         assert np.max(np.abs(traj.values)) == 0.0 and not traj.meta["diverged"]
         assert np.max(np.abs(traj.derivatives)) == 0.0
+
+
+def test_zero_problem_over_7_time_units_is_zero():
+    assert np.all(_run(-1.0, 0.0, 1.0, 0.0, 0.0, 7.0).values == 0.0)
+
+
+def test_monotone_ic_trajectory_matches_kernel_translate():
+    b, A, t0 = -1.0, 1.0, 1.0
+    traj = solve_oscillator(_monotone_problem(b, A, t0), 1e-3, 20.0)
+    ref = np.array([A * analytic.monotone_kernel_M(t + t0, b) for t in traj.times])
+    assert np.max(np.abs(traj.values - ref)) <= 1e-6
+
+
+def test_monotone_run_is_the_kernel_translate_at_every_1000th_node():
+    b, A, t0 = -1.0, 1.0, 1.0
+    traj = solve_oscillator(_monotone_problem(b, A, t0), 1e-3, 20.0)
+    ref = np.array([A * analytic.monotone_kernel_M(float(t) + t0, b) for t in traj.times[::1000]])
+    assert np.max(np.abs(traj.values[::1000] - ref)) <= 1e-9
 
 
 def test_monotone_ic_trajectory_holds_the_increment_form_accuracy():
@@ -95,6 +119,14 @@ def test_sphere_case_matches_closed_form():
     traj = solve_oscillator(prob, 1e-3, 10.0)
     ref = np.array([analytic.u_rest(t, kappa) - 1.0 for t in traj.times])
     assert np.max(np.abs(traj.values[1:] - ref[1:])) <= 1e-5
+
+
+def test_run_from_rest_starts_at_zero():
+    assert abs(_vp(0.0, -1.0, 1.0, 1.0)) < 1e-14
+
+
+def test_run_from_rest_is_zero_at_zero_amplitude():
+    assert _vp(1.3, -1.0, 0.0, 1.0) == 0.0
 
 
 def test_run_from_rest_matches_the_erfc_difference_oracle():
@@ -320,6 +352,14 @@ def test_unstable_damping_contrast_bounded_vs_perturbed():
         assert np.max(np.abs(perturbed.values)) > 10.0 * abs(prob.v0)
         # By t = 40 (node 40000) e^{0.5 t} has amplified the 1e-3 perturbation past 1e4.
         assert abs(perturbed.values[40000]) > 1e4
+
+
+def test_perturbed_monotone_run_grows_past_1e4_by_t_40():
+    prob = _monotone_problem(-1.0, 1.0, 1.0)
+    v40 = solve_oscillator(replace(prob, v0=prob.v0 + 1e-3), 1e-3, 40.0).values[-1]
+    assert abs(v40) > 10.0 * abs(prob.v0)
+    # growth-factor scale: e^{0.5 t} amplification of the 1e-3 perturbation
+    assert abs(v40) > 1e4
 
 
 def test_positive_damping_converges():

@@ -63,6 +63,12 @@ def test_params_validation_rejects_infinity_by_name(field):
         PhysicalParams(**fields)
 
 
+def test_stokes_velocity_zero_for_neutral_buoyancy():
+    p = PhysicalParams(rho_s=1000.0, rho=1000.0, mu=0.1, R=0.001, g=9.8)
+    assert stokes_terminal_velocity(p) == 0.0
+    assert nondimensionalize(p).U0 == 0.0
+
+
 def test_stokes_velocity_hand_value():
     assert abs(stokes_terminal_velocity(P_REF) - U0_REF) <= 1e-15
     # The rescaling's velocity unit U0 = M / B is the Stokes terminal velocity.

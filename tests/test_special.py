@@ -97,6 +97,12 @@ def test_array_kernel_memory_stays_flat():
     assert peaks[1] <= 1.25 * peaks[0]
 
 
+def test_faddeeva_matches_quadrature_oracles_at_sample_point():
+    w = faddeeva(complex(-0.5, 0.8))
+    assert abs(w.real - faddeeva_re_quadrature(-0.5, 0.8)) < 1e-10
+    assert abs(w.imag - faddeeva_im_quadrature(-0.5, 0.8)) < 1e-10
+
+
 @pytest.mark.parametrize("x, y", [(0.0, 1e-6), (2.0, 1e-5), (-3.0, 1e-7),
                                   (np.array([[0.0], [2.0], [-3.0]]), np.array([1e-7, 1e-5, 1.0]))])
 def test_quadrature_oracles_resolve_a_narrow_peak(x, y):
@@ -360,6 +366,16 @@ def test_villat_boundedness_envelope():
             assert abs(villat(z)) <= bound
 
 
+def test_villat_derivative_identity_finite_differences():
+    # d/dz Vi = Vi - 1/sqrt(pi z); central step at the cube root of eps.
+    for z in (0.7, 4.0 + 1.5j, 25.0 + 40.0j, 2.0 - 3.0j, 100.0):
+        z = complex(z)
+        h = 2.2e-16 ** (1.0 / 3.0) * max(1.0, abs(z))
+        fd = (villat(z + h) - villat(z - h)) / (2.0 * h)
+        exact = villat(z) - 1.0 / cmath.sqrt(math.pi * z)
+        assert abs(fd - exact) <= 1e-6 * abs(exact)
+
+
 def test_asymptotic_leading_order_at_1e4():
     lead = villat_asymptotic(1e4, 0)
     assert abs(lead.value - 1.0 / (100.0 * SQRT_PI)) < 1e-15
@@ -437,6 +453,16 @@ def test_naive_villat_agrees_in_benign_regime():
     v = naive_villat(0.1)
     ref = villat(0.1)
     assert abs(v - ref) <= 1e-10 * abs(ref)
+
+
+def test_naive_villat_loses_digits_on_moderate_ray():
+    z = 400.0 * cmath.exp(1j * math.pi / 3.0)
+    stable = villat(z)
+    try:
+        rel = abs(naive_villat(z) - stable) / abs(stable)
+    except OverflowError:
+        rel = math.inf
+    assert rel > 1e-3
 
 
 def test_naive_villat_overflow_reported():
