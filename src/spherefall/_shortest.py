@@ -178,12 +178,10 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return longer + (upin != wpin) * (shorter - longer), row
 
 
-def _block(x: np.ndarray, sep: np.ndarray, text: np.ndarray) -> bytes:
+def _block(x: np.ndarray, sep: np.ndarray) -> bytes:
     """The cells of x in order, each as repr prints it and followed by its separator byte.
 
-    sep holds each cell's separator byte at its slot of word 5, and text is
-    the (rows, 6) slot array to lay the cells out in, both with at least
-    len(x) rows.
+    sep holds each cell's separator byte at its slot of word 5, for at least len(x) cells.
     """
     bits = x.view(np.uint64)
     digits, row = _shortest(bits)
@@ -200,7 +198,7 @@ def _block(x: np.ndarray, sep: np.ndarray, text: np.ndarray) -> bytes:
     e = _ROWS["e"][row] - sixteen
     code = _E_CODE[e] + n
 
-    text, sep = text[: len(x)], sep[: len(x)]
+    text, sep = np.empty((len(x), 6), dtype="<u8"), sep[: len(x)]
     text[:, 0] = _LEAD[first]
     for j, grp in enumerate(groups, 1):
         text[:, j] = _GROUPS[grp]
@@ -235,5 +233,4 @@ def cells_text(cells: np.ndarray, seps: bytes) -> bytes:
     step = max(1, _BLOCK_CELLS // cols)
     # Each separator byte goes to slot 45, byte 5 of word 5.
     sep = np.tile(np.frombuffer(seps, dtype=np.uint8).astype(np.uint64) << _U(40), min(step, rows))
-    text = np.empty((len(sep), 6), dtype="<u8")
-    return b"".join([_block(cells[i : i + step].ravel(), sep, text) for i in range(0, rows, step)])
+    return b"".join([_block(cells[i : i + step].ravel(), sep) for i in range(0, rows, step)])

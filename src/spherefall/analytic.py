@@ -169,8 +169,8 @@ def monotone_kernel_samples(times, b, A, t0: float):
     _require(t >= 0.0, t, "t must be >= 0, got {}")
     _require(t < math.inf, t, "t must be finite, got {}")
     alpha, sqrt_alpha = _roots_from_damping(b)
-    z = 1j * sqrt_alpha * np.sqrt(t)
-    va = _w_rational(z if isinstance(z, np.ndarray) else complex(z))
+    # sqrt(alpha) of a float b is a Python complex, and so is its product with numpy's sqrt(t).
+    va = _w_rational(1j * sqrt_alpha * np.sqrt(t))
     return (A * ((sqrt_alpha.conjugate() * va).imag / alpha.imag),
             A * ((sqrt_alpha * va).imag / alpha.imag))
 

@@ -17,12 +17,13 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
 
 from . import analysis, ode, physical
-from .trajectory import Trajectory
+from .trajectory import Trajectory, _step_count
 
 __all__ = ["main"]
 
@@ -39,6 +40,12 @@ _M_MMAP_THRESHOLD = -3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse before Python 3.13 reads only -N and -N.N as negative numbers and takes
+        # a flag's value -1e-3 for an option; here exponent notation is a number too.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message: str):  # argparse default exits with code 2
         raise ValueError(message)
 
@@ -254,7 +261,9 @@ def _cmd_drag(args: argparse.Namespace) -> int:
     p = physical.PhysicalParams(rho_s=args.rho_s, rho=args.rho, mu=args.mu, R=args.radius,
                                 g=args.g)
     group = physical.nondimensionalize(p)
-    # h and T arrive in seconds; the solver works in viscous-time units.
+    # h and T arrive in seconds, and a bad grid is named as typed; the solver works in
+    # viscous-time units.
+    _step_count(args.h, args.T)
     traj = ode.sphere_trajectory("ide", group.kappa, args.eps, args.h * group.B, args.T * group.B)
     dim = physical.dimensional_trajectory(group, traj)
     with np.errstate(over="ignore", invalid="ignore"):  # a force past the double range fails below

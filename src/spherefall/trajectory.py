@@ -56,8 +56,8 @@ class Trajectory:
         return float(h)
 
 
-def uniform_grid(h: float, T: float) -> np.ndarray:
-    """The grid t_k = k h, k = 0..n, with n = max(1, round(T / h)) steps to the horizon T."""
+def _step_count(h: float, T: float) -> int:
+    """n = max(1, round(T / h)) steps to the horizon T, after checking that h and T make a grid."""
     if not (math.isfinite(h) and math.isfinite(T)):
         raise ValueError(f"h and T must be finite, got h={h}, T={T}")
     if h <= 0.0:
@@ -66,4 +66,9 @@ def uniform_grid(h: float, T: float) -> np.ndarray:
         raise ValueError(f"horizon T={T} must be at least one step h={h}")
     if T / h == math.inf:
         raise ValueError(f"T/h must be a finite step count, got T={T}, h={h}")
-    return np.arange(max(1, int(round(T / h))) + 1) * h
+    return max(1, int(round(T / h)))
+
+
+def uniform_grid(h: float, T: float) -> np.ndarray:
+    """The grid t_k = k h, k = 0..n, with n = max(1, round(T / h)) steps to the horizon T."""
+    return np.arange(_step_count(h, T) + 1) * h

@@ -86,6 +86,13 @@ def test_trajectory_oscillator_mode(tmp_path):
     v = rows[:, 1]
     assert v[0] < 0.0
     assert np.max(v[:-1] - v[1:]) <= 1e-9
+    # A negative value in exponent notation follows its flag after a space, as after "=":
+    # argparse before Python 3.13 took "-1e-3" for an option ("expected one argument").
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    flags = ["trajectory", "--t0", "1", "--T", "1", "--h", "0.5"]
+    assert main([*flags, "--b", "-1e-3", "--A", "-2e3", "--out", str(spaced)]) == 0
+    assert main([*flags, "--b=-1e-3", "--A=-2e3", "--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
 
 
 def test_sweep_writes_files_and_summary(tmp_path):
@@ -343,6 +350,13 @@ def test_usage_errors_exit_one(tmp_path, capsys):
             refused(base + ["--T", "inf"])
             refused(base + ["--T", "1e300", "--h", "1e-300"])
     assert not out.exists()
+    # drag's h and T are seconds, and h B and T B viscous times in the solve (B = 266.3 per
+    # second here); a bad grid is named by the values typed.
+    drag = ["drag", "--rho-s", "1190", "--rho", "1000", "--mu", "0.1", "--radius", "0.001"]
+    err = refused(drag + ["--T", "0.01", "--h", "-0.001"])
+    assert err == "error: h must be > 0, got -0.001\n"
+    err = refused(drag + ["--T", "0.0005", "--h", "0.001"])
+    assert err == "error: horizon T=0.0005 must be at least one step h=0.001\n"
     # Every real-valued flag is finite, not only the grid.
     nan_eps = ["trajectory", "--kappa", "2", "--solver", "ide", "--eps", "nan", "--T", "1",
                "--h", "0.01"]
@@ -689,13 +703,15 @@ def test_the_ide_rejects_an_amplitude_outside_the_double_range(tmp_path, capsys,
     # (1 - eps) sqrt(kappa) overflows: the closed form's and RK4's usage error, not a
     # numerical failure of the solve.
     out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main([*argv, "--eps=-1.7e308", "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert re.fullmatch(r"error: eps=-1\.7e\+308 puts the amplitude \(1 - eps\) sqrt\(kappa\) "
-                        r"outside the double range at kappa=\S+\n", captured.err), captured.err
+    # Both forms: after a space, argparse alone would read -1.7e308 as an option.
+    for eps in (["--eps=-1.7e308"], ["--eps", "-1.7e308"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, *eps, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: eps=-1\.7e\+308 puts the amplitude \(1 - eps\) sqrt\(kappa\) "
+                            r"outside the double range at kappa=\S+\n", captured.err), captured.err
     assert os.listdir(tmp_path) == []
 
 
