@@ -118,30 +118,20 @@ def _proof_peak(t, theta):
     return -root * np.sin(theta / 2.0), root * np.cos(theta / 2.0)
 
 
-def _proof_integrand(d, peak, width):
-    """F(s) = s exp(-s^2) / P(s) at s = peak + d, with P(s) = (s - peak)^2 + width^2 > 0.
+def proof_integral(t, theta):
+    """Integral of F(s) = s exp(-s^2) / P(s) over |s| <= 9; strictly negative.
 
     With :func:`_proof_peak`, P(s) = (s + sqrt(t) sin(theta/2))^2 + t cos^2(theta/2):
-    F is smooth, merely sharply peaked as theta -> pi.  The Lorentzian is
-    formed from the offset d itself.
-    """
-    s = peak + d
-    return s * np.exp(-s * s) / (d * d + width * width)
-
-
-def proof_integral(t, theta):
-    """Integral of F over the real line (truncated at |s| <= 9); strictly negative.
-
-    Graded Gauss-Legendre panels around the peak of F, for a float or for
-    arrays of t and theta that broadcast, all in one quadrature call.  An
-    error estimate not below 1e-7 |I| leaves the sign unresolved (as does
-    I = 0, which has none) and raises AccuracyError, naming the first such
-    element, instead of returning an unverified number.
+    F is smooth, merely sharply peaked as theta -> pi.  A float, or arrays
+    of t and theta that broadcast, take one call of ``_window_quadrature``
+    with the numerator s.  An error estimate not below 1e-7 |I| leaves the
+    sign unresolved (as does I = 0, which has none) and raises
+    AccuracyError, naming the first such element, instead of returning an
+    unverified number.
     """
     t, theta = np.asarray(t, dtype=float), np.asarray(theta, dtype=float)
     peak, width = _proof_peak(t, theta)
-    pd, wd = np.expand_dims(peak, (-2, -1)), np.expand_dims(width, (-2, -1))
-    value, est = _window_quadrature(lambda d: _proof_integrand(d, pd, wd), peak, width)
+    value, est = _window_quadrature(lambda d, s, width: s, peak, width)
     _require(est < 1e-7 * np.abs(value), (value, est, t, theta),  # a NaN estimate fails too
              "proof_integral: sign unresolved (value={:.2e}, est={:.2e}) at t={}, theta={}",
              AccuracyError)

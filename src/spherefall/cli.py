@@ -42,9 +42,11 @@ _M_MMAP_THRESHOLD = -3
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse before Python 3.13 reads only -N and -N.N as negative numbers and takes
-        # a flag's value -1e-3 for an option; here exponent notation is a number too.
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # argparse takes a single-dash token that names no option for an unknown option
+        # unless it reads as a negative number, by a pattern that changes between Python
+        # versions and misses -1e-3 and -inf.  Here every such token is a value, and the
+        # flag's type, float(), alone judges it.
+        self._negative_number_matcher = re.compile(r"^-[^-]")
 
     def error(self, message: str):  # argparse default exits with code 2
         raise ValueError(message)
@@ -262,9 +264,15 @@ def _cmd_drag(args: argparse.Namespace) -> int:
                                 g=args.g)
     group = physical.nondimensionalize(p)
     # h and T arrive in seconds, and a bad grid is named as typed; the solver works in
-    # viscous-time units.
+    # viscous-time units, where h B can underflow and T B overflow.
     _step_count(args.h, args.T)
-    traj = ode.sphere_trajectory("ide", group.kappa, args.eps, args.h * group.B, args.T * group.B)
+    h, T = args.h * group.B, args.T * group.B
+    try:
+        _step_count(h, T)
+    except ValueError as exc:
+        raise ValueError(f"drag: h={args.h} s and T={args.T} s, times B={group.B:.6g} per "
+                         f"second, make no grid in viscous times ({exc})") from None
+    traj = ode.sphere_trajectory("ide", group.kappa, args.eps, h, T)
     dim = physical.dimensional_trajectory(group, traj)
     with np.errstate(over="ignore", invalid="ignore"):  # a force past the double range fails below
         forces = physical.drag_forces(p, dim)

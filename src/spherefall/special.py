@@ -37,11 +37,13 @@ result agrees with the scalar calls to about 1e-15 relative, not bit for
 bit: w(0) is 1 exactly as a scalar and 1 + 2^-51 in an array.
 
 The two integral-representation quadratures are independent oracles used
-by the verification suite to referee the fast path: 32-point
-Gauss-Legendre panels graded geometrically away from the Lorentzian peak,
-whose error estimate (the change when every panel is split in two)
-raises AccuracyError when it is too large.  They take floats or arrays;
-over an array each point keeps its own panels, padded with empty ones.
+by the verification suite to referee the fast path.  They integrate
+against exp(-s^2) / ((s - x)^2 + y^2), one rule with
+``analysis.proof_integral``: 32-point Gauss-Legendre panels graded
+geometrically away from the Lorentzian peak, whose error estimate (the
+change when every panel is split in two) raises AccuracyError when it is
+too large.  They take floats or arrays; over an array each point keeps
+its own panels, padded with empty ones.
 """
 
 from __future__ import annotations
@@ -318,21 +320,21 @@ def _panel_sum(f, edges: np.ndarray) -> np.ndarray:
     return (half[..., None, :] @ sums[..., None])[..., 0, 0]
 
 
-def _window_quadrature(f, peak, width):
-    """(value, error estimate) of the integral over |s| <= 9 of an integrand given as f(s - peak).
+def _window_quadrature(numerator, peak, width):
+    """(value, error estimate) of the integral over |s| <= 9 of N exp(-s^2) / (d^2 + width^2).
 
-    f takes the offset d = s - peak (an array) and carries an exp(-s^2)
-    factor, to be formed as exp(-(peak + d)^2), and a peak at d = 0 of
-    half-width width > 0.  Working in d places the nodes near the peak
-    exactly, however narrow it is.  32-point Gauss-Legendre panels have
-    edges at d = +-width * 4^j below 18 and at s = 0 and +-9, so they grade
-    geometrically away from the peak.  The value is the sum over every
-    panel split in two; the estimate is its distance from the sum over
-    the undivided panels.  peak and width broadcast: f gets offsets of
-    shape peak.shape + (panels, 32), and the value and estimate have the
-    shape of peak (floats for floats).  The narrowest width sets the count
-    of graded edges; a point that needs fewer has the rest clipped onto the
-    window ends, where they bound empty panels.
+    N = numerator(d, s, width) at the offset d = s - peak from the
+    Lorentzian's peak, of half-width width > 0.  Working in d places the
+    nodes near the peak exactly, however narrow it is.  32-point
+    Gauss-Legendre panels have edges at d = +-width * 4^j below 18 and at
+    s = 0 and +-9, so they grade geometrically away from the peak.  The
+    value is the sum over every panel split in two; the estimate is its
+    distance from the sum over the undivided panels.  peak and width
+    broadcast: numerator gets d and s of shape peak.shape + (panels, 32)
+    and width of shape peak.shape + (1, 1), and the value and estimate
+    have the shape of peak (floats for floats).  The narrowest width sets
+    the count of graded edges; a point that needs fewer has the rest
+    clipped onto the window ends, where they bound empty panels.
     """
     peak, width = np.broadcast_arrays(peak, width)
     count, step = 0, np.min(width, initial=np.inf)
@@ -345,8 +347,15 @@ def _window_quadrature(f, peak, width):
     edges = np.sort(np.concatenate(
         [lo, -peak[..., None], hi, np.clip(-graded, lo, hi), np.clip(graded, lo, hi)], -1))
     halves = np.sort(np.concatenate([edges, 0.5 * edges[..., :-1] + 0.5 * edges[..., 1:]], -1))
-    value = _panel_sum(f, halves)[()]  # [()] turns 0-d into a float
-    return value, np.abs(value - _panel_sum(f, edges))
+    pd, wd = peak[..., None, None], width[..., None, None]
+
+    def integrand(d: np.ndarray) -> np.ndarray:
+        s = pd + d
+        with np.errstate(over="ignore"):  # past |peak| ~ 1e154 at d ~ -peak, where the weight is 0
+            return numerator(d, s, wd) * np.exp(-s * s) / (d * d + wd * wd)
+
+    value = _panel_sum(integrand, halves)[()]  # [()] turns 0-d into a float
+    return value, np.abs(value - _panel_sum(integrand, edges))
 
 
 def _poisson_quadrature(x, y, numerator, name: str):
@@ -354,16 +363,7 @@ def _poisson_quadrature(x, y, numerator, name: str):
     _require(~(y <= 0.0), y, name + ": requires y > 0, got {}")
     _require(np.isfinite(x) & np.isfinite(y), (x, y),
              name + ": arguments must be finite, got x={}, y={}")
-    xd, yd = np.expand_dims(x, (-2, -1)), np.expand_dims(y, (-2, -1))
-
-    def integrand(d: np.ndarray) -> np.ndarray:
-        s = xd + d
-        # For |x| > ~1e154, d * d and s * s overflow at d ~ -x, where both factors go to 0.
-        with np.errstate(over="ignore"):
-            return numerator(-d, yd) * np.exp(-s * s) / (d * d + yd * yd)
-
-    # The Lorentzian factor peaks at s = x with half-width y.
-    val, est = _window_quadrature(integrand, x, y)
+    val, est = _window_quadrature(numerator, x, y)  # the Lorentzian peaks at s = x
     _require(est <= 1e-10, (est, x, y),  # a NaN estimate is a failure too
              name + ": quadrature did not converge (est={:.2e}) at x={}, y={}", AccuracyError)
     return val / math.pi
@@ -380,12 +380,12 @@ def faddeeva_re_quadrature(x, y):
     doubled-panel error estimate exceeds 1e-10, as it does once y is
     small enough for y * y to underflow.
     """
-    return _poisson_quadrature(x, y, lambda dx, y: y, "faddeeva_re_quadrature")
+    return _poisson_quadrature(x, y, lambda d, s, y: y, "faddeeva_re_quadrature")
 
 
 def faddeeva_im_quadrature(x, y):
     """Im w(x+iy) from (1/pi) * integral of (x-s) exp(-s^2) / ((x-s)^2 + y^2), y > 0."""
-    return _poisson_quadrature(x, y, lambda dx, y: dx, "faddeeva_im_quadrature")
+    return _poisson_quadrature(x, y, lambda d, s, y: -d, "faddeeva_im_quadrature")
 
 
 # ----------------------------------------------------------------------

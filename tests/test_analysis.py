@@ -10,7 +10,6 @@ import pytest
 from spherefall import analytic, ide
 from spherefall.analysis import (
     VerificationReport,
-    _proof_integrand,
     _proof_peak,
     _reduce,
     abel_identity_residual,
@@ -34,9 +33,9 @@ PROOF_INTEGRAL_1_HALFPI = -0.58203755646459861509
 
 
 def _F(s, t, theta):
-    # F(s) = s exp(-s^2) / P(s), the proof integrand in its offset form s = peak + d.
+    # F(s) = s exp(-s^2) / P(s), the proof integrand, with P(s) = (s - peak)^2 + width^2.
     peak, width = _proof_peak(t, theta)
-    return _proof_integrand(s - peak, peak, width)
+    return s * np.exp(-s * s) / ((s - peak) ** 2 + width * width)
 
 
 def _uniform_traj(values, h=1e-2, derivatives=None):
@@ -187,20 +186,26 @@ def test_proof_integral_reference_point():
 
 
 def test_proof_integral_odd_integrand_vanishes():
-    # with the denominator replaced by an even function the integrand is
-    # odd and the integral is zero; sanity check of the quadrature setup
-    val, _ = _window_quadrature(lambda s: s * np.exp(-s * s) / (s * s + 1.0), 0.0, 1.0)
+    # with the peak at s = 0 the denominator s^2 + 1 is even, the integrand
+    # s exp(-s^2) / (s^2 + 1) odd and the integral zero; sanity check of the
+    # quadrature setup
+    val, _ = _window_quadrature(lambda d, s, width: s, 0.0, 1.0)
     assert abs(val) <= 1e-15
 
 
 def test_window_quadrature_pads_a_row_with_empty_panels_only():
-    # |d| has a kink at the peak that a width-30 point's own panels do not
-    # resolve: an edge added there would change its value, an empty panel not.
-    batch, _ = _window_quadrature(np.abs, np.array([0.5, 0.5]), np.array([1e-10, 30.0]))
-    alone, _ = _window_quadrature(np.abs, 0.5, 30.0)
+    # The numerator cancels the Lorentzian, so the integrand is |d| exp(-s^2),
+    # whose kink at the peak a width-30 point's own panels do not resolve: an
+    # edge added there would change its value, an empty panel not.
+    def kink(d, s, width):
+        return np.abs(d) * (d * d + width * width)
+
+    batch, _ = _window_quadrature(kink, np.array([0.5, 0.5]), np.array([1e-10, 30.0]))
+    alone, _ = _window_quadrature(kink, 0.5, 30.0)
     assert abs(batch[1] - alone) <= 1e-13 * alone
-    # The narrow row's graded edges close in on the kink: 9.5^2/2 + 8.5^2/2 to rounding.
-    assert abs(batch[0] - 90.25 / 2.0 - 72.25 / 2.0) <= 1e-12
+    # The narrow row's graded edges close in on the kink: the integral of
+    # |s - a| exp(-s^2), exp(-a^2) + a sqrt(pi) erf(a) at a = 1/2, to rounding.
+    assert abs(batch[0] - math.exp(-0.25) - 0.5 * math.sqrt(math.pi) * math.erf(0.5)) <= 1e-12
 
 
 @pytest.mark.parametrize("t", [1e30, 1e300, [1.0, 1e300], np.array([[1.0, 1e30], [1e300, 2.0]])])
@@ -231,6 +236,19 @@ def test_imag_sqrt_alpha_positive_and_consistent_with_derivative():
             roots = analytic.char_roots(float(kappa))
             up = math.sqrt(kappa) * val / roots.alpha.imag
             assert abs(up - analytic.u_rest_derivative(float(t), float(kappa))) <= 1e-12
+
+
+def test_proof_integral_referees_imag_sqrt_alpha_without_the_faddeeva_kernel():
+    # With alpha = e^{i theta}, that is kappa = 2 + 2 cos(theta), the proof integral is
+    # -pi Im{sqrt(alpha) Vi(alpha t)} / cos(theta/2).  Its quadrature runs no Faddeeva kernel,
+    # while both paths of imag_sqrt_alpha_villat's own cross-check run that one kernel at one
+    # point.  On verify's 6x6 grid the two sides agree to 2.2e-12 relative; with a 16-term
+    # kernel in place of 48, 7.7e-4.
+    t = np.logspace(-2, 3, 6)[:, None]
+    theta = np.linspace(math.pi / 12.0, math.pi * 11.0 / 12.0, 6)
+    want = proof_integral(t, theta)
+    got = -math.pi * imag_sqrt_alpha_villat(t, 2.0 + 2.0 * np.cos(theta)) / np.cos(theta / 2.0)
+    assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
 
 
 def test_imag_sqrt_alpha_at_a_subnormal_time():
@@ -343,6 +361,18 @@ def test_abel_identity_trivial_for_constant():
 def test_abel_identity_on_solver_output():
     traj = ide.solve_ide(2.0, 0.0, 1e-3, 5.0)
     assert abel_identity_residual(traj).passed
+
+
+def test_the_abel_identity_builds_its_operator_once(monkeypatch):
+    # Both layers read one operator, so its work on (n, h) alone is done once a check.  Each
+    # build of it, or of abel_history, runs _sqrt_errors once; _abel_kernel runs inside
+    # _sqrt_errors as well, so its calls do not count builds.
+    traj = ide.solve_ide(2.5, 0.0, 1e-2, 5.0)
+    builds, sqrt_errors = [], ide._sqrt_errors
+    monkeypatch.setattr(ide, "_sqrt_errors", lambda n: builds.append(n) or sqrt_errors(n))
+    for _ in range(2):
+        assert abel_identity_residual(traj).passed
+    assert builds == [len(traj) - 1] * 2
 
 
 def test_ode_residual_closed_form():

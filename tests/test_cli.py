@@ -87,12 +87,35 @@ def test_trajectory_oscillator_mode(tmp_path):
     assert v[0] < 0.0
     assert np.max(v[:-1] - v[1:]) <= 1e-9
     # A negative value in exponent notation follows its flag after a space, as after "=":
-    # argparse before Python 3.13 took "-1e-3" for an option ("expected one argument").
+    # argparse alone takes "-1e-3" for an option ("expected one argument").
     spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
     flags = ["trajectory", "--t0", "1", "--T", "1", "--h", "0.5"]
     assert main([*flags, "--b", "-1e-3", "--A", "-2e3", "--out", str(spaced)]) == 0
     assert main([*flags, "--b=-1e-3", "--A=-2e3", "--out", str(joined)]) == 0
     assert spaced.read_bytes() == joined.read_bytes()
+
+
+def test_float_alone_judges_a_negative_flag_value(tmp_path, monkeypatch, capsys):
+    # A single-dash token that names no option is a value, so each spelling reaches the flag's
+    # type after a space as after "=", and gets its message there, not argparse's "expected
+    # one argument".
+    flags = ["trajectory", "--t0", "1", "--T", "1", "--h", "0.5"]
+    for text in ("-inf", "-nan", "-Infinity"):
+        for value in (["--b", text], [f"--b={text}"]):
+            assert main([*flags, *value]) == 1
+            assert capsys.readouterr().err == (
+                f"error: argument --b: must be a finite number, got {text!r}\n")
+    assert main([*flags, "--b", "-1", "--A", "-x"]) == 1
+    assert capsys.readouterr().err == "error: argument --A: invalid float value: '-x'\n"
+    # A path may start with "-" too; "-" alone is stdout.
+    monkeypatch.chdir(tmp_path)
+    assert main([*flags, "--b", "-.5", "--out", "-x"]) == 0
+    assert main([*flags, "--b=-.5", "--out=-y"]) == 0
+    assert (tmp_path / "-x").read_bytes() == (tmp_path / "-y").read_bytes()
+    # -h is still an option, help.
+    with pytest.raises(SystemExit):
+        main([*flags, "--b", "-1", "-h"])
+    assert "--b B" in capsys.readouterr().out
 
 
 def test_sweep_writes_files_and_summary(tmp_path):
@@ -357,6 +380,16 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert err == "error: h must be > 0, got -0.001\n"
     err = refused(drag + ["--T", "0.0005", "--h", "0.001"])
     assert err == "error: horizon T=0.0005 must be at least one step h=0.001\n"
+    # A grid in seconds whose step h B underflows or whose horizon T B overflows is named by
+    # the values typed and B, not by the scaled values alone.
+    err = refused(["drag", "--rho-s", "1190", "--rho", "1000", "--mu", "1.0", "--radius", "100",
+                   "--h", "5e-324", "--T", "5e-321"])
+    assert err == ("error: drag: h=5e-324 s and T=5e-321 s, times B=2.66272e-07 per second, "
+                   "make no grid in viscous times (h must be > 0, got 0.0)\n")
+    err = refused(drag + ["--h", "1e303", "--T", "1e306"])
+    assert err == ("error: drag: h=1e+303 s and T=1e+306 s, times B=266.272 per second, make "
+                   "no grid in viscous times (h and T must be finite, got "
+                   "h=2.6627218934911245e+305, T=inf)\n")
     # Every real-valued flag is finite, not only the grid.
     nan_eps = ["trajectory", "--kappa", "2", "--solver", "ide", "--eps", "nan", "--T", "1",
                "--h", "0.01"]
