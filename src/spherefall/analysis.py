@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analytic, ide, ode
 from .analytic import _roots_from_damping, _sphere, _sphere_samples
-from .trajectory import Trajectory
+from .trajectory import MONOTONE_TOL, Trajectory, steps_against
 from .special import (
     _require,
     _window_quadrature,
@@ -43,7 +43,6 @@ __all__ = [
     "run_default_suite",
 ]
 
-MONOTONE_TOL = 1e-12  # the largest step against the approach, for every solver and h
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -86,17 +85,21 @@ def _reduce(
     return VerificationReport.from_violation(check_id, floor, tolerance, "--")
 
 
+def _monotone(check_id: str, values, rises: bool, where) -> VerificationReport:
+    """Report the steps of values, along the last axis, against an approach that rises or falls."""
+    return _reduce(check_id, MONOTONE_TOL, steps_against(values, rises), where)
+
+
 def check_monotone(traj: Trajectory) -> VerificationReport:
     """Pass iff no step moves against the approach by more than MONOTONE_TOL.
 
     The direction comes from the problem, never from the data: v = A M(t + t0) rises iff
-    A > 0 (meta "A", closed form and RK4, sphere or oscillator), and the memory-equation
-    sphere rises iff u0 < 1 (meta "u0"); with neither key the trajectory must rise.
+    A >= 0 (meta "A", closed form and RK4, sphere or oscillator), and the memory-equation
+    sphere rises iff u0 <= 1 (meta "u0"); with neither key the trajectory must rise.
     """
-    v, t = traj.values, traj.times
-    falls = traj.meta.get("A", 1.0 - traj.meta.get("u0", 0.0)) < 0.0
-    drops = v[1:] - v[:-1] if falls else v[:-1] - v[1:]
-    return _reduce("monotone", MONOTONE_TOL, drops, lambda i: f"t={t[i + 1]:.6g}")
+    t = traj.times
+    rises = not traj.meta.get("A", 1.0 - traj.meta.get("u0", 0.0)) < 0.0
+    return _monotone("monotone", traj.values, rises, lambda i: f"t={t[i + 1]:.6g}")
 
 
 # ----------------------------------------------------------------------
@@ -224,10 +227,10 @@ def run_default_suite(h: float = 1e-3, points: int = 400) -> list[VerificationRe
     sampling density of the closed-form grids.  Any h from the solvers'
     domain (0 < h <= 10, the memory equation's horizon) runs every check;
     above about 0.016, ``oscillator_monotone_ic`` fails.  Memory grows as
-    1/h: the oscillator's closed-form reference over its 20/h steps takes
-    about 72 bytes a point while both trajectories (24 bytes a step, 10/h and
-    20/h steps) are held, so the traced peak is about 2,160/h bytes below
-    h = 1e-4 (216 MB at h = 1e-5, 2.2 GB at 1e-6).
+    1/h: the oscillator's closed-form reference over its 20/h steps is formed
+    while both trajectories (24 bytes a step, 10/h and 20/h steps) are held,
+    and the traced peak is about 1,840/h bytes (18.4 MB at h = 1e-4 and 184 MB
+    at 1e-5, with 20 points).
     """
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
@@ -245,8 +248,8 @@ def run_default_suite(h: float = 1e-3, points: int = 400) -> list[VerificationRe
 
     reports = [
         # Monotone approach of the closed form; u' positive and falling.
-        _reduce("closed_form_monotone", MONOTONE_TOL, u[:, :-1] - u[:, 1:],
-                lambda i, j: f"kappa={_KAPPA_SET[i]}, t={times[j + 1]:.6g}"),
+        _monotone("closed_form_monotone", u, True,
+                  lambda i, j: f"kappa={_KAPPA_SET[i]}, t={times[j + 1]:.6g}"),
         _reduce("closed_form_derivative_positive", 0.0, -du,
                 lambda i, j: f"kappa={_KAPPA_SET[i]}, t={times[j]:.6g}"),
         _reduce("closed_form_derivative_decreasing", 0.0, du[:, 1:] - du[:, :-1],

@@ -7,7 +7,8 @@ which is that oscillator: u(tau) = 1 + (1 - eps) sqrt(kappa) M(tau; b = 2 - kapp
 the unique initial conditions whose trajectory stays monotone despite an unstable
 homogeneous problem.  Every closed-form value comes from one evaluator of (M, M'), one
 Faddeeva evaluation: the roots are a conjugate pair, so M and M' are imaginary parts
-over Im alpha.
+over Im alpha.  ``_check_kappa`` and ``_check_damping`` own the physical kappa bound
+(0, 9] and the damping bound (-2, 2), for every solver and layer.
 """
 
 from __future__ import annotations
@@ -54,16 +55,26 @@ class MonotoneIC:
     v0_prime: float
 
 
+def _check_kappa(kappa: float, owner: str = "") -> None:
+    """The one error, after owner, of a kappa outside (0, 9]; 9 is the massless sphere."""
+    if not 0.0 < kappa <= 9.0:  # a NaN fails too
+        raise ValueError(f"{owner}kappa must lie in (0, 9], got {kappa}")
+
+
+def _check_damping(b) -> None:
+    """The one error of a damping b outside (-2, 2), named at its first such element, NaN too."""
+    _require((-2.0 < b) & (b < 2.0), b, "damping coefficient must lie in (-2, 2), got {}")
+
+
 def _roots_from_damping(b):
     """(alpha, sqrt(alpha)): alpha = -b/2 + i sqrt((2 - b)(2 + b))/2, a root of m^2 + b m + 1.
 
     The other root is conj(alpha).  sqrt(alpha) = (sqrt(2 - b) + i sqrt(2 + b))/2
-    takes real square roots only.  b lies in (-2, 2).  A b of one or more
-    dimensions gives complex arrays of its shape, each element the bits of
-    the scalar values (Python complex, as for a float or 0-d b); an error
-    names the first element outside the interval, NaN included.
+    takes real square roots only.  b lies in (-2, 2) (``_check_damping``).  A b of one or
+    more dimensions gives complex arrays of its shape, each element the bits of
+    the scalar values (Python complex, as for a float or 0-d b).
     """
-    _require((-2.0 < b) & (b < 2.0), b, "damping coefficient must lie in (-2, 2), got {}")
+    _check_damping(b)
     re, im = -b / 2.0, np.sqrt((2.0 - b) * (2.0 + b)) / 2.0
     sre, sim = np.sqrt(2.0 - b) / 2.0, np.sqrt(2.0 + b) / 2.0
     if np.ndim(b) == 0:
@@ -80,8 +91,7 @@ def char_roots(kappa: float) -> CharRoots:
     real distinct roots for kappa > 4 (alpha the larger).  The double
     roots at kappa = 4 and where b rounds to 2 are rejected.
     """
-    if not 0.0 < kappa <= 9.0:
-        raise ValueError(f"kappa must lie in (0, 9], got {kappa}")
+    _check_kappa(kappa)
     if kappa == 4.0:
         raise ValueError("kappa = 4 is the degenerate double-root case")
     if kappa < 4.0:

@@ -5,7 +5,8 @@ JSON), floats are written in shortest round-trip form, and files are
 replaced atomically, so identical configurations produce byte-identical
 results.  Exit codes: 0 success (and, for `verify`, all checks passed), 1 usage
 error (a non-finite flag, an unwritable output, a grid too large to allocate),
-2 verification failure (reports still written), 3 numerical failure (overflow/divergence).
+2 verification failure (reports still written), 3 numerical failure (overflow, divergence, or
+a solver run that breaks the monotone approach from eps to 1).
 """
 
 from __future__ import annotations
@@ -157,6 +158,28 @@ def _write_trajectory(output: str, traj: Trajectory, path: str) -> None:
     _emit_columns(output, path, columns, meta=dict(traj.meta))
 
 
+def _run_failures(runs: list[Trajectory], in_sweep: bool = False) -> str | None:
+    """The ``numerical failure:`` lines of solver runs, checked before anything is written.
+
+    RK4's overflow guard speaks first: if a run diverged, its rows up to the divergence
+    are written, and the lines returned here, one per diverged run (naming its kappa in
+    a sweep), are raised after.  Otherwise the first run that breaks the monotone
+    approach (``meta["monotone_break_t"]``) raises here, so nothing is written; its line
+    names the solver, kappa (b for the oscillator) and the first t that breaks it.
+    """
+    metas = [traj.meta for traj in runs]
+    diverged = ["RK4 diverged" + (f" at kappa={meta['kappa']:g}" if in_sweep else "")
+                + f" after t={meta['T']:g}" for meta in metas if meta.get("diverged")]
+    if diverged:
+        return "\n".join(diverged)
+    for meta in metas:
+        if "monotone_break_t" in meta:
+            name = "kappa" if "kappa" in meta else "b"
+            raise ArithmeticError(f"{meta['solver'].upper()} at {name}={meta[name]:g} leaves the "
+                                  f"monotone approach at t={meta['monotone_break_t']:g}")
+    return None
+
+
 # ----------------------------------------------------------------------
 # Commands: each reads its parsed arguments and returns 0 (or verify's 2); failures raise
 # ----------------------------------------------------------------------
@@ -176,9 +199,10 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
     else:
         A, t0 = 1.0 if args.A is None else args.A, 0.0 if args.t0 is None else args.t0
         traj = ode.monotone_trajectory(args.solver, args.b, A, t0, args.h, args.T)
+    diverged = _run_failures([traj])
     _write_trajectory(args.output, traj, args.out)
-    if traj.meta.get("diverged"):
-        raise ArithmeticError(f"RK4 diverged after t={traj.meta['T']:g}")
+    if diverged:
+        raise ArithmeticError(diverged)
     return EXIT_OK
 
 
@@ -192,7 +216,7 @@ def _sweep_one(args: argparse.Namespace, kappa: float, traj: Trajectory) -> dict
     return {
         "kappa": kappa,
         "terminal_error": abs(float(traj.values[-1]) - 1.0),
-        "monotone": analysis.check_monotone(traj).passed,
+        "monotone": "monotone_break_t" not in traj.meta,
         "file": os.path.basename(path),
     }
 
@@ -212,6 +236,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"sweep: two kappas share the output file {clash}")
     # Every kappa is solved before the directory is made, so a bad one leaves no output.
     solved = [(k, ode.sphere_trajectory(args.solver, k, args.eps, args.h, args.T)) for k in kappas]
+    diverged = _run_failures([traj for _, traj in solved], in_sweep=True)
     os.makedirs(args.out, exist_ok=True)
     results = sorted((_sweep_one(args, k, traj) for k, traj in solved), key=lambda r: r["kappa"])
     summary_path = os.path.join(args.out, f"sweep_summary.{args.output}")
@@ -222,16 +247,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"{r['kappa']!r},{r['terminal_error']!r},{str(r['monotone']).lower()},{r['file']}"
             for r in results]
         _atomic_write(summary_path, ("\n".join(lines) + "\n").encode("ascii"))
-    diverged = [f"RK4 diverged at kappa={k:g} after t={traj.meta['T']:g}"
-                for k, traj in solved if traj.meta.get("diverged")]
     if diverged:
-        raise ArithmeticError("\n".join(diverged))
+        raise ArithmeticError(diverged)
     return EXIT_OK
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     closed, ide_traj, ode_traj = (ode.sphere_trajectory(s, args.kappa, args.eps, args.h, args.T)
                                   for s in ("closed-form", "ide", "ode"))
+    diverged = _run_failures([ide_traj, ode_traj])
     n = min(len(closed), len(ide_traj), len(ode_traj))
     u_closed, u_ide, u_ode = closed.values[:n], ide_traj.values[:n], ode_traj.values[:n]
     columns = {"t": closed.times[:n], "u_closed": u_closed, "u_ide": u_ide, "u_ode": u_ode,
@@ -242,8 +266,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.output == "csv" and args.out != "-":
         _atomic_write(args.out + ".summary.json", _json_text(sup_norm=sup))
     print(f"sup-norm ide={sup['ide']:.6g} ode={sup['ode']:.6g}", file=sys.stderr)
-    if ode_traj.meta["diverged"]:
-        raise ArithmeticError(f"RK4 diverged after t={ode_traj.meta['T']:g}")
+    if diverged:
+        raise ArithmeticError(diverged)
     return EXIT_OK
 
 
@@ -280,6 +304,7 @@ def _cmd_drag(args: argparse.Namespace) -> int:
     if not worst <= bound:  # the balance of a solve closes to rounding; a NaN fails too
         raise ArithmeticError(f"drag: max|residual| = {worst:.3g} N > 1e-9 |F_buoyancy| = "
                               f"{bound:.3g} N at the step h B = {traj.meta['h']:.3g} viscous times")
+    _run_failures([traj])  # after the balance, which names a step far too coarse
     columns = [dim.times, dim.values, dim.derivatives, *forces]
     header = ["t", "U", "dU", "F_stokes", "F_added_mass", "F_basset", "F_buoyancy",
               "residual"]

@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-from .analytic import _amplitude
+from .analytic import _amplitude, _check_kappa
 from .trajectory import Trajectory, uniform_grid
 
 __all__ = ["abel_history", "solve_ide"]
@@ -295,8 +295,7 @@ def solve_ide(kappa: float, u0: float, h: float, T: float) -> Trajectory:
     ValueError of the other sphere solvers, which names u0 as eps; a solve
     that overflows raises ArithmeticError.
     """
-    if not 0.0 < kappa <= 9.0:
-        raise ValueError(f"kappa must lie in (0, 9], got {kappa}")
+    _check_kappa(kappa)
     _amplitude((1.0 - u0) * math.sqrt(kappa), u0, kappa)
     times = uniform_grid(h, T)
     n = len(times) - 1

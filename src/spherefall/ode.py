@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analytic, ide
 from .special import SQRT_PI
-from .trajectory import Trajectory, uniform_grid
+from .trajectory import Trajectory, guard_monotone, uniform_grid
 
 __all__ = [
     "OscillatorProblem",
@@ -219,8 +219,7 @@ def solve_oscillator(prob: OscillatorProblem, h: float, T: float) -> Trajectory:
     times = uniform_grid(h, T)
     n = len(times) - 1
     b, A, t0 = prob.b, prob.A, prob.t0
-    if not -2.0 < b < 2.0:
-        raise ValueError(f"damping coefficient must lie in (-2, 2), got {b}")
+    analytic._check_damping(b)
 
     x = np.empty((2, n + 1))
     x[:, 0] = prob.v0, prob.v0_prime
@@ -269,18 +268,26 @@ def _solve(solver: str, prob: OscillatorProblem, h: float, T: float) -> Trajecto
 
 def monotone_trajectory(solver: str, b: float, A: float, t0: float, h: float,
                         T: float) -> Trajectory:
-    """v = A M(t + t0) on the grid of step h to T: "closed-form", or "ode" (RK4) from its start."""
+    """v = A M(t + t0) on the grid of step h to T: "closed-form", or "ode" (RK4) from its start.
+
+    An RK4 run is held to the monotone approach from v0 to 0 (``guard_monotone``).
+    """
     if solver == "ide":
         raise ValueError("the ide solver applies to the sphere problem only")
     ic = analytic.monotone_initial_conditions(b, A, t0)
-    return _solve(solver, OscillatorProblem(b=b, A=A, t0=t0, v0=ic.v0, v0_prime=ic.v0_prime), h, T)
+    traj = _solve(solver, OscillatorProblem(b=b, A=A, t0=t0, v0=ic.v0, v0_prime=ic.v0_prime), h, T)
+    return traj if solver == "closed-form" else guard_monotone(traj, ic.v0, 0.0)
 
 
 def sphere_trajectory(solver: str, kappa: float, eps: float, h: float, T: float) -> Trajectory:
-    """The sphere released with u(0) = eps: solve_ide, or its oscillator v = u - 1 shifted to u."""
+    """The sphere released with u(0) = eps: solve_ide, or its oscillator v = u - 1 shifted to u.
+
+    An IDE or RK4 run is held to the paper's theorem, the monotone approach from eps to 1
+    (``guard_monotone``); the closed form is not, since ``verify`` checks it.
+    """
     if solver == "ide":
-        return ide.solve_ide(kappa, eps, h, T)
+        return guard_monotone(ide.solve_ide(kappa, eps, h, T), eps, 1.0)
     traj = _solve(solver, OscillatorProblem.sphere(kappa, eps), h, T)
     traj.values += 1.0
     traj.meta.update(kappa=kappa, eps=eps, variable="u")
-    return traj
+    return traj if solver == "closed-form" else guard_monotone(traj, eps, 1.0)

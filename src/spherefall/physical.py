@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ide
+from .analytic import _check_kappa
 from .trajectory import Trajectory
 
 __all__ = [
@@ -92,9 +93,7 @@ class DimensionlessGroup:
     def __post_init__(self) -> None:
         if not (self.B > 0.0 and self.Q > 0.0):
             raise ValueError("DimensionlessGroup: B and Q must be > 0")
-        # kappa = 9 is the massless-sphere boundary (rho_s = 0).
-        if not 0.0 < self.kappa <= 9.0:
-            raise ValueError(f"DimensionlessGroup: kappa must lie in (0, 9], got {self.kappa}")
+        _check_kappa(self.kappa, "DimensionlessGroup: ")
         if not abs(self.kappa - math.pi * self.Q**2 / self.B) <= 1e-12 * self.kappa:
             raise ValueError("DimensionlessGroup: kappa must equal pi Q^2 / B")
         if not abs(self.U0 - self.M / self.B) <= 1e-12 * max(abs(self.U0), 1e-300):

@@ -1,4 +1,5 @@
-"""The sampled trajectory that every solver returns and every check reads, and its grid."""
+"""The sampled trajectory that every solver returns and every check reads, its grid, and the
+monotone rule that every solver run and every check holds it to."""
 
 from __future__ import annotations
 
@@ -7,7 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Trajectory", "uniform_grid"]
+__all__ = ["MONOTONE_TOL", "Trajectory", "guard_monotone", "steps_against", "uniform_grid"]
+
+MONOTONE_TOL = 1e-12  # the most a run may step against its approach, or leave its band
 
 
 @dataclass
@@ -72,3 +75,26 @@ def _step_count(h: float, T: float) -> int:
 def uniform_grid(h: float, T: float) -> np.ndarray:
     """The grid t_k = k h, k = 0..n, with n = max(1, round(T / h)) steps to the horizon T."""
     return np.arange(_step_count(h, T) + 1) * h
+
+
+def steps_against(values: np.ndarray, rises: bool) -> np.ndarray:
+    """How far each step of values (along the last axis) moves against a rising or falling run."""
+    steps = values[..., :-1] - values[..., 1:]
+    return steps if rises else -steps
+
+
+def guard_monotone(traj: Trajectory, start: float, end: float) -> Trajectory:
+    """Hold a solver run to the monotone approach from start to end: the paper's theorem.
+
+    The first t where the values leave the band between start and end, or step against
+    the approach, by more than ``MONOTONE_TOL`` goes into ``meta["monotone_break_t"]``;
+    a run that keeps the theorem gains no key.  Returns traj.
+    """
+    v = traj.values
+    with np.errstate(over="ignore"):  # a difference past the largest double breaks the band too
+        breaks = np.maximum(min(start, end) - v, v - max(start, end))
+        np.maximum(breaks[1:], steps_against(v, start <= end), out=breaks[1:])
+    broken = breaks > MONOTONE_TOL
+    if broken.any():
+        traj.meta["monotone_break_t"] = float(traj.times[np.argmax(broken)])
+    return traj

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spherefall import analytic, ide
+from spherefall import analysis, analytic, ide, trajectory
 from spherefall.analysis import (
     VerificationReport,
     _proof_peak,
@@ -54,6 +54,8 @@ def _uniform_traj(values, h=1e-2, derivatives=None):
 def test_check_monotone_constant_passes():
     rep = check_monotone(_uniform_traj(np.ones(20)))
     assert rep.passed and rep.worst_violation == 0.0
+    # The rule's one tolerance, owned by the trajectory module and read here too.
+    assert analysis.MONOTONE_TOL is trajectory.MONOTONE_TOL == 1e-12
 
 
 def test_check_monotone_closed_form_at_high_kappa():

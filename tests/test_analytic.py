@@ -13,6 +13,7 @@ from spherefall import analytic, ide, special
 from spherefall.analysis import imag_sqrt_alpha_villat
 from spherefall.special import villat
 from spherefall.analytic import (
+    CharRoots,
     _sphere,
     _sphere_samples,
     char_roots,
@@ -78,12 +79,18 @@ def test_char_roots_real_regime():
 def test_char_roots_domain_errors():
     with pytest.raises(ValueError):
         char_roots(4.0)
-    with pytest.raises(ValueError):
-        char_roots(0.0)
-    with pytest.raises(ValueError):
-        char_roots(9.5)
-    with pytest.raises(ValueError):
-        char_roots(math.nan)
+    # The one message of the physical bound, which solve_ide and DimensionlessGroup share.
+    for kappa in (0.0, math.nextafter(9.0, 10.0), 9.5, math.nan):
+        with pytest.raises(ValueError, match=rf"^kappa must lie in \(0, 9\], got {kappa}$"):
+            char_roots(kappa)
+
+
+def test_char_roots_checks_the_root_product_and_sum():
+    alpha = char_roots(2.5).alpha
+    with pytest.raises(ValueError, match="^CharRoots: root product must be 1$"):
+        CharRoots(alpha=2.0 * alpha, beta=alpha.conjugate(), b=-0.5)
+    with pytest.raises(ValueError, match="^CharRoots: root sum must be -b$"):
+        CharRoots(alpha=alpha, beta=alpha.conjugate(), b=0.5)
 
 
 def test_char_roots_at_the_massless_sphere():

@@ -341,6 +341,10 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         return captured.err
 
     refused(["trajectory"])  # neither --kappa nor --b
+    err = refused(["trajectory", "--kappa", "1", "--b", "1"])
+    assert err == "error: trajectory: --kappa and --b are mutually exclusive\n"
+    err = refused(["sweep", "--kappas", ",", "--out", str(tmp_path / "empty")])
+    assert err == "error: sweep: --kappas list is empty\n"
     refused(["trajectory", "--kappa", "12", "--T", "1", "--h", "0.01"])
     refused(["sweep", "--kappas", "abc"])
     # A kappa out of the solver's domain stops the sweep before any file is written.
@@ -653,27 +657,69 @@ def test_an_rk4_step_past_its_stability_interval_exits_three_at_t_zero(tmp_path,
     assert len(rows) == 21 and abs(rows[-1, 1] - 0.887) < 1e-3
 
 
-@pytest.mark.parametrize("solver, kappas, h, T, monotone", [
-    ("ide", "0.5,6", "3", "60", ["true", "false"]),
-    ("ode", "0.5,2,3.9", "0.05", "20", ["true", "true", "false"]),
-    ("closed-form", "0.5,2,3.9", "0.05", "20", ["true", "true", "true"]),
+@pytest.mark.parametrize("argv, line", [
+    # A step past any grid: u = 9.7e83 at t = 1e100.
+    (["trajectory", "--kappa", "2", "--solver", "ide", "--h", "1e100", "--T", "5e100"],
+     "IDE at kappa=2 leaves the monotone approach at t=1e+100"),
+    # RK4's growing modes (b = -0.5) end at u = -4.05e75, short of the overflow guard.
+    (["trajectory", "--kappa", "2.5", "--solver", "ode", "--h", "0.01", "--T", "800"],
+     "RK4 at kappa=2.5 leaves the monotone approach at t=75.99"),
+    (["compare", "--kappa", "2.5", "--h", "0.01", "--T", "800"],
+     "RK4 at kappa=2.5 leaves the monotone approach at t=75.99"),
+    # Both unstable kappas break it; the first one given is named.
+    (["sweep", "--solver", "ode", "--kappas", "1,2.6,2.5", "--h", "0.01", "--T", "800"],
+     "RK4 at kappa=2.6 leaves the monotone approach at t=64.11"),
+    # The oscillator's band runs from v0 = A M(t0) to 0.
+    (["trajectory", "--b", "-1.9", "--A", "1", "--t0", "1", "--solver", "ode", "--h", "0.05",
+      "--T", "100"], "RK4 at b=-1.9 leaves the monotone approach at t=16.55"),
+    # kappa = 6 at h B = 3 viscous times: u falls by 2.5e-3, yet the force balance closes.
+    (["drag", "--rho-s", "250", "--rho", "1000", "--mu", "0.1", "--radius", "0.001",
+      "--h", "0.005", "--T", "0.1"], "IDE at kappa=6 leaves the monotone approach at t=6"),
+], ids=["ide", "ode", "compare", "sweep", "oscillator", "drag"])
+def test_a_run_that_breaks_the_monotone_approach_exits_three_and_writes_nothing(
+        tmp_path, capsys, argv, line):
+    # The paper's theorem: u moves from eps to 1 and never back.  A run that leaves the
+    # band between them, or steps back, by more than 1e-12 is wrong, whatever it is
+    # compared with.
+    for output in ("csv", "json"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--output", output, "--out", str(tmp_path / "out")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"numerical failure: {line}\n"
+        assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("solver, kappas, broken, h, T", [
+    ("ide", "0.5,6", "6", "3", "60"),
+    ("ode", "0.5,2,3.9", "3.9", "0.05", "20"),
+    ("closed-form", "0.5,2,3.9", None, "0.05", "20"),
 ])
-def test_the_sweep_holds_every_solver_to_one_monotone_bound(tmp_path, solver, kappas, h, T,
-                                                          monotone):
+def test_the_sweep_holds_every_solver_to_one_monotone_bound(tmp_path, capsys, solver, kappas,
+                                                          broken, h, T):
     # No step of u may fall by more than 1e-12, whatever the solver and h.  The IDE at
     # h = 3 falls by 2.5e-3 at kappa 6 (and is monotone at kappa 0.5), and RK4 at
-    # kappa 3.9, h = 0.05 by 0.06; a bound of 10 h wrote true for both.  The column is
-    # no exit condition.
-    least_drop = 2e-3 if solver == "ide" else 0.05
+    # kappa 3.9, h = 0.05 by 0.06; a bound of 10 h wrote true for both.  Such a run breaks
+    # the paper's theorem: the sweep exits 3 and writes nothing.  Without it the sweep
+    # writes true for every kappa.
     out = tmp_path / "sweep"
-    assert main(["sweep", "--solver", solver, "--kappas", kappas, "--h", h, "--T", T,
-                 "--out", str(out)]) == 0
+    argv = ["sweep", "--solver", solver, "--h", h, "--T", T, "--out", str(out)]
+    if broken is not None:
+        run = ode.sphere_trajectory(solver, float(broken), 0.0, float(h), float(T))
+        assert np.max(run.values[:-1] - run.values[1:]) > (2e-3 if solver == "ide" else 0.05)
+        assert main([*argv, "--kappas", kappas]) == 3
+        assert capsys.readouterr().err == (
+            f"numerical failure: {run.meta['solver'].upper()} at kappa={broken} leaves the "
+            f"monotone approach at t={run.meta['monotone_break_t']:g}\n")
+        assert os.listdir(tmp_path) == []
+        kappas = kappas.replace("," + broken, "")
+    assert main([*argv, "--kappas", kappas]) == 0
     summary = (out / "sweep_summary.csv").read_text().splitlines()[1:]
-    assert [line.split(",")[2] for line in summary] == monotone
-    for line, flag in zip(summary, monotone):
+    assert [line.split(",")[2] for line in summary] == ["true"] * len(kappas.split(","))
+    for line in summary:
         _, rows = _read_csv(out / line.split(",")[3])
-        drop = np.max(rows[:-1, 1] - rows[1:, 1])
-        assert (drop > least_drop) if flag == "false" else (drop <= 0.0), (line, drop)
+        assert np.max(rows[:-1, 1] - rows[1:, 1]) <= 0.0, line
 
 
 def test_compare_reports_an_rk4_divergence_with_exit_three(tmp_path, capsys):

@@ -38,6 +38,12 @@ def test_trajectory_validates_grid():
         Trajectory(times=[0.0, 1.0], values=[0.0], derivatives=[0.0, 0.0])
 
 
+@pytest.mark.parametrize("times", [[], [[0.0, 1.0]]], ids=["empty", "2-d"])
+def test_trajectory_needs_a_nonempty_1d_grid(times):
+    with pytest.raises(ValueError, match="^Trajectory: times must be a nonempty 1-d grid$"):
+        Trajectory(times=times, values=[], derivatives=[])
+
+
 def test_trajectory_step_detects_nonuniform_grid():
     tr = Trajectory(times=[0.0, 1.0, 3.0], values=[0.0] * 3, derivatives=[0.0] * 3)
     with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spherefall import analytic, ode, special
+from spherefall.trajectory import Trajectory, guard_monotone
 from spherefall.ode import (
     _POWER_BOUND,
     _SCAN_STEPS,
@@ -566,3 +567,64 @@ def test_solver_argument_validation():
     with pytest.raises(ValueError, match="^the ide solver applies to the sphere problem only$"):
         monotone_trajectory("ide", 0.0, 1.0, 1.0, 1e-2, 1.0)
 
+
+@pytest.mark.parametrize("start, end, values, broken_at", [
+    (0.0, 1.0, [0.0, 0.5, 1.0 + 5e-13], None),  # within the tolerance
+    (0.0, 1.0, [0.0, 0.5, 1.0 + 3e-12], 2.0),  # past the band
+    (0.0, 1.0, [0.0, -3e-12, 0.5], 1.0),
+    (0.0, 1.0, [0.0, 0.7, 0.7 - 3e-12, 0.8], 2.0),  # a step back inside the band
+    (3.0, 1.0, [3.0, 2.0, 2.5, 1.0], 2.0),  # falling from above
+    (3.0, 1.0, [3.0, 2.0, 1.0], None),
+    (1.0, 1.0, [1.0, 1.0], None),  # a constant run from eps = 1
+    (-0.5, 0.0, [-0.5, -0.2, 2e-12], 2.0),  # the oscillator's band from v0 to 0
+])
+def test_the_guard_records_the_first_t_that_breaks_the_monotone_approach(start, end, values,
+                                                                         broken_at):
+    times = np.arange(len(values), dtype=float)
+    traj = guard_monotone(Trajectory(times, values, np.zeros(len(values)), meta={"h": 1.0}),
+                          start, end)
+    assert traj.meta == ({"h": 1.0} if broken_at is None
+                         else {"h": 1.0, "monotone_break_t": broken_at})
+
+
+def test_a_run_that_keeps_the_theorem_gains_no_meta_key():
+    # The JSON of a passing run is unchanged.
+    keys = {"solver", "b", "A", "t0", "h", "T", "series_steps", "diverged", "kappa", "eps",
+            "variable"}
+    assert set(sphere_trajectory("ode", 2.5, 0.0, 1e-2, 10.0).meta) == keys
+    assert set(sphere_trajectory("ide", 2.5, 0.0, 1e-2, 10.0).meta) == {
+        "solver", "kappa", "u0", "h", "T"}
+    assert "monotone_break_t" not in monotone_trajectory("ode", -1.0, 1.0, 1.0, 1e-2, 5.0).meta
+
+
+def _rk4_spheres(count=300, seed=2026):
+    """A fixed draw of RK4 spheres: kappa uniform in (0.05, 3.95), eps in {0, 0.5, 3},
+    h log-uniform in [1e-3, 0.5] and T log-uniform in [1, 800]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        kappa, eps = rng.uniform(0.05, 3.95), float(rng.choice([0.0, 0.5, 3.0]))
+        yield kappa, eps, 10.0 ** rng.uniform(-3.0, math.log10(0.5)), \
+            10.0 ** rng.uniform(0.0, math.log10(800.0))
+
+
+# The wrong runs that keep the theorem, (kappa, eps, h, T): 3.1e-2 and 1.0e-2 of |1 - eps| off.
+_KEEPS_THE_THEOREM = [(3.2349, 0.5, 0.2398, 14.37), (2.8728, 0.0, 0.0483, 32.45)]
+
+
+def test_the_guard_flags_every_wrong_rk4_sphere_of_a_random_draw():
+    # About 1.8e4 steps a run.  71 of these 300 runs end more than 1e-2 |1 - eps| off the
+    # closed form at exit 0 without the guard; it flags all of them but the two above, and
+    # no run within 1e-3 |1 - eps|.
+    missed, false_alarms = [], []
+    for kappa, eps, h, T in _rk4_spheres():
+        traj = sphere_trajectory("ode", kappa, eps, h, T)
+        flagged = traj.meta["diverged"] or "monotone_break_t" in traj.meta
+        err = np.max(np.abs(traj.values - analytic._sphere_samples(traj.times, kappa, eps)[0]))
+        err /= abs(1.0 - eps)
+        if err > 1e-2 and not flagged:
+            missed.append((kappa, eps, h, T))
+        if err <= 1e-3 and flagged:
+            false_alarms.append((kappa, eps, h, T, err))
+    named = [run for run in missed
+             if any(np.allclose(run, known, rtol=1e-3) for known in _KEEPS_THE_THEOREM)]
+    assert named == missed and not false_alarms, (missed, false_alarms)

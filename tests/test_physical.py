@@ -118,6 +118,14 @@ def test_group_validation_rejects_inconsistent_fields():
         DimensionlessGroup(B=1.0, Q=1.0, M=1.0, kappa=1.0, U0=1.0)  # kappa != pi Q^2/B
 
 
+def test_group_refuses_a_self_consistent_kappa_past_the_massless_sphere():
+    kappa = math.nextafter(9.0, 10.0)
+    with pytest.raises(ValueError, match=r"^DimensionlessGroup: kappa must lie in \(0, 9\], got "):
+        DimensionlessGroup(B=1.0, Q=math.sqrt(kappa / math.pi), M=1.0, kappa=kappa, U0=1.0)
+    massless = DimensionlessGroup(B=1.0, Q=math.sqrt(9.0 / math.pi), M=1.0, kappa=9.0, U0=1.0)
+    assert massless.kappa == 9.0
+
+
 @pytest.mark.parametrize("field", ["B", "Q", "M", "kappa", "U0"])
 def test_group_validation_rejects_nan(field):
     g = nondimensionalize(P_REF)

@@ -392,6 +392,8 @@ def test_asymptotic_error_estimate_is_honest():
 def test_asymptotic_rejects_divergent_truncation():
     with pytest.raises(AccuracyError):
         villat_asymptotic(3.0, 10)
+    with pytest.raises(ValueError, match="^villat_asymptotic: m_max must be >= 0$"):
+        villat_asymptotic(10.0, -1)
 
 
 def test_asymptotic_rejects_arg_boundary():
