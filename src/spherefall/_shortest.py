@@ -14,11 +14,13 @@ mixing in a signed array promotes to float64.
 
 k, the shift h and g(k) depend only on the biased exponent and on
 whether the fraction is zero (a power of two), so one table row per
-pair holds them.  For a normal double the digits have 16 or 17 digits;
-they are padded to seventeen and split into a first digit and four
-groups of four, which give both the text and, through a 10^4-entry
-table, the count of digits before the trailing zeros.  A zero's row has
-g = 0, so the same search gives it the digits 0, at decimal exponent 0.
+pair holds them for either sign; only the decimal exponent's index,
+which carries the sign, has a row per sign.  For a normal double the
+digits have 16 or 17 digits; they are padded to seventeen and split
+into a first digit and four groups of four, which give both the text
+and, through a 10^4-entry table, the count of digits before the
+trailing zeros.  A zero's row has g = 0, so the same search gives it
+the digits 0, at decimal exponent 0.
 
 Each cell is then laid out as ``repr`` does (positional iff the decimal
 exponent lies in [-4, 16), with ``.0`` on integers, otherwise
@@ -31,7 +33,7 @@ to put ``repr`` of those cells in their place.
 
 The tables, g(k) for all 617 values of k included, are constants: the
 module reads them at import from ``_shortest_tables.bin`` beside it
-(514 KB), as read-only views of one buffer, and ``_LAYOUT`` gives each
+(379 KB), as read-only views of one buffer, and ``_LAYOUT`` gives each
 one's place, dtype and shape.  ``tests/shortest_tables.py`` derives
 every table from its definition, the tests hold the file to it byte for
 byte, and ``python tests/shortest_tables.py`` writes the file anew.
@@ -59,16 +61,19 @@ _TEN4, _TEN8, _TEN16 = _U(10**4), _U(10**8), _U(10**16)
 # The decimal exponent e of a normal double's first digit lies in [-308, 308]; the
 # tables over e index it, with the sign, as _E_SPAN * sign + e - _E_MIN.
 _E_MIN, _E_SPAN = -309, 620
+_SIGN_FREE = (1 << 12) - 1  # a table row's bits below its sign bit
 # The tables in the file's order, each C-ordered: name -> (little-endian dtype, shape).
 #
-# The first six are the columns of the kernel's table, _ROWS, by row
-# 2 (bits >> 52) + (fraction == 0): e, the index over the sign and exponent
+# The first six are the columns of the kernel's table, _ROWS.  A cell's row is
+# 2 (bits >> 52) + (fraction == 0), and e, the index over the sign and exponent
 # tables of k + 16 (the decimal exponent of the first of 17 digits; 16 digits
-# take one less); the shift h; the left end's distance from v in units of the
+# take one less), has all 8192 rows, since it carries the sign.  The other five
+# are the same for either sign, so they keep only the row without its sign bit,
+# row & _SIGN_FREE: the shift h; the left end's distance from v in units of the
 # half step (1 at a power of two, where the double below is half as far as the
 # one above, otherwise 2); g(k) as (g >> 63, g mod 2^63); and whether the row is
-# a subnormal, infinite or NaN one.  Those rows, and the two zero rows, repeat
-# the nearest normal row, so the kernel runs on every cell, but a zero row has
+# a subnormal, infinite or NaN one.  Those rows, and the zero rows, repeat the
+# nearest normal row, so the kernel runs on every cell, but a zero row has
 # g = 0 and decimal exponent 0 (its digits, 0, count as 16), and the others'
 # output is replaced.
 #
@@ -83,11 +88,11 @@ _E_MIN, _E_SPAN = -309, 620
 # digits.  The mask's last row prints slot 0 only.
 _LAYOUT = {
     "e": ("<i8", (1 << 13,)),
-    "h": ("<u8", (1 << 13,)),
-    "left": ("<u8", (1 << 13,)),
-    "g1": ("<u8", (1 << 13,)),
-    "g0": ("<u8", (1 << 13,)),
-    "outside": ("|b1", (1 << 13,)),
+    "h": ("<u8", (1 << 12,)),
+    "left": ("<u8", (1 << 12,)),
+    "g1": ("<u8", (1 << 12,)),
+    "g0": ("<u8", (1 << 12,)),
+    "outside": ("|b1", (1 << 12,)),
     "lead": ("<u8", (10,)),  # word 0, by first digit
     "groups": ("<u8", (10**4,)),  # words 1-4, by the value of a group of four digits
     "exponent": ("<u8", (2 * _E_SPAN,)),  # word 5, by sign and e
@@ -150,15 +155,16 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     those of a normal double with the same fraction.
     """
     row = ((bits >> _U(52) << _U(1)) | (bits << _U(12) == _U(0))).view(np.int64)
-    g1, g0 = _ROWS["g1"][row], _ROWS["g0"][row]
+    sign_free = row & _SIGN_FREE
+    g1, g0 = _ROWS["g1"][sign_free], _ROWS["g0"][sign_free]
     g = (g1, g1 & _M32, g1 >> _U(32), g0 & _M32, g0 >> _U(32))
-    h = _ROWS["h"][row]
+    h = _ROWS["h"][sign_free]
     c = (bits & _FRACTION) | _HIDDEN
 
     # v, and the ends of its rounding interval, scaled by 4 10^-k.
     cb = c << _U(2)
     vb = _round_to_odd(g, cb << h)
-    vbl = _round_to_odd(g, (cb - _ROWS["left"][row]) << h)
+    vbl = _round_to_odd(g, (cb - _ROWS["left"][sign_free]) << h)
     vbr = _round_to_odd(g, (cb + _U(2)) << h)
     odd = c & _U(1)  # an odd c excludes the ends of the interval
     vbl += odd
@@ -204,7 +210,7 @@ def _block(x: np.ndarray, sep: np.ndarray) -> bytes:
         text[:, j] = _GROUPS[grp]
     text[:, 5] = _EXPONENT[e]
 
-    outside = _ROWS["outside"][row]
+    outside = _ROWS["outside"][row & _SIGN_FREE]
     text[outside, 0] = 1
     code[outside] = _MARK
 

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import analysis, ode, physical
-from .trajectory import Trajectory, _step_count
+from .trajectory import Trajectory
 
 __all__ = ["main"]
 
@@ -254,7 +254,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     closed, ide_traj, ode_traj = (ode.sphere_trajectory(s, args.kappa, args.eps, args.h, args.T)
-                                  for s in ("closed-form", "ide", "ode"))
+                                  for s in ode._SOLVERS)
     diverged = _run_failures([ide_traj, ode_traj])
     n = min(len(closed), len(ide_traj), len(ode_traj))
     u_closed, u_ide, u_ode = closed.values[:n], ide_traj.values[:n], ode_traj.values[:n]
@@ -286,28 +286,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_drag(args: argparse.Namespace) -> int:
     p = physical.PhysicalParams(rho_s=args.rho_s, rho=args.rho, mu=args.mu, R=args.radius,
                                 g=args.g)
-    group = physical.nondimensionalize(p)
-    # h and T arrive in seconds, and a bad grid is named as typed; the solver works in
-    # viscous-time units, where h B can underflow and T B overflow.
-    _step_count(args.h, args.T)
-    h, T = args.h * group.B, args.T * group.B
-    try:
-        _step_count(h, T)
-    except ValueError as exc:
-        raise ValueError(f"drag: h={args.h} s and T={args.T} s, times B={group.B:.6g} per "
-                         f"second, make no grid in viscous times ({exc})") from None
-    traj = ode.sphere_trajectory("ide", group.kappa, args.eps, h, T)
-    dim = physical.dimensional_trajectory(group, traj)
-    with np.errstate(over="ignore", invalid="ignore"):  # a force past the double range fails below
-        forces = physical.drag_forces(p, dim)
-    worst, bound = np.max(np.abs(forces.residual)), 1e-9 * abs(forces.buoyancy[0])
-    if not worst <= bound:  # the balance of a solve closes to rounding; a NaN fails too
-        raise ArithmeticError(f"drag: max|residual| = {worst:.3g} N > 1e-9 |F_buoyancy| = "
-                              f"{bound:.3g} N at the step h B = {traj.meta['h']:.3g} viscous times")
+    traj, table = physical._drag_table(p, args.eps, args.h, args.T)
     _run_failures([traj])  # after the balance, which names a step far too coarse
-    columns = [dim.times, dim.values, dim.derivatives, *forces]
-    header = ["t", "U", "dU", "F_stokes", "F_added_mass", "F_basset", "F_buoyancy",
-              "residual"]
+    header, columns = list(table), list(table.values())
     if args.output == "json":
         _emit(args.out, _json_text(columns=header, rows=np.column_stack(columns)))
     else:
@@ -333,9 +314,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--output", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", default="-", help=out_help)
         if with_solver:
-            sp.add_argument(
-                "--solver", choices=("closed-form", "ide", "ode"), default="closed-form"
-            )
+            sp.add_argument("--solver", choices=ode._SOLVERS, default="closed-form")
 
     sp = sub.add_parser("trajectory", help="one trajectory (sphere or forced oscillator)")
     sp.add_argument("--kappa", type=_finite_float, help="density parameter of the sphere problem")

@@ -8,7 +8,8 @@ integrated as the first-order system x' = y, y' = -x - b y - G(t) with
 classical fourth-order Runge-Kutta at a fixed step, started across the
 forcing's singularity by its own Taylor series in sqrt(t + t0); see
 ``solve_oscillator``.  The sphere is one member of the family (``OscillatorProblem.sphere``);
-``sphere_trajectory`` and ``monotone_trajectory`` are the one entry point to every solver.
+``sphere_trajectory`` and ``monotone_trajectory`` are the one entry point to every solver,
+and ``_SOLVERS`` the one list of their names.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ __all__ = [
     "sphere_trajectory",
 ]
 
+# Every solver's name, in the order compare runs them.
+_SOLVERS = ("closed-form", "ide", "ode")
 _OVERFLOW_GUARD = 1e280
 _SERIES_END = 1.0  # the series start covers the nodes with t + t0 <= _SERIES_END
 _SERIES_TERMS = 128  # most Taylor terms of the series start; one that needs more flags the run

@@ -8,7 +8,9 @@ balance against buoyancy reduces to the memory equation solved by
 :mod:`spherefall.ide` once velocities are scaled by the Stokes terminal
 velocity U0 and times by the viscous time 1/B.  This module is the only
 owner of the force formulas: :func:`drag_forces` evaluates the whole
-balance along a trajectory, the drag table of the CLI.
+balance along a trajectory, and ``_drag_table`` the CLI's whole drag
+table: both grids, the solve, the SI mapping, the balance, its 1e-9
+|F_buoyancy| closure check and the column names.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import ide
+from . import ide, ode
 from .analytic import _check_kappa
-from .trajectory import Trajectory
+from .trajectory import Trajectory, _step_count
 
 __all__ = [
     "PhysicalParams",
@@ -126,6 +128,11 @@ class DragForces(NamedTuple):
     residual: np.ndarray
 
 
+# The drag table's columns: t, U and U' in SI units, then DragForces' columns in order.
+_TABLE_COLUMNS = ("t", "U", "dU", "F_stokes", "F_added_mass", "F_basset", "F_buoyancy",
+                  "residual")
+
+
 def drag_forces(p: PhysicalParams, traj: Trajectory) -> DragForces:
     """The force balance on a sphere along a laboratory-unit trajectory (from rest).
 
@@ -165,3 +172,33 @@ def dimensional_trajectory(g: DimensionlessGroup, traj: Trajectory) -> Trajector
         derivatives=traj.derivatives * (g.U0 * g.B),
         meta=meta,
     )
+
+
+def _drag_table(p: PhysicalParams, eps: float, h: float,
+                T: float) -> tuple[Trajectory, dict[str, np.ndarray]]:
+    """The drag table of p released with U(0) = eps U0, on the grid of step h to T seconds.
+
+    Returns the solve, in viscous times, for the caller's monotone check, and the
+    columns by name.  A bad grid is a ValueError; a force balance that does not
+    close to 1e-9 |F_buoyancy| an ArithmeticError.
+    """
+    group = nondimensionalize(p)
+    # h and T arrive in seconds, and a bad grid is named as typed; the solver works in
+    # viscous-time units, where h B can underflow and T B overflow.
+    _step_count(h, T)
+    h_B, T_B = h * group.B, T * group.B
+    try:
+        _step_count(h_B, T_B)
+    except ValueError as exc:
+        raise ValueError(f"drag: h={h} s and T={T} s, times B={group.B:.6g} per "
+                         f"second, make no grid in viscous times ({exc})") from None
+    traj = ode.sphere_trajectory("ide", group.kappa, eps, h_B, T_B)
+    dim = dimensional_trajectory(group, traj)
+    with np.errstate(over="ignore", invalid="ignore"):  # a force past the double range fails below
+        forces = drag_forces(p, dim)
+    worst, bound = np.max(np.abs(forces.residual)), 1e-9 * abs(forces.buoyancy[0])
+    if not worst <= bound:  # the balance of a solve closes to rounding; a NaN fails too
+        raise ArithmeticError(f"drag: max|residual| = {worst:.3g} N > 1e-9 |F_buoyancy| = "
+                              f"{bound:.3g} N at the step h B = {traj.meta['h']:.3g} viscous times")
+    columns = [dim.times, dim.values, dim.derivatives, *forces]
+    return traj, dict(zip(_TABLE_COLUMNS, columns))

@@ -51,11 +51,13 @@ def multiplier(k: int) -> tuple[int, int]:
 def exponent_table() -> dict[str, np.ndarray]:
     """The kernel's per-cell constants, by row 2 (bits >> 52) + (fraction == 0).
 
-    A subnormal, infinite or NaN row, and the two zero rows, repeat the
-    nearest normal row; a zero row then takes g = 0 and decimal exponent 0.
+    Only e carries the sign, so only e has a row per sign; the other columns
+    hold the 4096 rows without the sign bit.  A subnormal, infinite or NaN
+    row, and the zero row, repeat the nearest normal row; a zero row then
+    takes g = 0 and decimal exponent 0.
     """
-    row = np.arange(1 << 13)
-    sign, biased = row >> 12, (row >> 1) & 0x7FF
+    row = np.arange(1 << 12)
+    biased = row >> 1
     nearest = np.clip(biased, 1, 0x7FE)
     zero = (biased == 0) & (row & 1 == 1)
     # The smallest normal exponent has subnormals below it, as evenly spaced.
@@ -65,9 +67,10 @@ def exponent_table() -> dict[str, np.ndarray]:
     g = np.array([multiplier(j) for j in range(k.min(), k.max() + 1)], dtype=np.uint64)
     g = g[k - k.min()]
     g[zero] = 0
+    # A zero's digits, 0, count as 16 digits, so its 1 gives decimal exponent 0.
+    e = np.where(zero, 1, k + 16) - _E_MIN
     return {
-        # A zero's digits, 0, count as 16 digits, so its 1 gives decimal exponent 0.
-        "e": (np.where(zero, 1, k + 16) - _E_MIN + _E_SPAN * sign).astype(np.intp),
+        "e": np.concatenate([e, e + _E_SPAN]).astype(np.intp),  # positive, then negative
         "h": (q + floor_log2_pow10(-k) + 2).astype(np.uint64),
         "left": np.where(power_of_two, 1, 2).astype(np.uint64),
         "g1": g[:, 0],

@@ -481,3 +481,15 @@ def test_default_suite_all_green(h, points):
     ids = {r.check_id for r in reports}
     assert {"closed_form_monotone", "proof_integral_negative", "ide_vs_closed_form",
             "abel_identity", "faddeeva_vs_quadrature"} <= ids
+
+
+def test_a_naive_villat_that_overflows_passes_the_blowup_check(monkeypatch):
+    # The textbook series fails either by a wrong value or by overflowing; both are the
+    # blow-up the check asks to see, and an overflow reads as an infinite disagreement.
+    def overflowing(z):
+        raise OverflowError("naive_villat: the series overflows")
+
+    monkeypatch.setattr(analysis, "naive_villat", overflowing)
+    blowup = {r.check_id: r for r in run_default_suite(h=0.01, points=20)}["naive_villat_blowup"]
+    assert blowup.passed and blowup.worst_violation == 0.0
+    assert blowup.location == "rel_disagreement=inf"

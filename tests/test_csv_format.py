@@ -98,9 +98,10 @@ before = {name: column.copy() for name, column in rows.items()}
 at = np.arange(1 << 13)
 k = rows["e"] - 16 + s._E_MIN - (at >> 12) * s._E_SPAN
 zero = at & 0xFFF == 1
+# e has a row per sign; the other columns hold only the row without its sign bit.
 for r in at.tolist():
     g = (0, 0) if zero[r] else multiplier(int(k[r]))
-    assert (int(rows["g1"][r]), int(rows["g0"][r])) == g, r
+    assert (int(rows["g1"][r & 0xFFF]), int(rows["g0"][r & 0xFFF])) == g, r
 # One cell per row: every sign and biased exponent, with a zero and a nonzero fraction.
 bits = (at.astype(np.uint64) >> np.uint64(1) << np.uint64(52)) | (~at & 1).astype(np.uint64)
 values = bits.view(np.float64)
@@ -132,22 +133,25 @@ def test_exponent_table_rows_follow_the_floor_logs_and_multipliers():
         k = (shortest_tables.floor_log10_three_quarters_pow2(q) if irregular
              else shortest_tables.floor_log10_pow2(q))
         h = q + shortest_tables.floor_log2_pow10(-k) + 2
+        # e has a row per sign; the other columns hold only the row without its sign bit.
         for sign in (0, 1):
             at = r + sign * 4096
             assert rows["e"][at] - 16 + _shortest._E_MIN - sign * _shortest._E_SPAN == k
-            assert rows["h"][at] == h
-            # The carry-free _mul_high bound needs h <= 5.
-            assert 2 <= h <= 5
-            assert rows["left"][at] == (1 if irregular else 2)
-            assert (int(rows["g1"][at]), int(rows["g0"][at])) == shortest_tables.multiplier(k)
-            assert not rows["outside"][at]
+        assert rows["h"][r] == h
+        # The carry-free _mul_high bound needs h <= 5.
+        assert 2 <= h <= 5
+        assert rows["left"][r] == (1 if irregular else 2)
+        assert (int(rows["g1"][r]), int(rows["g0"][r])) == shortest_tables.multiplier(k)
+        assert not rows["outside"][r]
+    assert len(rows["e"]) == 8192 and all(len(rows[name]) == 4096 for name in
+                                          ("h", "left", "g1", "g0", "outside"))
     subnormal_and_top = np.array([0, 4094, 4095])
-    assert rows["outside"][np.r_[subnormal_and_top, subnormal_and_top + 4096]].all()
+    assert rows["outside"][subnormal_and_top].all()
     # A zero row has g = 0, so its digits are 0; they count as 16 digits, which take e - 1.
+    assert not rows["outside"][1] and rows["g1"][1] == rows["g0"][1] == 0
+    assert 2 <= rows["h"][1] <= 5
     for at in (1, 1 + 4096):
-        assert not rows["outside"][at] and rows["g1"][at] == rows["g0"][at] == 0
         assert rows["e"][at] - 1 + _shortest._E_MIN - (at >> 12) * _shortest._E_SPAN == 0
-        assert 2 <= rows["h"][at] <= 5
 
 
 _TABLE_FILE = os.path.join(os.path.dirname(_shortest.__file__), "_shortest_tables.bin")
