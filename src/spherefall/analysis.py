@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analytic, ide, ode
-from .analytic import _roots_from_damping, _sphere, _sphere_samples
+from .analytic import _sphere, _sphere_samples
 from .trajectory import MONOTONE_TOL, Trajectory, steps_against
 from .special import (
     _require,
@@ -158,7 +158,7 @@ def imag_sqrt_alpha_villat(t, kappa):
     which equals -pi Im{sqrt(alpha) Vi(alpha t)} / cos(theta/2) for
     alpha = e^{i theta} (1.8e-12 relative on verify's proof grid).
     """
-    alpha, sqrt_alpha = _roots_from_damping(_sphere(kappa)[0])
+    alpha, sqrt_alpha = _sphere(kappa)[0]
     theta = np.angle(alpha)
     x, y = _proof_peak(t, theta)  # checks t before villat sees it
     direct = (sqrt_alpha * villat(alpha * t)).imag
@@ -239,7 +239,7 @@ def run_default_suite(h: float = 1e-3, points: int = 400) -> list[VerificationRe
     u, du = _sphere_samples(times, kappas)
     lead = np.sqrt(kappas / (100.0 * math.pi))
     grid = np.linspace(0.05, 3.95, 20)
-    alpha, sqrt_alpha = _roots_from_damping(_sphere(grid)[0])
+    alpha, sqrt_alpha = _sphere(grid)[0]
     beta = alpha.conj()
     root_sum = np.sqrt(alpha) + np.sqrt(beta)  # numpy's complex square roots, a second route
     t_grid = np.logspace(-2, 3, 6)[:, None]

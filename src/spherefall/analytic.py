@@ -3,16 +3,17 @@
 Covers the characteristic roots of m^2 + (2-kappa)m + 1, the monotone kernel M(t) of the
 damped oscillator with 1/sqrt(pi(t+t0)) forcing, the sphere released with u(0) = eps,
 which is that oscillator: u(tau) = 1 + (1 - eps) sqrt(kappa) M(tau; b = 2 - kappa)
-(``_sphere`` alone maps kappa to (b, A) and checks kappa in (0, 4) and a finite A), and
-the unique initial conditions whose trajectory stays monotone despite an unstable
-homogeneous problem.  Every closed-form value comes from one evaluator of (M, M'), one
-Faddeeva evaluation: the roots are a conjugate pair, so M and M' are imaginary parts
-over Im alpha.  ``_check_kappa`` and ``_check_damping`` own the physical kappa bound
-(0, 9] and the damping bound (-2, 2), for every solver and layer.
+(``_sphere`` alone maps kappa, never the rounded b, to the roots and A and checks kappa
+in (0, 4) and a finite A), and the unique initial conditions whose trajectory stays
+monotone despite an unstable homogeneous problem.  Every closed-form value comes from one
+evaluator of (M, M'), one Faddeeva evaluation: the roots are a conjugate pair, so M and
+M' are imaginary parts over Im alpha.  ``_check_kappa`` and ``_check_damping`` own the
+physical kappa bound (0, 9] and the damping bound (-2, 2), for every solver and layer.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -66,60 +67,62 @@ def _check_damping(b) -> None:
     _require((-2.0 < b) & (b < 2.0), b, "damping coefficient must lie in (-2, 2), got {}")
 
 
-def _roots_from_damping(b):
-    """(alpha, sqrt(alpha)): alpha = -b/2 + i sqrt((2 - b)(2 + b))/2, a root of m^2 + b m + 1.
+def _roots(p, q):
+    """(alpha, sqrt(alpha)) of m^2 + b m + 1 from the factors p = 2 - b, q = 2 + b of 4 - b^2.
 
-    The other root is conj(alpha).  sqrt(alpha) = (sqrt(2 - b) + i sqrt(2 + b))/2
-    takes real square roots only.  b lies in (-2, 2) (``_check_damping``).  A b of one or
-    more dimensions gives complex arrays of its shape, each element the bits of
-    the scalar values (Python complex, as for a float or 0-d b).
+    alpha = (p - 2)/2 + i sqrt(p q)/2 (p + q = 4), and sqrt(alpha) = (sqrt(p) + i sqrt(q))/2
+    takes real square roots only; the other root is conj(alpha).  Factors of one or more
+    dimensions give complex arrays of their shape, each element the bits of the scalar
+    values (Python complex, as for a float or 0-d factor).
     """
-    _check_damping(b)
-    re, im = -b / 2.0, np.sqrt((2.0 - b) * (2.0 + b)) / 2.0
-    sre, sim = np.sqrt(2.0 - b) / 2.0, np.sqrt(2.0 + b) / 2.0
-    if np.ndim(b) == 0:
+    re, im = (p - 2.0) / 2.0, np.sqrt(p * q) / 2.0
+    sre, sim = np.sqrt(p) / 2.0, np.sqrt(q) / 2.0
+    if np.ndim(p) == 0:
         return complex(re, im), complex(sre, sim)
-    alpha, sqrt_alpha = re.astype(complex), sre.astype(complex)
-    alpha.imag, sqrt_alpha.imag = im, sim
-    return alpha, sqrt_alpha
+    return re + 1j * im, sre + 1j * sim
+
+
+def _roots_from_damping(b):
+    """``_roots`` of the damping b in (-2, 2) (``_check_damping``): the factors 2 - b and 2 + b."""
+    _check_damping(b)
+    return _roots(2.0 - b, 2.0 + b)
 
 
 def char_roots(kappa: float) -> CharRoots:
     """Characteristic roots for density parameter kappa in (0, 9], kappa != 4.
 
-    Complex conjugate pair for kappa < 4 (alpha with Im > 0, |alpha| = 1),
-    real distinct roots for kappa > 4 (alpha the larger).  The double
-    roots at kappa = 4 and where b rounds to 2 are rejected.
+    alpha, beta = (kappa - 2 +- sqrt(kappa (kappa - 4)))/2: a complex conjugate pair for
+    kappa < 4 (alpha with Im > 0, |alpha| = 1), real distinct roots for kappa > 4 (alpha
+    the larger).  The double roots at kappa = 4 and where b rounds to 2 are rejected.
     """
     _check_kappa(kappa)
     if kappa == 4.0:
         raise ValueError("kappa = 4 is the degenerate double-root case")
     if kappa < 4.0:
-        b = _sphere(kappa)[0]
-        alpha = _roots_from_damping(b)[0]
-        return CharRoots(alpha=alpha, beta=alpha.conjugate(), b=b)
-    b = 2.0 - kappa
-    disc = math.sqrt(b * b - 4.0)
-    return CharRoots(alpha=complex((-b + disc) / 2.0), beta=complex((-b - disc) / 2.0), b=b)
+        _sphere(kappa)  # the sphere's floor: b = 2 - kappa must not round to 2
+    disc = cmath.sqrt(kappa * (kappa - 4.0))
+    return CharRoots((kappa - 2.0 + disc) / 2.0, (kappa - 2.0 - disc) / 2.0, 2.0 - kappa)
 
 
 def _sphere(kappa, eps=0.0):
-    """(b, A) of the sphere released with u(0) = eps: v'' + b v' + v = -A/sqrt(pi t) for v = u - 1.
+    """(roots, A) of the sphere from u(0) = eps: v'' + b v' + v = -A/sqrt(pi t) for v = u - 1.
 
-    b = 2 - kappa and a finite A = (1 - eps) sqrt(2 - b): sqrt(kappa) from the rounded b
-    keeps u(0) = eps and u'(0) = 1 - eps for tiny kappa.  kappa is a float or a (k, 1) column.
+    Both come from kappa, not the rounded b = 2 - kappa: ``_roots`` of the factors kappa and
+    4 - kappa of 4 - b^2, and ``_amplitude``.  kappa, a float or a (k, 1) column, lies in
+    (0, 4) and above b's floor, since RK4 integrates with b (``OscillatorProblem.sphere``).
     """
     _require((0.0 < kappa) & (kappa < 4.0), kappa, "kappa must lie in (0, 4), got {}")
-    b = 2.0 - kappa
-    _require(b != 2.0, kappa, "kappa={} is too small: b = 2 - kappa rounds to 2")
-    if isinstance(b, np.ndarray):
-        with np.errstate(over="ignore"):  # an amplitude past the largest double is named below
-            return b, _amplitude((1.0 - eps) * np.sqrt(2.0 - b), eps, kappa)
-    return b, _amplitude((1.0 - eps) * math.sqrt(2.0 - b), eps, kappa)
+    _require(2.0 - kappa != 2.0, kappa, "kappa={} is too small: b = 2 - kappa rounds to 2")
+    return _roots(kappa, 4.0 - kappa), _amplitude(kappa, eps)
 
 
-def _amplitude(A, eps, kappa):
+def _amplitude(kappa, eps):
     """A = (1 - eps) sqrt(kappa), the amplitude of every sphere solver, if it is a double."""
+    if isinstance(kappa, np.ndarray):
+        with np.errstate(over="ignore"):  # an amplitude past the largest double is named below
+            A = (1.0 - eps) * np.sqrt(kappa)
+    else:
+        A = (1.0 - eps) * math.sqrt(kappa)
     _require(abs(A) < math.inf, (eps, kappa),  # a NaN fails too
              "eps={} puts the amplitude (1 - eps) sqrt(kappa) outside the double range at kappa={}")
     return A
@@ -127,17 +130,15 @@ def _amplitude(A, eps, kappa):
 
 def _sphere_samples(t, kappa, eps=0.0):
     """(u, u') = (1 + A M(t), A M'(t)) of the sphere from u(0) = eps; (k, 1) kappas give (k, n)."""
-    b, A = _sphere(kappa, eps)
-    am, adm = monotone_kernel_samples(t, b, A, 0.0)
+    am, adm = _kernel_samples(t, *_sphere(kappa, eps), 0.0)
     return 1.0 + am, adm
 
 
 def u_rest(tau: float, kappa: float) -> float:
     """Velocity of a sphere released from rest, in units of terminal velocity.
 
-    u(tau) = 1 + sqrt(kappa) M(tau; 2 - kappa), the eps = 0 case of
-    u = 1 + (1 - eps) sqrt(kappa) M(tau; 2 - kappa), with u(0) = 0 and
-    u -> 1; evaluated through the Villat function only.
+    u(tau) = 1 + sqrt(kappa) M(tau; 2 - kappa), the eps = 0 case of ``_sphere_samples``:
+    u(0) = 0 and u -> 1.
     """
     return _sphere_samples(tau, kappa)[0]
 
@@ -145,9 +146,8 @@ def u_rest(tau: float, kappa: float) -> float:
 def u_rest_derivative(tau: float, kappa: float) -> float:
     """du/dtau for the rest-start solution: u'(tau) = sqrt(kappa) M'(tau; 2 - kappa).
 
-    With eps != 0 the derivative scales by (1 - eps).  Computed as
-    u' = sqrt(kappa) Im{sqrt(alpha) Vi(alpha tau)} / Im{alpha} > 0;
-    continuous at tau = 0 with u'(0) = 1.
+    u' = sqrt(kappa) Im{sqrt(alpha) Vi(alpha tau)} / Im{alpha} > 0, continuous at tau = 0
+    with u'(0) = 1; with eps != 0 the derivative scales by (1 - eps).
     """
     return _sphere_samples(tau, kappa)[1]
 
@@ -161,25 +161,29 @@ def monotone_kernel_M(t: float, b: float) -> float:
 
 
 def monotone_kernel_samples(times, b, A, t0: float):
-    """(A M(t + t0), A M'(t + t0)) at a time or an array of times: the one evaluator of (M, M').
+    """(A M(t + t0), A M'(t + t0)) of the damping b at a time or times, by ``_kernel_samples``."""
+    return _kernel_samples(times, _roots_from_damping(b), A, t0)
+
+
+def _kernel_samples(times, roots, A, t0: float):
+    """(A M(t + t0), A M'(t + t0)) for roots = (alpha, sqrt(alpha)): the one evaluator of (M, M').
 
     M = [sqrt(beta) Vi(alpha t) - sqrt(alpha) Vi(beta t)] / (alpha - beta) and
     M' = [alpha sqrt(beta) Vi(alpha t) - beta sqrt(alpha) Vi(beta t)] / (alpha - beta)
     are, for beta = conj(alpha) and |alpha| = 1, the quotients
     M = Im{conj(sqrt(alpha)) Vi} / Im alpha and M' = Im{sqrt(alpha) Vi} / Im alpha
-    of Vi = Vi(alpha t) = w(i sqrt(alpha) sqrt(t)): one call of the Faddeeva
-    kernel, as in ``villat``, at an argument of imaginary part
-    Re sqrt(alpha) sqrt(t) >= 0, so no reflection and no branch cut for any
-    t >= 0.  A float time takes the Python complex path; array times
-    broadcast against (k, 1) columns b and A, each entry the scalar value up
-    to the last bits.
+    of Vi = Vi(alpha t) = w(i sqrt(alpha) sqrt(t)): one call of the Faddeeva kernel, as in
+    ``villat``, at an argument of imaginary part Re sqrt(alpha) sqrt(t) >= 0, so no
+    reflection and no branch cut for any t >= 0.  Roots of a float take the Python complex
+    path; array times broadcast against (k, 1) columns of roots and A, each entry the
+    scalar value up to the last bits.
     """
     with np.errstate(over="ignore"):  # a t + t0 past the largest double is named below
         t = np.add(times, t0)
     _require(t >= 0.0, t, "t must be >= 0, got {}")
     _require(t < math.inf, t, "t must be finite, got {}")
-    alpha, sqrt_alpha = _roots_from_damping(b)
-    # sqrt(alpha) of a float b is a Python complex, and so is its product with numpy's sqrt(t).
+    alpha, sqrt_alpha = roots
+    # sqrt(alpha) of a float is a Python complex, and so is its product with numpy's sqrt(t).
     va = _w_rational(1j * sqrt_alpha * np.sqrt(t))
     return (A * ((sqrt_alpha.conjugate() * va).imag / alpha.imag),
             A * ((sqrt_alpha * va).imag / alpha.imag))
@@ -188,10 +192,8 @@ def monotone_kernel_samples(times, b, A, t0: float):
 def monotone_initial_conditions(b: float, A: float, t0: float) -> MonotoneIC:
     """The unique initial state whose trajectory is the monotone one, v(t) = A M(t+t0).
 
-    Returns (A M(t0), A M'(t0)), the start that leaves no growing
-    homogeneous mode.  In the sphere configuration (b = 2-kappa,
-    A = sqrt(kappa), t0 = 0) the value v0 is -1 for every kappa, and
-    v0' = 1.
+    Returns (A M(t0), A M'(t0)), the start that leaves no growing homogeneous mode.
+    For the sphere (b = 2 - kappa, A = sqrt(kappa), t0 = 0), v0 = -1 and v0' = 1.
     """
     _require(t0 >= 0.0, t0, "t0 must be >= 0, got {}")
     _require(t0 < math.inf, t0, "t0 must be finite, got {}")

@@ -296,7 +296,7 @@ def solve_ide(kappa: float, u0: float, h: float, T: float) -> Trajectory:
     that overflows raises ArithmeticError.
     """
     _check_kappa(kappa)
-    _amplitude((1.0 - u0) * math.sqrt(kappa), u0, kappa)
+    _amplitude(kappa, u0)
     times = uniform_grid(h, T)
     n = len(times) - 1
     c = math.sqrt(kappa / math.pi)

@@ -66,13 +66,13 @@ class OscillatorProblem:
 
     @classmethod
     def sphere(cls, kappa: float, eps: float) -> "OscillatorProblem":
-        """The sphere released with u(0) = eps, as the oscillator for v = u - 1.
+        """The sphere released with u(0) = eps, as the oscillator for v = u - 1 that RK4 integrates.
 
-        (b, A) = (2 - kappa, (1 - eps) sqrt(kappa)) from :func:`spherefall.analytic._sphere`,
-        kappa in (0, 4) and A finite; t0 = 0 and the monotone state v0 = eps - 1, v0' = 1 - eps.
+        RK4's damping b = 2 - kappa, and A = (1 - eps) sqrt(kappa) and the kappa checks of
+        :func:`spherefall.analytic._sphere`; t0 = 0, v0 = eps - 1 and v0' = 1 - eps (monotone).
         """
-        b, A = analytic._sphere(kappa, eps)
-        return cls(b=b, A=A, t0=0.0, v0=eps - 1.0, v0_prime=1.0 - eps)
+        A = analytic._sphere(kappa, eps)[1]
+        return cls(b=2.0 - kappa, A=A, t0=0.0, v0=eps - 1.0, v0_prime=1.0 - eps)
 
 
 @dataclass(frozen=True)
@@ -256,14 +256,14 @@ def solve_oscillator(prob: OscillatorProblem, h: float, T: float) -> Trajectory:
     return Trajectory(times[: last + 1], *x[:, : last + 1], meta=meta)  # x's rows are v and v'
 
 
-def _solve(solver: str, prob: OscillatorProblem, h: float, T: float) -> Trajectory:
-    """The monotone trajectory of prob in closed form, or prob integrated by RK4."""
+def _solve(solver: str, prob: OscillatorProblem, h: float, T: float, samples) -> Trajectory:
+    """prob integrated by RK4, or its monotone trajectory in closed form: samples(times)."""
     if solver == "ode":
         return solve_oscillator(prob, h, T)
     if solver != "closed-form":
         raise ValueError(f"unknown solver {solver!r}")
     times = uniform_grid(h, T)
-    values, derivs = analytic.monotone_kernel_samples(times, prob.b, prob.A, prob.t0)
+    values, derivs = samples(times)
     meta = {"solver": "closed-form", "b": prob.b, "A": prob.A, "t0": prob.t0,
             "h": h, "T": (len(times) - 1) * h, "variable": "v"}
     return Trajectory(times=times, values=values, derivatives=derivs, meta=meta)
@@ -278,19 +278,22 @@ def monotone_trajectory(solver: str, b: float, A: float, t0: float, h: float,
     if solver == "ide":
         raise ValueError("the ide solver applies to the sphere problem only")
     ic = analytic.monotone_initial_conditions(b, A, t0)
-    traj = _solve(solver, OscillatorProblem(b=b, A=A, t0=t0, v0=ic.v0, v0_prime=ic.v0_prime), h, T)
+    traj = _solve(solver, OscillatorProblem(b=b, A=A, t0=t0, v0=ic.v0, v0_prime=ic.v0_prime), h, T,
+                  lambda t: analytic.monotone_kernel_samples(t, b, A, t0))
     return traj if solver == "closed-form" else guard_monotone(traj, ic.v0, 0.0)
 
 
 def sphere_trajectory(solver: str, kappa: float, eps: float, h: float, T: float) -> Trajectory:
-    """The sphere released with u(0) = eps: solve_ide, or its oscillator v = u - 1 shifted to u.
+    """The sphere released with u(0) = eps: solve_ide, u in closed form, or RK4's v = u - 1 shifted.
 
     An IDE or RK4 run is held to the paper's theorem, the monotone approach from eps to 1
     (``guard_monotone``); the closed form is not, since ``verify`` checks it.
     """
     if solver == "ide":
         return guard_monotone(ide.solve_ide(kappa, eps, h, T), eps, 1.0)
-    traj = _solve(solver, OscillatorProblem.sphere(kappa, eps), h, T)
-    traj.values += 1.0
+    traj = _solve(solver, OscillatorProblem.sphere(kappa, eps), h, T,
+                  lambda t: analytic._sphere_samples(t, kappa, eps))
+    if solver == "ode":
+        traj.values += 1.0
     traj.meta.update(kappa=kappa, eps=eps, variable="u")
     return traj if solver == "closed-form" else guard_monotone(traj, eps, 1.0)

@@ -11,8 +11,8 @@ The library evaluates the same functions as u = 1 + sqrt(kappa) M(tau)
 through the oscillator kernel, with one Villat call, which rounds
 differently, so the tests compare the two to a tolerance.  The bracket
 here evaluates Vi(beta tau) itself, an independent reference for the
-conjugate symmetry the kernel relies on.  Both take sqrt(kappa) as
-sqrt(2 - b) from the rounded b = 2 - kappa that the roots are built from.
+conjugate symmetry the kernel relies on.  Both take the roots of ``char_roots`` and
+sqrt(kappa) from kappa itself, never through the rounded b = 2 - kappa.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def u_rest_reference(tau: float, kappa: float) -> float:
     roots = char_roots(kappa)
     a, b = roots.alpha, roots.beta
     bracket = villat(a * tau) / cmath.sqrt(a) - villat(b * tau) / cmath.sqrt(b)
-    u = 1.0 + math.sqrt(2.0 - roots.b) / (a - b) * bracket
+    u = 1.0 + math.sqrt(kappa) / (a - b) * bracket
     assert abs(u.imag) <= 1e-13 * (1.0 + abs(u)), f"imaginary residue {u.imag!r} on {u!r}"
     return u.real
 
@@ -38,4 +38,4 @@ def u_rest_derivative_reference(tau: float, kappa: float) -> float:
     """u'(tau) from the guaranteed-real Im form; one Villat evaluation."""
     roots = char_roots(kappa)
     a = roots.alpha
-    return math.sqrt(2.0 - roots.b) * (cmath.sqrt(a) * villat(a * tau)).imag / a.imag
+    return math.sqrt(kappa) * (cmath.sqrt(a) * villat(a * tau)).imag / a.imag

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spherefall import analytic, ide, special
 from spherefall.analysis import imag_sqrt_alpha_villat
@@ -25,8 +25,8 @@ from spherefall.analytic import (
 )
 
 from closed_form_oracle import u_rest_derivative_reference, u_rest_reference
-from mp_oracle import kernel_M_mp, u_rest_mp
-from spherefall.ode import OscillatorProblem, solve_oscillator
+from mp_oracle import _roots_mp, kernel_M_mp, u_laplace_mp, u_rest_mp
+from spherefall.ode import OscillatorProblem, solve_oscillator, sphere_trajectory
 
 # 50-digit oracle values (mp_oracle.py)
 U_REST_1_1 = 0.40676120086217601189
@@ -179,13 +179,51 @@ def test_u_rest_domain_errors():
 
 @pytest.mark.parametrize("kappa", [1e-15, 1e-12, 1e-10, 1e-8, 1e-5])
 def test_small_kappa_sphere_keeps_its_initial_state(kappa):
-    # The amplitude sqrt(2 - b) matches the roots built from the rounded b.
-    assert abs(u_rest(0.0, kappa)) <= 1e-8
-    assert abs(u_rest_derivative(0.0, kappa) - 1.0) <= 1e-8
+    # The roots and the amplitude both come from kappa, so the closed form starts where
+    # the sphere does; RK4 takes the same amplitude, with b = 2 - kappa as its damping only.
+    assert abs(u_rest(0.0, kappa)) <= 1e-15
+    assert abs(u_rest_derivative(0.0, kappa) - 1.0) <= 1e-15
+    u, du = _sphere_samples(np.array([0.0]), kappa, 0.3)
+    assert abs(u[0] - 0.3) <= 1e-15 and abs(du[0] - 0.7) <= 1e-15
     prob = OscillatorProblem.sphere(kappa, 0.3)
-    v, dv = monotone_kernel_samples(np.array([0.0]), prob.b, prob.A, prob.t0)
-    assert abs(v[0] - prob.v0) <= 1e-8
-    assert abs(dv[0] - prob.v0_prime) <= 1e-8
+    assert (prob.b, prob.A) == (2.0 - kappa, (1.0 - 0.3) * math.sqrt(kappa))
+    assert (prob.v0, prob.v0_prime) == (0.3 - 1.0, 1.0 - 0.3)
+
+
+def _heavy_sphere_bound(kappa):
+    """The relative bound on 1 - u in kappa's decade, 10^d <= kappa < 10^(d + 1).
+
+    For t <= 100, 1 - u >= 0.056 sqrt(kappa), so one ulp of u near 1 (1.1e-16) is up to
+    2e-15 / sqrt(kappa) of 1 - u: the bound allows two at the decade's lower end, plus 1e-14.
+    Measured worst over 43 draws a decade: 1.4e-9 (d = -12), 6.7e-11 (-10), 2.0e-11 (-8),
+    2.0e-12 (-6), 1.1e-13 (-4), 4.6e-15 (-2) and 1.6e-15 (0), and 1.2e-15 for kappa from
+    3.9 to 4 - 1e-15.  Roots and amplitude both taken through b = 2 - kappa read 4.4e-5,
+    3.5e-7, 3.4e-9, 5.1e-11, 3.8e-13 and 1.2e-14 in the first six of these decades.
+    """
+    return 1e-14 + 4e-15 / math.sqrt(10.0 ** math.floor(math.log10(kappa)))
+
+
+@given(
+    kappa=st.floats(math.log(1e-12), math.log(4.0)).map(math.exp).filter(lambda k: k < 4.0),
+    t=st.floats(0.05, 100.0),
+)
+@example(kappa=1e-12, t=0.05)
+@example(kappa=1e-12, t=100.0)
+@example(kappa=1e-10, t=0.05)
+@example(kappa=1e-10, t=100.0)
+@example(kappa=1e-8, t=0.05)
+@example(kappa=1e-8, t=100.0)
+@example(kappa=1e-6, t=0.05)
+@example(kappa=1e-6, t=100.0)
+@settings(max_examples=20, deadline=None)
+def test_heavy_sphere_keeps_its_digits(kappa, t):
+    # 1 - u against the 25-digit Laplace form (about 30 ms a call, 1 s for the test), from
+    # u_rest and from the closed-form trajectory on the grid {0, t}.  Roots from 2 - kappa
+    # with A = sqrt(kappa) fail at small t; roots and A both from 2 - kappa, at large t.
+    ref = u_laplace_mp(t, kappa)
+    bound = _heavy_sphere_bound(kappa) * (1.0 - ref)
+    assert abs(u_rest(t, kappa) - ref) <= bound
+    assert abs(sphere_trajectory("closed-form", kappa, 0.0, t, t).values[-1] - ref) <= bound
 
 
 def test_sphere_initial_state_is_exact_down_to_the_resolution_of_b():
@@ -227,11 +265,15 @@ def test_every_sphere_entry_point_rejects_kappa_outside_the_closed_form_domain(e
 
 def test_sphere_map_of_a_column_is_the_scalar_map_per_row():
     kappa = np.array([[1e-10], [0.5], [2.0], [3.9]])
-    b, A = _sphere(kappa, 0.3)
-    assert b.shape == A.shape == (4, 1)
+    (alpha, sqrt_alpha), A = _sphere(kappa, 0.3)
+    assert alpha.shape == sqrt_alpha.shape == A.shape == (4, 1)
     for row, k in enumerate(kappa[:, 0].tolist()):
-        scalar = (2.0 - k, (1.0 - 0.3) * math.sqrt(2.0 - (2.0 - k)))
-        assert (b[row, 0], A[row, 0]) == _sphere(k, 0.3) == scalar
+        (a, s), amp = _sphere(k, 0.3)
+        assert (alpha[row, 0], sqrt_alpha[row, 0], A[row, 0]) == (a, s, amp)
+        # The kappa route: sqrt(alpha) = (sqrt(kappa) + i sqrt(4 - kappa))/2, A = 0.7 sqrt(kappa).
+        assert s == complex(math.sqrt(k), math.sqrt(4.0 - k)) / 2.0
+        assert amp == (1.0 - 0.3) * math.sqrt(k)
+        assert abs(a - complex(_roots_mp(k)[0])) <= 4e-16
     u, du = _sphere_samples(np.array([0.0, 1.0, 10.0]), kappa, 0.3)
     assert u.shape == du.shape == (4, 3)
     for row, k in enumerate(kappa[:, 0].tolist()):
@@ -370,10 +412,9 @@ def test_sphere_kernel_form_matches_reference_forms(kappa, tau, eps):
     du = u_rest_derivative(tau, kappa)
     assert abs(du - du_ref) <= 1e-14
     assert du > 0.0
-    prob = OscillatorProblem.sphere(kappa, eps)
-    v, dv = monotone_kernel_samples(np.array([tau]), prob.b, prob.A, prob.t0)
-    assert abs(1.0 + v[0] - ((1.0 - eps) * u_ref + eps)) <= ARRAY_ATOL
-    assert abs(dv[0] - (1.0 - eps) * du_ref) <= ARRAY_ATOL
+    u, du = _sphere_samples(np.array([tau]), kappa, eps)
+    assert abs(u[0] - ((1.0 - eps) * u_ref + eps)) <= ARRAY_ATOL
+    assert abs(du[0] - (1.0 - eps) * du_ref) <= ARRAY_ATOL
 
 
 def test_kernel_samples_match_scalar_kernel():

@@ -22,7 +22,7 @@ from spherefall.ode import (
     solve_oscillator,
     sphere_trajectory,
 )
-from mp_oracle import vp_mp
+from mp_oracle import u_laplace_mp, vp_mp
 from rk4_oracle import solve_oscillator_loop
 
 # 50-digit oracle values of the run from rest at b = -1, A = 1, t0 = 1 (mp_oracle.py)
@@ -120,6 +120,23 @@ def test_sphere_case_matches_closed_form():
     traj = solve_oscillator(prob, 1e-3, 10.0)
     ref = np.array([analytic.u_rest(t, kappa) - 1.0 for t in traj.times])
     assert np.max(np.abs(traj.values[1:] - ref[1:])) <= 1e-5
+
+
+@pytest.mark.parametrize("solver, kappa, bound", [
+    *[("closed-form", kappa, 1e-10) for kappa in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4)],
+    ("ode", 1e-12, 1e-9),
+    ("ode", 1e-8, 1e-9),
+])
+def test_heavy_sphere_on_the_grid_holds_the_laplace_form(solver, kappa, bound):
+    # The relative error of 1 - u at h = 0.01, against the 25-digit Laplace form.  Measured:
+    # the closed form reads at most 1.9e-11 (kappa 1e-8), one ulp of u near 1, and RK4
+    # 3.4e-10, its own error at this step.  With the roots and RK4's amplitude taken
+    # through b = 2 - kappa, they read 4.4e-5 at kappa 1e-12 and 3.1e-9 at 1e-8.
+    traj = sphere_trajectory(solver, kappa, 0.0, 0.01, 100.0)
+    for t in (0.05, 0.5, 1.0, 5.0, 20.0, 100.0):
+        i = round(t / 0.01)
+        ref = u_laplace_mp(traj.times[i], kappa)
+        assert abs(traj.values[i] - ref) <= bound * (1.0 - ref), t
 
 
 def test_run_from_rest_starts_at_zero():
