@@ -43,7 +43,8 @@ against exp(-s^2) / ((s - x)^2 + y^2), one rule with
 geometrically away from the Lorentzian peak, whose error estimate (the
 change when every panel is split in two) raises AccuracyError when it is
 too large.  They take floats or arrays; over an array each point keeps
-its own panels, padded with empty ones.
+its own panels, padded with empty ones.  The suite reads both parts of
+w(x+iy) from one pass over those panels (``_faddeeva_quadrature``).
 """
 
 from __future__ import annotations
@@ -321,20 +322,22 @@ def _panel_sum(f, edges: np.ndarray) -> np.ndarray:
 
 
 def _window_quadrature(numerator, peak, width):
-    """(value, error estimate) of the integral over |s| <= 9 of N exp(-s^2) / (d^2 + width^2).
+    """(value, change) of the integral over |s| <= 9 of N exp(-s^2) / (d^2 + width^2).
 
     N = numerator(d, s, width) at the offset d = s - peak from the
     Lorentzian's peak, of half-width width > 0.  Working in d places the
     nodes near the peak exactly, however narrow it is.  32-point
     Gauss-Legendre panels have edges at d = +-width * 4^j below 18 and at
     s = 0 and +-9, so they grade geometrically away from the peak.  The
-    value is the sum over every panel split in two; the estimate is its
-    distance from the sum over the undivided panels.  peak and width
+    value is the sum over every panel split in two; its error estimate is
+    its distance from the sum over the undivided panels.  peak and width
     broadcast: numerator gets d and s of shape peak.shape + (panels, 32)
-    and width of shape peak.shape + (1, 1), and the value and estimate
-    have the shape of peak (floats for floats).  The narrowest width sets
-    the count of graded edges; a point that needs fewer has the rest
-    clipped onto the window ends, where they bound empty panels.
+    and width of shape peak.shape + (1, 1), and the value and change
+    have the shape of peak (floats for floats).  The change is the value
+    less the undivided sum, signed, so that a complex numerator gives each
+    part its own estimate.  The narrowest width sets the count of graded
+    edges; a point that needs fewer has the rest clipped onto the window
+    ends, where they bound empty panels.
     """
     peak, width = np.broadcast_arrays(peak, width)
     count, step = 0, np.min(width, initial=np.inf)
@@ -352,20 +355,33 @@ def _window_quadrature(numerator, peak, width):
     def integrand(d: np.ndarray) -> np.ndarray:
         s = pd + d
         with np.errstate(over="ignore"):  # past |peak| ~ 1e154 at d ~ -peak, where the weight is 0
-            return numerator(d, s, wd) * np.exp(-s * s) / (d * d + wd * wd)
+            top = numerator(d, s, wd)
+            if np.iscomplexobj(top):  # one real quotient: a complex one costs more than two parts
+                return top * (np.exp(-s * s) / (d * d + wd * wd))
+            return top * np.exp(-s * s) / (d * d + wd * wd)
 
     value = _panel_sum(integrand, halves)[()]  # [()] turns 0-d into a float
-    return value, np.abs(value - _panel_sum(integrand, edges))
+    return value, value - _panel_sum(integrand, edges)
 
 
-def _poisson_quadrature(x, y, numerator, name: str):
+def _poisson_quadrature(x, y, numerator, names: tuple):
+    """(1/pi) times the integral of N exp(-s^2) / ((x-s)^2 + y^2) over |s| <= 9, y > 0.
+
+    N = numerator(d, s, y) at d = s - x.  A real N gives one part of w(x+iy), checked
+    under names[0]; a complex one both parts at once, the real part checked first,
+    under names[0], and the imaginary part under names[1].  Each part raises
+    AccuracyError where its own error estimate exceeds 1e-10.
+    """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    _require(~(y <= 0.0), y, name + ": requires y > 0, got {}")
+    _require(~(y <= 0.0), y, names[0] + ": requires y > 0, got {}")
     _require(np.isfinite(x) & np.isfinite(y), (x, y),
-             name + ": arguments must be finite, got x={}, y={}")
-    val, est = _window_quadrature(numerator, x, y)  # the Lorentzian peaks at s = x
-    _require(est <= 1e-10, (est, x, y),  # a NaN estimate is a failure too
-             name + ": quadrature did not converge (est={:.2e}) at x={}, y={}", AccuracyError)
+             names[0] + ": arguments must be finite, got x={}, y={}")
+    val, change = _window_quadrature(numerator, x, y)  # the Lorentzian peaks at s = x
+    for part, name in zip((change.real, change.imag), names):
+        est = np.abs(part)
+        _require(est <= 1e-10, (est, x, y),  # a NaN estimate is a failure too
+                 name + ": quadrature did not converge (est={:.2e}) at x={}, y={}",
+                 AccuracyError)
     return val / math.pi
 
 
@@ -380,12 +396,25 @@ def faddeeva_re_quadrature(x, y):
     doubled-panel error estimate exceeds 1e-10, as it does once y is
     small enough for y * y to underflow.
     """
-    return _poisson_quadrature(x, y, lambda d, s, y: y, "faddeeva_re_quadrature")
+    return _poisson_quadrature(x, y, lambda d, s, y: y, ("faddeeva_re_quadrature",))
 
 
 def faddeeva_im_quadrature(x, y):
     """Im w(x+iy) from (1/pi) * integral of (x-s) exp(-s^2) / ((x-s)^2 + y^2), y > 0."""
-    return _poisson_quadrature(x, y, lambda d, s, y: -d, "faddeeva_im_quadrature")
+    return _poisson_quadrature(x, y, lambda d, s, y: -d, ("faddeeva_im_quadrature",))
+
+
+def _faddeeva_quadrature(x, y):
+    """w(x+iy), both parts of the two oracles above from one quadrature pass, y > 0.
+
+    The numerator y - i(s - x) shares the panels, exp(-s^2) and the Lorentzian
+    between the parts, which agree with ``faddeeva_re_quadrature`` and
+    ``faddeeva_im_quadrature`` to rounding and raise their errors.  The weight
+    exp(-s^2) / ((x-s)^2 + y^2) is formed before the numerator multiplies it,
+    so peaks are resolved down to y of about 1e-154, where it overflows.
+    """
+    return _poisson_quadrature(x, y, lambda d, s, y: y - 1j * d,
+                               ("faddeeva_re_quadrature", "faddeeva_im_quadrature"))
 
 
 # ----------------------------------------------------------------------

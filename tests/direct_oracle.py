@@ -2,7 +2,8 @@
 
 These are the straightforward O(n^2) loops: the step-by-step march of
 the memory equation and the per-index history sum, both with the
-sqrt(t) starting correction written out row by row.  They read the
+sqrt(t) starting correction written out row by row, and the power
+series reciprocal by forward substitution.  They read the
 rules' errors on sqrt(t) from ``ide._sqrt_errors``, as they read the
 weights from ``ide._abel_kernel``; the tests pin both against 40-digit
 sums.  The library evaluates the same quadrature with FFT convolutions,
@@ -85,3 +86,15 @@ def abel_history_direct(samples: np.ndarray, h: float) -> np.ndarray:
     for k in range(1, n + 1):
         out[k] = right[0:k] @ samples[k:0:-1] + left[0:k] @ samples[k - 1 :: -1] + beta * h * eps[k]
     return out
+
+
+def reciprocal_direct(t: np.ndarray, n: int) -> np.ndarray:
+    """First n coefficients of the power series 1/t(z), one dot product per coefficient.
+
+    g_0 = 1/t_0 and g_k = -(t_1 g_{k-1} + ... + t_k g_0) / t_0: the coefficient k of t g is 0.
+    """
+    g = np.empty(n)
+    g[0] = 1.0 / t[0]
+    for k in range(1, n):
+        g[k] = -(t[1 : k + 1] @ g[k - 1 :: -1]) / t[0]
+    return g

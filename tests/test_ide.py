@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from direct_oracle import abel_history_direct, solve_ide_direct
+from direct_oracle import abel_history_direct, reciprocal_direct, solve_ide_direct
 from mp_oracle import abel_cell_mp, sqrt_errors_mp, u_laplace_mp
 from spherefall import analytic, ide
 from spherefall.ide import _abel_kernel, _fft_size, _quotient, _sqrt_errors, abel_history, solve_ide
@@ -18,8 +18,11 @@ from spherefall.trajectory import Trajectory, uniform_grid
 
 # Grid lengths at and next to powers of two, where the last Newton pass of
 # the half-length reciprocal is full or partial, plus ones that are not
-# powers of two and span several doublings.
-_EDGE_STEPS = [1, 2, 3, 4, 5, 63, 64, 65, 337, 1024, 1025, 2049, 3001]
+# powers of two and span several doublings.  1023-1026 straddle the
+# reciprocal's crossover (ide._DIRECT_UP_TO = 512): the half-length
+# reciprocal of 1023 and 1024 steps is direct products only, that of 1025
+# and 1026 ends with one FFT pass.
+_EDGE_STEPS = [1, 2, 3, 4, 5, 63, 64, 65, 337, 1023, 1024, 1025, 1026, 2049, 3001]
 _steps = st.one_of(st.sampled_from(_EDGE_STEPS), st.integers(min_value=1, max_value=512))
 _kappas = st.floats(min_value=0.0, max_value=9.0, exclude_min=True, exclude_max=True)
 _hs = st.floats(min_value=1e-3, max_value=5e-2)
@@ -150,6 +153,16 @@ def test_sqrt_errors_match_40_digit_sums():
         assert abs(tau[k] - t) <= (1e-15 * k**1.5 if summed else 5e-17), (k, tau[k], t)
 
 
+def test_sqrt_errors_read_the_same_bits_at_every_length():
+    # The summed head below k = 128 is built once, at import: the errors are one sequence
+    # in k, so every n reads its prefix, bit for bit.
+    eps, tau = _sqrt_errors(3001)
+    for n in list(range(300)) + [1024, 3000]:
+        e, t = _sqrt_errors(n)
+        assert e.tobytes() == eps[:n + 1].tobytes(), n
+        assert t.tobytes() == tau[:n + 1].tobytes(), n
+
+
 def test_sqrt_error_expansions_are_their_zeta_values():
     # Abel: K_i M_i + f_{i+1} N_{i+1} (see ide._ABEL_TAIL); trapezoid: the Euler-Maclaurin
     # terms f_p (-zeta(-p)) of the sum of sqrt(j), and the limit -zeta(-1/2).
@@ -253,6 +266,8 @@ def test_discrete_residual_closes_at_every_grid_point(kappa):
 
 @given(_kappas, st.floats(min_value=0.0, max_value=1.0), _hs, _steps)
 @example(kappa=9.0, u0=0.0, h=1e-3, n=3001)  # the massless sphere, the edge of the domain
+@example(kappa=2.5, u0=0.0, h=1e-3, n=1024)  # the last grid whose reciprocal runs no FFT
+@example(kappa=2.5, u0=0.0, h=1e-3, n=1025)  # the first whose reciprocal ends with one
 @settings(max_examples=40, deadline=None)
 def test_solver_matches_direct_step_loop(kappa, u0, h, n):
     traj = solve_ide(kappa, u0, h, n * h)
@@ -262,20 +277,52 @@ def test_solver_matches_direct_step_loop(kappa, u0, h, n):
     assert np.max(np.abs(traj.derivatives - d)) <= 1e-12
 
 
+def _solver_column(kappa: float, h: float, n: int) -> np.ndarray:
+    """The Toeplitz column t of solve_ide's system, lags 0..n."""
+    a, _ = _abel_kernel(n, h)
+    c = math.sqrt(kappa / math.pi)
+    t = c * a + h
+    t[0] = 1.0 + 0.5 * h + c * a[0]
+    return t
+
+
 @pytest.mark.parametrize("kappa", [0.5, 2.9, 9.0])
-@pytest.mark.parametrize("n", [1, 2, 3, 1024, 1025, 10001])
+@pytest.mark.parametrize("n", [1, 2, 3, 1023, 1024, 1025, 1026, 10001])
 def test_quotient_solves_the_solver_system(kappa, n):
     # The Toeplitz column t and right-hand side of solve_ide: the product
     # t * d, summed directly, gives rhs back to rounding.
     h = 1e-3
-    a, first = _abel_kernel(n, h)
-    c = math.sqrt(kappa / math.pi)
-    t = c * a + h
-    t[0] = 1.0 + 0.5 * h + c * a[0]
-    rhs = 1.0 - 0.5 * h - c * first[1:]
+    t = _solver_column(kappa, h, n)
+    rhs = 1.0 - 0.5 * h - math.sqrt(kappa / math.pi) * _abel_kernel(n, h)[1][1:]
     d = _quotient(t, rhs)
     assert len(d) == n
     assert np.max(np.abs(np.convolve(t[:n], d)[:n] - rhs)) <= 1e-14 * np.max(np.abs(rhs))
+
+
+@pytest.mark.parametrize("kappa", [0.5, 2.5, 9.0])
+@pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 1025, 2500, 15000])
+def test_reciprocal_matches_forward_substitution(kappa, n):
+    # Direct products up to 512 coefficients, FFT products above: both within
+    # 1.7e-16 of the largest coefficient here.
+    t = _solver_column(kappa, 1e-3, n)
+    g, ref = ide._reciprocal(t, n), reciprocal_direct(t, n)
+    assert len(g) == n
+    assert np.max(np.abs(g - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_no_fft_runs_at_or_below_the_crossover(monkeypatch):
+    calls = []
+    for name in ("rfft", "irfft"):
+        transform = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *args, _f=transform, _n=name, **kwargs:
+                            calls.append(_n) or _f(*args, **kwargs))
+    t = _solver_column(2.5, 1e-3, 1024)
+    for n in (1, 2, 3, 257, 511, 512):
+        ide._reciprocal(t, n)
+    assert calls == []
+    # One pass past it: g's spectrum, then t g and g r, each a transform and its inverse.
+    ide._reciprocal(t, 513)
+    assert sorted(calls) == ["irfft"] * 2 + ["rfft"] * 3
 
 
 def test_the_solve_builds_its_system_in_place():

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from spherefall import special
 from spherefall.special import (
     AccuracyError,
+    _faddeeva_quadrature,
     faddeeva,
     faddeeva_im_quadrature,
     faddeeva_re_quadrature,
@@ -138,6 +139,39 @@ def test_quadrature_oracles_raise_where_the_peak_is_unresolved(quadrature, y):
     # An array raises when any element does, and names the first of them.
     with pytest.raises(AccuracyError, match=r"did not converge .* at x=2\.0, y=1e-200$"):
         quadrature(2.0, y)
+
+
+def test_the_one_pass_quadrature_is_the_two_oracles_to_rounding():
+    # Both parts share the panels and one real quotient exp(-s^2) / ((x-s)^2 + y^2),
+    # which the oracles take after their own numerators: up to 6.6e-16 apart here.
+    xs, ys = np.linspace(-6.0, 6.0, 25)[:, None], np.logspace(-11.0, 0.5, 12)
+    w = _faddeeva_quadrature(xs, ys)
+    assert w.shape == (25, 12)
+    assert np.max(np.abs(w.real - faddeeva_re_quadrature(xs, ys))) <= 2e-15
+    assert np.max(np.abs(w.imag - faddeeva_im_quadrature(xs, ys))) <= 2e-15
+    assert type(_faddeeva_quadrature(-0.5, 0.8)) in (complex, np.complex128)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("x, y", [(2.0, 1e-200), (2.0, np.array([[1.0, 1e-200], [1e-210, 0.5]])),
+                                  (np.array([0.0, 1.0]), np.array([[1.0], [-0.5], [0.0]])),
+                                  (np.array([0.0, np.inf, np.nan]), 1.0)])
+def test_the_one_pass_quadrature_raises_the_oracles_errors(x, y):
+    # The real part is checked first, as the oracles were called, each under its own name.
+    with pytest.raises((AccuracyError, ValueError)) as oracles:
+        faddeeva_re_quadrature(x, y)
+        faddeeva_im_quadrature(x, y)
+    with pytest.raises(type(oracles.value), match=f"^{re.escape(str(oracles.value))}$"):
+        _faddeeva_quadrature(x, y)
+
+
+def test_the_imaginary_part_is_checked_under_its_own_name():
+    # An imaginary numerator that cancels the Lorentzian leaves |s - x| exp(-s^2), whose
+    # kink the undivided panel around the peak misses; the real part converges.
+    with pytest.raises(AccuracyError, match=r"^second: quadrature did not converge \(est=\S+\) "
+                                            r"at x=0\.5, y=1\.0$"):
+        special._poisson_quadrature(0.5, 1.0, lambda d, s, y: y + 1j * np.abs(d) * (d * d + y * y),
+                                    ("first", "second"))
 
 
 def test_faddeeva_on_imaginary_axis_real_positive_decreasing():
