@@ -26,14 +26,14 @@ at order ~2 at the same cost.
 The weights depend only on the lag n - j, so the history sum is a
 Toeplitz convolution built from one lag kernel, :func:`_abel_kernel`,
 whose weights hold a few ulps at every lag.  Reading the history
-back at every grid point is one FFT convolution (:func:`abel_history`),
+back at every grid point is one causal product (:func:`abel_history`),
 and the causal solve divides the lower-triangular Toeplitz system
 t(z) d(z) = rhs(z) once, as a power series (:func:`_quotient`): both
-take O(n log n) time and O(n) memory, on FFT lengths of the form
-2^a 3^b 5^c (:func:`_fft_size`), and both match the direct sums to
-rounding.  Below a measured crossover the division's Newton doublings
-are direct products instead (:data:`_DIRECT_UP_TO`), and the rules'
-errors on sqrt(t) below k = 128 are summed once, at import.
+take O(n log n) time and O(n) memory, and both match the direct sums to
+rounding.  Every series product goes through one rule, :func:`_product`:
+direct up to a measured crossover (:data:`_DIRECT_UP_TO`) and by FFT
+above it, on lengths of the form 2^a 3^b 5^c (:func:`_fft_size`).  The
+rules' errors on sqrt(t) below k = 128 are summed once, at import.
 """
 
 from __future__ import annotations
@@ -84,12 +84,29 @@ def _fft_size(m: int) -> int:
     return best
 
 
-def _cyclic(spectrum: np.ndarray, f: np.ndarray, size: int) -> np.ndarray:
-    """The cyclic product of the given size of f and the series whose rfft is spectrum.
+# Products of up to this many coefficients are summed directly, and longer ones taken
+# by FFT.  At n = 2500 the reciprocal took 0.40 ms with the crossover at 512, against
+# 0.42 ms at 256, 0.45 ms at 1024 and 0.63 ms by FFT alone.  On one Xeon core (medians
+# of 9 x 50 runs) the quotient's three products took 60 us directly against 70 us by FFT
+# at 512, and the Abel operator's two applications 24 us against 42 us at 511; the
+# quotient crosses over between 640 and 768 coefficients, the Abel operator above 767.
+_DIRECT_UP_TO = 512
 
-    Each coefficient j >= size of the full product adds onto j - size.
+
+def _product(a: np.ndarray, size: int):
+    """f -> the first size coefficients of the power series a(z) f(z), the one product rule.
+
+    A term of degree j >= size may wrap onto j - size, so a caller reads only the
+    coefficients that no wrapped term reaches.  Up to _DIRECT_UP_TO coefficients the
+    product is direct, in O(size^2) time that costs less than the FFTs' fixed work at
+    these lengths; above it a's spectrum on the cyclic length _fft_size(size) is taken
+    once, and each f costs one rfft/irfft pair.  An empty factor is the zero series.
     """
-    return np.fft.irfft(spectrum * np.fft.rfft(f, size), size)
+    if size > _DIRECT_UP_TO:
+        cyclic = _fft_size(size)
+        spectrum = np.fft.rfft(a, cyclic)
+        return lambda f: np.fft.irfft(spectrum * np.fft.rfft(f, cyclic), cyclic)[:size]
+    return lambda f: np.convolve(a, f)[:size] if len(a) and len(f) else np.zeros(max(size, 0))
 
 
 # The second difference sqrt(0) - 2 sqrt(1) + sqrt(2) of sqrt(k): times sqrt(h), that of
@@ -125,7 +142,7 @@ def _sqrt_error_head() -> tuple[np.ndarray, np.ndarray]:
     """eps_k and tau_k of :func:`_sqrt_errors` for k below _TAIL_FROM, summed directly."""
     k = np.arange(_TAIL_FROM, dtype=float)
     root = np.sqrt(k)
-    eps = 0.5 * math.pi * k - np.convolve(_abel_kernel(_TAIL_FROM - 1, 1.0)[0], root)[:_TAIL_FROM]
+    eps = 0.5 * math.pi * k - _product(_abel_kernel(_TAIL_FROM - 1, 1.0)[0], _TAIL_FROM)(root)
     tau = (2.0 / 3.0) * k * root - (np.cumsum(root) - 0.5 * root)
     return eps, tau
 
@@ -170,8 +187,8 @@ def abel_history(samples: np.ndarray, h: float) -> np.ndarray:
     h eps_k (:func:`_sqrt_errors`).  The sum is the rule on f - beta sqrt(t)
     plus beta's exact (pi/2) t_k, so it is exact on a + b t + c sqrt(t), the
     start of every solution of the memory equation; below three samples it is
-    the plain rule.  One causal FFT convolution at every k at once: O(n log n)
-    for n + 1 samples.  Entry 0 is 0.  This is the library's only read-back of
+    the plain rule.  One causal product at every k at once (:func:`_product`):
+    O(n log n) for n + 1 samples.  Entry 0 is 0.  This is the library's only read-back of
     the memory integral: the Basset force goes through it, and the Abel
     inversion check through its operator (:func:`_abel_operator`), built once
     for both of its layers.  A history that is not finite raises
@@ -189,22 +206,20 @@ def _abel_operator(n: int, h: float):
     """:func:`abel_history` on n + 1 samples at step h, as a function of the samples.
 
     What depends on (n, h) alone is built once: the first node's weights,
-    the spectrum of the lag weights on the smallest fast FFT length above
-    the product's top degree 2n - 2 (so no coefficient wraps around), and
-    the rule's errors on sqrt(t).  Each application is then one rfft/irfft
-    pair and the starting correction.
+    the lag weights' product on the full 2n - 1 coefficients, so that
+    nothing wraps, and the rule's errors on sqrt(t).  Each application is
+    then one product and the starting correction.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised when applied
         a, first = _abel_kernel(n, h)
-        size = _fft_size(2 * n - 1)
-        spectrum = np.fft.rfft(a[:n], size)
+        times_a = _product(a[:n], 2 * n - 1)
         first = first[1:]
         eps = _sqrt_errors(n)[0][1:] if n >= 2 else None
 
     def apply(f: np.ndarray) -> np.ndarray:
         out = np.zeros(n + 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            out[1:] = _cyclic(spectrum, f[1:], size)[:n] + first * f[0]
+            out[1:] = times_a(f[1:])[:n] + first * f[0]
             if n >= 2:
                 beta = (f[0] - 2.0 * f[1] + f[2]) / (math.sqrt(h) * _ROOT_SECOND_DIFFERENCE)
                 out[1:] += beta * h * eps
@@ -215,37 +230,23 @@ def _abel_operator(n: int, h: float):
     return apply
 
 
-# Newton doublings up to this many coefficients run as direct products (np.convolve),
-# and the longer ones by FFT: at n = 2500 the reciprocal took 0.40 ms with the
-# crossover at 512, against 0.42 ms at 256, 0.45 ms at 1024 and 0.63 ms by FFT alone.
-_DIRECT_UP_TO = 512
-
-
 def _reciprocal(t: np.ndarray, n: int) -> np.ndarray:
     """First n coefficients of the power series 1/t(z), t[0] != 0.
 
     Newton's iteration g <- g + g (1 - t g) (Kung, Numer. Math. 22, 1974,
     341).  When g holds the first k coefficients, t g = 1 + z^k r(z), so
     one pass needs only the coefficients k..m-1 of t g and appends those
-    of -g r, doubling the length up to m = min(2k, n): O(n log n).  A pass
-    up to m = _DIRECT_UP_TO takes both products directly, in O(m^2) time
-    that costs less than the FFTs' fixed work at these lengths; so for
-    n <= _DIRECT_UP_TO no FFT runs.  Above it both products of a pass share
-    g's spectrum on one cyclic length >= m: every wrapped term of t g lands
-    below k, and g r has degree below m.
+    of -g r, doubling the length up to m = min(2k, n): O(n log n).  Both
+    products of a pass are g's on m coefficients: every wrapped term of
+    t g lands below k, and g r has degree below m.
     """
     g = np.array([1.0 / t[0]])
     k = 1
     while k < n:
         m = min(2 * k, n)
-        if m <= _DIRECT_UP_TO:
-            r = np.convolve(g, t[:m])[k:m]
-            g = np.concatenate((g, -np.convolve(g, r)[:m - k]))
-        else:
-            size = _fft_size(m)
-            spectrum = np.fft.rfft(g, size)
-            r = _cyclic(spectrum, t[:m], size)[k:m]
-            g = np.concatenate((g, -_cyclic(spectrum, r, size)[:m - k]))
+        times_g = _product(g, m)
+        r = times_g(t[:m])[k:m]
+        g = np.concatenate((g, -times_g(r)[:m - k]))
         k = m
     return g
 
@@ -257,16 +258,14 @@ def _quotient(t: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     step of Karp and Markstein (ACM TOMS 23, 1997, 561): q = g rhs mod z^k
     solves the first k equations, the remaining ones leave the residual
     rhs - t q = z^k e + O(z^n), and since n - k <= k, d = q + z^k (g e) mod z^n.
-    Every product runs on one cyclic length >= n, which also reads the
-    coefficients k..n-1 of t q exactly, as every wrapped term lands below k.
+    Every product is on n coefficients, so each wrapped term of t q lands below k.
     """
     n = len(rhs)
     k = (n + 1) // 2
-    size = _fft_size(n)
-    spectrum = np.fft.rfft(_reciprocal(t, k), size)
-    q = _cyclic(spectrum, rhs[:k], size)[:k]
-    e = rhs[k:] - _cyclic(np.fft.rfft(t[:n], size), q, size)[k:n]
-    return np.concatenate((q, _cyclic(spectrum, e, size)[:n - k]))
+    times_g = _product(_reciprocal(t, k), n)
+    q = times_g(rhs[:k])[:k]
+    e = rhs[k:] - _product(t[:n], n)(q)[k:n]
+    return np.concatenate((q, times_g(e)[:n - k]))
 
 
 def _system(c: float, d0: float, h: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

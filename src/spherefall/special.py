@@ -354,14 +354,16 @@ def _window_quadrature(numerator, peak, width):
 
     def integrand(d: np.ndarray) -> np.ndarray:
         s = pd + d
-        with np.errstate(over="ignore"):  # past |peak| ~ 1e154 at d ~ -peak, where the weight is 0
-            top = numerator(d, s, wd)
-            if np.iscomplexobj(top):  # one real quotient: a complex one costs more than two parts
-                return top * (np.exp(-s * s) / (d * d + wd * wd))
-            return top * np.exp(-s * s) / (d * d + wd * wd)
+        top = numerator(d, s, wd)
+        if np.iscomplexobj(top):  # one real quotient: a complex one costs more than two parts
+            return top * (np.exp(-s * s) / (d * d + wd * wd))
+        return top * np.exp(-s * s) / (d * d + wd * wd)
 
-    value = _panel_sum(integrand, halves)[()]  # [()] turns 0-d into a float
-    return value, value - _panel_sum(integrand, edges)
+    # Past |peak| ~ 1e154 the weight overflows at d ~ -peak, where it is 0.  A peak too
+    # narrow to resolve is y/0 or 0/0 at a node: the caller raises on its inf or NaN change.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        value = _panel_sum(integrand, halves)[()]  # [()] turns 0-d into a float
+        return value, value - _panel_sum(integrand, edges)
 
 
 def _poisson_quadrature(x, y, numerator, names: tuple):

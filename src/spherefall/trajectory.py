@@ -4,6 +4,7 @@ monotone rule that every solver run and every check holds it to."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +61,10 @@ class Trajectory:
 
 
 def _step_count(h: float, T: float) -> int:
-    """n = max(1, round(T / h)) steps to the horizon T, after checking that h and T make a grid."""
+    """n = max(1, round(T / h)) steps to the horizon T, after checking that h and T make a grid.
+
+    A grid of n + 1 doubles must also fit in sys.maxsize bytes, the most numpy can size.
+    """
     if not (math.isfinite(h) and math.isfinite(T)):
         raise ValueError(f"h and T must be finite, got h={h}, T={T}")
     if h <= 0.0:
@@ -69,7 +73,11 @@ def _step_count(h: float, T: float) -> int:
         raise ValueError(f"horizon T={T} must be at least one step h={h}")
     if T / h == math.inf:
         raise ValueError(f"T/h must be a finite step count, got T={T}, h={h}")
-    return max(1, int(round(T / h)))
+    n = max(1, int(round(T / h)))
+    if 8 * (n + 1) > sys.maxsize:
+        raise ValueError(f"T/h must be a step count whose grid numpy can size, got {n:.6g} steps "
+                         f"from T={T}, h={h}")
+    return n
 
 
 def uniform_grid(h: float, T: float) -> np.ndarray:

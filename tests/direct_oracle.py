@@ -6,9 +6,9 @@ sqrt(t) starting correction written out row by row, and the power
 series reciprocal by forward substitution.  They read the
 rules' errors on sqrt(t) from ``ide._sqrt_errors``, as they read the
 weights from ``ide._abel_kernel``; the tests pin both against 40-digit
-sums.  The library evaluates the same quadrature with FFT convolutions,
-which reorders the floating-point sums, so the tests compare the two to
-a tolerance.
+sums.  The library evaluates the same quadrature with causal products,
+direct up to 512 coefficients and by FFT above, which reorder the
+floating-point sums, so the tests compare the two to a tolerance.
 """
 
 from __future__ import annotations

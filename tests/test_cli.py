@@ -203,7 +203,7 @@ def test_drag_force_decomposition(tmp_path):
 
 
 def test_drag_columns_match_per_row_history(tmp_path):
-    # The table reads the Basset history back with one FFT convolution;
+    # The table reads the Basset history back with one causal product;
     # per-row direct sums over the printed trajectory must agree with it.
     out = tmp_path / "drag.csv"
     p = PhysicalParams(rho_s=2500.0, rho=1000.0, mu=0.1, R=1e-3, g=9.8)
@@ -376,7 +376,14 @@ def test_usage_errors_exit_one(tmp_path, capsys):
             # so is a finite one that is an infinite number of steps.
             refused(base + ["--T", "inf"])
             refused(base + ["--T", "1e300", "--h", "1e-300"])
+            # A finite count whose grid numpy cannot size is named with h and T.
+            err = refused(base + ["--T", "1", "--h", "1e-300"])
+            assert err == ("error: T/h must be a step count whose grid numpy can size, "
+                           "got 1e+300 steps from T=1.0, h=1e-300\n")
     assert not out.exists()
+    err = refused(["verify", "--h", "1e-300", "--points", "2", "--out", str(verify_out)])
+    assert err == ("error: T/h must be a step count whose grid numpy can size, "
+                   "got 1e+301 steps from T=10.0, h=1e-300\n")
     # drag's h and T are seconds, and h B and T B viscous times in the solve (B = 266.3 per
     # second here); a bad grid is named by the values typed.
     drag = ["drag", "--rho-s", "1190", "--rho", "1000", "--mu", "0.1", "--radius", "0.001"]
@@ -384,6 +391,9 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert err == "error: h must be > 0, got -0.001\n"
     err = refused(drag + ["--T", "0.0005", "--h", "0.001"])
     assert err == "error: horizon T=0.0005 must be at least one step h=0.001\n"
+    err = refused(drag + ["--T", "0.005", "--h", "1e-300"])
+    assert err == ("error: T/h must be a step count whose grid numpy can size, "
+                   "got 5e+297 steps from T=0.005, h=1e-300\n")
     # A grid in seconds whose step h B underflows or whose horizon T B overflows is named by
     # the values typed and B, not by the scaled values alone.
     err = refused(["drag", "--rho-s", "1190", "--rho", "1000", "--mu", "1.0", "--radius", "100",

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -14,15 +15,16 @@ from direct_oracle import abel_history_direct, reciprocal_direct, solve_ide_dire
 from mp_oracle import abel_cell_mp, sqrt_errors_mp, u_laplace_mp
 from spherefall import analytic, ide
 from spherefall.ide import _abel_kernel, _fft_size, _quotient, _sqrt_errors, abel_history, solve_ide
-from spherefall.trajectory import Trajectory, uniform_grid
+from spherefall.trajectory import Trajectory, _step_count, uniform_grid
 
 # Grid lengths at and next to powers of two, where the last Newton pass of
 # the half-length reciprocal is full or partial, plus ones that are not
-# powers of two and span several doublings.  1023-1026 straddle the
-# reciprocal's crossover (ide._DIRECT_UP_TO = 512): the half-length
-# reciprocal of 1023 and 1024 steps is direct products only, that of 1025
-# and 1026 ends with one FFT pass.
-_EDGE_STEPS = [1, 2, 3, 4, 5, 63, 64, 65, 337, 1023, 1024, 1025, 1026, 2049, 3001]
+# powers of two and span several doublings.  Every product crosses over
+# from direct to FFT above ide._DIRECT_UP_TO = 512 coefficients: 256/257
+# straddle the Abel read-back's (its product spans 2n - 1), 512/513 the
+# quotient's, and 1024/1025 its half-length reciprocal's last pass.
+_EDGE_STEPS = [1, 2, 3, 4, 5, 63, 64, 65, 256, 257, 337, 512, 513, 1023, 1024, 1025, 1026,
+               2049, 3001]
 _steps = st.one_of(st.sampled_from(_EDGE_STEPS), st.integers(min_value=1, max_value=512))
 _kappas = st.floats(min_value=0.0, max_value=9.0, exclude_min=True, exclude_max=True)
 _hs = st.floats(min_value=1e-3, max_value=5e-2)
@@ -79,6 +81,16 @@ def test_uniform_grid_rounds_the_horizon_to_whole_steps():
                  (1e-300, 1e300)):
         with pytest.raises(ValueError, match="finite"):
             uniform_grid(h, T)
+    # A finite count whose grid of n + 1 doubles passes sys.maxsize bytes is refused with h, T
+    # and the count, before numpy is asked for it: on a 64-bit platform 2^60 steps are one
+    # too many, and the largest count below them that a double holds passes.
+    with pytest.raises(ValueError, match=r"^T/h must be a step count whose grid numpy can size, "
+                                         r"got 1e\+300 steps from T=1\.0, h=1e-300$"):
+        uniform_grid(1e-300, 1.0)
+    if sys.maxsize == 2**63 - 1:
+        with pytest.raises(ValueError, match=r"got 1\.15292e\+18 steps from T=1\.15"):
+            _step_count(1.0, 2.0**60)
+        assert _step_count(1.0, 2.0**60 - 128) == 2**60 - 128
 
 
 # ----------------------------------------------------------------------
@@ -287,7 +299,7 @@ def _solver_column(kappa: float, h: float, n: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("kappa", [0.5, 2.9, 9.0])
-@pytest.mark.parametrize("n", [1, 2, 3, 1023, 1024, 1025, 1026, 10001])
+@pytest.mark.parametrize("n", [1, 2, 3, 511, 512, 513, 1023, 1024, 1025, 1026, 10001])
 def test_quotient_solves_the_solver_system(kappa, n):
     # The Toeplitz column t and right-hand side of solve_ide: the product
     # t * d, summed directly, gives rhs back to rounding.
@@ -316,13 +328,27 @@ def test_no_fft_runs_at_or_below_the_crossover(monkeypatch):
         transform = getattr(np.fft, name)
         monkeypatch.setattr(np.fft, name, lambda *args, _f=transform, _n=name, **kwargs:
                             calls.append(_n) or _f(*args, **kwargs))
+
+    def transforms(run, *args):
+        calls.clear()
+        run(*args)
+        return sorted(calls)
+
     t = _solver_column(2.5, 1e-3, 1024)
     for n in (1, 2, 3, 257, 511, 512):
-        ide._reciprocal(t, n)
-    assert calls == []
-    # One pass past it: g's spectrum, then t g and g r, each a transform and its inverse.
-    ide._reciprocal(t, 513)
-    assert sorted(calls) == ["irfft"] * 2 + ["rfft"] * 3
+        assert transforms(ide._reciprocal, t, n) == []
+        assert transforms(solve_ide, 2.5, 0.0, 1e-3, n * 1e-3) == []
+    for n in (0, 1, 2, 3, 255, 256):
+        assert transforms(abel_history, np.ones(n + 1), 1e-3) == []
+    # One step past each crossover, where a spectrum is taken once per factor that is
+    # used again and each product is then a transform and its inverse.  The reciprocal's
+    # last pass: g's spectrum, then t g and g r.
+    assert transforms(ide._reciprocal, t, 513) == ["irfft"] * 2 + ["rfft"] * 3
+    # The quotient of 513 steps, over a direct reciprocal: the spectra of g and t, then
+    # g rhs, t q and g e.
+    assert transforms(solve_ide, 2.5, 0.0, 1e-3, 0.513) == ["irfft"] * 3 + ["rfft"] * 5
+    # The read-back of 257 steps, on 513 coefficients: the weights' spectrum, then f's.
+    assert transforms(abel_history, np.ones(258), 1e-3) == ["irfft"] + ["rfft"] * 2
 
 
 def test_the_solve_builds_its_system_in_place():
@@ -391,6 +417,8 @@ def test_solve_ide_raises_where_the_solution_overflows():
 # ----------------------------------------------------------------------
 
 @given(_kappas, _hs, _steps)
+@example(kappa=2.5, h=1e-3, n=256)  # the last read-back whose product is direct
+@example(kappa=2.5, h=1e-3, n=257)  # the first taken by FFT
 @settings(max_examples=40, deadline=None)
 def test_abel_history_matches_direct_sums(kappa, h, n):
     d = solve_ide(kappa, 0.0, h, n * h).derivatives
@@ -422,10 +450,16 @@ def test_abel_history_raises_where_the_history_is_not_finite():
             with pytest.raises(ArithmeticError,
                                match=re.escape(f"abel_history: the history is not finite at h={h:g}")):
                 abel_history(samples, h)
-        # A step whose history stays finite reads back as before, bit for bit.
-        assert abel_history(np.ones(5), 1e200).tolist() == [
-            0.0, 2.0000000000000004e+100, 2.82842712474619e+100, 3.4641016151377543e+100,
+        # A step whose history stays finite reads back these bits, each within 2 ulps
+        # of the exact 2 sqrt(t_k).
+        history = abel_history(np.ones(5), 1e200)
+        assert history.tolist() == [
+            0.0, 2e+100, 2.8284271247461897e+100, 3.4641016151377543e+100,
             3.999999999999999e+100]
+    with mpmath.workdps(40):
+        for k in range(1, 5):
+            exact = 2 * mpmath.sqrt(k * mpmath.mpf(1e200))
+            assert abs(history[k] - exact) <= 2 * np.spacing(float(exact)), k
 
 
 # ----------------------------------------------------------------------

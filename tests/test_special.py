@@ -130,15 +130,17 @@ def test_quadrature_oracles_resolve_narrow_peaks_on_a_seeded_sweep():
         assert abs(faddeeva_im_quadrature(x, y) - ref.imag) <= 1e-10, (x, y)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("quadrature", [faddeeva_re_quadrature, faddeeva_im_quadrature])
 @pytest.mark.parametrize("y", [1e-200, np.array([[1.0, 1e-200], [1e-210, 0.5]])])
 def test_quadrature_oracles_raise_where_the_peak_is_unresolved(quadrature, y):
     # At y = 1e-200, y * y underflows and a node lands on the peak: the
-    # integrand is y/0 or 0/0 there, and an infinite or NaN estimate raises too.
-    # An array raises when any element does, and names the first of them.
-    with pytest.raises(AccuracyError, match=r"did not converge .* at x=2\.0, y=1e-200$"):
-        quadrature(2.0, y)
+    # integrand is y/0 or 0/0 there, and an infinite or NaN estimate raises too,
+    # with no numpy warning before it.  An array raises when any element does,
+    # and names the first of them.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AccuracyError, match=r"did not converge .* at x=2\.0, y=1e-200$"):
+            quadrature(2.0, y)
 
 
 def test_the_one_pass_quadrature_is_the_two_oracles_to_rounding():
@@ -152,17 +154,19 @@ def test_the_one_pass_quadrature_is_the_two_oracles_to_rounding():
     assert type(_faddeeva_quadrature(-0.5, 0.8)) in (complex, np.complex128)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("x, y", [(2.0, 1e-200), (2.0, np.array([[1.0, 1e-200], [1e-210, 0.5]])),
                                   (np.array([0.0, 1.0]), np.array([[1.0], [-0.5], [0.0]])),
                                   (np.array([0.0, np.inf, np.nan]), 1.0)])
 def test_the_one_pass_quadrature_raises_the_oracles_errors(x, y):
-    # The real part is checked first, as the oracles were called, each under its own name.
-    with pytest.raises((AccuracyError, ValueError)) as oracles:
-        faddeeva_re_quadrature(x, y)
-        faddeeva_im_quadrature(x, y)
-    with pytest.raises(type(oracles.value), match=f"^{re.escape(str(oracles.value))}$"):
-        _faddeeva_quadrature(x, y)
+    # The real part is checked first, as the oracles were called, each under its own name,
+    # and none of them warns before it raises.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((AccuracyError, ValueError)) as oracles:
+            faddeeva_re_quadrature(x, y)
+            faddeeva_im_quadrature(x, y)
+        with pytest.raises(type(oracles.value), match=f"^{re.escape(str(oracles.value))}$"):
+            _faddeeva_quadrature(x, y)
 
 
 def test_the_imaginary_part_is_checked_under_its_own_name():
